@@ -21,9 +21,9 @@ from .families import (
     ParamTuple3D,
     apply_basis_change,
     build_C,
-    build_T,
     derivation_residuals,
     mat2_inv,
+    twisting_axiom_mismatch,
 )
 from .freealg import NCPoly
 from .rewrite import degree3_overlap_elements
@@ -548,15 +548,6 @@ def reducible_system_residuals(p):
     ]
 
 
-def _product_dims_ok(p, degree):
-    dims = build_T(p).hilbert(degree)
-    for m in range(degree + 1):
-        want = (m + 1) * (m + 2) // 2
-        if dims[m] != want:
-            return False, m, want, dims[m]
-    return True, None, None, None
-
-
 def classify_3d(p, bound=50, hilbert_degree=4):
     """Full trichotomy decision for the three-generator family.
 
@@ -569,8 +560,9 @@ def classify_3d(p, bound=50, hilbert_degree=4):
 
     jnf = jordan_normal_form_3d(p)
     if not jnf.normalized:
-        ok, m, want, got = _product_dims_ok(p, hilbert_degree)
-        if not ok:
+        mismatch = twisting_axiom_mismatch(p, hilbert_degree)
+        if mismatch is not None:
+            m, want, got = mismatch
             return TTPType3D(
                 "not_ttp",
                 None,

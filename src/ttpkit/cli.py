@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -156,7 +157,10 @@ class JobDocument:
                 return build_Tgh(self.params["g"], self.params["h"])
             except CharTwo as exc:
                 raise ConstraintError(str(exc))
-        return Presentation(self.alphabet, self.field, self.relations)
+        try:
+            return Presentation(self.alphabet, self.field, self.relations)
+        except ValueError as exc:  # an inhomogeneous relation
+            raise ParseError(str(exc))
 
     def tuple2d(self):
         return ParamTuple2D(self.params["a"], self.params["b"], self.params["c"])
@@ -255,8 +259,6 @@ def cmd_classify(args):
             machine["g"] = t.elliptic_form.g
             machine["h"] = t.elliptic_form.h
         status = 0 if t.kind != "unknown" and t.certified_to is None else 3
-        if t.kind in ("reducible",) and t.certified_to is not None:
-            status = 3
         return render(human, machine), status
     if job.family == "Tgh":
         g, h = job.params["g"], job.params["h"]
@@ -446,11 +448,15 @@ def parse_ranges(text):
         name, spec = name.strip(), spec.strip()
         if spec == "*":
             out[name] = None
-        elif ".." in spec:
-            lo, hi = spec.split("..", 1)
-            out[name] = list(range(int(lo), int(hi) + 1))
-        else:
-            out[name] = [int(v) for v in spec.split("|")]
+            continue
+        try:
+            if ".." in spec:
+                lo, hi = spec.split("..", 1)
+                out[name] = list(range(int(lo), int(hi) + 1))
+            else:
+                out[name] = [int(v) for v in spec.split("|")]
+        except ValueError:
+            raise ParseError(f"bad range {chunk!r}: values must be integers")
     return out
 
 
@@ -576,9 +582,11 @@ def cmd_scan(args):
     ranges = parse_ranges(args.ranges)
     space = scan_space(field.p, args.family, ranges)
     tasks = [(field.p, args.family, args.bound, values) for values in space]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * args.workers))))
+    # the pool forks every worker up front, so never ask for more than can run
+    workers = min(args.workers, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         rows = [scan_row(t) for t in tasks]
     counts = {}
@@ -687,10 +695,22 @@ def build_parser():
     return ap
 
 
+# Smallest value of each numeric option; below it no job is defined.
+OPTION_MINIMUMS = {"homdeg": 1, "maxdeg": 0, "bound": 1, "workers": 1}
+
+
+def _check_option_minimums(args):
+    for name, least in OPTION_MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ConstraintError(f"--{name} must be at least {least}, got {value}")
+
+
 def run(argv=None, stdout=None):
     stdout = stdout or sys.stdout
     args = build_parser().parse_args(argv)
     try:
+        _check_option_minimums(args)
         text, status = args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import DEG_LEFT_LEX, Alphabet, NCPoly
+from .freealg import Alphabet, NCPoly
 from .rewrite import NotCompleted, RewriteSystem
 from .scalars import CharTwo, Scalar, ScalarMatrix
 
@@ -81,13 +81,12 @@ class ParamTuple3D:
 
 
 class Presentation:
-    """Alphabet + homogeneous relations + term order, with cached completion."""
+    """Alphabet + homogeneous relations, with cached completion."""
 
-    def __init__(self, alphabet, field, relations, order=DEG_LEFT_LEX):
+    def __init__(self, alphabet, field, relations):
         self.alphabet = alphabet
         self.field = field
         self.relations = tuple(relations)
-        self.order = order
         for r in self.relations:
             if not r.is_homogeneous():
                 raise ValueError(f"inhomogeneous relation {r}")
@@ -95,7 +94,7 @@ class Presentation:
 
     def system(self):
         """The oriented, interreduced rule set (no completion certificate)."""
-        return RewriteSystem.from_relations(self.relations, self.order)
+        return RewriteSystem.from_relations(self.relations)
 
     def completed(self, d):
         """Rewrite system completed to degree d (cached and extended)."""
@@ -234,10 +233,17 @@ def derivation_check(o):
     return all(v.is_zero() for _, v in derivation_residuals(o))
 
 
-def twisting_axiom_check(p, n):
-    """Degreewise twisted-tensor-product test: dim T_m = (m+1)(m+2)/2 for m <= n."""
+def twisting_axiom_mismatch(p, n):
+    """Degreewise twisted-tensor-product test: dim T_m = (m+1)(m+2)/2 for m <= n.
+
+    Returns the first failing (m, want, got), or None when every degree fits.
+    """
     dims = build_T(p).hilbert(n)
-    return all(dims[m] == (m + 1) * (m + 2) // 2 for m in range(n + 1))
+    for m in range(n + 1):
+        want = (m + 1) * (m + 2) // 2
+        if dims[m] != want:
+            return m, want, dims[m]
+    return None
 
 
 def ideal_membership(poly, pres, d):
@@ -247,10 +253,6 @@ def ideal_membership(poly, pres, d):
     if poly.degree() > d:
         raise NotCompleted(f"element has degree {poly.degree()} > completion bound {d}")
     return pres.completed(d).reduce(poly).is_zero()
-
-
-def _mat2(field, rows):
-    return ScalarMatrix(field, rows)
 
 
 def mat2_inv(m):
@@ -293,7 +295,7 @@ def apply_basis_change(p, pm, lam):
         out = _quad_transform(mix, pm)
         new_q.append(tuple(lam_inv * t for t in out))
 
-    sigma = _mat2(field, [[p.d, p.e], [p.D, p.E]])
+    sigma = ScalarMatrix(field, [[p.d, p.e], [p.D, p.E]])
     sigma2 = pinv * sigma * pm
 
     fF = [lam * (pinv[0, 0] * p.f + pinv[0, 1] * p.F), lam * (pinv[1, 0] * p.f + pinv[1, 1] * p.F)]

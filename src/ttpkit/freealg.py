@@ -1,9 +1,10 @@
 """Noncommutative polynomials over a finite ordered alphabet.
 
 Words are tuples of letter indices; the listed order of the alphabet is
-the letter order (first letter smallest).  The only term order used is
-degree-first left-lexicographic, with optional letter weights so that a
-generator may sit in a degree other than 1.
+the letter order (first letter smallest).  The one term order is
+Alphabet.sort_key: (weighted) degree first, then left-lexicographic, with
+optional letter weights so that a generator may sit in a degree other
+than 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class ZeroPolynomial(Exception):
 class Alphabet:
     """Ordered letters, e.g. Alphabet(["y", "x", "z"]) means y < x < z."""
 
-    __slots__ = ("names", "weights", "_index")
+    __slots__ = ("names", "weights", "_index", "_unit")
 
     def __init__(self, names, weights=None):
         names = tuple(names)
@@ -33,14 +34,19 @@ class Alphabet:
         if len(self.weights) != len(names):
             raise ValueError("one weight per letter required")
         self._index = {n: i for i, n in enumerate(names)}
+        self._unit = all(w == 1 for w in self.weights)
 
     def index(self, name):
         return self._index[name]
 
     def degree(self, word):
-        if self.weights == (1,) * len(self.names):
+        if self._unit:
             return len(word)
         return sum(self.weights[i] for i in word)
+
+    def sort_key(self, word):
+        """The term order: (weighted) degree first, then letters from the left."""
+        return (self.degree(word), word)
 
     def word(self, text):
         """Build a word from concatenated letter names; ^n repeats a letter."""
@@ -95,28 +101,6 @@ class Alphabet:
 
     def __repr__(self):
         return "<" + " < ".join(self.names) + ">"
-
-
-class DegLeftLex:
-    """Compare total (weighted) degree first, then letters from the left."""
-
-    def sort_key(self, alphabet, word):
-        return (alphabet.degree(word), word)
-
-    def less(self, alphabet, u, v):
-        return self.sort_key(alphabet, u) < self.sort_key(alphabet, v)
-
-    def __eq__(self, other):
-        return isinstance(other, DegLeftLex)
-
-    def __hash__(self):
-        return hash("DegLeftLex")
-
-    def __repr__(self):
-        return "DegLeftLex"
-
-
-DEG_LEFT_LEX = DegLeftLex()
 
 
 class NCPoly:
@@ -237,22 +221,19 @@ class NCPoly:
     def is_homogeneous(self):
         return len({self.alphabet.degree(w) for w in self.terms}) <= 1
 
-    def leading_term(self, order=DEG_LEFT_LEX):
+    def leading_term(self):
         if not self.terms:
             raise ZeroPolynomial("leading term of 0")
-        w = max(self.terms, key=lambda u: order.sort_key(self.alphabet, u))
+        w = max(self.terms, key=self.alphabet.sort_key)
         return w, self.terms[w]
 
-    def monic(self, order=DEG_LEFT_LEX):
-        _, c = self.leading_term(order)
+    def monic(self):
+        _, c = self.leading_term()
         return self.scale(c.inv())
 
-    def sorted_terms(self, order=DEG_LEFT_LEX):
-        return sorted(
-            self.terms.items(),
-            key=lambda wc: order.sort_key(self.alphabet, wc[0]),
-            reverse=True,
-        )
+    def sorted_terms(self):
+        key = self.alphabet.sort_key
+        return sorted(self.terms.items(), key=lambda wc: key(wc[0]), reverse=True)
 
     def map_coeffs(self, fn, field=None):
         out = NCPoly(self.alphabet, field or self.field)
@@ -293,11 +274,11 @@ def substitute(p, images):
     return out
 
 
-def poly_str(p, order=DEG_LEFT_LEX):
+def poly_str(p):
     if p.is_zero():
         return "0"
     chunks = []
-    for w, c in p.sorted_terms(order):
+    for w, c in p.sorted_terms():
         ws = p.alphabet.word_str(w)
         cs = str(c)
         composite = "+" in cs[1:] or "-" in cs[1:]  # e.g. 1-sqrt(2)

@@ -12,7 +12,7 @@ rank computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .freealg import NCPoly
 from .rewrite import NotCompleted
@@ -24,17 +24,14 @@ class GradedComplex:
 
     shifts[i] lists the generator degrees of the i-th module, diffs[i]
     (for i >= 1) is the rank_i x rank_{i-1} matrix of the map from
-    position i to position i-1.  side is "left" or "right"; a periodic
-    tail, when present, records the repeating differential used to extend
-    the complex beyond the materialized prefix.
+    position i to position i-1.  side is "left" or "right".
     """
 
-    def __init__(self, pres, shifts, diffs, side="left", tail=None):
+    def __init__(self, pres, shifts, diffs, side="left"):
         self.pres = pres
         self.shifts = [list(s) for s in shifts]
         self.diffs = [None] + list(diffs)  # diffs[i]: position i -> i-1
         self.side = side
-        self.tail = tail  # (matrix template, degree step) or None
         if len(self.diffs) != len(self.shifts):
             raise ValueError("need exactly one differential per positive position")
         for i in range(1, len(self.shifts)):
@@ -61,18 +58,6 @@ class GradedComplex:
 
     def __len__(self):
         return len(self.shifts)
-
-    def extended_to(self, max_i):
-        """Materialize the periodic tail out to homological position max_i."""
-        if self.tail is None or max_i < len(self) - 1:
-            return self
-        template, step = self.tail
-        shifts = [list(s) for s in self.shifts]
-        diffs = [list(map(list, m)) for m in self.diffs[1:]]
-        while len(shifts) - 1 < max_i:
-            shifts.append([s + step for s in shifts[-1]])
-            diffs.append(template)
-        return GradedComplex(self.pres, shifts, diffs, self.side, self.tail)
 
     def component_matrix(self, i, j):
         """Scalar matrix of the i-th differential in internal degree j.
@@ -159,9 +144,6 @@ class ExactnessReport:
     homology: dict
     maxdeg: int
     augmented: bool
-
-    def is_resolution_of_trivial_module(self):
-        return set(self.homology) <= {(0, 0)} and self.homology.get((0, 0), 0) in (0, 1)
 
     def clean(self):
         return not self.homology
@@ -428,4 +410,4 @@ def build_p_complex(g, max_i):
     while len(shifts) - 1 < max_i:
         shifts.append([s + 1 for s in shifts[-1]])
         diffs.append(tail)
-    return GradedComplex(pres, shifts, diffs, tail=(tail, 1))
+    return GradedComplex(pres, shifts, diffs)

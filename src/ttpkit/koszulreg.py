@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import Witness
-from .families import OreData, Presentation, build_T, build_Tgh
+from .families import Presentation, build_T, build_Tgh
 from .freealg import Alphabet, NCPoly
 from .homology import dualize, exactness_profile, minimal_resolution
-from .rewrite import RewriteSystem
 from .scalars import CharTwo, EchelonSpan, ScalarMatrix
 
 
@@ -139,8 +138,20 @@ def koszul_check(pres, bound):
 # ---------------------------------------------------------------------------
 
 
-def _dual_poly(dual_alphabet, field, spec):
-    return NCPoly(dual_alphabet, field, {dual_alphabet.word(w): field.scalar(c) for w, c in spec})
+def _elliptic_dual_relations(alphabet, letters, g, h):
+    """The six dual relations, letters naming the duals of w, x, y in alphabet."""
+    field = g.field
+    one = field.one()
+    w, x, y = (alphabet.index(name) for name in letters)
+    table = [
+        [((x, y), one), ((y, x), one)],
+        [((x, w), one)],
+        [((w, x), one)],
+        [((w, y), one), ((y, w), -one)],
+        [((y, w), one), ((x, x), one)],
+        [((y, y), one), ((w, w), -h), ((x, x), -g)],
+    ]
+    return [NCPoly(alphabet, field, dict(spec)) for spec in table]
 
 
 def expected_dual_relations(dual_alphabet, g, h):
@@ -149,16 +160,7 @@ def expected_dual_relations(dual_alphabet, g, h):
     Generators are ordered w' < x' < y' (duals of w, x, y); in the usual
     Greek reading x' is chi, y' is nu, and w' is omega.
     """
-    field = g.field
-    one = field.one()
-    return [
-        _dual_poly(dual_alphabet, field, [("x'y'", one), ("y'x'", one)]),
-        _dual_poly(dual_alphabet, field, [("x'w'", one)]),
-        _dual_poly(dual_alphabet, field, [("w'x'", one)]),
-        _dual_poly(dual_alphabet, field, [("w'y'", one), ("y'w'", -one)]),
-        _dual_poly(dual_alphabet, field, [("y'w'", one), ("x'x'", one)]),
-        _dual_poly(dual_alphabet, field, [("y'y'", one), ("w'w'", -h), ("x'x'", -g)]),
-    ]
+    return _elliptic_dual_relations(dual_alphabet, ("w'", "x'", "y'"), g, h)
 
 
 def yoneda_presentation_h0(g):
@@ -177,14 +179,8 @@ def yoneda_presentation_h0(g):
     def poly(spec):
         return NCPoly(A, field, {A.word(w): field.scalar(c) for w, c in spec})
 
-    quadratics = [
-        poly([("chi*nu", one), ("nu*chi", one)]),
-        poly([("chi*omega", one)]),
-        poly([("omega*chi", one)]),
-        poly([("omega*nu", one), ("nu*omega", -one)]),
-        poly([("nu*omega", one), ("chi*chi", one)]),
-        poly([("nu*nu", one), ("chi*chi", -g)]),
-    ]
+    # h = 0 drops the omega^2 term: NCPoly discards zero coefficients
+    quadratics = _elliptic_dual_relations(A, ("omega", "chi", "nu"), g, field.zero())
     quartics = [
         poly([("chi*rho", one)]),
         poly([("nu*rho", one)]),
@@ -196,7 +192,7 @@ def yoneda_presentation_h0(g):
     return Presentation(A, field, quadratics + quartics + sextic)
 
 
-def second_degree(alphabet, word, second_weights):
+def second_degree(word, second_weights):
     return sum(second_weights[i] for i in word)
 
 
@@ -206,7 +202,7 @@ def bigraded_dimensions(pres, second_weights, bound):
     out = {}
     for i, words in enumerate(rs.normal_words(bound)):
         for w in words:
-            j = second_degree(pres.alphabet, w, second_weights)
+            j = second_degree(w, second_weights)
             out[(i, j)] = out.get((i, j), 0) + 1
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 
-from .freealg import DEG_LEFT_LEX, NCPoly
+from .freealg import NCPoly
 from .scalars import EchelonSpan
 
 
@@ -24,13 +24,13 @@ class Rule:
 
     __slots__ = ("high", "tail")
 
-    def __init__(self, high, tail, order=DEG_LEFT_LEX):
+    def __init__(self, high, tail):
         high = tuple(high)
         alphabet = tail.alphabet
-        hkey = order.sort_key(alphabet, high)
+        hkey = alphabet.sort_key(high)
         hdeg = alphabet.degree(high)
         for w in tail.terms:
-            if order.sort_key(alphabet, w) >= hkey:
+            if alphabet.sort_key(w) >= hkey:
                 raise ValueError(f"tail word {alphabet.word_str(w)} not below high term")
             if alphabet.degree(w) != hdeg:
                 raise ValueError("tail not homogeneous of the high term's degree")
@@ -53,12 +53,11 @@ class Rule:
 class RewriteSystem:
     """An ordered set of rules with a completion certificate."""
 
-    __slots__ = ("alphabet", "field", "order", "rules", "completed_to")
+    __slots__ = ("alphabet", "field", "rules", "completed_to")
 
-    def __init__(self, alphabet, field, rules, order=DEG_LEFT_LEX, completed_to=None):
+    def __init__(self, alphabet, field, rules, completed_to=None):
         self.alphabet = alphabet
         self.field = field
-        self.order = order
         self.rules = tuple(rules)
         self.completed_to = completed_to
         highs = [r.high for r in self.rules]
@@ -71,7 +70,7 @@ class RewriteSystem:
                     )
 
     @staticmethod
-    def from_relations(relations, order=DEG_LEFT_LEX):
+    def from_relations(relations):
         """Orient and interreduce homogeneous relations into a rule set."""
         relations = [r for r in relations if not r.is_zero()]
         if not relations:
@@ -83,12 +82,10 @@ class RewriteSystem:
         rules = []
         work = list(relations)
         while work:
-            p = _reduce_terms(work.pop(0), rules, order)
+            p = _reduce_terms(work.pop(0), rules)
             if p.is_zero():
                 continue
-            w, c = p.leading_term(order)
-            tail = (NCPoly(alphabet, field, {w: c}) - p).scale(c.inv())
-            new = Rule(w, tail, order)
+            new = _monic_rule(p)
             keep = []
             for r in rules:
                 if _contains(r.high, new.high):
@@ -97,12 +94,9 @@ class RewriteSystem:
                     keep.append(r)
             keep.append(new)
             rules = keep
-        rules = _interreduce_tails(rules, alphabet, field, order)
-        rules.sort(key=lambda r: order.sort_key(alphabet, r.high))
-        return RewriteSystem(alphabet, field, rules, order)
-
-    def high_terms(self):
-        return [r.high for r in self.rules]
+        rules = _interreduce_tails(rules)
+        rules.sort(key=lambda r: alphabet.sort_key(r.high))
+        return RewriteSystem(alphabet, field, rules)
 
     def reduce(self, p, rng=None):
         """Normal form of p: no high term occurs as a subword of any word.
@@ -111,13 +105,7 @@ class RewriteSystem:
         its leftmost redex.  Passing an rng picks redexes at random instead,
         which is useful for confluence spot checks.
         """
-        return _reduce_terms(p, self.rules, self.order, rng)
-
-    def is_reduced(self, p):
-        return all(self._find_redex(w) is None for w in p.terms)
-
-    def _find_redex(self, word):
-        return _find_redex(word, self.rules)
+        return _reduce_terms(p, self.rules, rng)
 
     def overlaps(self):
         """All overlap configurations (i, j, m, mid, mpp), sorted by degree.
@@ -128,10 +116,8 @@ class RewriteSystem:
         out = []
         for i, ri in enumerate(self.rules):
             for j, rj in enumerate(self.rules):
-                hi, hj = ri.high, rj.high
-                for ell in range(1, min(len(hi), len(hj))):
-                    if hi[len(hi) - ell :] == hj[:ell]:
-                        out.append((i, j, hi[: len(hi) - ell], hj[:ell], hj[ell:]))
+                for m, mid, mpp in _overlaps(ri.high, rj.high):
+                    out.append((i, j, m, mid, mpp))
         key = lambda o: (
             self.alphabet.degree(o[2] + o[3] + o[4]),
             o[2] + o[3] + o[4],
@@ -139,14 +125,6 @@ class RewriteSystem:
             o[1],
         )
         return sorted(out, key=key)
-
-    def s_difference(self, overlap):
-        """tail_i * mpp - m * tail_j for the two reductions of the overlap word."""
-        i, j, m, mid, mpp = overlap
-        alphabet, field = self.alphabet, self.field
-        left = self.rules[i].tail * NCPoly(alphabet, field, {tuple(mpp): field.one()})
-        right = NCPoly(alphabet, field, {tuple(m): field.one()}) * self.rules[j].tail
-        return left - right
 
     def complete(self, d):
         """Resolve all overlaps of total degree <= d; returns (system, added).
@@ -157,24 +135,20 @@ class RewriteSystem:
         """
         if self.completed_to is not None and self.completed_to >= d:
             return self, []
-        alphabet, field, order = self.alphabet, self.field, self.order
+        alphabet, field = self.alphabet, self.field
         rules = list(self.rules)
         counter = 0
         queue = []
 
         def push_overlaps(i, j):
             nonlocal counter
-            hi, hj = rules[i].high, rules[j].high
-            for ell in range(1, min(len(hi), len(hj))):
-                if hi[len(hi) - ell :] == hj[:ell]:
-                    word = hi + hj[ell:]
-                    deg = alphabet.degree(word)
-                    if deg <= d:
-                        counter += 1
-                        heapq.heappush(
-                            queue,
-                            (deg, word, i, j, counter, hi[: len(hi) - ell], hj[:ell], hj[ell:]),
-                        )
+            hi = rules[i].high
+            for m, _, mpp in _overlaps(hi, rules[j].high):
+                word = hi + mpp
+                deg = alphabet.degree(word)
+                if deg <= d:
+                    counter += 1
+                    heapq.heappush(queue, (deg, word, i, j, counter, m, mpp))
 
         n = len(rules)
         for i in range(n):
@@ -183,33 +157,28 @@ class RewriteSystem:
 
         added = []
         while queue:
-            _, _, i, j, _, m, mid, mpp = heapq.heappop(queue)
-            left = rules[i].tail * NCPoly(alphabet, field, {tuple(mpp): field.one()})
-            right = NCPoly(alphabet, field, {tuple(m): field.one()}) * rules[j].tail
-            sdiff = _reduce_terms(left - right, rules, order)
+            _, _, i, j, _, m, mpp = heapq.heappop(queue)
+            left = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
+            right = NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
+            sdiff = _reduce_terms(left - right, rules)
             if sdiff.is_zero():
                 continue
-            w, c = sdiff.leading_term(order)
-            tail = (NCPoly(alphabet, field, {w: c}) - sdiff).scale(c.inv())
-            rules.append(Rule(w, tail, order))
+            rules.append(_monic_rule(sdiff))
             added.append(rules[-1])
             k = len(rules) - 1
             for i2 in range(len(rules)):
                 push_overlaps(i2, k)
                 if i2 != k:
                     push_overlaps(k, i2)
-        rules = _interreduce_tails(rules, alphabet, field, order)
+        rules = _interreduce_tails(rules)
         done = max(d, self.completed_to or 0)
-        return RewriteSystem(alphabet, field, rules, order, completed_to=done), added
+        return RewriteSystem(alphabet, field, rules, completed_to=done), added
 
     def normal_words(self, d):
         """Per-degree lists of normal words up to degree d (a basis)."""
         if self.completed_to is None or self.completed_to < d:
             raise NotCompleted(f"system completed to {self.completed_to}, need {d}")
-        return self._normal_words_unchecked(d)
-
-    def _normal_words_unchecked(self, d):
-        highs = self.high_terms()
+        highs = [r.high for r in self.rules]
         buckets = [[] for _ in range(d + 1)]
         buckets[0].append(())
         weights = self.alphabet.weights
@@ -263,24 +232,37 @@ def _contains(word, sub):
     return any(word[i : i + ls] == sub for i in range(len(word) - ls + 1))
 
 
+def _overlaps(hi, hj):
+    """Each (m, mid, mpp) with hi = m+mid, hj = mid+mpp and m, mid, mpp nonempty."""
+    for ell in range(1, min(len(hi), len(hj))):
+        if hi[len(hi) - ell :] == hj[:ell]:
+            yield hi[: len(hi) - ell], hj[:ell], hj[ell:]
+
+
+def _monic_rule(p):
+    """The rule lead(p) -> lead(p) - p / lc(p) for a nonzero polynomial p."""
+    w, c = p.leading_term()
+    tail = (NCPoly(p.alphabet, p.field, {w: c}) - p).scale(c.inv())
+    return Rule(w, tail)
+
+
 def _find_redex(word, rules):
-    best = None
+    """Leftmost (pos, rule) whose high term occurs in word at pos, or None."""
     for pos in range(len(word)):
         for rule in rules:
             h = rule.high
             if word[pos : pos + len(h)] == h:
                 return pos, rule
-    return best
+    return None
 
 
-def _reduce_terms(p, rules, order, rng=None):
+def _reduce_terms(p, rules, rng=None):
     alphabet, field = p.alphabet, p.field
     terms = dict(p.terms)
-    key = lambda w: order.sort_key(alphabet, w)
     while True:
         if rng is None:
             target = None
-            for w in sorted(terms, key=key, reverse=True):
+            for w in sorted(terms, key=alphabet.sort_key, reverse=True):
                 hit = _find_redex(w, rules)
                 if hit is not None:
                     target = (w, hit)
@@ -314,33 +296,9 @@ def _reduce_terms(p, rules, order, rng=None):
     return out
 
 
-def _interreduce_tails(rules, alphabet, field, order):
+def _interreduce_tails(rules):
     """Reduce every tail to normal form with respect to the whole system."""
-    out = []
-    for r in rules:
-        tail = _reduce_terms(r.tail, rules, order)
-        out.append(Rule(r.high, tail, order))
-    return out
-
-
-def reduce(p, rs, rng=None):
-    return rs.reduce(p, rng=rng)
-
-
-def overlaps(rs):
-    return rs.overlaps()
-
-
-def complete(rs, d):
-    return rs.complete(d)
-
-
-def normal_words(rs, d):
-    return rs.normal_words(d)
-
-
-def hilbert(rs, d):
-    return rs.hilbert(d)
+    return [Rule(r.high, _reduce_terms(r.tail, rules)) for r in rules]
 
 
 def enumerate_words(alphabet, d):

@@ -137,10 +137,6 @@ class Field:
     def characteristic(self):
         raise NotImplementedError
 
-    def is_square(self, s):
-        """Whether the Scalar s has a square root in this field."""
-        return self.sqrt(s) is not None
-
     def sqrt(self, s):
         """A square root of s in this field, or None."""
         raise NotImplementedError
@@ -869,8 +865,3 @@ class EchelonSpan:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def rank_kernel(matrix):
-    """Module-level convenience mirroring ScalarMatrix.rank_kernel."""
-    return matrix.rank_kernel()

@@ -175,6 +175,30 @@ def test_constraint_error_exit_two():
     assert status == 2
 
 
+TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
+
+
+@pytest.mark.parametrize("argv, status, names", [
+    pytest.param(["resolve", *TGH, "--homdeg", "0"], 2, "--homdeg", id="resolve-homdeg"),
+    pytest.param(["koszul", *TGH, "--homdeg", "0"], 2, "--homdeg", id="koszul-homdeg"),
+    pytest.param(["classify", "--family", "C", "--params", "a=2,b=3,c=1", "--bound", "0"], 2, "--bound",
+                 id="classify-bound"),
+    pytest.param(["sequences", "--params", "a=1,b=1", "--bound", "0"], 2, "--bound", id="sequences-bound"),
+    pytest.param(["hilbert", *TGH, "--maxdeg", "-1"], 2, "--maxdeg", id="hilbert-maxdeg"),
+    pytest.param(["gb", *TGH, "--maxdeg", "-1"], 2, "--maxdeg", id="gb-maxdeg"),
+    pytest.param(["scan", "--family", "C", "--workers", "0"], 2, "--workers", id="scan-workers"),
+    pytest.param(["scan", "--family", "C", "--ranges", "a=x"], 1, "a=x", id="scan-ranges"),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "xy-yx+x"], 1,
+                 "inhomogeneous", id="raw-inhomogeneous"),
+])
+def test_bad_input_fails_with_one_line(argv, status, names, capsys):
+    got, out = invoke(argv)
+    err = capsys.readouterr().err
+    assert got == status
+    assert out == ""
+    assert len(err.splitlines()) == 1 and names in err
+
+
 def test_scan_c_family_partitions():
     status, out = invoke(["scan", "--field", "GF(3)", "--family", "C"])
     assert status == 0
@@ -219,6 +243,32 @@ def test_scan_worker_determinism():
     _, out1 = invoke(base + ["--workers", "1"])
     _, out2 = invoke(base + ["--workers", "2"])
     assert parse_machine_block(out1) == parse_machine_block(out2)
+
+
+def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("ttpkit.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    base = ["scan", "--field", "GF(3)", "--family", "C"]
+    _, serial = invoke(base)
+    _, many = invoke(base + ["--workers", "64"])  # 27 tasks, 4 cpus
+    invoke(base + ["--ranges", "a=0,b=0", "--workers", "64"])  # 3 tasks
+    assert sizes == [4, 3]
+    assert many == serial
 
 
 def test_scan_space_T_shape():

@@ -17,7 +17,7 @@ from ttpkit.families import (
     derivation_check,
     derivation_residuals,
     ideal_membership,
-    twisting_axiom_check,
+    twisting_axiom_mismatch,
 )
 from ttpkit.freealg import NCPoly, parse_poly, substitute
 from ttpkit.scalars import QQ, CharTwo, PrimeField, ScalarMatrix
@@ -76,12 +76,12 @@ def test_derivation_check_zero_delta():
 
 
 def test_twisting_axiom_identity_tuple():
-    assert twisting_axiom_check(T3(d=1, E=1), 3)
+    assert twisting_axiom_mismatch(T3(d=1, E=1), 3) is None
 
 
 def test_twisting_axiom_rejects_mixed_terms():
     # f = 1, A = 1 with d != -1 cannot reach the product dimensions
-    assert not twisting_axiom_check(T3(f=1, A=1, d=0, E=1), 3)
+    assert twisting_axiom_mismatch(T3(f=1, A=1, d=0, E=1), 3) is not None
 
 
 def test_twisting_axiom_matches_derivation_check_for_ore_tuples():
@@ -106,7 +106,7 @@ def test_twisting_axiom_matches_derivation_check_for_ore_tuples():
     verdicts = set()
     for p in samples:
         ok = derivation_check(OreData.from_params(p))
-        assert ok == twisting_axiom_check(p, 3)
+        assert ok == (twisting_axiom_mismatch(p, 3) is None)
         verdicts.add(ok)
     assert verdicts == {True, False}
 
