@@ -29,7 +29,7 @@ from .freealg import Alphabet, parse_poly, poly_str
 from .homology import minimal_resolution
 from .koszulreg import asreg_decide, gorenstein_check, koszul_check, yoneda_verify
 from .rewrite import NotCompleted
-from .scalars import QQ, CharTwo, FieldError, PrimeField, QuadExtField
+from .scalars import QQ, CharTwo, FieldError, NestedExtension, PrimeField, QuadExtField
 from .sequences import efgh_table, fn_nonvanishing
 
 
@@ -121,11 +121,13 @@ class JobDocument:
             rel_texts = doc.get("relations") or (args.relations.split(";") if getattr(args, "relations", None) else None)
             if not names or not rel_texts:
                 raise ParseError("raw family needs alphabet and relations")
-            alphabet = Alphabet([n.strip() for n in names])
             try:
+                alphabet = Alphabet([n.strip() for n in names])
                 relations = [parse_poly(alphabet, field, t) for t in rel_texts]
             except ValueError as exc:
                 raise ParseError(str(exc))
+            if all(r.is_zero() for r in relations):
+                raise ParseError("raw family needs a nonzero relation")
             return JobDocument(field, "raw", {}, alphabet, relations)
         if family not in FAMILY_PARAMS:
             raise ParseError(f"unknown family {family!r}; use C, T, Tgh or raw")
@@ -227,7 +229,12 @@ def cmd_classify(args):
         if verdict.certified_to is not None:
             status = 3
         if verdict.is_ttp:
-            iso = graded_iso_type_2d(job.tuple2d(), args.bound)
+            try:
+                iso = graded_iso_type_2d(job.tuple2d(), args.bound)
+            except NestedExtension:
+                raise ConstraintError(
+                    f"the graded isomorphism type over {job.field} needs a second square-root extension"
+                )
             human.append(f"graded isomorphism type: {iso}")
             machine["iso_kind"] = iso.kind
             if iso.q is not None:

@@ -5,6 +5,13 @@ completion up to a degree bound turns a presentation into a Gröbner basis
 to that degree; normal words (no high term as subword) then form a basis
 of the quotient, giving the Hilbert function.  A brute-force linear-algebra
 oracle recomputes the same dimensions with no rewriting involved.
+
+Reduction goes through a table of word normal forms.  A word's entry is
+computed once: rewrite its leftmost redex with the first matching rule and
+sum the entries of the resulting (strictly smaller) words.  A polynomial
+then reduces to the sum of c * NF(w) over its terms.  A RewriteSystem keeps
+its table for its whole life, since its rules never change; completion,
+whose rule list grows, starts a fresh table for each reduction.
 """
 
 from __future__ import annotations
@@ -53,13 +60,15 @@ class Rule:
 class RewriteSystem:
     """An ordered set of rules with a completion certificate."""
 
-    __slots__ = ("alphabet", "field", "rules", "completed_to")
+    __slots__ = ("alphabet", "field", "rules", "completed_to", "_nf", "_words")
 
     def __init__(self, alphabet, field, rules, completed_to=None):
         self.alphabet = alphabet
         self.field = field
         self.rules = tuple(rules)
         self.completed_to = completed_to
+        self._nf = {}  # word -> {normal word: coefficient}
+        self._words = ()  # normal-word buckets by degree, up to the largest d asked
         highs = [r.high for r in self.rules]
         for i, h in enumerate(highs):
             for j, g in enumerate(highs):
@@ -82,7 +91,7 @@ class RewriteSystem:
         rules = []
         work = list(relations)
         while work:
-            p = _reduce_terms(work.pop(0), rules)
+            p = _reduce_terms(work.pop(0), rules, {})
             if p.is_zero():
                 continue
             new = _monic_rule(p)
@@ -101,11 +110,16 @@ class RewriteSystem:
     def reduce(self, p, rng=None):
         """Normal form of p: no high term occurs as a subword of any word.
 
-        Deterministic strategy: rewrite the order-largest reducible word at
-        its leftmost redex.  Passing an rng picks redexes at random instead,
-        which is useful for confluence spot checks.
+        The result is the sum of c * NF(w) over the terms c*w of p, where
+        NF(w) comes from this system's word table and is computed on first
+        use.  It equals rewriting the order-largest reducible word at its
+        leftmost redex until none is left, on any rule set, confluent or
+        not.  Passing an rng rewrites random redexes instead, which is
+        useful for confluence spot checks.
         """
-        return _reduce_terms(p, self.rules, rng)
+        if rng is not None:
+            return _reduce_random(p, self.rules, rng)
+        return _reduce_terms(p, self.rules, self._nf)
 
     def overlaps(self):
         """All overlap configurations (i, j, m, mid, mpp), sorted by degree.
@@ -160,7 +174,7 @@ class RewriteSystem:
             _, _, i, j, _, m, mpp = heapq.heappop(queue)
             left = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
             right = NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
-            sdiff = _reduce_terms(left - right, rules)
+            sdiff = _reduce_terms(left - right, rules, {})
             if sdiff.is_zero():
                 continue
             rules.append(_monic_rule(sdiff))
@@ -175,9 +189,11 @@ class RewriteSystem:
         return RewriteSystem(alphabet, field, rules, completed_to=done), added
 
     def normal_words(self, d):
-        """Per-degree lists of normal words up to degree d (a basis)."""
+        """Per-degree tuples of normal words up to degree d (a basis)."""
         if self.completed_to is None or self.completed_to < d:
             raise NotCompleted(f"system completed to {self.completed_to}, need {d}")
+        if len(self._words) > d:
+            return self._words[: d + 1]
         highs = [r.high for r in self.rules]
         buckets = [[] for _ in range(d + 1)]
         buckets[0].append(())
@@ -192,7 +208,8 @@ class RewriteSystem:
                     if any(len(h) <= len(u) and u[len(u) - len(h) :] == h for h in highs):
                         continue
                     buckets[n2].append(u)
-        return buckets
+        self._words = tuple(tuple(b) for b in buckets)
+        return self._words
 
     def hilbert(self, d):
         return HilbertProfile(tuple(len(b) for b in self.normal_words(d)))
@@ -246,41 +263,81 @@ def _monic_rule(p):
     return Rule(w, tail)
 
 
-def _find_redex(word, rules):
-    """Leftmost (pos, rule) whose high term occurs in word at pos, or None."""
+def _redexes(word, rules):
+    """Each (pos, rule) whose high term occurs in word at pos, leftmost first."""
     for pos in range(len(word)):
         for rule in rules:
             h = rule.high
             if word[pos : pos + len(h)] == h:
-                return pos, rule
-    return None
+                yield pos, rule
 
 
-def _reduce_terms(p, rules, rng=None):
-    alphabet, field = p.alphabet, p.field
+def _find_redex(word, rules):
+    """Leftmost (pos, rule) whose high term occurs in word at pos, or None."""
+    return next(_redexes(word, rules), None)
+
+
+def _normal_form(word, rules, table, field):
+    """NF(word) as {normal word: coefficient}, filling table bottom-up.
+
+    One rewrite at the leftmost redex yields strictly smaller words, so the
+    entries needed form a finite acyclic graph; an explicit stack walks it
+    without recursion.  Each stack entry is [word, children], where children
+    is None until the word's redex has been looked up.
+    """
+    nf = table.get(word)
+    if nf is not None:
+        return nf
+    stack = [[word, None]]
+    while stack:
+        top = stack[-1]
+        w, children = top
+        if children is None:
+            if w in table:  # pushed by more than one parent
+                stack.pop()
+                continue
+            hit = _find_redex(w, rules)
+            if hit is None:
+                table[w] = {w: field.one()}
+                stack.pop()
+                continue
+            pos, rule = hit
+            u, v = w[:pos], w[pos + len(rule.high) :]
+            children = top[1] = [(u + tw + v, tc) for tw, tc in rule.tail.terms.items()]
+            missing = [[cw, None] for cw, _ in children if cw not in table]
+            if missing:
+                stack.extend(missing)
+                continue
+        table[w] = _combine((tc, table[cw]) for cw, tc in children)
+        stack.pop()
+    return table[word]
+
+
+def _combine(pairs):
+    """Sum of c * nf over (c, nf) pairs, as {word: coefficient} without zeros."""
+    acc = {}
+    for c, nf in pairs:
+        for w, nc in nf.items():
+            prev = acc.get(w)
+            acc[w] = c * nc if prev is None else prev + c * nc
+    return {w: c for w, c in acc.items() if not c.is_zero()}
+
+
+def _reduce_terms(p, rules, table):
+    """Sum of c * NF(w) over the terms of p, with NF entries from table."""
+    out = NCPoly(p.alphabet, p.field)
+    out.terms = _combine((c, _normal_form(w, rules, table, p.field)) for w, c in p.terms.items())
+    return out
+
+
+def _reduce_random(p, rules, rng):
+    """Rewrite a uniformly chosen redex of p until none is left."""
     terms = dict(p.terms)
     while True:
-        if rng is None:
-            target = None
-            for w in sorted(terms, key=alphabet.sort_key, reverse=True):
-                hit = _find_redex(w, rules)
-                if hit is not None:
-                    target = (w, hit)
-                    break
-            if target is None:
-                break
-        else:
-            redexes = []
-            for w in terms:
-                for pos in range(len(w)):
-                    for rule in rules:
-                        h = rule.high
-                        if w[pos : pos + len(h)] == h:
-                            redexes.append((w, (pos, rule)))
-            if not redexes:
-                break
-            target = redexes[rng.randrange(len(redexes))]
-        w, (pos, rule) = target
+        redexes = [(w, hit) for w in terms for hit in _redexes(w, rules)]
+        if not redexes:
+            break
+        w, (pos, rule) = redexes[rng.randrange(len(redexes))]
         c = terms.pop(w)
         u, v = w[:pos], w[pos + len(rule.high) :]
         for tw, tc in rule.tail.terms.items():
@@ -291,14 +348,15 @@ def _reduce_terms(p, rules, rng=None):
                 terms.pop(nw, None)
             else:
                 terms[nw] = s
-    out = NCPoly(alphabet, field)
+    out = NCPoly(p.alphabet, p.field)
     out.terms = terms
     return out
 
 
 def _interreduce_tails(rules):
     """Reduce every tail to normal form with respect to the whole system."""
-    return [Rule(r.high, _reduce_terms(r.tail, rules)) for r in rules]
+    table = {}
+    return [Rule(r.high, _reduce_terms(r.tail, rules, table)) for r in rules]
 
 
 def enumerate_words(alphabet, d):

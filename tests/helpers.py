@@ -3,9 +3,13 @@
 The two degree-3 obstruction elements of the three-generator family have
 hand-checked coefficient expansions; freezing them here gives the rewrite
 engine an independent target to reproduce at arbitrary specializations.
+``reference_reduce`` is a direct rewriting loop that the table-driven
+``RewriteSystem.reduce`` must agree with on any rule set.
 """
 
 from types import SimpleNamespace
+
+from ttpkit.freealg import NCPoly
 
 
 def make_params3d(field, **kw):
@@ -54,3 +58,40 @@ def assert_poly_matches(poly, expected):
     alphabet = poly.alphabet
     want = {alphabet.word(w): c for w, c in expected.items() if not c.is_zero()}
     assert poly.terms == want, f"got {poly}, want {want}"
+
+
+def reference_reduce(p, rules):
+    """Normal form of p by direct rewriting; a slow test oracle.
+
+    Each step re-sorts the terms and rewrites the order-largest reducible
+    word at its leftmost redex, with the first rule that matches there.
+    """
+    alphabet = p.alphabet
+    terms = dict(p.terms)
+    while True:
+        target = None
+        for w in sorted(terms, key=alphabet.sort_key, reverse=True):
+            target = next(
+                (
+                    (w, pos, rule)
+                    for pos in range(len(w))
+                    for rule in rules
+                    if w[pos : pos + len(rule.high)] == rule.high
+                ),
+                None,
+            )
+            if target is not None:
+                break
+        if target is None:
+            break
+        w, pos, rule = target
+        c = terms.pop(w)
+        u, v = w[:pos], w[pos + len(rule.high) :]
+        for tw, tc in rule.tail.terms.items():
+            nw = u + tw + v
+            s = tc * c if nw not in terms else terms[nw] + tc * c
+            if s.is_zero():
+                terms.pop(nw, None)
+            else:
+                terms[nw] = s
+    return NCPoly(p.alphabet, p.field, terms)

@@ -190,6 +190,12 @@ TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
     pytest.param(["scan", "--family", "C", "--ranges", "a=x"], 1, "a=x", id="scan-ranges"),
     pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "xy-yx+x"], 1,
                  "inhomogeneous", id="raw-inhomogeneous"),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,x", "--relations", "xx", "--maxdeg", "3"], 1,
+                 "duplicate letter", id="raw-duplicate-letters"),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "x-x", "--maxdeg", "3"], 1,
+                 "nonzero relation", id="raw-all-zero"),
+    pytest.param(["classify", "--family", "C", "--field", "Q(sqrt(2))", "--params", "a=sqrt(2),b=1,c=1"], 2,
+                 "second square-root extension", id="classify-nested-extension"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)

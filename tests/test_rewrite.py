@@ -1,8 +1,16 @@
 import random
+import sys
 
 import pytest
 
-from helpers import assert_poly_matches, expected_g1_coeffs, expected_g2_coeffs, make_params3d
+from helpers import (
+    assert_poly_matches,
+    expected_g1_coeffs,
+    expected_g2_coeffs,
+    make_params3d,
+    reference_reduce,
+)
+from ttpkit.families import ParamTuple3D, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.rewrite import (
     NotCompleted,
@@ -308,3 +316,112 @@ def test_left_right_multiplication_regular_on_elliptic():
                         vec[index[u]] = cc
                     count += span.insert(vec)
                 assert count == len(words[n])
+
+
+def overlap_system(params):
+    """The three-rule system that degree3_overlap_elements rewrites with."""
+    field = params.field
+    one = field.one()
+
+    def poly(spec):
+        return NCPoly(YXZ, field, {YXZ.word(w): c for w, c in spec.items()})
+
+    tail_z2 = poly({"zx": one, "x^2": -params.a, "yx": -params.b, "y^2": -params.c,
+                    "xz": -params.d, "yz": -params.e})
+    tail_zy = poly({"x^2": params.A, "yx": params.B, "y^2": params.C, "yz": params.E})
+    rules = [
+        Rule(YXZ.word("xy"), poly({"yx": one})),
+        Rule(YXZ.word("z^2"), tail_z2),
+        Rule(YXZ.word("zy"), tail_zy),
+    ]
+    return RewriteSystem(YXZ, field, rules)
+
+
+def random_poly(rng, alphabet, field, maxlen):
+    """A few terms of mixed length with small nonzero coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        w = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, maxlen)))
+        terms[w] = field.scalar(rng.choice([-3, -2, -1, 1, 2, 5]))
+    return NCPoly(alphabet, field, terms)
+
+
+def oracle_systems():
+    """Completed, uncompleted and non-confluent rule sets over Q and GF(p)."""
+    rng = random.Random(59)
+    out = []
+    for field in (QQ, PrimeField(101)):
+        # elliptic (d = E = -1, A = 1, b = (1-a)(2-B)) and Ore (f = 0) tuples
+        a, B = rng.randint(-5, 5), rng.randint(-5, 5)
+        elliptic = ParamTuple3D.make(field, a=a, b=(1 - a) * (2 - B), c=rng.randint(-5, 5), d=-1,
+                                     f=1, A=1, B=B, C=rng.randint(-5, 5), E=-1)
+        ore = ParamTuple3D.make(field, a=3, b=2, d=-2, B=1, C=1, E=-1)
+        out.append(build_T(elliptic).completed(6))
+        out.append(build_T(ore).completed(6))
+        out.append(build_Tgh(field.scalar(rng.randint(-9, 9)), field.scalar(rng.randint(1, 9))).completed(6))
+        generic = make_params3d(field, **{k: rng.randint(1, 9) for k in "abcdeABCE"}, f=1)
+        out.append(overlap_system(generic))
+        out.append(t_system(generic))
+        out.append(c_system(field, 2, 3))
+    return out
+
+
+def test_reduce_matches_direct_rewriting_oracle():
+    rng = random.Random(61)
+    for rs in oracle_systems():
+        for _ in range(25):
+            p = random_poly(rng, rs.alphabet, rs.field, 6)
+            assert rs.reduce(p) == reference_reduce(p, rs.rules), (rs.rules, p)
+
+
+def test_completed_system_does_not_inherit_parent_table():
+    p = make_params3d(PrimeField(101), a=7, b=9, c=11, d=13, e=3, f=1, A=1, B=17, C=19, E=23)
+    rs = t_system(p)
+    w = parse_poly(YXZ, rs.field, "z^3")  # the self-overlap word of z^2
+    before = rs.reduce(w)
+    rs2, added = rs.complete(4)
+    assert added
+    after = rs2.reduce(w)
+    assert after == reference_reduce(w, rs2.rules)
+    assert after != before
+    highs = [r.high for r in rs2.rules]
+    assert not any(
+        u[i : i + len(h)] == h for u in after.terms for h in highs for i in range(len(u))
+    )
+    assert rs.reduce(w) == before == reference_reduce(w, rs.rules)
+
+
+def test_fresh_systems_never_share_normal_forms():
+    rng = random.Random(67)
+    F = PrimeField(101)
+    q = parse_poly(YXZ, F, "z^2y + 2zxz - zyx + z^3")
+    for _ in range(200):
+        rs = t_system(make_params3d(F, **{k: rng.randrange(101) for k in "abcdeABCE"}, f=1))
+        assert rs.reduce(q) == reference_reduce(q, rs.rules)
+        del rs
+
+
+def test_long_rewrite_chain_needs_no_recursion():
+    F = PrimeField(32003)
+    ore = ParamTuple3D.make(F, a=F.scalar("3/2"), b=F.scalar("3/2"), d=-2, B=1, C=1, E=-1)
+    rs = build_T(ore).completed(12)
+    w = parse_poly(YXZ, F, "z^4x^8")  # its leftmost rewrite chain is 66 steps deep
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 40)
+    try:
+        got = rs.reduce(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == reference_reduce(w, rs.rules)
+
+
+def test_normal_words_prefix_matches_fresh_computation():
+    p = make_params3d(QQ, a=2, b=-2, c=3, d=-1, f=1, A=1, B=0, C=5, E=-1)
+    rs, _ = t_system(p).complete(7)
+    assert len(rs.normal_words(7)) == 8
+    fresh = RewriteSystem(rs.alphabet, rs.field, rs.rules, rs.completed_to)
+    assert rs.normal_words(4) == fresh.normal_words(4)
+    assert rs.normal_words(7)[:5] == fresh.normal_words(4)
