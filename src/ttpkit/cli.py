@@ -140,13 +140,7 @@ class JobDocument:
             raise ParseError(
                 f"missing parameters {missing}; pass --defaults-zero to zero-fill"
             )
-        params = {}
-        for n in names:
-            v = raw_params.get(n, 0)
-            try:
-                params[n] = field.scalar(v if not isinstance(v, float) else _reject_float(v))
-            except (FieldError, ValueError) as exc:
-                raise ParseError(f"bad value for {n}: {exc}")
+        params = {n: _scalar_param(field, n, raw_params.get(n, 0)) for n in names}
         return JobDocument(field, family, params)
 
     def presentation(self):
@@ -171,8 +165,14 @@ class JobDocument:
         return ParamTuple3D(**self.params)
 
 
-def _reject_float(v):
-    raise ValueError(f"floating point {v!r} not accepted; use strings like \"1/2\"")
+def _scalar_param(field, name, value):
+    """field.scalar(value); a float or a bad literal is a parse error naming the parameter."""
+    if isinstance(value, float):
+        raise ParseError(f"bad value for {name}: floating point {value!r} not accepted; use strings like \"1/2\"")
+    try:
+        return field.scalar(value)
+    except (FieldError, ValueError) as exc:
+        raise ParseError(f"bad value for {name}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def cmd_sequences(args):
     params = parse_inline_params(args.params or "")
     if set(params) != {"a", "b"}:
         raise ParseError("sequences needs exactly a=..., b=...")
-    a, b = field.scalar(params["a"]), field.scalar(params["b"])
+    a, b = _scalar_param(field, "a", params["a"]), _scalar_param(field, "b", params["b"])
     rows = efgh_table(a, b, args.bound)
     report = fn_nonvanishing(a, b, args.bound)
     human = [f"recurrence table at (a, b) = ({a}, {b}) over {field}:"]
@@ -467,8 +467,18 @@ def parse_ranges(text):
     return out
 
 
+# Parameters each census enumerates; the T space fixes f = 1 and D = F = 0.
+SCAN_PARAMS = {**FAMILY_PARAMS, "T": tuple(n for n in PARAM_NAMES_3D if n not in ("f", "D", "F"))}
+
+
 def scan_space(p, family, ranges):
     """Deterministic enumeration of the census tuple space over GF(p)."""
+    if family not in SCAN_PARAMS:
+        raise ConstraintError(f"scan does not support family {family!r}")
+    unknown = sorted(set(ranges) - set(SCAN_PARAMS[family]))
+    if unknown:
+        names = ", ".join(SCAN_PARAMS[family])
+        raise ParseError(f"--ranges names {unknown} are not enumerated for family {family}; use {names}")
     full = list(range(p))
 
     def allowed(name, default):
@@ -489,39 +499,37 @@ def scan_space(p, family, ranges):
             for h in allowed("h", full):
                 out.append({"g": g, "h": h})
         return out
-    if family == "T":
-        # the f = 1 normalized space: D = F = 0, e in {0,1} with the usual
-        # side conditions (A in {0,1} when e = 0; C in {0,1} when e = A = 0;
-        # E = d when e = 1)
-        for e in allowed("e", [0, 1]):
-            a_range = allowed("a", full)
-            b_range = allowed("b", full)
-            c_range = allowed("c", full)
-            d_range = allowed("d", full)
-            if e == 0:
-                for A in allowed("A", [0, 1]):
-                    C_range = allowed("C", [0, 1] if A == 0 else full)
-                    for a in a_range:
-                        for b in b_range:
-                            for c in c_range:
-                                for d in d_range:
-                                    for B in allowed("B", full):
-                                        for C in C_range:
-                                            for E in allowed("E", full):
-                                                out.append(dict(a=a, b=b, c=c, d=d, e=0, f=1,
-                                                                A=A, B=B, C=C, D=0, E=E, F=0))
-            else:
+    # family T, the f = 1 normalized space: D = F = 0, e in {0,1} with the usual
+    # side conditions (A in {0,1} when e = 0; C in {0,1} when e = A = 0;
+    # E = d when e = 1)
+    for e in allowed("e", [0, 1]):
+        a_range = allowed("a", full)
+        b_range = allowed("b", full)
+        c_range = allowed("c", full)
+        d_range = allowed("d", full)
+        if e == 0:
+            for A in allowed("A", [0, 1]):
+                C_range = allowed("C", [0, 1] if A == 0 else full)
                 for a in a_range:
                     for b in b_range:
                         for c in c_range:
                             for d in d_range:
-                                for A in allowed("A", full):
-                                    for B in allowed("B", full):
-                                        for C in allowed("C", full):
-                                            out.append(dict(a=a, b=b, c=c, d=d, e=1, f=1,
-                                                            A=A, B=B, C=C, D=0, E=d, F=0))
-        return out
-    raise ConstraintError(f"scan does not support family {family!r}")
+                                for B in allowed("B", full):
+                                    for C in C_range:
+                                        for E in allowed("E", full):
+                                            out.append(dict(a=a, b=b, c=c, d=d, e=0, f=1,
+                                                            A=A, B=B, C=C, D=0, E=E, F=0))
+        else:
+            for a in a_range:
+                for b in b_range:
+                    for c in c_range:
+                        for d in d_range:
+                            for A in allowed("A", full):
+                                for B in allowed("B", full):
+                                    for C in allowed("C", full):
+                                        out.append(dict(a=a, b=b, c=c, d=d, e=1, f=1,
+                                                        A=A, B=B, C=C, D=0, E=d, F=0))
+    return out
 
 
 def scan_row(task):

@@ -256,7 +256,7 @@ def ideal_membership(poly, pres, d):
 
 
 def mat2_inv(m):
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    det = m.det()
     if det.is_zero():
         raise ValueError("change of basis must be invertible")
     di = det.inv()

@@ -290,7 +290,7 @@ def _kernel_generators(cx, i, maxdeg):
         for k, letter in enumerate(letters):
             jj = j - alphabet.weights[k]
             for row in kernel_rows_prev.get(jj, []):
-                shifted = [rs.reduce(letter * entry) for entry in row]
+                shifted = [entry if entry.is_zero() else rs.reduce(letter * entry) for entry in row]
                 span.insert(_vectorize(shifted, index, field))
         mat = cx.component_matrix(i, j)
         _, kernel = mat.rank_kernel()

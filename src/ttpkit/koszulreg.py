@@ -44,20 +44,12 @@ def quadratic_dual(pres):
     if pres.alphabet.weights != (1,) * n:
         raise NotQuadratic("dual needs all generators in degree 1")
     field = pres.field
-    pairs = _pair_index(n)
-    col = {p: k for k, p in enumerate(pairs)}
-    rows = []
-    for rel in pres.relations:
-        if rel.is_zero():
-            continue
+    rels = [rel for rel in pres.relations if not rel.is_zero()]
+    for rel in rels:
         if rel.degree() != 2:
             raise NotQuadratic(f"relation {rel} is not quadratic")
-        vec = [field.zero()] * len(pairs)
-        for w, c in rel.terms.items():
-            vec[col[w]] = c
-        rows.append(vec)
-    mat = ScalarMatrix(field, rows)
-    rank, kernel = mat.rank_kernel()
+    rank, kernel = ScalarMatrix(field, _relation_vectors(pres, rels)).rank_kernel()
+    pairs = _pair_index(n)
     dual_names = tuple(name + "'" for name in reversed(pres.alphabet.names))
     dual_alphabet = Alphabet(dual_names)
     flip = lambda i: n - 1 - i

@@ -7,6 +7,7 @@ field are adjoined on demand as a single quadratic extension.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -691,49 +692,35 @@ class ScalarMatrix:
         )
 
     def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.entries]
-        n = self.nrows
-        det = self.field.one()
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-            if piv is None:
-                return self.field.zero()
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            pinv = rows[col][col].inv()
-            for r in range(col + 1, n):
-                if rows[r][col].is_zero():
-                    continue
-                factor = rows[r][col] * pinv
-                for c in range(col, n):
-                    rows[r][c] = rows[r][c] - factor * rows[col][c]
-        return det
+        """ad - bc; every caller needs the 2x2 determinant only."""
+        if (self.nrows, self.ncols) != (2, 2):
+            raise ValueError(f"det needs a 2x2 matrix, got {self.nrows}x{self.ncols}")
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
 
     def rank_kernel(self):
-        """(rank, kernel basis as matrix columns); rank + nullity = ncols."""
+        """(rank, kernel basis as matrix columns); rank + nullity = ncols.
+
+        Free column j gives e_j - sum_r rref[r][j] e_{pivot r}, read off the
+        reduced row echelon form; that form is unique, so the basis is too.
+        """
         field = self.field
-        rank, pivots, rrows = _row_reduce(
-            [[e.payload for e in row] for row in self.entries], field
-        )
+        span = EchelonSpan(field, self.ncols)
+        for row in self.entries:
+            span._insert_payloads([e.payload for e in row])
         zero, one = field._coerce(0), field._coerce(1)
-        free = [j for j in range(self.ncols) if j not in pivots]
+        pivots = set(span.pivots)
         basis = []
-        for j in free:
+        for j in range(self.ncols):
+            if j in pivots:
+                continue
             vec = [zero] * self.ncols
             vec[j] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = field._neg(rrows[r][j])
+            for row, pc in zip(span.rows, span.pivots):
+                vec[pc] = field._neg(row[j])
             basis.append(vec)
-        if basis:
-            grid = [[Scalar(field, basis[b][i]) for b in range(len(basis))] for i in range(self.ncols)]
-            kernel = ScalarMatrix(field, grid)
-        else:
-            kernel = ScalarMatrix.zero(field, self.ncols, 0) if self.ncols else ScalarMatrix(field, [])
-        return rank, kernel
+        grid = [[Scalar(field, vec[i]) for vec in basis] for i in range(self.ncols)]
+        return span.rank, ScalarMatrix(field, grid)
 
     def rank(self):
         return self.rank_kernel()[0]
@@ -741,17 +728,14 @@ class ScalarMatrix:
     def solve(self, rhs):
         """One solution x of self * x = rhs (rhs a list of Scalars), or None."""
         field = self.field
-        aug = [
-            [e.payload for e in row] + [field.scalar(v).payload]
-            for row, v in zip(self.entries, rhs)
-        ]
-        rank, pivots, rrows = _row_reduce(aug, field, last_col_rhs=True)
-        for r in range(rank, self.nrows):
-            if not field._is_zero(rrows[r][-1]):
-                return None
+        span = EchelonSpan(field, self.ncols + 1)
+        for row, v in zip(self.entries, rhs):
+            span._insert_payloads([e.payload for e in row] + [field.scalar(v).payload])
+        if span.pivots and span.pivots[-1] == self.ncols:
+            return None
         x = [field.zero()] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = Scalar(field, rrows[r][-1])
+        for row, pc in zip(span.rows, span.pivots):
+            x[pc] = Scalar(field, row[-1])
         return x
 
     def __repr__(self):
@@ -759,50 +743,12 @@ class ScalarMatrix:
         return f"[{body}]"
 
 
-def _row_reduce(rows, field, last_col_rhs=False):
-    """Reduced row echelon form on raw payload rows (in place).
-
-    Returns (rank, pivot columns, rows).  Runs on payloads with the field's
-    primitive operations; zero entries are skipped, which matters for the
-    sparse component matrices this feeds on.
-    """
-    add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
-    nrows = len(rows)
-    width = len(rows[0]) if nrows else 0
-    ncols = width - (1 if last_col_rhs else 0)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not is0(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pinv = inv(prow[c])
-        for j in range(c, width):
-            if not is0(prow[j]):
-                prow[j] = mul(prow[j], pinv)
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if is0(f):
-                continue
-            nf = neg(f)
-            ri = rows[i]
-            for j in range(c, width):
-                y = prow[j]
-                if not is0(y):
-                    ri[j] = add(ri[j], mul(nf, y))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, rows
-
-
 class EchelonSpan:
-    """Mutable row span in echelon form; used for incremental rank tracking."""
+    """Mutable row span in reduced row echelon form, over payload rows.
+
+    The package's one elimination loop: incremental rank tracking, and
+    every rank, kernel and solve of ScalarMatrix.
+    """
 
     __slots__ = ("field", "width", "rows", "pivots")
 
@@ -828,16 +774,15 @@ class EchelonSpan:
                         vec[j] = add(vec[j], mul(nc, y))
         return vec
 
-    def reduce(self, vec):
-        """Residual of vec modulo the span, as Scalars (input untouched)."""
-        res = self._reduce_payloads(self._payloads(vec))
-        return [Scalar(self.field, x) for x in res]
-
     def insert(self, vec):
         """Add vec to the span; returns True if the rank grew."""
+        return self._insert_payloads(self._payloads(vec))
+
+    def _insert_payloads(self, vec):
+        """insert() on a payload row, which becomes the span's own."""
         field = self.field
         add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
-        res = self._reduce_payloads(self._payloads(vec))
+        res = self._reduce_payloads(vec)
         p = next((j for j in range(self.width) if not is0(res[j])), None)
         if p is None:
             return False
@@ -853,7 +798,7 @@ class EchelonSpan:
                     y = res[j]
                     if not is0(y):
                         row[j] = add(row[j], mul(nc, y))
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        at = bisect.bisect(self.pivots, p)
         self.rows.insert(at, res)
         self.pivots.insert(at, p)
         return True

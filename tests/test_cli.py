@@ -188,6 +188,13 @@ TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
     pytest.param(["gb", *TGH, "--maxdeg", "-1"], 2, "--maxdeg", id="gb-maxdeg"),
     pytest.param(["scan", "--family", "C", "--workers", "0"], 2, "--workers", id="scan-workers"),
     pytest.param(["scan", "--family", "C", "--ranges", "a=x"], 1, "a=x", id="scan-ranges"),
+    pytest.param(["scan", "--family", "C", "--ranges", "z=1"], 1, "['z']", id="scan-ranges-unknown-name"),
+    pytest.param(["scan", "--family", "T", "--ranges", "a=0,f=1"], 1, "['f']", id="scan-ranges-fixed-name"),
+    pytest.param(["sequences", "--params", "a=x,b=1"], 1, "bad value for a", id="sequences-not-a-number"),
+    pytest.param(["sequences", "--field", "GF(7)", "--params", "a=1/7,b=1"], 1, "bad value for a",
+                 id="sequences-division-by-zero"),
+    pytest.param(["sequences", "--field", "Q(sqrt(2))", "--params", "a=sqrt(3),b=1"], 1, "bad value for a",
+                 id="sequences-foreign-root"),
     pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "xy-yx+x"], 1,
                  "inhomogeneous", id="raw-inhomogeneous"),
     pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,x", "--relations", "xx", "--maxdeg", "3"], 1,
@@ -283,6 +290,12 @@ def test_scan_space_T_shape():
     assert all(v["f"] == 1 and v["D"] == 0 and v["F"] == 0 for v in space[:50])
     space_small = scan_space(3, "T", parse_ranges("a=0,b=0,c=0,d=1,B=0,C=0,E=1,A=0|1"))
     assert all(v["e"] in (0, 1) for v in space_small)
+
+
+def test_scan_space_accepts_every_enumerated_name():
+    for family, names in (("C", "abc"), ("Tgh", "gh"), ("T", "abcdeABCE")):
+        space = scan_space(3, family, {name: [1] for name in names})
+        assert len(space) == 1 and all(space[0][name] == 1 for name in names)
 
 
 def test_parse_ranges():

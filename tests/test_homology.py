@@ -177,3 +177,20 @@ def test_left_right_betti_symmetry():
     pres_op = Presentation(A, field, opposite)
     right = minimal_resolution(pres_op, max_i=4, maxdeg=6)
     assert left.betti == right.betti
+
+
+def test_minimal_resolution_never_reduces_zero(monkeypatch):
+    from ttpkit.rewrite import RewriteSystem
+
+    reduce = RewriteSystem.reduce
+    zeros = []
+
+    def checked(self, p, rng=None):
+        if p.is_zero():
+            zeros.append(p)
+        return reduce(self, p, rng)
+
+    monkeypatch.setattr(RewriteSystem, "reduce", checked)
+    for h in (0, 2):
+        minimal_resolution(tgh(1, h), 5, 6)
+    assert not zeros

@@ -173,12 +173,98 @@ def test_rank_kernel_random_properties():
             assert ScalarMatrix(field, rows).rank() == rank
 
 
+def _random_matrix(rng, field, m, n):
+    """Entries in [-3, 3], half of them zero; every third matrix is a product of rank <= 2."""
+    def entry():
+        return rng.randint(-3, 3) if rng.random() < 0.5 else 0
+
+    if rng.random() < 1 / 3:
+        left = [[entry() for _ in range(2)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(2)]
+        return ScalarMatrix(field, left) * ScalarMatrix(field, right)
+    return ScalarMatrix(field, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+def _shapes(rng):
+    """Square, tall and wide shapes, then all-zero ones."""
+    for _ in range(40):
+        yield rng.randint(1, 6), rng.randint(1, 9), False
+    for m, n in ((1, 1), (3, 2), (2, 5)):
+        yield m, n, True
+
+
+def _kernel_rows(ker):
+    return [ker.column(j) for j in range(ker.ncols)]
+
+
+def test_rank_kernel_matches_sympy_over_q():
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(41)
+    for m, n, zero in _shapes(rng):
+        M = ScalarMatrix.zero(QQ, m, n) if zero else _random_matrix(rng, QQ, m, n)
+        rows = [[SQQ(int(e.payload.numerator), int(e.payload.denominator)) for e in row] for row in M.entries]
+        ref = DomainMatrix(rows, (m, n), SQQ)
+        rank, ker = M.rank_kernel()
+        assert rank == ref.rank()
+        want = [
+            [Fraction(int(x.numerator), int(x.denominator)) for x in row]
+            for row in ref.nullspace(divide_last=True).to_list()
+        ]
+        assert [[x.payload for x in col] for col in _kernel_rows(ker)] == want
+
+
+def test_rank_kernel_matches_sympy_over_gf():
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(43)
+    for p in (2, 7, 101):
+        F, SF = PrimeField(p), GF(p)
+        for m, n, zero in _shapes(rng):
+            M = ScalarMatrix.zero(F, m, n) if zero else _random_matrix(rng, F, m, n)
+            ref = DomainMatrix([[SF(e.payload) for e in row] for row in M.entries], (m, n), SF)
+            rank, ker = M.rank_kernel()
+            assert rank == ref.rank()
+            want = [[int(x) % p for x in row] for row in ref.nullspace(divide_last=True).to_list()]
+            assert [[x.payload for x in col] for col in _kernel_rows(ker)] == want
+
+
+def test_rank_kernel_over_quadratic_extension():
+    E = QuadExtField(QQ, 2)
+    r = E.root()
+    rng = random.Random(47)
+    for m, n, zero in _shapes(rng):
+        if zero:
+            M = ScalarMatrix.zero(E, m, n)
+        else:
+            A, B = _random_matrix(rng, E, m, n), _random_matrix(rng, E, m, n)
+            M = A + B * r
+        rank, ker = M.rank_kernel()
+        assert rank + ker.ncols == n
+        cols = _kernel_rows(ker)
+        for col in cols:
+            assert all(x.is_zero() for x in (M * ScalarMatrix(E, [[x] for x in col])).column(0))
+        # the free column of each basis vector is its last nonzero entry: 1
+        # there, 0 in every other basis vector
+        free = [max(i for i, x in enumerate(col) if not x.is_zero()) for col in cols]
+        assert len(set(free)) == len(free)
+        for k, col in enumerate(cols):
+            assert [col[j] for j in free] == [E.one() if i == k else E.zero() for i in range(len(free))]
+
+
 def test_matrix_det_and_solve():
     M = ScalarMatrix(QQ, [[2, 1], [1, 1]])
     assert M.det() == QQ.one()
     x = M.solve([QQ.scalar(3), QQ.scalar(2)])
     assert x == [QQ.one(), QQ.one()]
-    assert ScalarMatrix(QQ, [[1, 2], [2, 4]]).det().is_zero()
+    S = ScalarMatrix(QQ, [[1, 2], [2, 4]])
+    assert S.det().is_zero()
+    assert S.solve([QQ.scalar(1), QQ.scalar(3)]) is None
+    assert S.solve([QQ.scalar(1), QQ.scalar(2)]) == [QQ.one(), QQ.zero()]
+    with pytest.raises(ValueError):
+        ScalarMatrix.identity(QQ, 3).det()
 
 
 def test_echelon_span():
