@@ -56,6 +56,7 @@ class Witness:
 @dataclass(frozen=True)
 class TwoDTTPVerdict:
     kind: str  # "is_ttp" | "not_ttp"
+    params: ParamTuple2D
     certified_to: int | None  # None: unconditional; n: no obstruction up to n
     witness: Witness | None = None
 
@@ -105,16 +106,17 @@ def classify_2d_ttp(p, bound=50):
 
     field = p.field
     if p.a.is_zero() or p.c.is_zero():
-        return TwoDTTPVerdict("is_ttp", None)
+        return TwoDTTPVerdict("is_ttp", p, None)
     t = p.a * p.c
     report = fn_nonvanishing(t, p.b, bound)
     if report.all_nonzero:
-        return TwoDTTPVerdict("is_ttp", None if report.cycle_closed else bound)
+        return TwoDTTPVerdict("is_ttp", p, None if report.cycle_closed else bound)
     n = report.zero_index
     if n == 1 and p.b == field.scalar(-1):
         dims = build_C(canonical_2d(p)).hilbert(4)
         return TwoDTTPVerdict(
             "not_ttp",
+            p,
             None,
             Witness(
                 "hilbert_mismatch",
@@ -125,6 +127,7 @@ def classify_2d_ttp(p, bound=50):
     rel = _dependence_witness(t, p.b, n, field)
     return TwoDTTPVerdict(
         "not_ttp",
+        p,
         None,
         Witness(
             "dependence_relation",
@@ -198,19 +201,18 @@ def _canonical_root(roots):
     return min(roots, key=lambda r: r.sort_key())
 
 
-def graded_iso_type_2d(p, bound=50):
-    """Graded isomorphism type of a twisted tensor product C(a,b,c).
+def graded_iso_type_2d(v):
+    """Graded isomorphism type of C(a,b,c), from its classify_2d_ttp verdict v.
 
-    The hypothesis that C(a,b,c) is a twisted tensor product is rechecked
-    with the given scan bound; each verdict carries either an explicit
-    congruence matrix or a generator substitution witnessing it.  The
-    square-zero type (relation a perfect square) never occurs here: its
-    coefficient matrix would be symmetric of rank one, which forces the
-    excluded degenerate parameters.
+    The verdict must say that C(a,b,c) is a twisted tensor product; each
+    type carries either an explicit congruence matrix or a generator
+    substitution witnessing it.  The square-zero type (relation a perfect
+    square) never occurs here: its coefficient matrix would be symmetric
+    of rank one, which forces the excluded degenerate parameters.
     """
-    verdict = classify_2d_ttp(p, bound)
-    if not verdict.is_ttp:
-        raise ValueError(f"not a twisted tensor product: {verdict}")
+    if not v.is_ttp:
+        raise ValueError(f"not a twisted tensor product: {v}")
+    p = v.params
     field = p.field
     cp = canonical_2d(p)
     a, b = cp.a, cp.b

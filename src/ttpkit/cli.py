@@ -26,8 +26,8 @@ from .families import (
     build_Tgh,
 )
 from .freealg import Alphabet, parse_poly, poly_str
-from .homology import minimal_resolution
-from .koszulreg import asreg_decide, gorenstein_check, koszul_check, yoneda_verify
+from .homology import NotMinimal, minimal_resolution
+from .koszulreg import asreg_decide, asreg_decide_2d, elliptic_decide, koszul_check, yoneda_verify
 from .rewrite import NotCompleted
 from .scalars import QQ, CharTwo, FieldError, NestedExtension, PrimeField, QuadExtField
 from .sequences import efgh_table, fn_nonvanishing
@@ -149,10 +149,7 @@ class JobDocument:
         if self.family == "T":
             return build_T(self.tuple3d())
         if self.family == "Tgh":
-            try:
-                return build_Tgh(self.params["g"], self.params["h"])
-            except CharTwo as exc:
-                raise ConstraintError(str(exc))
+            return build_Tgh(self.params["g"], self.params["h"])
         try:
             return Presentation(self.alphabet, self.field, self.relations)
         except ValueError as exc:  # an inhomogeneous relation
@@ -230,7 +227,7 @@ def cmd_classify(args):
             status = 3
         if verdict.is_ttp:
             try:
-                iso = graded_iso_type_2d(job.tuple2d(), args.bound)
+                iso = graded_iso_type_2d(verdict)
             except NestedExtension:
                 raise ConstraintError(
                     f"the graded isomorphism type over {job.field} needs a second square-root extension"
@@ -269,9 +266,10 @@ def cmd_classify(args):
         return render(human, machine), status
     if job.family == "Tgh":
         g, h = job.params["g"], job.params["h"]
+        v = elliptic_decide(g, h)
         human = [
             f"family Tgh over {job.field}: elliptic renormalized form",
-            f"g = {g}, h = {h}: {'nondegenerate' if not h.is_zero() else 'degenerate'}",
+            f"g = {g}, h = {h}: {'nondegenerate' if v.koszul else 'degenerate'}",
         ]
         machine = {"family": "Tgh", "field": job.field, "verdict": "elliptic", "g": g, "h": h}
         return render(human, machine), 0
@@ -349,10 +347,7 @@ def cmd_yoneda(args):
     job = JobDocument.load(args)
     if job.family != "Tgh":
         raise ConstraintError("the Yoneda verification runs on the Tgh family")
-    try:
-        report = yoneda_verify(job.params["g"], job.params["h"], args.homdeg)
-    except CharTwo as exc:
-        raise ConstraintError(str(exc))
+    report = yoneda_verify(job.params["g"], job.params["h"], args.homdeg)
     human = [
         f"Yoneda verification ({report.branch}):",
         f"  dual relations match: {report.dual_relations_match}",
@@ -375,40 +370,27 @@ def cmd_yoneda(args):
 
 def cmd_asreg(args):
     job = JobDocument.load(args)
+    status = 0
     if job.family == "Tgh":
         g, h = job.params["g"], job.params["h"]
-        pres = job.presentation()
-        decision = not h.is_zero()
-        clause = "elliptic type: h != 0" if decision else "elliptic type: h = 0, not Koszul"
-        human = [f"regularity of Tgh(g={g}, h={h}): {'AS-regular' if decision else 'not AS-regular'}"]
-        machine = {"family": "Tgh", "field": job.field, "decision": decision, "clause": clause}
-        if args.evidence and decision:
-            res = minimal_resolution(pres, 4, args.maxdeg)
-            profile = gorenstein_check(pres, res.complex, args.maxdeg)
-            human.append(f"  {profile}")
-            machine["gorenstein_clean"] = profile.clean
-        return render(human, machine), 0
-    if job.family != "T":
-        raise ConstraintError("regularity runs on the T or Tgh families")
-    t = classify_3d(job.tuple3d(), args.bound)
-    if not t.is_ttp:
-        raise ConstraintError(f"not a twisted tensor product: {t}")
-    try:
+        v = elliptic_decide(g, h, evidence=args.evidence, maxdeg=args.maxdeg)
+        human = [f"elliptic form Tgh(g={g}, h={h})"]
+        machine = {"family": "Tgh", "field": job.field}
+    elif job.family == "T":
+        t = classify_3d(job.tuple3d(), args.bound)
+        if not t.is_ttp:
+            raise ConstraintError(f"not a twisted tensor product: {t}")
         v = asreg_decide(t, evidence=args.evidence, maxdeg=args.maxdeg)
-    except CharTwo as exc:
-        raise ConstraintError(str(exc))
-    human = [f"classified as {t}", f"regularity: {v}"]
-    machine = {
-        "family": "T",
-        "field": job.field,
-        "type": t.kind,
-        "case": t.case or "-",
-        "decision": v.decision,
-        "clause": v.clause,
-    }
+        human = [f"classified as {t}"]
+        machine = {"family": "T", "field": job.field, "type": t.kind, "case": t.case or "-"}
+        status = 0 if t.certified_to is None else 3
+    else:
+        raise ConstraintError("regularity runs on the T or Tgh families")
+    human.append(f"regularity: {v}")
+    machine.update(decision=v.decision, clause=v.clause)
     if v.gorenstein is not None:
+        human.append(f"  {v.gorenstein}")
         machine["gorenstein_clean"] = v.gorenstein.clean
-    status = 0 if t.certified_to is None else 3
     return render(human, machine), status
 
 
@@ -533,55 +515,28 @@ def scan_space(p, family, ranges):
 
 
 def scan_row(task):
-    """Classify one census tuple; returns plain strings for aggregation."""
+    """Classify and decide one census tuple; returns plain strings for aggregation."""
     p, family, bound, values = task
     field = PrimeField(p)
     if family == "C":
-        tup = ParamTuple2D.make(field, **values)
-        v = classify_2d_ttp(tup, bound)
-        koszul = "koszul" if v.is_ttp else "-"
-        if v.is_ttp:
-            iso = graded_iso_type_2d(tup, bound)
-            case = iso.kind
-            asreg = "regular" if iso.kind == "jordan" or (iso.kind == "skew" and not iso.q.is_zero()) else "not_regular"
-        else:
-            case, asreg = "-", "-"
-        return {
-            "tuple": _fmt_params(values),
-            "verdict": v.kind,
-            "case": case,
-            "koszul": koszul,
-            "asreg": asreg,
-            "certified_to": "exact" if v.certified_to is None else str(v.certified_to),
-        }
-    if family == "Tgh":
-        g, h = field.scalar(values["g"]), field.scalar(values["h"])
-        degenerate = h.is_zero()
-        return {
-            "tuple": _fmt_params(values),
-            "verdict": "elliptic",
-            "case": "-",
-            "koszul": "not_koszul" if degenerate else "koszul",
-            "asreg": "not_regular" if degenerate else "regular",
-            "certified_to": "exact",
-        }
-    tup = ParamTuple3D.make(field, **values)
-    t = classify_3d(tup, bound)
-    if t.is_ttp:
-        if t.kind == "elliptic":
-            koszul = "koszul" if not t.elliptic_form.h.is_zero() else "not_koszul"
-        else:
-            koszul = "koszul"
-        asreg = "regular" if asreg_decide(t).decision else "not_regular"
+        v = classify_2d_ttp(ParamTuple2D.make(field, **values), bound)
+        iso = graded_iso_type_2d(v) if v.is_ttp else None
+        kind, case, certified_to = v.kind, iso.kind if iso else "-", v.certified_to
+        reg = asreg_decide_2d(iso) if iso else None
+    elif family == "Tgh":
+        kind, case, certified_to = "elliptic", "-", None
+        reg = elliptic_decide(field.scalar(values["g"]), field.scalar(values["h"]))
     else:
-        koszul = asreg = "-"
+        t = classify_3d(ParamTuple3D.make(field, **values), bound)
+        kind, case, certified_to = t.kind, t.case or "-", t.certified_to
+        reg = asreg_decide(t) if t.is_ttp else None
     return {
         "tuple": _fmt_params(values),
-        "verdict": t.kind,
-        "case": t.case or "-",
-        "koszul": koszul,
-        "asreg": asreg,
-        "certified_to": "exact" if t.certified_to is None else str(t.certified_to),
+        "verdict": kind,
+        "case": case,
+        "koszul": "-" if reg is None else "koszul" if reg.koszul else "not_koszul",
+        "asreg": "-" if reg is None else "regular" if reg.decision else "not_regular",
+        "certified_to": "exact" if certified_to is None else str(certified_to),
     }
 
 
@@ -730,7 +685,7 @@ def run(argv=None, stdout=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ConstraintError, NotCompleted) as exc:
+    except (ConstraintError, NotCompleted, NotMinimal, CharTwo) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return 2
     # the scan subcommand uses --out for its row table and reports to stdout

@@ -94,7 +94,7 @@ class Presentation:
 
     def system(self):
         """The oriented, interreduced rule set (no completion certificate)."""
-        return RewriteSystem.from_relations(self.relations)
+        return RewriteSystem.from_relations(self.alphabet, self.field, self.relations)
 
     def completed(self, d):
         """Rewrite system completed to degree d (cached and extended)."""

@@ -222,13 +222,22 @@ class MinimalResolution:
     maxdeg: int
 
 
+class NotMinimal(ValueError):
+    """A relation has a term of length 0 or 1: a generator or the whole algebra is redundant."""
+
+
 def minimal_resolution(pres, max_i, maxdeg):
     """Minimal graded free resolution of the trivial module, truncated.
 
     Kernels are taken degree by degree; new generators are kernel elements
     independent of the span of lower-degree kernel elements multiplied by
     the generators, so every differential entry lands in the radical.
+    That needs every relation term to be a word of length at least 2 (the
+    letters minimal generators, the algebra nonzero); NotMinimal otherwise.
     """
+    for rel in pres.relations:
+        if any(len(word) < 2 for word in rel.terms):
+            raise NotMinimal(f"relation {rel} has a term of length below 2, so the presentation is not minimal")
     rs = pres.completed(maxdeg)
     field = pres.field
     alphabet = pres.alphabet

@@ -4,13 +4,15 @@ Koszulity is decided to a homological bound by inspecting the Betti
 support of the minimal resolution; the quadratic dual supplies the
 numerical cross-check H(t) * H_dual(-t) = 1.  For the elliptic family the
 degenerate (h = 0) Yoneda algebra is verified against an explicit
-bigraded presentation, and the regularity decision follows the
-type-by-type criteria with a computational Gorenstein certificate.
+bigraded presentation.  The paper's decision table lives here and only
+here: asreg_decide_2d (C), asreg_decide (T) and elliptic_decide (T(g,h))
+each return one verdict carrying Koszulity, AS-regularity and the
+deciding clause, with a computational Gorenstein certificate on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classify import Witness
 from .families import Presentation, build_T, build_Tgh
@@ -48,7 +50,9 @@ def quadratic_dual(pres):
     for rel in rels:
         if rel.degree() != 2:
             raise NotQuadratic(f"relation {rel} is not quadratic")
-    rank, kernel = ScalarMatrix(field, _relation_vectors(pres, rels)).rank_kernel()
+    # a zero row keeps the n^2 columns when there is no relation (the free algebra)
+    rows = _relation_vectors(pres, rels) or [[field.zero()] * (n * n)]
+    rank, kernel = ScalarMatrix(field, rows).rank_kernel()
     pairs = _pair_index(n)
     dual_names = tuple(name + "'" for name in reversed(pres.alphabet.names))
     dual_alphabet = Alphabet(dual_names)
@@ -358,7 +362,10 @@ def gorenstein_check(pres, res_complex, maxdeg):
 
 @dataclass
 class ASRegVerdict:
+    """One row of the decision table: regularity, Koszulity and the clause deciding them."""
+
     decision: bool
+    koszul: bool
     clause: str
     witness: Witness | None = None
     gorenstein: GorensteinProfile | None = None
@@ -366,6 +373,41 @@ class ASRegVerdict:
     def __repr__(self):
         tag = "AS-regular" if self.decision else "not AS-regular"
         return f"{tag} ({self.clause})"
+
+
+def _with_evidence(verdict, pres, maxdeg):
+    """Attach the Gorenstein profile of pres to a regular verdict."""
+    if not verdict.decision:
+        return verdict
+    res = minimal_resolution(pres, max_i=4, maxdeg=maxdeg)
+    return replace(verdict, gorenstein=gorenstein_check(pres, res.complex, maxdeg))
+
+
+def asreg_decide_2d(iso):
+    """Two-generator rule, from the graded isomorphism type of a product C(a,b,c).
+
+    Every quadratic twisted tensor product on two generators is Koszul; it
+    is AS-regular iff it is the Jordan plane or a skew plane (a skew kind
+    has q != 0: q = 0 is labelled zx_zero).
+    """
+    if iso.kind in ("jordan", "skew"):
+        return ASRegVerdict(True, True, "Jordan plane or skew plane with q != 0")
+    return ASRegVerdict(False, True, "q = 0 or square-zero type: not a domain")
+
+
+def elliptic_decide(g, h, evidence=False, maxdeg=8):
+    """Elliptic rule for T(g, h): Koszul iff AS-regular iff h != 0.
+
+    The renormalized family needs characteristic != 2.  With evidence
+    requested, a regular verdict carries the Gorenstein certificate of the
+    minimal resolution of build_Tgh(g, h).
+    """
+    if g.field.characteristic() == 2:
+        raise CharTwo("the elliptic criterion assumes characteristic != 2")
+    if h.is_zero():
+        return ASRegVerdict(False, False, "elliptic type: h = 0, the algebra is not Koszul hence not regular")
+    verdict = ASRegVerdict(True, True, "elliptic type: h != 0")
+    return _with_evidence(verdict, build_Tgh(g, h), maxdeg) if evidence else verdict
 
 
 def _ore_kernel_vector(p):
@@ -381,23 +423,26 @@ def _ore_kernel_vector(p):
 
 
 def asreg_decide(t, evidence=False, maxdeg=8):
-    """Regularity decision for a classified twisted tensor product.
+    """Regularity and Koszul decision for a classified twisted tensor product.
 
-    Ore type: regular iff the degree-1 endomorphism matrix is invertible.
-    Reducible type: regular iff E != 0 and a + d != 0.  Elliptic type
-    (characteristic != 2): regular iff h != 0.  With evidence requested,
-    regular verdicts attach a computational Gorenstein certificate.
+    Ore and reducible types are Koszul.  Ore type: regular iff the degree-1
+    endomorphism matrix is invertible.  Reducible type: regular iff E != 0
+    and a + d != 0.  Elliptic type: elliptic_decide.  With evidence
+    requested, regular verdicts attach a computational Gorenstein
+    certificate.
     """
     if not t.is_ttp:
         raise ValueError(f"regularity needs a classified product, got {t.kind}")
+    if t.kind == "elliptic":
+        if t.elliptic_form is None:
+            raise CharTwo("the elliptic criterion assumes characteristic != 2")
+        return elliptic_decide(t.elliptic_form.g, t.elliptic_form.h, evidence, maxdeg)
     p = t.normal_form
-    field = p.field
-    one = field.one()
 
     if t.kind == "ore":
         det = p.d * p.E - p.e * p.D
         if not det.is_zero():
-            verdict = ASRegVerdict(True, "ore type: degree-1 endomorphism invertible")
+            verdict = ASRegVerdict(True, True, "ore type: degree-1 endomorphism invertible")
         else:
             vec = _ore_kernel_vector(p)
             data = {"kernel": vec}
@@ -411,13 +456,15 @@ def asreg_decide(t, evidence=False, maxdeg=8):
                 detail += "; z times that combination is zero (zero divisor)"
             verdict = ASRegVerdict(
                 False,
+                True,
                 "ore type: degree-1 endomorphism singular (not a domain)",
                 Witness("zero_divisor", detail, data),
             )
-    elif t.kind == "reducible":
+    else:  # reducible
         if p.E.is_zero():
             verdict = ASRegVerdict(
                 False,
+                True,
                 "reducible type: E = 0 yields a zero divisor",
                 Witness(
                     "zero_divisor",
@@ -428,6 +475,7 @@ def asreg_decide(t, evidence=False, maxdeg=8):
         elif (p.a + p.d).is_zero():
             verdict = ASRegVerdict(
                 False,
+                True,
                 "reducible type: a + d = 0 makes the quotient by y non-noetherian",
                 Witness(
                     "factorization",
@@ -436,28 +484,8 @@ def asreg_decide(t, evidence=False, maxdeg=8):
                 ),
             )
         else:
-            verdict = ASRegVerdict(True, "reducible type: E != 0 and a + d != 0")
-    else:  # elliptic
-        if t.elliptic_form is None:
-            raise CharTwo("the elliptic regularity criterion assumes characteristic != 2")
-        h = t.elliptic_form.h
-        if h.is_zero():
-            verdict = ASRegVerdict(
-                False,
-                "elliptic type: h = 0, the algebra is not Koszul hence not regular",
-            )
-        else:
-            verdict = ASRegVerdict(True, "elliptic type: h != 0")
-
-    if evidence and verdict.decision:
-        if t.kind == "elliptic":
-            pres = build_Tgh(t.elliptic_form.g, t.elliptic_form.h)
-        else:
-            pres = build_T(p)
-        res = minimal_resolution(pres, max_i=4, maxdeg=maxdeg)
-        profile = gorenstein_check(pres, res.complex, maxdeg)
-        verdict = ASRegVerdict(verdict.decision, verdict.clause, verdict.witness, profile)
-    return verdict
+            verdict = ASRegVerdict(True, True, "reducible type: E != 0 and a + d != 0")
+    return _with_evidence(verdict, build_T(p), maxdeg) if evidence else verdict
 
 
 def zero_divisor_witness_holds(t):

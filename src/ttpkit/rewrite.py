@@ -79,12 +79,12 @@ class RewriteSystem:
                     )
 
     @staticmethod
-    def from_relations(relations):
-        """Orient and interreduce homogeneous relations into a rule set."""
+    def from_relations(alphabet, field, relations):
+        """Orient and interreduce homogeneous relations into a rule set.
+
+        No nonzero relation gives the rule-free system of the free algebra.
+        """
         relations = [r for r in relations if not r.is_zero()]
-        if not relations:
-            raise ValueError("no nonzero relations")
-        alphabet, field = relations[0].alphabet, relations[0].field
         for r in relations:
             if not r.is_homogeneous():
                 raise ValueError(f"inhomogeneous relation {r}")

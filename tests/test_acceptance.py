@@ -102,7 +102,7 @@ def test_criterion_03_congruence_witnesses():
         p = ParamTuple2D.make(QQ, a, -1, 1)
         if a == 1 or not admissible(p):
             continue
-        t = graded_iso_type_2d(p)
+        t = graded_iso_type_2d(classify_2d_ttp(p))
         cd = t.witness
         assert congruence_verify(cd)
         ext = cd.n.field
@@ -118,7 +118,7 @@ def test_criterion_03_congruence_witnesses():
         p = ParamTuple2D.make(QQ, a, b, 1)
         if not admissible(p):
             continue
-        t = graded_iso_type_2d(p)
+        t = graded_iso_type_2d(classify_2d_ttp(p))
         assert t.kind == "jordan" and congruence_verify(t.witness)
         done += 1
 
@@ -130,7 +130,7 @@ def test_criterion_03_congruence_witnesses():
         aa, bb = QQ.scalar(a), QQ.scalar(b)
         if bb == QQ.scalar(-1) or (4 * aa - (bb - 1) ** 2).is_zero() or not admissible(p):
             continue
-        t = graded_iso_type_2d(p)
+        t = graded_iso_type_2d(classify_2d_ttp(p))
         cd = t.witness
         assert congruence_verify(cd)
         F2 = cd.n.field

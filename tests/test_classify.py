@@ -111,15 +111,15 @@ def test_phi_matrix_of_family_relation():
 
 
 def test_iso_type_c0_cases():
-    t = graded_iso_type_2d(C2(1, 1, 0))
+    t = graded_iso_type_2d(classify_2d_ttp(C2(1, 1, 0)))
     assert t.kind == "jordan"
-    t = graded_iso_type_2d(C2(1, 3, 0))
+    t = graded_iso_type_2d(classify_2d_ttp(C2(1, 3, 0)))
     assert t.kind == "skew" and t.q == QQ.scalar(3)
-    t = graded_iso_type_2d(C2(0, 3, 0))
+    t = graded_iso_type_2d(classify_2d_ttp(C2(0, 3, 0)))
     assert t.kind == "skew" and t.q == QQ.scalar(3)
-    t = graded_iso_type_2d(C2(1, 0, 0))
+    t = graded_iso_type_2d(classify_2d_ttp(C2(1, 0, 0)))
     assert t.kind == "zx_zero" and t.q.is_zero()
-    t = graded_iso_type_2d(C2(0, 0, 0))
+    t = graded_iso_type_2d(classify_2d_ttp(C2(0, 0, 0)))
     assert t.kind == "zx_zero"
 
 
@@ -144,7 +144,7 @@ def test_iso_type_skew_minus_one_adjoining_root():
         v = classify_2d_ttp(C2(a.payload, -1, 1))
         if not v.is_ttp:
             continue
-        t = graded_iso_type_2d(C2(a.payload, -1, 1))
+        t = graded_iso_type_2d(v)
         assert t.kind == "skew" and str(t.q) == "-1"
         cd = t.witness
         assert congruence_verify(cd)
@@ -158,7 +158,7 @@ def test_iso_type_jordan_branch():
     # 4a = (b-1)^2 with a = 1/4, b = 0
     p = C2(Fraction(1, 4), 0, 1)
     assert classify_2d_ttp(p).is_ttp
-    t = graded_iso_type_2d(p)
+    t = graded_iso_type_2d(classify_2d_ttp(p))
     assert t.kind == "jordan"
     cd = t.witness
     # N = [[1+s, 0], [s, 1]] with s = (b-1)/2 = -1/2
@@ -178,7 +178,7 @@ def test_iso_type_generic_skew_and_det_formula():
         aa, bb = QQ.scalar(a), QQ.scalar(b)
         if bb == QQ.scalar(-1) or (4 * aa - (bb - 1) * (bb - 1)).is_zero():
             continue
-        t = graded_iso_type_2d(p)
+        t = graded_iso_type_2d(classify_2d_ttp(p))
         assert t.kind in ("skew", "zx_zero")
         cd = t.witness
         assert congruence_verify(cd)
@@ -197,7 +197,7 @@ def test_iso_type_generic_skew_and_det_formula():
 def test_skew_canonical_representative_is_inversion_stable():
     # q and 1/q label the same plane; the canonical pick must agree
     p = C2(2, 1, 1)  # q^2 * 3 + (4 - 1 - 1) q + 3 -> roots q, 1/q
-    t = graded_iso_type_2d(p)
+    t = graded_iso_type_2d(classify_2d_ttp(p))
     if len(t.roots) == 2:
         q1, q2 = t.roots
         assert q1 * q2 == t.q.field.one()

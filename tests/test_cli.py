@@ -15,6 +15,9 @@ from ttpkit.cli import (
     scan_row,
     scan_space,
 )
+from ttpkit.families import ParamTuple2D, ParamTuple3D, build_C, build_T, build_Tgh
+from ttpkit.homology import minimal_resolution
+from ttpkit.koszulreg import gorenstein_check, koszul_check
 from ttpkit.scalars import QQ, PrimeField, QuadExtField
 
 
@@ -203,6 +206,14 @@ TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
                  "nonzero relation", id="raw-all-zero"),
     pytest.param(["classify", "--family", "C", "--field", "Q(sqrt(2))", "--params", "a=sqrt(2),b=1,c=1"], 2,
                  "second square-root extension", id="classify-nested-extension"),
+    pytest.param(["scan", "--field", "GF(2)", "--family", "T"], 2, "characteristic", id="scan-gf2-T"),
+    pytest.param(["scan", "--field", "GF(2)", "--family", "Tgh"], 2, "characteristic", id="scan-gf2-Tgh"),
+    pytest.param(["classify", "--field", "GF(2)", "--family", "Tgh", "--params", "g=1,h=1"], 2, "characteristic",
+                 id="classify-gf2-Tgh"),
+    pytest.param(["koszul", "--family", "raw", "--alphabet", "x,y", "--relations", "x", "--homdeg", "2"], 2,
+                 "not minimal", id="koszul-linear-relation"),
+    pytest.param(["resolve", "--family", "raw", "--alphabet", "x,y", "--relations", "2"], 2,
+                 "not minimal", id="resolve-constant-relation"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)
@@ -210,6 +221,69 @@ def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     assert got == status
     assert out == ""
     assert len(err.splitlines()) == 1 and names in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alphabet", "x", "--relations", "xx", "--homdeg", "2"],
+    ["--alphabet", "x,y", "--relations", "xx;xy;yx;yy", "--homdeg", "3"],
+], ids=["one-letter", "two-letters"])
+def test_koszul_with_free_quadratic_dual(argv):
+    status, out = invoke(["koszul", "--family", "raw", *argv])
+    machine = parse_machine_block(out)
+    assert status == 0
+    assert machine["verdict"] == "koszul_to" and machine["convolution"] == "True"
+
+
+ELLIPTIC_H0 = "a=1,b=0,c=0,d=-1,e=0,f=1,A=1,B=2,C=0,D=0,E=-1,F=0"  # g = h = 0
+
+
+def test_asreg_tgh_cli():
+    status, out = invoke(["asreg", "--family", "Tgh", "--params", "g=1,h=2", "--evidence", "--maxdeg", "6"])
+    machine = parse_machine_block(out)
+    assert status == 0
+    assert machine["decision"] == "True" and machine["clause"] == "elliptic type: h != 0"
+    assert machine["gorenstein_clean"] == "True"
+
+    status, out = invoke(["asreg", "--family", "Tgh", "--params", "g=0,h=0", "--evidence", "--maxdeg", "6"])
+    machine = parse_machine_block(out)
+    assert status == 0
+    assert machine["decision"] == "False" and "gorenstein_clean" not in machine
+    _, out_t = invoke(["asreg", "--family", "T", "--params", ELLIPTIC_H0, "--evidence", "--maxdeg", "6"])
+    machine_t = parse_machine_block(out_t)
+    assert machine_t["type"] == "elliptic" and machine_t["decision"] == "False"
+    assert machine["clause"] == machine_t["clause"]
+
+
+def _census_rows(tmp_path, argv):
+    path = tmp_path / "rows.tsv"
+    status, _ = invoke(["scan", "--field", "GF(3)", *argv, "--out", str(path)])
+    assert status == 0
+    header, *lines = path.read_text().splitlines()
+    for line in lines:
+        row = dict(zip(header.split("\t"), line.split("\t")))
+        values = {k: int(v) for k, v in (kv.split(":") for kv in row["tuple"].split(","))}
+        if row["verdict"] != "not_ttp":
+            yield row, values
+
+
+def test_census_columns_match_an_independent_oracle(tmp_path):
+    """koszul and asreg columns against resolutions, without the decision table."""
+    field = PrimeField(3)
+    label = {True: "koszul", False: "not_koszul"}
+    for row, v in _census_rows(tmp_path, ["--family", "C"]):
+        pres = build_C(ParamTuple2D.make(field, **v))
+        assert row["koszul"] == label[koszul_check(pres, 4).koszul], row
+        res = minimal_resolution(pres, 3, 6)
+        regular = gorenstein_check(pres, res.complex, 6).clean
+        assert row["asreg"] == ("regular" if regular else "not_regular"), row
+    for row, v in _census_rows(tmp_path, ["--family", "Tgh"]):
+        pres = build_Tgh(field.scalar(v["g"]), field.scalar(v["h"]))
+        assert row["koszul"] == label[koszul_check(pres, 4).koszul], row
+    t_rows = list(_census_rows(tmp_path, ["--family", "T", "--ranges", "e=0,A=1,B=0"]))
+    assert t_rows
+    for row, v in t_rows:
+        pres = build_T(ParamTuple3D.make(field, **v))
+        assert row["koszul"] == label[koszul_check(pres, 4).koszul], row
 
 
 def test_scan_c_family_partitions():

@@ -46,6 +46,19 @@ def test_dual_of_commutative_plane_is_exterior():
     assert _span_equal(QQ, _relation_vectors(qd.dual, rels), _relation_vectors(qd.dual, expect), 4)
 
 
+def test_dual_of_free_algebra_spans_every_word():
+    xy = Alphabet(["x", "y"])
+    qd = quadratic_dual(Presentation(xy, QQ, []))
+    A = qd.dual.alphabet
+    assert qd.relation_rank == 0 and len(qd.dual.relations) == 4
+    from ttpkit.koszulreg import _relation_vectors, _span_equal
+
+    words = [parse_poly(A, QQ, w) for w in ("x'x'", "x'y'", "y'x'", "y'y'")]
+    assert _span_equal(QQ, _relation_vectors(qd.dual, qd.dual.relations), _relation_vectors(qd.dual, words), 4)
+    assert qd.dual.hilbert(3) == [1, 2, 0, 0]
+    assert Presentation(xy, QQ, []).hilbert(3) == [1, 2, 4, 8]
+
+
 def test_double_dual_returns_original_relation_space():
     pres = tgh(3, 5)
     qd = quadratic_dual(pres)

@@ -33,7 +33,7 @@ def c_system(field, a, b, c=1):
         XZ.word("xz"): -field.scalar(b),
         XZ.word("z^2"): -field.scalar(c),
     })
-    return RewriteSystem.from_relations([rel])
+    return RewriteSystem.from_relations(XZ, field, [rel])
 
 
 def t_system(params):
@@ -56,7 +56,7 @@ def t_system(params):
         YXZ.word("y^2"): -params.C,
         YXZ.word("yz"): -params.E,
     })
-    return RewriteSystem.from_relations([rel1, rel2, rel3])
+    return RewriteSystem.from_relations(YXZ, field, [rel1, rel2, rel3])
 
 
 def test_reduce_basic_examples():
@@ -244,7 +244,7 @@ def test_hilbert_oracle_free_and_commutative():
     xy = Alphabet(["x", "y"])
     comm = parse_poly(xy, field, "xy - yx")
     assert hilbert_oracle([comm], 4) == [1, 2, 3, 4, 5]
-    rs = RewriteSystem.from_relations([comm])
+    rs = RewriteSystem.from_relations(xy, field, [comm])
     rs, _ = rs.complete(4)
     assert rs.hilbert(4) == [1, 2, 3, 4, 5]
     # free algebra on two letters: no relations version via a never-matching rule
