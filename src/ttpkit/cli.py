@@ -124,7 +124,7 @@ class JobDocument:
             try:
                 alphabet = Alphabet([n.strip() for n in names])
                 relations = [parse_poly(alphabet, field, t) for t in rel_texts]
-            except ValueError as exc:
+            except (ValueError, FieldError) as exc:
                 raise ParseError(str(exc))
             if all(r.is_zero() for r in relations):
                 raise ParseError("raw family needs a nonzero relation")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .freealg import Alphabet, NCPoly
 from .rewrite import NotCompleted, RewriteSystem
-from .scalars import CharTwo, Scalar, ScalarMatrix
+from .scalars import CharTwo, DivisionByZero, Scalar, ScalarMatrix
 
 PARAM_NAMES_3D = ("a", "b", "c", "d", "e", "f", "A", "B", "C", "D", "E", "F")
 
@@ -256,11 +256,10 @@ def ideal_membership(poly, pres, d):
 
 
 def mat2_inv(m):
-    det = m.det()
-    if det.is_zero():
-        raise ValueError("change of basis must be invertible")
-    di = det.inv()
-    return ScalarMatrix(m.field, [[m[1, 1] * di, -m[0, 1] * di], [-m[1, 0] * di, m[0, 0] * di]])
+    try:
+        return m.inverse()
+    except DivisionByZero:
+        raise ValueError("change of basis must be invertible") from None
 
 
 def _quad_transform(q, pm):

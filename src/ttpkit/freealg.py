@@ -304,11 +304,11 @@ def poly_str(p):
 def parse_poly(alphabet, field, text):
     """Parse "zxz + 2x^2z - 1/2y^3"-style input into an NCPoly.
 
-    Products are juxtaposition (or explicit *), ^ takes a positive integer,
-    scalar literals follow the scalar syntax (including sqrt(m) over a
-    quadratic extension).
+    Products are juxtaposition (or an explicit * between two factors), ^
+    takes a positive integer, scalar literals follow the scalar syntax
+    (including sqrt(m) over a quadratic extension).
     """
-    s = text.replace(" ", "").replace("*", "")
+    s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
     names = sorted(alphabet.names, key=len, reverse=True)
@@ -327,6 +327,11 @@ def parse_poly(alphabet, field, text):
         word = []
         saw_factor = False
         while i < n and s[i] not in "+-":
+            if s[i] == "*":
+                if not saw_factor or i + 1 >= n or s[i + 1] in "+-*":
+                    raise ValueError(f"stray '*' at position {i} of {text!r}")
+                i += 1
+                continue
             if s[i] == "(":
                 depth, j = 1, i + 1
                 while j < n and depth:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .freealg import NCPoly
 from .rewrite import NotCompleted
-from .scalars import EchelonSpan, ScalarMatrix
+from .scalars import EchelonSpan, Scalar, ScalarMatrix
 
 
 class GradedComplex:
@@ -71,25 +71,19 @@ class GradedComplex:
         dst = _graded_basis(rs, self.shifts[i - 1], j)
         dst_index = {key: n for n, key in enumerate(dst)}
         field = self.pres.field
-        cols = []
+        # an empty target still gives one zero row: a 1 x len(src) matrix
+        rows = [{} for _ in range(max(len(dst), 1))]
         mat = self.diffs[i]
-        for gen, word in src:
-            vec = [field.zero()] * len(dst)
+        for col, (gen, word) in enumerate(src):
             carrier = NCPoly(self.pres.alphabet, field, {word: field.one()})
-            for tgt in range(len(self.shifts[i - 1])):
-                entry = mat[gen][tgt]
+            for tgt, entry in enumerate(mat[gen]):
                 if entry.is_zero():
                     continue
                 prod = carrier * entry if self.side == "left" else entry * carrier
+                # each (tgt, w) is hit once per column: one entry, nothing to add up
                 for w, c in rs.reduce(prod).terms.items():
-                    vec[dst_index[(tgt, w)]] = vec[dst_index[(tgt, w)]] + c
-            cols.append(vec)
-        if not cols:
-            return ScalarMatrix.zero(field, max(len(dst), 1), 0)
-        if not dst:
-            # a single zero row keeps the source dimension visible in ncols
-            return ScalarMatrix.zero(field, 1, len(cols))
-        return ScalarMatrix(field, [[cols[c][r] for c in range(len(cols))] for r in range(len(dst))])
+                    rows[dst_index[(tgt, w)]][col] = c.payload
+        return ScalarMatrix.from_sparse(field, rows, len(src))
 
     def component_dim(self, i, j):
         rs = self._system_for_degree(j)
@@ -295,17 +289,15 @@ def _kernel_generators(cx, i, maxdeg):
             kernel_rows_prev[j] = []
             continue
         index = {key: n for n, key in enumerate(basis)}
-        span = EchelonSpan(field, len(basis))
+        span = EchelonSpan(field)
         for k, letter in enumerate(letters):
             jj = j - alphabet.weights[k]
             for row in kernel_rows_prev.get(jj, []):
                 shifted = [entry if entry.is_zero() else rs.reduce(letter * entry) for entry in row]
-                span.insert(_vectorize(shifted, index, field))
-        mat = cx.component_matrix(i, j)
-        _, kernel = mat.rank_kernel()
+                span.insert(_vectorize(shifted, index))
+        _, kernel = cx.component_matrix(i, j).rank_kernel()
         full_rows = []
-        for col in range(kernel.ncols):
-            vec = kernel.column(col)
+        for vec in kernel.transpose().rows:
             row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
             full_rows.append(row)
             if span.insert(vec):
@@ -322,19 +314,17 @@ def _kernel_generators(cx, i, maxdeg):
     return new_rows, new_shifts
 
 
-def _vectorize(row_elements, index, field):
-    vec = [field.zero()] * len(index)
-    for gen, poly in enumerate(row_elements):
-        for w, c in poly.terms.items():
-            vec[index[(gen, w)]] = vec[index[(gen, w)]] + c
-    return vec
+def _vectorize(row_elements, index):
+    """Sparse payload row of a row of module elements over the basis index."""
+    return {index[(gen, w)]: c.payload for gen, poly in enumerate(row_elements) for w, c in poly.terms.items()}
 
 
 def _devectorize(vec, basis, shifts, alphabet, field):
-    row = [NCPoly.zero(alphabet, field) for _ in shifts]
-    for val, (gen, word) in zip(vec, basis):
-        if not val.is_zero():
-            row[gen] = row[gen] + NCPoly(alphabet, field, {word: val})
+    """Row of module elements of a sparse payload row over basis."""
+    row = [NCPoly(alphabet, field) for _ in shifts]
+    for col, a in vec.items():
+        gen, word = basis[col]
+        row[gen].terms[word] = Scalar(field, a)
     return row
 
 

@@ -50,9 +50,7 @@ def quadratic_dual(pres):
     for rel in rels:
         if rel.degree() != 2:
             raise NotQuadratic(f"relation {rel} is not quadratic")
-    # a zero row keeps the n^2 columns when there is no relation (the free algebra)
-    rows = _relation_vectors(pres, rels) or [[field.zero()] * (n * n)]
-    rank, kernel = ScalarMatrix(field, rows).rank_kernel()
+    rank, kernel = ScalarMatrix.from_sparse(field, _relation_vectors(pres, rels), n * n).rank_kernel()
     pairs = _pair_index(n)
     dual_names = tuple(name + "'" for name in reversed(pres.alphabet.names))
     dual_alphabet = Alphabet(dual_names)
@@ -222,11 +220,11 @@ class YonedaReport:
         return all(checks)
 
 
-def _span_equal(field, vec_lists_a, vec_lists_b, width):
-    sa = EchelonSpan(field, width)
+def _span_equal(field, vec_lists_a, vec_lists_b):
+    sa = EchelonSpan(field)
     for v in vec_lists_a:
         sa.insert(v)
-    sb = EchelonSpan(field, width)
+    sb = EchelonSpan(field)
     for v in vec_lists_b:
         sb.insert(v)
     return sa.rank == sb.rank and all(sa.contains(v) for v in vec_lists_b)
@@ -235,13 +233,7 @@ def _span_equal(field, vec_lists_a, vec_lists_b, width):
 def _relation_vectors(pres, polys):
     pairs = _pair_index(len(pres.alphabet))
     col = {p: k for k, p in enumerate(pairs)}
-    out = []
-    for p in polys:
-        vec = [pres.field.zero()] * len(pairs)
-        for w, c in p.terms.items():
-            vec[col[w]] = c
-        out.append(vec)
-    return out
+    return [{col[w]: c.payload for w, c in p.terms.items()} for p in polys]
 
 
 def square_normal_form_checks(dual_pres):
@@ -285,12 +277,10 @@ def yoneda_verify(g, h, bound):
     pres = build_Tgh(g, h)
     qd = quadratic_dual(pres)
     expected = expected_dual_relations(qd.dual.alphabet, g, h)
-    width = len(pres.alphabet) ** 2
     dual_match = len(qd.dual.relations) == 6 and _span_equal(
         field,
         _relation_vectors(qd.dual, qd.dual.relations),
         _relation_vectors(qd.dual, expected),
-        width,
     )
     squares_ok = square_normal_form_checks(qd.dual)
 

@@ -9,9 +9,11 @@ oracle recomputes the same dimensions with no rewriting involved.
 Reduction goes through a table of word normal forms.  A word's entry is
 computed once: rewrite its leftmost redex with the first matching rule and
 sum the entries of the resulting (strictly smaller) words.  A polynomial
-then reduces to the sum of c * NF(w) over its terms.  A RewriteSystem keeps
-its table for its whole life, since its rules never change; completion,
-whose rule list grows, starts a fresh table for each reduction.
+then reduces to the sum of c * NF(w) over its terms.  Entries hold raw
+field payloads; only the terms of a result are boxed into Scalars.  A
+RewriteSystem keeps its table for its whole life, since its rules never
+change; completion, whose rule list grows, starts a fresh table for each
+reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import heapq
 
 from .freealg import NCPoly
-from .scalars import EchelonSpan
+from .scalars import EchelonSpan, Scalar, add_multiple
 
 
 class NotCompleted(Exception):
@@ -196,7 +198,8 @@ class RewriteSystem:
             return self._words[: d + 1]
         highs = [r.high for r in self.rules]
         buckets = [[] for _ in range(d + 1)]
-        buckets[0].append(())
+        if () not in highs:  # a rule 1 -> 0 makes the algebra zero
+            buckets[0].append(())
         weights = self.alphabet.weights
         for n in range(d + 1):
             for w in buckets[n]:
@@ -278,7 +281,7 @@ def _find_redex(word, rules):
 
 
 def _normal_form(word, rules, table, field):
-    """NF(word) as {normal word: coefficient}, filling table bottom-up.
+    """NF(word) as {normal word: payload}, filling table bottom-up.
 
     One rewrite at the leftmost redex yields strictly smaller words, so the
     entries needed form a finite acyclic graph; an explicit stack walks it
@@ -298,35 +301,35 @@ def _normal_form(word, rules, table, field):
                 continue
             hit = _find_redex(w, rules)
             if hit is None:
-                table[w] = {w: field.one()}
+                table[w] = {w: field._coerce(1)}
                 stack.pop()
                 continue
             pos, rule = hit
             u, v = w[:pos], w[pos + len(rule.high) :]
-            children = top[1] = [(u + tw + v, tc) for tw, tc in rule.tail.terms.items()]
+            children = top[1] = [(u + tw + v, tc.payload) for tw, tc in rule.tail.terms.items()]
             missing = [[cw, None] for cw, _ in children if cw not in table]
             if missing:
                 stack.extend(missing)
                 continue
-        table[w] = _combine((tc, table[cw]) for cw, tc in children)
+        table[w] = _combine(((tc, table[cw]) for cw, tc in children), field)
         stack.pop()
     return table[word]
 
 
-def _combine(pairs):
-    """Sum of c * nf over (c, nf) pairs, as {word: coefficient} without zeros."""
+def _combine(pairs, field):
+    """Sum of c * nf over (payload, normal form) pairs, as {word: payload} without zeros."""
     acc = {}
     for c, nf in pairs:
-        for w, nc in nf.items():
-            prev = acc.get(w)
-            acc[w] = c * nc if prev is None else prev + c * nc
-    return {w: c for w, c in acc.items() if not c.is_zero()}
+        add_multiple(field, acc, c, nf)
+    return acc
 
 
 def _reduce_terms(p, rules, table):
     """Sum of c * NF(w) over the terms of p, with NF entries from table."""
-    out = NCPoly(p.alphabet, p.field)
-    out.terms = _combine((c, _normal_form(w, rules, table, p.field)) for w, c in p.terms.items())
+    field = p.field
+    nf = _combine(((c.payload, _normal_form(w, rules, table, field)) for w, c in p.terms.items()), field)
+    out = NCPoly(p.alphabet, field)
+    out.terms = {w: Scalar(field, a) for w, a in nf.items()}
     return out
 
 
@@ -389,7 +392,7 @@ def hilbert_oracle(relations, d):
     dims = []
     for n in range(d + 1):
         index = {w: i for i, w in enumerate(words[n])}
-        span = EchelonSpan(field, len(index))
+        span = EchelonSpan(field)
         for r in relations:
             k = r.degree()
             if k > n:
@@ -397,10 +400,7 @@ def hilbert_oracle(relations, d):
             for dm in range(n - k + 1):
                 for m in words[dm]:
                     for mp in words[n - k - dm]:
-                        vec = [field.zero()] * len(index)
-                        for w, c in r.terms.items():
-                            vec[index[m + w + mp]] = c
-                        span.insert(vec)
+                        span.insert({index[m + w + mp]: c.payload for w, c in r.terms.items()})
         dims.append(len(index) - span.rank)
     return HilbertProfile(tuple(dims))
 

@@ -7,7 +7,6 @@ field are adjoined on demand as a single quadratic extension.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 
@@ -610,93 +609,106 @@ def solve_quadratic(p2, p1, p0):
 
 
 class ScalarMatrix:
-    """Immutable dense matrix over a single field."""
+    """Immutable matrix over a single field, stored as sparse payload rows.
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    rows[i] maps the column of each nonzero entry of row i to its payload;
+    zeros are never stored.  Reads box entries into Scalars.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, entries):
-        self.field = field
-        rows = tuple(tuple(field.scalar(x) for x in row) for row in entries)
-        self.entries = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.ncols:
+        """Matrix of the given dense rows of Scalars, ints or literals."""
+        ncols = len(entries[0]) if entries else 0
+        is0 = field._is_zero
+        rows = []
+        for row in entries:
+            if len(row) != ncols:
                 raise ValueError("ragged matrix")
+            sparse = {}
+            for j, x in enumerate(row):
+                a = field.scalar(x).payload
+                if not is0(a):
+                    sparse[j] = a
+            rows.append(sparse)
+        self.field, self.rows, self.nrows, self.ncols = field, rows, len(rows), ncols
+
+    @staticmethod
+    def from_sparse(field, rows, ncols):
+        """Matrix whose row i is the payload dict rows[i] (no zeros), taken as its own."""
+        m = ScalarMatrix.__new__(ScalarMatrix)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
 
     @staticmethod
     def identity(field, n):
-        one, zero = field.one(), field.zero()
-        return ScalarMatrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one = field._coerce(1)
+        return ScalarMatrix.from_sparse(field, [{i: one} for i in range(n)], n)
 
     @staticmethod
     def zero(field, nrows, ncols):
-        z = field.zero()
-        return ScalarMatrix(field, [[z] * ncols for _ in range(nrows)])
+        return ScalarMatrix.from_sparse(field, [{} for _ in range(nrows)], ncols)
+
+    def _box(self, a):
+        field = self.field
+        return Scalar(field, field._coerce(0) if a is None else a)
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+        return self._box(self.rows[ij[0]].get(ij[1]))
 
     def row(self, i):
-        return list(self.entries[i])
+        return [self._box(self.rows[i].get(j)) for j in range(self.ncols)]
 
     def column(self, j):
-        return [self.entries[i][j] for i in range(self.nrows)]
+        return [self._box(row.get(j)) for row in self.rows]
 
     def __mul__(self, other):
-        if isinstance(other, ScalarMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = self.field.zero()
-                    for k in range(self.ncols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return ScalarMatrix(self.field, out)
-        s = self.field.scalar(other)
-        return ScalarMatrix(self.field, [[e * s for e in row] for row in self.entries])
-
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
+        if not isinstance(other, ScalarMatrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return ScalarMatrix(
-            self.field,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
-        )
-
-    def __sub__(self, other):
-        return self + other * (-1)
+        if other.field != self.field:
+            raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
+        rows = []
+        for row in self.rows:
+            acc = {}
+            for k, a in row.items():
+                add_multiple(self.field, acc, a, other.rows[k])
+            rows.append(acc)
+        return ScalarMatrix.from_sparse(self.field, rows, other.ncols)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ScalarMatrix)
-            and self.field == other.field
-            and self.entries == other.entries
+        return isinstance(other, ScalarMatrix) and self.field == other.field and (
+            (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
         )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, str(self)))
 
     def transpose(self):
-        return ScalarMatrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, a in row.items():
+                cols[j][i] = a
+        return ScalarMatrix.from_sparse(self.field, cols, self.nrows)
+
+    def _det2(self):
+        """(payload of ad - bc, a, b, c, d) for the 2x2 matrix [[a, b], [c, d]]."""
+        if (self.nrows, self.ncols) != (2, 2):
+            raise ValueError(f"needs a 2x2 matrix, got {self.nrows}x{self.ncols}")
+        field = self.field
+        zero = field._coerce(0)
+        (a, b), (c, d) = ((row.get(0, zero), row.get(1, zero)) for row in self.rows)
+        return field._add(field._mul(a, d), field._neg(field._mul(b, c))), a, b, c, d
 
     def det(self):
         """ad - bc; every caller needs the 2x2 determinant only."""
-        if (self.nrows, self.ncols) != (2, 2):
-            raise ValueError(f"det needs a 2x2 matrix, got {self.nrows}x{self.ncols}")
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+        return Scalar(self.field, self._det2()[0])
+
+    def inverse(self):
+        """The inverse of a 2x2 matrix, its adjugate over det; DivisionByZero if singular."""
+        field = self.field
+        det, a, b, c, d = self._det2()
+        di, mul, neg, is0 = field._inv(det), field._mul, field._neg, field._is_zero
+        rows = [{j: mul(x, di) for j, x in enumerate(r) if not is0(x)} for r in ((d, neg(b)), (neg(c), a))]
+        return ScalarMatrix.from_sparse(field, rows, 2)
 
     def rank_kernel(self):
         """(rank, kernel basis as matrix columns); rank + nullity = ncols.
@@ -705,22 +717,18 @@ class ScalarMatrix:
         reduced row echelon form; that form is unique, so the basis is too.
         """
         field = self.field
-        span = EchelonSpan(field, self.ncols)
-        for row in self.entries:
-            span._insert_payloads([e.payload for e in row])
-        zero, one = field._coerce(0), field._coerce(1)
-        pivots = set(span.pivots)
-        basis = []
-        for j in range(self.ncols):
-            if j in pivots:
-                continue
-            vec = [zero] * self.ncols
-            vec[j] = one
-            for row, pc in zip(span.rows, span.pivots):
-                vec[pc] = field._neg(row[j])
-            basis.append(vec)
-        grid = [[Scalar(field, vec[i]) for vec in basis] for i in range(self.ncols)]
-        return span.rank, ScalarMatrix(field, grid)
+        span = EchelonSpan(field)
+        for row in self.rows:
+            span._insert(row)
+        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in span.rows)}
+        one, neg = field._coerce(1), field._neg
+        grid = [{} for _ in range(self.ncols)]  # row i: coordinate i of every basis vector
+        for j, k in free.items():
+            grid[j][k] = one
+        for p, row in span.rows.items():
+            for j, y in row.items():
+                grid[p][free[j]] = neg(y)
+        return span.rank, ScalarMatrix.from_sparse(field, grid, len(free))
 
     def rank(self):
         return self.rank_kernel()[0]
@@ -728,84 +736,84 @@ class ScalarMatrix:
     def solve(self, rhs):
         """One solution x of self * x = rhs (rhs a list of Scalars), or None."""
         field = self.field
-        span = EchelonSpan(field, self.ncols + 1)
-        for row, v in zip(self.entries, rhs):
-            span._insert_payloads([e.payload for e in row] + [field.scalar(v).payload])
-        if span.pivots and span.pivots[-1] == self.ncols:
+        n = self.ncols
+        span = EchelonSpan(field)
+        for row, v in zip(self.rows, rhs):
+            b = field.scalar(v).payload
+            span._insert(row if field._is_zero(b) else {**row, n: b})
+        if n in span.rows:
             return None
-        x = [field.zero()] * self.ncols
-        for row, pc in zip(span.rows, span.pivots):
-            x[pc] = Scalar(field, row[-1])
-        return x
+        # pivot p solves for x_p; every free unknown is set to zero
+        return [self._box(span.rows[p].get(n) if p in span.rows else None) for p in range(n)]
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
+        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.nrows))
         return f"[{body}]"
 
 
-class EchelonSpan:
-    """Mutable row span in reduced row echelon form, over payload rows.
+def add_multiple(field, out, c, row):
+    """out += c * row in place, for sparse payload rows; zero entries are dropped."""
+    add, mul, is0 = field._add, field._mul, field._is_zero
+    for j, y in row.items():
+        prev = out.get(j)
+        if prev is None:
+            out[j] = mul(c, y)
+        else:
+            s = add(prev, mul(c, y))
+            if is0(s):
+                del out[j]
+            else:
+                out[j] = s
 
-    The package's one elimination loop: incremental rank tracking, and
-    every rank, kernel and solve of ScalarMatrix.
+
+class EchelonSpan:
+    """Mutable row span in reduced row echelon form, over sparse payload rows.
+
+    A row is a dict {column: payload} of its nonzero entries; its pivot is
+    its smallest column.  Every stored row is zero at every other row's
+    pivot, so reducing a vector touches only the rows whose pivots it
+    holds.  The package's one elimination loop: incremental rank tracking,
+    and every rank, kernel and solve of ScalarMatrix.
     """
 
-    __slots__ = ("field", "width", "rows", "pivots")
+    __slots__ = ("field", "rows")
 
-    def __init__(self, field, width):
+    def __init__(self, field):
         self.field = field
-        self.width = width
-        self.rows = []  # payload rows, fully reduced
-        self.pivots = []
+        # pivot column -> the rest of its row; the pivot entry, 1, is not stored
+        self.rows = {}
 
-    def _payloads(self, vec):
-        return [x.payload if isinstance(x, Scalar) else self.field._coerce(x) for x in vec]
-
-    def _reduce_payloads(self, vec):
-        field = self.field
-        add, mul, neg, is0 = field._add, field._mul, field._neg, field._is_zero
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if not is0(c):
-                nc = neg(c)
-                for j in range(p, self.width):
-                    y = row[j]
-                    if not is0(y):
-                        vec[j] = add(vec[j], mul(nc, y))
-        return vec
+    def _reduce(self, vec):
+        """A new sparse row: vec minus its part along the span."""
+        field, rows = self.field, self.rows
+        out = dict(vec)
+        for p in [j for j in vec if j in rows]:
+            add_multiple(field, out, field._neg(out.pop(p)), rows[p])
+        return out
 
     def insert(self, vec):
-        """Add vec to the span; returns True if the rank grew."""
-        return self._insert_payloads(self._payloads(vec))
+        """Add vec, a sparse payload row without zeros (left unchanged); True if the rank grew."""
+        return self._insert(vec)
 
-    def _insert_payloads(self, vec):
-        """insert() on a payload row, which becomes the span's own."""
-        field = self.field
-        add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
-        res = self._reduce_payloads(vec)
-        p = next((j for j in range(self.width) if not is0(res[j])), None)
-        if p is None:
+    def _insert(self, vec):
+        # rank_kernel and solve feed whole matrices through here, so that
+        # perfbench, which traces insert(), counts incremental inserts only
+        res = self._reduce(vec)
+        if not res:
             return False
-        pinv = inv(res[p])
-        for j in range(p, self.width):
-            if not is0(res[j]):
-                res[j] = mul(res[j], pinv)
-        for row in self.rows:
-            c = row[p]
-            if not is0(c):
-                nc = neg(c)
-                for j in range(p, self.width):
-                    y = res[j]
-                    if not is0(y):
-                        row[j] = add(row[j], mul(nc, y))
-        at = bisect.bisect(self.pivots, p)
-        self.rows.insert(at, res)
-        self.pivots.insert(at, p)
+        field = self.field
+        p = min(res)
+        pinv, mul, neg = field._inv(res.pop(p)), field._mul, field._neg
+        res = {j: mul(y, pinv) for j, y in res.items()}
+        for row in self.rows.values():
+            c = row.pop(p, None)
+            if c is not None:
+                add_multiple(field, row, neg(c), res)
+        self.rows[p] = res
         return True
 
     def contains(self, vec):
-        res = self._reduce_payloads(self._payloads(vec))
-        return all(self.field._is_zero(x) for x in res)
+        return not self._reduce(vec)
 
     @property
     def rank(self):

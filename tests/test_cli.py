@@ -89,6 +89,13 @@ def test_raw_family_hilbert():
     assert parse_machine_block(out)["dims"] == "1,2,3,4,5"
 
 
+def test_zero_algebra_has_zero_hilbert_function():
+    # the relation 2 is a unit: k<x,y>/(2) = 0, empty word included
+    status, out = invoke(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "2", "--maxdeg", "3"])
+    assert status == 0
+    assert parse_machine_block(out)["dims"] == "0,0,0,0"
+
+
 def test_resolve_koszul_asreg_on_tgh():
     status, out = invoke(["resolve", "--family", "Tgh", "--params", "g=1,h=2", "--homdeg", "4", "--maxdeg", "6"])
     machine = parse_machine_block(out)
@@ -210,6 +217,15 @@ TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
     pytest.param(["scan", "--field", "GF(2)", "--family", "Tgh"], 2, "characteristic", id="scan-gf2-Tgh"),
     pytest.param(["classify", "--field", "GF(2)", "--family", "Tgh", "--params", "g=1,h=1"], 2, "characteristic",
                  id="classify-gf2-Tgh"),
+    *(
+        pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", rel], 1, "stray '*'",
+                     id=f"raw-stray-star-{rel}")
+        for rel in ("x*", "*x", "x**y", "2*", "x*y*")
+    ),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "sqrt(2)xy"], 1,
+                 "quadratic extension", id="raw-root-outside-field"),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "1/0xy"], 1, "1/0",
+                 id="raw-division-by-zero"),
     pytest.param(["koszul", "--family", "raw", "--alphabet", "x,y", "--relations", "x", "--homdeg", "2"], 2,
                  "not minimal", id="koszul-linear-relation"),
     pytest.param(["resolve", "--family", "raw", "--alphabet", "x,y", "--relations", "2"], 2,

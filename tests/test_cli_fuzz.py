@@ -21,7 +21,8 @@ GOOD_LITERALS = ["0", "1", "-1", "2", "-2", "1/2"]
 ROOT_LITERALS = ["sqrt(2)", "1+sqrt(2)", "-sqrt(2)"]  # Q(sqrt(2)) only
 BAD_LITERALS = ["x", "1/0", "", "1.5", "sqrt(3)", "2**3", "1/", "=1"]
 RAW_ALPHABETS = ["x", "x,y", "x,y,z", "x,x"]
-RAW_RELATIONS = ["xx", "xy-yx", "xx;xy;yx;yy", "xy-yx+x", "x-x", "x*", "2", "yx-2xy;xx", "xz"]
+RAW_RELATIONS = ["xx", "xy-yx", "xx;xy;yx;yy", "xy-yx+x", "x-x", "x*", "2", "yx-2xy;xx", "xz",
+                 "x*y-y*x", "*x", "x**y", "2*", "x*y*", "xy-*yx", "xy+", "2*xy;yx"]
 
 
 def rarely(draw):

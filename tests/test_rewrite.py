@@ -19,8 +19,9 @@ from ttpkit.rewrite import (
     degree3_overlap_elements,
     hilbert_oracle,
 )
-from ttpkit.scalars import QQ, PrimeField
+from ttpkit.scalars import QQ, PrimeField, QuadExtField, Scalar
 
+SQRT2 = QuadExtField(QQ, 2)
 XZ = Alphabet(["x", "z"])
 YXZ = Alphabet(["y", "x", "z"])
 
@@ -305,16 +306,13 @@ def test_left_right_multiplication_regular_on_elliptic():
         index = {w: i for i, w in enumerate(words[n + 1])}
         for g in range(3):
             for side in ("left", "right"):
-                span = EchelonSpan(rs.field, len(index))
+                span = EchelonSpan(rs.field)
                 count = 0
                 for w in words[n]:
                     gen = NCPoly(YXZ, rs.field, {(g,): rs.field.one()})
                     base = NCPoly(YXZ, rs.field, {w: rs.field.one()})
                     prod = rs.reduce(gen * base if side == "left" else base * gen)
-                    vec = [rs.field.zero()] * len(index)
-                    for u, cc in prod.terms.items():
-                        vec[index[u]] = cc
-                    count += span.insert(vec)
+                    count += span.insert({index[u]: cc.payload for u, cc in prod.terms.items()})
                 assert count == len(words[n])
 
 
@@ -338,19 +336,22 @@ def overlap_system(params):
 
 
 def random_poly(rng, alphabet, field, maxlen):
-    """A few terms of mixed length with small nonzero coefficients."""
+    """A few terms of mixed length with small nonzero coefficients, some with sqrt(m) parts."""
+    coeffs = [field.scalar(k) for k in (-3, -2, -1, 1, 2, 5)]
+    if isinstance(field, QuadExtField):
+        coeffs += [c * field.root() + 1 for c in coeffs]
     terms = {}
     for _ in range(rng.randint(1, 6)):
         w = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, maxlen)))
-        terms[w] = field.scalar(rng.choice([-3, -2, -1, 1, 2, 5]))
+        terms[w] = rng.choice(coeffs)
     return NCPoly(alphabet, field, terms)
 
 
 def oracle_systems():
-    """Completed, uncompleted and non-confluent rule sets over Q and GF(p)."""
+    """Completed, uncompleted and non-confluent rule sets over Q, GF(p) and Q(sqrt(2))."""
     rng = random.Random(59)
     out = []
-    for field in (QQ, PrimeField(101)):
+    for field in (QQ, PrimeField(101), SQRT2):
         # elliptic (d = E = -1, A = 1, b = (1-a)(2-B)) and Ore (f = 0) tuples
         a, B = rng.randint(-5, 5), rng.randint(-5, 5)
         elliptic = ParamTuple3D.make(field, a=a, b=(1 - a) * (2 - B), c=rng.randint(-5, 5), d=-1,
@@ -363,6 +364,9 @@ def oracle_systems():
         out.append(overlap_system(generic))
         out.append(t_system(generic))
         out.append(c_system(field, 2, 3))
+    root = SQRT2.root()
+    out.append(build_Tgh(root + 1, root).completed(6))
+    out.append(c_system(SQRT2, root, 1 - root))
     return out
 
 
@@ -371,7 +375,9 @@ def test_reduce_matches_direct_rewriting_oracle():
     for rs in oracle_systems():
         for _ in range(25):
             p = random_poly(rng, rs.alphabet, rs.field, 6)
-            assert rs.reduce(p) == reference_reduce(p, rs.rules), (rs.rules, p)
+            got = rs.reduce(p)
+            assert got == reference_reduce(p, rs.rules), (rs.rules, p)
+            assert all(isinstance(c, Scalar) and c.field == rs.field for c in got.terms.values())
 
 
 def test_completed_system_does_not_inherit_parent_table():

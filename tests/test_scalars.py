@@ -204,7 +204,7 @@ def test_rank_kernel_matches_sympy_over_q():
     rng = random.Random(41)
     for m, n, zero in _shapes(rng):
         M = ScalarMatrix.zero(QQ, m, n) if zero else _random_matrix(rng, QQ, m, n)
-        rows = [[SQQ(int(e.payload.numerator), int(e.payload.denominator)) for e in row] for row in M.entries]
+        rows = [[SQQ(int(e.payload.numerator), int(e.payload.denominator)) for e in M.row(i)] for i in range(m)]
         ref = DomainMatrix(rows, (m, n), SQQ)
         rank, ker = M.rank_kernel()
         assert rank == ref.rank()
@@ -224,7 +224,7 @@ def test_rank_kernel_matches_sympy_over_gf():
         F, SF = PrimeField(p), GF(p)
         for m, n, zero in _shapes(rng):
             M = ScalarMatrix.zero(F, m, n) if zero else _random_matrix(rng, F, m, n)
-            ref = DomainMatrix([[SF(e.payload) for e in row] for row in M.entries], (m, n), SF)
+            ref = DomainMatrix([[SF(e.payload) for e in M.row(i)] for i in range(m)], (m, n), SF)
             rank, ker = M.rank_kernel()
             assert rank == ref.rank()
             want = [[int(x) % p for x in row] for row in ref.nullspace(divide_last=True).to_list()]
@@ -240,7 +240,7 @@ def test_rank_kernel_over_quadratic_extension():
             M = ScalarMatrix.zero(E, m, n)
         else:
             A, B = _random_matrix(rng, E, m, n), _random_matrix(rng, E, m, n)
-            M = A + B * r
+            M = ScalarMatrix(E, [[a + b * r for a, b in zip(A.row(i), B.row(i))] for i in range(m)])
         rank, ker = M.rank_kernel()
         assert rank + ker.ncols == n
         cols = _kernel_rows(ker)
@@ -252,6 +252,91 @@ def test_rank_kernel_over_quadratic_extension():
         assert len(set(free)) == len(free)
         for k, col in enumerate(cols):
             assert [col[j] for j in free] == [E.one() if i == k else E.zero() for i in range(len(free))]
+
+
+def _sympy_domain(field):
+    """(sympy domain, payload -> domain element, domain element -> payload) for field."""
+    from sympy import GF, Rational, sqrt
+    from sympy import QQ as SQQ
+
+    def frac(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    if field == QQ:
+        return SQQ, lambda a: SQQ(a.numerator, a.denominator), frac
+    if isinstance(field, PrimeField):
+        SF = GF(field.p)
+        return SF, SF, lambda x: int(x) % field.p
+    K = SQQ.algebraic_field(sqrt(2))
+
+    def to_payload(x):
+        v_u = [frac(q) for q in x.to_list()]
+        v_u = [Fraction(0)] * (2 - len(v_u)) + v_u
+        return (v_u[1], v_u[0])
+
+    def to_domain(a):
+        return K.from_sympy(Rational(a[0].numerator, a[0].denominator)
+                            + Rational(a[1].numerator, a[1].denominator) * sqrt(2))
+
+    return K, to_domain, to_payload
+
+
+def _sparse_matrix(rng, field, m, n):
+    """m x n at density 5-20%, about one row in five a copy of an earlier row."""
+    if isinstance(field, PrimeField):
+        def value():
+            return rng.randrange(1, field.p)
+    elif field == QQ:
+        def value():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+    else:
+        def value():
+            u, v = rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])
+            return field.scalar(u) + field.scalar(v) * field.root()
+    density = rng.uniform(0.05, 0.2)
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.2:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([value() if rng.random() < density else 0 for _ in range(n)])
+    return ScalarMatrix(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(101), QuadExtField(QQ, 2)],
+                         ids=["Q", "GF2", "GF7", "GF101", "Qsqrt2"])
+def test_sparse_elimination_matches_sympy(field):
+    from sympy.polys.matrices import DomainMatrix
+
+    dom, to_domain, to_payload = _sympy_domain(field)
+    zero = field.zero().payload
+    rng = random.Random(53)
+    seen = {"empty row": 0, "empty column": 0, "repeated row": 0}
+    for _ in range(12):
+        m, n = rng.randint(4, 24), rng.randint(4, 24)
+        M = _sparse_matrix(rng, field, m, n)
+        dense = [[to_domain(M.rows[i].get(j, zero)) for j in range(n)] for i in range(m)]
+        seen["empty row"] += sum(not row for row in M.rows)
+        seen["empty column"] += sum(all(j not in row for row in M.rows) for j in range(n))
+        seen["repeated row"] += m - len({tuple(sorted(row.items())) for row in M.rows})
+
+        rank, ker = M.rank_kernel()
+        ref = DomainMatrix(dense, (m, n), dom)
+        assert rank == ref.rank()
+        want = [[to_payload(x) for x in row] for row in ref.nullspace(divide_last=True).to_list()]
+        assert [[x.payload for x in col] for col in _kernel_rows(ker)] == want
+
+        # incremental inserts: the rank grows exactly when a recount says so
+        span = EchelonSpan(field)
+        before = 0
+        for k, row in enumerate(M.rows):
+            kept = dict(row)
+            after = DomainMatrix(dense[: k + 1], (k + 1, n), dom).rank()
+            assert span.insert(row) == (after > before)
+            assert row == kept and span.rank == after
+            before = after
+        assert all(span.contains(row) for row in M.rows)
+    assert all(seen.values()), seen
 
 
 def test_matrix_det_and_solve():
@@ -268,13 +353,13 @@ def test_matrix_det_and_solve():
 
 
 def test_echelon_span():
-    span = EchelonSpan(QQ, 3)
-    assert span.insert([QQ.scalar(1), QQ.scalar(2), QQ.scalar(0)])
-    assert span.insert([QQ.scalar(0), QQ.scalar(1), QQ.scalar(1)])
-    assert not span.insert([QQ.scalar(1), QQ.scalar(3), QQ.scalar(1)])
+    span = EchelonSpan(QQ)
+    assert span.insert({0: Fraction(1), 1: Fraction(2)})
+    assert span.insert({1: Fraction(1), 2: Fraction(1)})
+    assert not span.insert({0: Fraction(1), 1: Fraction(3), 2: Fraction(1)})
     assert span.rank == 2
-    assert span.contains([QQ.scalar(2), QQ.scalar(5), QQ.scalar(1)])
-    assert not span.contains([QQ.zero(), QQ.zero(), QQ.one()])
+    assert span.contains({0: Fraction(2), 1: Fraction(5), 2: Fraction(1)})
+    assert not span.contains({2: Fraction(1)})
 
 
 def test_parse_scalar():
