@@ -454,7 +454,10 @@ SCAN_PARAMS = {**FAMILY_PARAMS, "T": tuple(n for n in PARAM_NAMES_3D if n not in
 
 
 def scan_space(p, family, ranges):
-    """Deterministic enumeration of the census tuple space over GF(p)."""
+    """Deterministic enumeration of the census tuple space over GF(p).
+
+    Range values are taken mod p, and each residue is enumerated once.
+    """
     if family not in SCAN_PARAMS:
         raise ConstraintError(f"scan does not support family {family!r}")
     unknown = sorted(set(ranges) - set(SCAN_PARAMS[family]))
@@ -466,9 +469,13 @@ def scan_space(p, family, ranges):
     def allowed(name, default):
         if name in ranges:
             vals = ranges[name]
-            return full if vals is None else [v % p for v in vals]
+            return full if vals is None else list(dict.fromkeys(v % p for v in vals))
         return default
 
+    if family == "T":
+        bad = [v for v in allowed("e", [0, 1]) if v not in (0, 1)]
+        if bad:
+            raise ParseError(f"--ranges gives e = {bad[0]}, but the normalized T space has e in {{0, 1}}")
     out = []
     if family == "C":
         for a in allowed("a", full):

@@ -13,14 +13,18 @@ then reduces to the sum of c * NF(w) over its terms.  Entries hold raw
 field payloads; only the terms of a result are boxed into Scalars.  A
 RewriteSystem keeps its table for its whole life, since its rules never
 change; completion, whose rule list grows, starts a fresh table for each
-reduction.
+reduction.  The leftmost redex is found through an index of the rules by
+the first letter of their high term.
+
+The two degree-3 obstructions of the normalized three-generator family
+are evaluated from closed-form coefficient tables, with no rewriting.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .freealg import NCPoly
+from .freealg import Alphabet, NCPoly
 from .scalars import EchelonSpan, Scalar, add_multiple
 
 
@@ -62,13 +66,14 @@ class Rule:
 class RewriteSystem:
     """An ordered set of rules with a completion certificate."""
 
-    __slots__ = ("alphabet", "field", "rules", "completed_to", "_nf", "_words")
+    __slots__ = ("alphabet", "field", "rules", "completed_to", "_index", "_nf", "_words")
 
     def __init__(self, alphabet, field, rules, completed_to=None):
         self.alphabet = alphabet
         self.field = field
         self.rules = tuple(rules)
         self.completed_to = completed_to
+        self._index = _rule_index(self.rules)
         self._nf = {}  # word -> {normal word: coefficient}
         self._words = ()  # normal-word buckets by degree, up to the largest d asked
         highs = [r.high for r in self.rules]
@@ -93,7 +98,7 @@ class RewriteSystem:
         rules = []
         work = list(relations)
         while work:
-            p = _reduce_terms(work.pop(0), rules, {})
+            p = _reduce_terms(work.pop(0), _rule_index(rules), {})
             if p.is_zero():
                 continue
             new = _monic_rule(p)
@@ -120,8 +125,8 @@ class RewriteSystem:
         useful for confluence spot checks.
         """
         if rng is not None:
-            return _reduce_random(p, self.rules, rng)
-        return _reduce_terms(p, self.rules, self._nf)
+            return _reduce_random(p, self._index, rng)
+        return _reduce_terms(p, self._index, self._nf)
 
     def overlaps(self):
         """All overlap configurations (i, j, m, mid, mpp), sorted by degree.
@@ -176,7 +181,7 @@ class RewriteSystem:
             _, _, i, j, _, m, mpp = heapq.heappop(queue)
             left = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
             right = NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
-            sdiff = _reduce_terms(left - right, rules, {})
+            sdiff = _reduce_terms(left - right, _rule_index(rules), {})
             if sdiff.is_zero():
                 continue
             rules.append(_monic_rule(sdiff))
@@ -266,21 +271,42 @@ def _monic_rule(p):
     return Rule(w, tail)
 
 
-def _redexes(word, rules):
+def _rule_index(rules):
+    """Rules by the first letter of their high term, each list in rule order.
+
+    A rule with the empty high term matches at every position, so it sits
+    in every letter's list; the key None lists those rules alone, for the
+    empty word and for letters that start no high term.
+    """
+    index = {None: [r for r in rules if not r.high]}
+    for first in {r.high[0] for r in rules if r.high}:
+        index[first] = [r for r in rules if not r.high or r.high[0] == first]
+    return index
+
+
+def _redexes(word, index):
     """Each (pos, rule) whose high term occurs in word at pos, leftmost first."""
-    for pos in range(len(word)):
-        for rule in rules:
+    if not word:
+        for rule in index[None]:
+            yield 0, rule
+        return
+    empty = index[None]
+    for pos, letter in enumerate(word):
+        for rule in index.get(letter, empty):
             h = rule.high
             if word[pos : pos + len(h)] == h:
                 yield pos, rule
 
 
-def _find_redex(word, rules):
-    """Leftmost (pos, rule) whose high term occurs in word at pos, or None."""
-    return next(_redexes(word, rules), None)
+def _find_redex(word, index):
+    """Leftmost (pos, rule) whose high term occurs in word at pos, or None.
+
+    At that position the first matching rule in rule order wins.
+    """
+    return next(_redexes(word, index), None)
 
 
-def _normal_form(word, rules, table, field):
+def _normal_form(word, index, table, field):
     """NF(word) as {normal word: payload}, filling table bottom-up.
 
     One rewrite at the leftmost redex yields strictly smaller words, so the
@@ -299,7 +325,7 @@ def _normal_form(word, rules, table, field):
             if w in table:  # pushed by more than one parent
                 stack.pop()
                 continue
-            hit = _find_redex(w, rules)
+            hit = _find_redex(w, index)
             if hit is None:
                 table[w] = {w: field._coerce(1)}
                 stack.pop()
@@ -324,20 +350,20 @@ def _combine(pairs, field):
     return acc
 
 
-def _reduce_terms(p, rules, table):
+def _reduce_terms(p, index, table):
     """Sum of c * NF(w) over the terms of p, with NF entries from table."""
     field = p.field
-    nf = _combine(((c.payload, _normal_form(w, rules, table, field)) for w, c in p.terms.items()), field)
+    nf = _combine(((c.payload, _normal_form(w, index, table, field)) for w, c in p.terms.items()), field)
     out = NCPoly(p.alphabet, field)
     out.terms = {w: Scalar(field, a) for w, a in nf.items()}
     return out
 
 
-def _reduce_random(p, rules, rng):
+def _reduce_random(p, index, rng):
     """Rewrite a uniformly chosen redex of p until none is left."""
     terms = dict(p.terms)
     while True:
-        redexes = [(w, hit) for w in terms for hit in _redexes(w, rules)]
+        redexes = [(w, hit) for w in terms for hit in _redexes(w, index)]
         if not redexes:
             break
         w, (pos, rule) = redexes[rng.randrange(len(redexes))]
@@ -358,8 +384,8 @@ def _reduce_random(p, rules, rng):
 
 def _interreduce_tails(rules):
     """Reduce every tail to normal form with respect to the whole system."""
-    table = {}
-    return [Rule(r.high, _reduce_terms(r.tail, rules, table)) for r in rules]
+    index, table = _rule_index(rules), {}
+    return [Rule(r.high, _reduce_terms(r.tail, index, table)) for r in rules]
 
 
 def enumerate_words(alphabet, d):
@@ -405,41 +431,75 @@ def hilbert_oracle(relations, d):
     return HilbertProfile(tuple(dims))
 
 
+# The f = 1 normalized three-generator system over the alphabet y < x < z:
+#     xy -> yx
+#     z^2 -> zx - a x^2 - b yx - c y^2 - d xz - e yz
+#     zy -> A x^2 + B yx + C y^2 + E yz
+# Its two degree-3 ambiguities are the overlaps z^3 and z^2 y, with reduced
+# S-differences
+#     G1 = NF(tail(z^2) z - z tail(z^2)),   G2 = NF(tail(z^2) y - z tail(zy)).
+# Their coefficients are integer polynomials in a, b, c, d, e, A, B, C, E,
+# tabled as word -> ((integer, monomial), ...); a monomial spells its
+# factors by coefficient name, and "" is 1.
+_YXZ = Alphabet(["y", "x", "z"])
+
+
+def _table(rows):
+    return tuple((_YXZ.word(w), monomials) for w, monomials in rows)
+
+
+_G1 = _table((
+    ("zxz", ((1, ""), (1, "d"))),
+    ("zx^2", ((-1, ""), (1, "a"))),
+    ("x^2z", ((-1, "a"), (1, "dd"), (1, "eA"))),
+    ("x^3", ((1, "a"), (1, "ad"), (1, "bA"))),
+    ("yzx", ((1, "bE"), (1, "eE"))),
+    ("yxz", ((-1, "b"), (2, "de"), (1, "eB"), (-1, "deE"))),
+    ("yx^2", ((1, "b"), (1, "ae"), (1, "bd"), (1, "bB"), (1, "cA"), (-1, "aeE"), (1, "cAE"))),
+    ("y^2z", ((-1, "c"), (1, "ee"), (1, "eC"), (1, "cEE"), (-1, "eeE"))),
+    ("y^2x", ((1, "c"), (1, "be"), (1, "bC"), (1, "cd"), (1, "cB"), (-1, "beE"), (1, "cBE"))),
+    ("y^3", ((1, "ce"), (1, "cC"), (-1, "ceE"), (1, "cCE"))),
+))
+_G2 = _table((
+    ("zx^2", ((-1, "A"),)),
+    ("x^2z", ((-1, "AE"),)),
+    ("x^3", ((1, "A"), (-1, "dA"), (-1, "AB"))),
+    ("yzx", ((1, "E"), (-1, "BE"), (-1, "EE"))),
+    ("yxz", ((-1, "dE"), (-1, "BE"), (1, "dEE"))),
+    ("yx^2", ((-1, "a"), (1, "B"), (-1, "dB"), (-1, "eA"), (-1, "AC"), (-1, "BB"), (1, "aEE"), (-1, "ACE"))),
+    ("y^2z", ((-1, "eE"), (-1, "CE"), (1, "eEE"), (-1, "CEE"))),
+    ("y^2x", ((-1, "b"), (1, "C"), (-1, "dC"), (-1, "eB"), (-2, "BC"), (1, "bEE"), (-1, "BCE"))),
+    ("y^3", ((-1, "c"), (-1, "eC"), (-1, "CC"), (1, "cEE"), (-1, "CCE"))),
+))
+
+
+def _evaluate_table(table, field, values):
+    """The NCPoly of a coefficient table at coefficient payloads values[name]."""
+    coerce, add, mul, is0 = field._coerce, field._add, field._mul, field._is_zero
+    terms = {}
+    for word, monomials in table:
+        acc = None
+        for k, monomial in monomials:
+            t = coerce(k)
+            for name in monomial:
+                t = mul(t, values[name])
+            acc = t if acc is None else add(acc, t)
+        if not is0(acc):
+            terms[word] = Scalar(field, acc)
+    out = NCPoly(_YXZ, field)
+    out.terms = terms
+    return out
+
+
 def degree3_overlap_elements(params):
-    """The two reduced degree-3 S-differences of the f=1 normalized system.
+    """The two reduced degree-3 S-differences (G1, G2) of the f=1 normalized system.
 
     params must carry field and coefficients a,b,c,d,e,f,A,B,C,D,E,F with
-    D = F = 0 and f = 1.  The rule set is
-        xy -> yx
-        z^2 -> zx - a x^2 - b yx - c y^2 - d xz - e yz
-        zy -> A x^2 + B yx + C y^2 + E yz
-    and the returned pair is (G1, G2) with
-        G1 = reduce(tail(z^2) z - z tail(z^2))   (overlap z^3)
-        G2 = reduce(tail(z^2) y - z tail(zy))    (overlap z^2 y)
+    D = F = 0 and f = 1.  The result is two polynomials over y < x < z,
+    evaluated from the closed-form tables above.
     """
     field = params.field
-    one = field.one()
-    if not (params.D.is_zero() and params.F.is_zero() and params.f == one):
+    if not (params.D.is_zero() and params.F.is_zero() and params.f == field.one()):
         raise ValueError("parameters must be normalized with D = F = 0 and f = 1")
-    from .freealg import Alphabet
-
-    A3 = Alphabet(["y", "x", "z"])
-
-    def poly(spec):
-        return NCPoly(A3, field, {A3.word(w): c for w, c in spec.items()})
-
-    tail_z2 = poly(
-        {"zx": one, "x^2": -params.a, "yx": -params.b, "y^2": -params.c, "xz": -params.d, "yz": -params.e}
-    )
-    tail_zy = poly({"x^2": params.A, "yx": params.B, "y^2": params.C, "yz": params.E})
-    rules = [
-        Rule(A3.word("xy"), poly({"yx": one})),
-        Rule(A3.word("z^2"), tail_z2),
-        Rule(A3.word("zy"), tail_zy),
-    ]
-    rs = RewriteSystem(A3, field, rules)
-    z = NCPoly.letter(A3, field, "z")
-    y = NCPoly.letter(A3, field, "y")
-    g1 = rs.reduce(tail_z2 * z - z * tail_z2)
-    g2 = rs.reduce(tail_z2 * y - z * tail_zy)
-    return g1, g2
+    values = {name: getattr(params, name).payload for name in "abcdeABCE"}
+    return _evaluate_table(_G1, field, values), _evaluate_table(_G2, field, values)

@@ -1,15 +1,20 @@
 """Shared reference data for tests.
 
 The two degree-3 obstruction elements of the three-generator family have
-hand-checked coefficient expansions; freezing them here gives the rewrite
-engine an independent target to reproduce at arbitrary specializations.
+hand-checked coefficient expansions; freezing them here gives the library's
+closed-form tables an independent target to reproduce at arbitrary
+specializations.  ``rewrite_degree3_overlap_elements`` computes the same
+pair by rewriting in ``overlap_system``, a second oracle.
 ``reference_reduce`` is a direct rewriting loop that the table-driven
 ``RewriteSystem.reduce`` must agree with on any rule set.
 """
 
 from types import SimpleNamespace
 
-from ttpkit.freealg import NCPoly
+from ttpkit.freealg import Alphabet, NCPoly
+from ttpkit.rewrite import RewriteSystem, Rule
+
+YXZ = Alphabet(["y", "x", "z"])
 
 
 def make_params3d(field, **kw):
@@ -53,6 +58,34 @@ def expected_g2_coeffs(p):
     }
 
 
+def overlap_system(params):
+    """The f = 1 normalized three-rule system over y < x < z (D = F = 0)."""
+    field = params.field
+    one = field.one()
+
+    def poly(spec):
+        return NCPoly(YXZ, field, {YXZ.word(w): c for w, c in spec.items()})
+
+    tail_z2 = poly({"zx": one, "x^2": -params.a, "yx": -params.b, "y^2": -params.c,
+                    "xz": -params.d, "yz": -params.e})
+    tail_zy = poly({"x^2": params.A, "yx": params.B, "y^2": params.C, "yz": params.E})
+    rules = [
+        Rule(YXZ.word("xy"), poly({"yx": one})),
+        Rule(YXZ.word("z^2"), tail_z2),
+        Rule(YXZ.word("zy"), tail_zy),
+    ]
+    return RewriteSystem(YXZ, field, rules)
+
+
+def rewrite_degree3_overlap_elements(params):
+    """(G1, G2) by rewriting: the reduced S-differences of the overlaps z^3 and z^2 y."""
+    rs = overlap_system(params)
+    _, tail_z2, tail_zy = (rule.tail for rule in rs.rules)
+    z = NCPoly.letter(YXZ, rs.field, "z")
+    y = NCPoly.letter(YXZ, rs.field, "y")
+    return rs.reduce(tail_z2 * z - z * tail_z2), rs.reduce(tail_z2 * y - z * tail_zy)
+
+
 def assert_poly_matches(poly, expected):
     """Compare an NCPoly against a word-string -> Scalar coefficient table."""
     alphabet = poly.alphabet
@@ -64,7 +97,8 @@ def reference_reduce(p, rules):
     """Normal form of p by direct rewriting; a slow test oracle.
 
     Each step re-sorts the terms and rewrites the order-largest reducible
-    word at its leftmost redex, with the first rule that matches there.
+    word at its leftmost redex, with the first rule that matches there.  An
+    empty high term matches every word, the empty word included.
     """
     alphabet = p.alphabet
     terms = dict(p.terms)
@@ -74,7 +108,7 @@ def reference_reduce(p, rules):
             target = next(
                 (
                     (w, pos, rule)
-                    for pos in range(len(w))
+                    for pos in range(len(w) + 1)
                     for rule in rules
                     if w[pos : pos + len(rule.high)] == rule.high
                 ),

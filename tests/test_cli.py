@@ -200,6 +200,11 @@ TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
     pytest.param(["scan", "--family", "C", "--ranges", "a=x"], 1, "a=x", id="scan-ranges"),
     pytest.param(["scan", "--family", "C", "--ranges", "z=1"], 1, "['z']", id="scan-ranges-unknown-name"),
     pytest.param(["scan", "--family", "T", "--ranges", "a=0,f=1"], 1, "['f']", id="scan-ranges-fixed-name"),
+    *(
+        pytest.param(["scan", "--family", "T", "--ranges", f"e={e},a=0,b=0,c=0,d=0"], 1, "e = 2",
+                     id=f"scan-ranges-T-e-{e}")
+        for e in ("2", "1|2", "*")
+    ),
     pytest.param(["sequences", "--params", "a=x,b=1"], 1, "bad value for a", id="sequences-not-a-number"),
     pytest.param(["sequences", "--field", "GF(7)", "--params", "a=1/7,b=1"], 1, "bad value for a",
                  id="sequences-division-by-zero"),
@@ -380,6 +385,17 @@ def test_scan_space_T_shape():
     assert all(v["f"] == 1 and v["D"] == 0 and v["F"] == 0 for v in space[:50])
     space_small = scan_space(3, "T", parse_ranges("a=0,b=0,c=0,d=1,B=0,C=0,E=1,A=0|1"))
     assert all(v["e"] in (0, 1) for v in space_small)
+
+
+@pytest.mark.parametrize("family, ranges, total", [
+    ("C", "a=0|3", 9),
+    ("C", "a=1|4|7,b=2|-1", 3),
+    ("Tgh", "g=0..5", 9),
+    ("T", "e=1|4,a=0,b=0,c=0,d=0", 27),
+])
+def test_scan_counts_each_residue_once(family, ranges, total):
+    status, out = invoke(["scan", "--field", "GF(3)", "--family", family, "--ranges", ranges])
+    assert status == 0 and f"total={total}" in out
 
 
 def test_scan_space_accepts_every_enumerated_name():

@@ -11,10 +11,11 @@ never raise.
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ttpkit.cli import FAMILY_PARAMS, SCAN_PARAMS, run
+from ttpkit.cli import FAMILY_PARAMS, SCAN_PARAMS, ParseError, run, scan_space
 
 FIELDS = ["Q", "GF(2)", "GF(3)", "GF(5)", "Q(sqrt(2))"]
 GOOD_LITERALS = ["0", "1", "-1", "2", "-2", "1/2"]
@@ -80,13 +81,16 @@ OPTIONS = {
 def scan_argv(draw):
     family = draw(st.sampled_from(["C", "T", "Tgh", "raw"]))
     argv = ["scan", "--field", draw(st.sampled_from(["GF(2)", "GF(3)"])), "--family", family]
-    specs = ["0", "1", "0|2", "1..2", "*"]
+    # values at or above p and values repeated mod p name a residue once
+    specs = ["0", "1", "0|2", "1..2", "*", "3", "2|5", "1|1|4", "0..4"]
     names = draw(st.lists(st.sampled_from(SCAN_PARAMS.get(family, ("a",))), unique=True, max_size=2))
     ranges = {name: draw(st.sampled_from(specs)) for name in names}
     if family == "T":
         # pin a, b, c and d so that a T scan holds at most a few dozen tuples
         for name in "abcd":
-            ranges.setdefault(name, str(draw(st.integers(0, 2))))
+            ranges.setdefault(name, str(draw(st.integers(0, 5))))
+        if rarely(draw):
+            ranges["e"] = draw(st.sampled_from(["2", "1|2", "0|2|3"]))  # outside the normalized e in {0, 1}
     if ranges and rarely(draw):
         ranges[draw(st.sampled_from(["z", names[0] if names else "a"]))] = "x"
     if ranges:
@@ -124,3 +128,33 @@ def test_every_argv_ends_in_a_documented_status(argv):
         assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
     else:
         assert "[/machine]" in out.getvalue(), argv
+
+
+@st.composite
+def scan_ranges(draw):
+    """(p, family, ranges) with value lists that overshoot p and repeat residues."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    family = draw(st.sampled_from(["C", "T", "Tgh"]))
+    values = st.lists(st.integers(-3, 12), min_size=1, max_size=4)
+    names = draw(st.lists(st.sampled_from(SCAN_PARAMS[family]), unique=True))
+    ranges = {name: draw(st.one_of(st.none(), values)) for name in names}
+    if family == "T":
+        # pinning a, b, c and d keeps a GF(5) space small
+        ranges["e"] = draw(st.lists(st.sampled_from([0, 1, 2, p, p + 1, -p]), min_size=1, max_size=3))
+        for name in "abcd":
+            if ranges.get(name) is None:
+                ranges[name] = draw(values)
+    return p, family, ranges
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scan_ranges())
+def test_scan_space_counts_each_tuple_once(case):
+    p, family, ranges = case
+    if family == "T" and any(e % p not in (0, 1) for e in ranges["e"]):
+        with pytest.raises(ParseError, match="e in"):
+            scan_space(p, family, ranges)
+        return
+    space = scan_space(p, family, ranges)
+    assert len(space) == len({tuple(sorted(values.items())) for values in space})
+    assert all(0 <= v < p for values in space for v in values.values())

@@ -1,15 +1,20 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    YXZ,
     assert_poly_matches,
     expected_g1_coeffs,
     expected_g2_coeffs,
     make_params3d,
+    overlap_system,
     reference_reduce,
+    rewrite_degree3_overlap_elements,
 )
+from ttpkit.cli import scan_space
 from ttpkit.families import ParamTuple3D, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.rewrite import (
@@ -23,7 +28,6 @@ from ttpkit.scalars import QQ, PrimeField, QuadExtField, Scalar
 
 SQRT2 = QuadExtField(QQ, 2)
 XZ = Alphabet(["x", "z"])
-YXZ = Alphabet(["y", "x", "z"])
 
 
 def c_system(field, a, b, c=1):
@@ -187,20 +191,41 @@ def test_confluence_random_strategies_agree():
             assert rs.reduce(q, rng=rng) == nf
 
 
+def assert_obstructions_agree(p):
+    """Closed form, rewriting oracle and frozen expansions agree term for term."""
+    g1, g2 = degree3_overlap_elements(p)
+    r1, r2 = rewrite_degree3_overlap_elements(p)
+    assert g1.alphabet == g2.alphabet == YXZ
+    assert (g1.terms, g2.terms) == (r1.terms, r2.terms), p
+    assert all(isinstance(c, Scalar) and c.field == p.field for g in (g1, g2) for c in g.terms.values())
+    assert_poly_matches(g1, expected_g1_coeffs(p))
+    assert_poly_matches(g2, expected_g2_coeffs(p))
+
+
 def test_g1_g2_displayed_coefficients():
     rng = random.Random(53)
-    F = PrimeField(101)
-    for _ in range(50):
-        p = make_params3d(
-            F,
-            a=rng.randrange(101), b=rng.randrange(101), c=rng.randrange(101),
-            d=rng.randrange(101), e=rng.randrange(101), f=1,
-            A=rng.randrange(101), B=rng.randrange(101), C=rng.randrange(101),
-            E=rng.randrange(101),
-        )
-        g1, g2 = degree3_overlap_elements(p)
-        assert_poly_matches(g1, expected_g1_coeffs(p))
-        assert_poly_matches(g2, expected_g2_coeffs(p))
+    root = SQRT2.root()
+    draws = {
+        QQ: lambda: QQ.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+        PrimeField(2): lambda: PrimeField(2).scalar(rng.randrange(2)),
+        PrimeField(101): lambda: PrimeField(101).scalar(rng.randrange(101)),
+        PrimeField(32003): lambda: PrimeField(32003).scalar(rng.randrange(32003)),
+        SQRT2: lambda: SQRT2.scalar(rng.randint(-5, 5)) + root * rng.randint(-5, 5),
+    }
+    for field, draw in draws.items():
+        for _ in range(40):
+            assert_obstructions_agree(make_params3d(field, f=1, **{k: draw() for k in "abcdeABCE"}))
+    # all zero: the obstructions of the commutative polynomial ring
+    assert_obstructions_agree(make_params3d(QQ, f=1))
+
+
+def test_closed_form_obstructions_on_gf3_census_slices():
+    F = PrimeField(3)
+    for ranges in ({"e": [1], "d": [2]}, {"e": [0], "A": [1], "a": [1]}):
+        space = scan_space(3, "T", ranges)
+        assert len(space) == 3**6
+        for values in space:
+            assert_obstructions_agree(ParamTuple3D.make(F, **values))
 
 
 def test_g2_vanishes_in_the_one_sided_case():
@@ -316,25 +341,6 @@ def test_left_right_multiplication_regular_on_elliptic():
                 assert count == len(words[n])
 
 
-def overlap_system(params):
-    """The three-rule system that degree3_overlap_elements rewrites with."""
-    field = params.field
-    one = field.one()
-
-    def poly(spec):
-        return NCPoly(YXZ, field, {YXZ.word(w): c for w, c in spec.items()})
-
-    tail_z2 = poly({"zx": one, "x^2": -params.a, "yx": -params.b, "y^2": -params.c,
-                    "xz": -params.d, "yz": -params.e})
-    tail_zy = poly({"x^2": params.A, "yx": params.B, "y^2": params.C, "yz": params.E})
-    rules = [
-        Rule(YXZ.word("xy"), poly({"yx": one})),
-        Rule(YXZ.word("z^2"), tail_z2),
-        Rule(YXZ.word("zy"), tail_zy),
-    ]
-    return RewriteSystem(YXZ, field, rules)
-
-
 def random_poly(rng, alphabet, field, maxlen):
     """A few terms of mixed length with small nonzero coefficients, some with sqrt(m) parts."""
     coeffs = [field.scalar(k) for k in (-3, -2, -1, 1, 2, 5)]
@@ -378,6 +384,19 @@ def test_reduce_matches_direct_rewriting_oracle():
             got = rs.reduce(p)
             assert got == reference_reduce(p, rs.rules), (rs.rules, p)
             assert all(isinstance(c, Scalar) and c.field == rs.field for c in got.terms.values())
+
+
+def test_constant_rule_reduces_the_empty_word():
+    # k<x,y>/(2): the rule 1 -> 0 puts every element, 1 included, in the ideal
+    xy = Alphabet(["x", "y"])
+    rs = RewriteSystem.from_relations(xy, QQ, [parse_poly(xy, QQ, "2")])
+    assert [r.high for r in rs.rules] == [()]
+    for text in ("1", "3 + x", "x - 2y^2x"):
+        p = parse_poly(xy, QQ, text)
+        assert rs.reduce(p).is_zero(), text
+        assert reference_reduce(p, rs.rules).is_zero(), text
+    rng = random.Random(73)
+    assert rs.reduce(NCPoly.one(xy, QQ), rng=rng).is_zero()
 
 
 def test_completed_system_does_not_inherit_parent_table():
