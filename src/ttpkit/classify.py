@@ -27,7 +27,7 @@ from .families import (
 )
 from .freealg import NCPoly
 from .rewrite import degree3_overlap_elements
-from .scalars import CharTwo, Scalar, ScalarMatrix, adjoin_sqrt, solve_quadratic
+from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, adjoin_sqrt, solve_quadratic
 
 
 class SingularN(Exception):
@@ -394,8 +394,6 @@ def jordan_normal_form_3d(p):
 
 def _jordanize_free(cur, steps):
     """Full GL2 Jordan normalization of the degree-1 matrix (f = F = 0)."""
-    from .scalars import NestedExtension, solve_quadratic
-
     fld = cur.field
     d, e, D, E = cur.d, cur.e, cur.D, cur.E
     if e.is_zero() and D.is_zero() and d == E:
@@ -464,6 +462,10 @@ def inverse_steps(trace):
 # ---------------------------------------------------------------------------
 # three-generator family: trichotomy
 # ---------------------------------------------------------------------------
+
+# A tuple that does not normalize is checked for product dimensions up to
+# this degree; passing the check leaves it unknown, certified to this degree.
+HILBERT_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -550,7 +552,7 @@ def reducible_system_residuals(p):
     ]
 
 
-def classify_3d(p, bound=50, hilbert_degree=4):
+def classify_3d(p, bound=50):
     """Full trichotomy decision for the three-generator family.
 
     Normalizes first, then branches on the z^2 coefficient: the one-sided
@@ -562,7 +564,7 @@ def classify_3d(p, bound=50, hilbert_degree=4):
 
     jnf = jordan_normal_form_3d(p)
     if not jnf.normalized:
-        mismatch = twisting_axiom_mismatch(p, hilbert_degree)
+        mismatch = twisting_axiom_mismatch(p, HILBERT_DEGREE)
         if mismatch is not None:
             m, want, got = mismatch
             return TTPType3D(
@@ -582,7 +584,7 @@ def classify_3d(p, bound=50, hilbert_degree=4):
             None,
             jnf.params,
             jnf.trace,
-            hilbert_degree,
+            HILBERT_DEGREE,
             Witness("alignment_obstruction", jnf.obstruction or "", {}),
         )
 

@@ -10,10 +10,12 @@ input, 2 for constraint violations (wrong family, bad characteristic).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, product
 
 from .classify import classify_2d_ttp, classify_3d, graded_iso_type_2d
 from .families import (
@@ -108,6 +110,7 @@ class JobDocument:
                 raise ParseError(f"bad job document: {exc.msg}", position=exc.pos)
             except OSError as exc:
                 raise ParseError(str(exc))
+            _check_job_shape(doc)
             field = parse_field(doc.get("field", "Q"))
             family = doc.get("family")
             raw_params = doc.get("params", {})
@@ -160,6 +163,20 @@ class JobDocument:
 
     def tuple3d(self):
         return ParamTuple3D(**self.params)
+
+
+# JSON type of each job document key; alphabet and relations list strings.
+JOB_SHAPE = {"field": (str, "a string"), "family": (str, "a string"), "params": (dict, "an object"),
+             "alphabet": (list, "a list of strings"), "relations": (list, "a list of strings")}
+
+
+def _check_job_shape(doc):
+    if not isinstance(doc, dict):
+        raise ParseError("a job document must be a JSON object")
+    for key, (kind, name) in JOB_SHAPE.items():
+        value = doc.get(key, kind())
+        if not isinstance(value, kind) or kind is list and not all(isinstance(v, str) for v in value):
+            raise ParseError(f"job document {key!r} must be {name}")
 
 
 def _scalar_param(field, name, value):
@@ -426,7 +443,10 @@ def cmd_sequences(args):
 
 
 def parse_ranges(text):
-    """name=v, name=v1|v2, name=lo..hi or name=* (full field), comma separated."""
+    """name=v, name=v1|v2, name=lo..hi or name=* (full field), comma separated.
+
+    A lo..hi range stays a range object, so a wide one is never listed.
+    """
     out = {}
     if not text:
         return out
@@ -441,7 +461,7 @@ def parse_ranges(text):
         try:
             if ".." in spec:
                 lo, hi = spec.split("..", 1)
-                out[name] = list(range(int(lo), int(hi) + 1))
+                out[name] = range(int(lo), int(hi) + 1)
             else:
                 out[name] = [int(v) for v in spec.split("|")]
         except ValueError:
@@ -453,10 +473,21 @@ def parse_ranges(text):
 SCAN_PARAMS = {**FAMILY_PARAMS, "T": tuple(n for n in PARAM_NAMES_3D if n not in ("f", "D", "F"))}
 
 
-def scan_space(p, family, ranges):
-    """Deterministic enumeration of the census tuple space over GF(p).
+def _residues(values, p):
+    """The residues mod p of values, each once, in order of first occurrence; at most p steps on a range."""
+    seen = {}
+    for v in values:
+        seen.setdefault(v % p)
+        if len(seen) == p:
+            break
+    return list(seen)
 
-    Range values are taken mod p, and each residue is enumerated once.
+
+def scan_space(p, family, ranges):
+    """Deterministic enumeration of the census tuple space over GF(p), as an iterator.
+
+    Range values are taken mod p, and each residue is enumerated once.  The
+    ranges are checked before the iterator is returned.
     """
     if family not in SCAN_PARAMS:
         raise ConstraintError(f"scan does not support family {family!r}")
@@ -464,61 +495,33 @@ def scan_space(p, family, ranges):
     if unknown:
         names = ", ".join(SCAN_PARAMS[family])
         raise ParseError(f"--ranges names {unknown} are not enumerated for family {family}; use {names}")
-    full = list(range(p))
+    full = range(p)
 
-    def allowed(name, default):
-        if name in ranges:
-            vals = ranges[name]
-            return full if vals is None else list(dict.fromkeys(v % p for v in vals))
-        return default
+    def allowed(name, default=full):
+        values = ranges.get(name, default)
+        return _residues(full if values is None else values, p)
 
-    if family == "T":
-        bad = [v for v in allowed("e", [0, 1]) if v not in (0, 1)]
-        if bad:
-            raise ParseError(f"--ranges gives e = {bad[0]}, but the normalized T space has e in {{0, 1}}")
-    out = []
-    if family == "C":
-        for a in allowed("a", full):
-            for b in allowed("b", full):
-                for c in allowed("c", full):
-                    out.append({"a": a, "b": b, "c": c})
-        return out
-    if family == "Tgh":
-        for g in allowed("g", full):
-            for h in allowed("h", full):
-                out.append({"g": g, "h": h})
-        return out
-    # family T, the f = 1 normalized space: D = F = 0, e in {0,1} with the usual
-    # side conditions (A in {0,1} when e = 0; C in {0,1} when e = A = 0;
-    # E = d when e = 1)
-    for e in allowed("e", [0, 1]):
-        a_range = allowed("a", full)
-        b_range = allowed("b", full)
-        c_range = allowed("c", full)
-        d_range = allowed("d", full)
-        if e == 0:
-            for A in allowed("A", [0, 1]):
-                C_range = allowed("C", [0, 1] if A == 0 else full)
-                for a in a_range:
-                    for b in b_range:
-                        for c in c_range:
-                            for d in d_range:
-                                for B in allowed("B", full):
-                                    for C in C_range:
-                                        for E in allowed("E", full):
-                                            out.append(dict(a=a, b=b, c=c, d=d, e=0, f=1,
-                                                            A=A, B=B, C=C, D=0, E=E, F=0))
-        else:
-            for a in a_range:
-                for b in b_range:
-                    for c in c_range:
-                        for d in d_range:
-                            for A in allowed("A", full):
-                                for B in allowed("B", full):
-                                    for C in allowed("C", full):
-                                        out.append(dict(a=a, b=b, c=c, d=d, e=1, f=1,
-                                                        A=A, B=B, C=C, D=0, E=d, F=0))
-    return out
+    if family != "T":
+        names = SCAN_PARAMS[family]
+        return (dict(zip(names, t)) for t in product(*map(allowed, names)))
+    es = allowed("e", [0, 1])
+    bad = [v for v in es if v not in (0, 1)]
+    if bad:
+        raise ParseError(f"--ranges gives e = {bad[0]}, but the normalized T space has e in {{0, 1}}")
+    # the f = 1 normalized space: D = F = 0, e in {0,1} with the usual side
+    # conditions (A in {0,1} when e = 0; C in {0,1} when e = A = 0; E = d
+    # when e = 1)
+    abcd = [allowed(n) for n in "abcd"]
+    # the C values at e = A = 0, a sublist of allowed("C") in the same order
+    C_at_A0 = set(allowed("C", [0, 1]))
+    branches = {
+        0: (dict(a=a, b=b, c=c, d=d, e=0, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
+            for A, a, b, c, d, B, C, E in product(allowed("A", [0, 1]), *abcd, *map(allowed, "BCE"))
+            if A != 0 or C in C_at_A0),
+        1: (dict(a=a, b=b, c=c, d=d, e=1, f=1, A=A, B=B, C=C, D=0, E=d, F=0)
+            for a, b, c, d, A, B, C in product(*abcd, *map(allowed, "ABC"))),
+    }
+    return chain.from_iterable(branches[e] for e in es)
 
 
 def scan_row(task):
@@ -550,45 +553,63 @@ def scan_row(task):
 ROW_FIELDS = ("tuple", "verdict", "case", "koszul", "asreg", "certified_to")
 
 
+def scan_rows(tasks, workers):
+    """scan_row of each task, in task order, as each is classified."""
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        # Executor.map submits every chunk at once, so the pool path holds the
+        # task list anyway; listing it sizes the pool and chunksize exactly
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
+    if workers <= 1:
+        yield from map(scan_row, tasks)
+        return
+    # the pool forks every worker up front, so never ask for more than can run
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+
+
+def open_out(path):
+    """path opened for writing; a path that cannot be written is a parse error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {path}: {exc.strerror}")
+
+
 def cmd_scan(args):
     field = parse_field(args.field or "GF(3)")
     if not isinstance(field, PrimeField):
         raise ConstraintError("the census scan runs over a prime field GF(p)")
     if field.p > args.max_prime:
         raise ConstraintError(f"p = {field.p} too large for a census (limit {args.max_prime})")
-    ranges = parse_ranges(args.ranges)
-    space = scan_space(field.p, args.family, ranges)
-    tasks = [(field.p, args.family, args.bound, values) for values in space]
-    # the pool forks every worker up front, so never ask for more than can run
-    workers = min(args.workers, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        rows = [scan_row(t) for t in tasks]
+    space = scan_space(field.p, args.family, parse_ranges(args.ranges))
+    tasks = ((field.p, args.family, args.bound, values) for values in space)
     counts = {}
-    for row in rows:
-        key = (row["verdict"], row["case"], row["koszul"], row["asreg"])
-        counts[key] = counts.get(key, 0) + 1
-    human = [f"census of family {args.family} over GF({field.p}): {len(rows)} tuples"]
+    with open_out(args.out) if args.out else contextlib.nullcontext() as out:
+        if out:
+            out.write("\t".join(ROW_FIELDS) + "\n")
+        for row in scan_rows(tasks, args.workers):
+            key = (row["verdict"], row["case"], row["koszul"], row["asreg"])
+            counts[key] = counts.get(key, 0) + 1
+            if out:
+                out.write("\t".join(row[f] for f in ROW_FIELDS) + "\n")
+    total = sum(counts.values())
+    human = [f"census of family {args.family} over GF({field.p}): {total} tuples"]
     human.append("  verdict | case | koszul | asreg | count")
     for key in sorted(counts):
         human.append("  " + " | ".join(key) + f" | {counts[key]}")
     machine = {
         "family": args.family,
         "field": field,
-        "total": len(rows),
+        "total": total,
         "bound": args.bound,
     }
     for key in sorted(counts):
         machine["count_" + ":".join(key)] = counts[key]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\t".join(ROW_FIELDS) + "\n")
-            for row in rows:
-                fh.write("\t".join(row[f] for f in ROW_FIELDS) + "\n")
         human.append(f"rows written to {args.out}")
-    unknowns = sum(1 for row in rows if row["verdict"] == "unknown")
+    unknowns = sum(n for key, n in counts.items() if key[0] == "unknown")
     if unknowns:
         human.append(f"note: {unknowns} tuples undecided at the scan bound")
     return render(human, machine), 0 if unknowns == 0 else 3
@@ -689,18 +710,18 @@ def run(argv=None, stdout=None):
     try:
         _check_option_minimums(args)
         text, status = args.fn(args)
+        # the scan subcommand uses --out for its row table and reports to stdout
+        if getattr(args, "out", None) and args.command != "scan":
+            with open_out(args.out) as fh:
+                fh.write(text)
+            return status
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except (ConstraintError, NotCompleted, NotMinimal, CharTwo) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return 2
-    # the scan subcommand uses --out for its row table and reports to stdout
-    if getattr(args, "out", None) and args.command != "scan":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
+    stdout.write(text)
     return status
 
 

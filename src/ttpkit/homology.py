@@ -341,14 +341,14 @@ def euler_check(pres, betti, maxdeg):
     return True
 
 
-def dualize(cx, length=None):
+def dualize(cx):
     """Contravariant dual complex as right modules, positions reversed.
 
-    Position 0 of the dual is the old top module with negated shifts; the
-    k-th dual differential is the old (length - k + 1)-st matrix acting on
-    the other side.
+    Position 0 of the dual is the old top module with negated shifts; with
+    n = len(cx) - 1, the k-th dual differential is the old (n - k + 1)-st
+    matrix acting on the other side.
     """
-    n = (length if length is not None else len(cx) - 1)
+    n = len(cx) - 1
     shifts = [[-s for s in cx.shifts[i]] for i in range(n, -1, -1)]
     diffs = []
     for k in range(1, n + 1):

@@ -114,18 +114,15 @@ class RewriteSystem:
         rules.sort(key=lambda r: alphabet.sort_key(r.high))
         return RewriteSystem(alphabet, field, rules)
 
-    def reduce(self, p, rng=None):
+    def reduce(self, p):
         """Normal form of p: no high term occurs as a subword of any word.
 
         The result is the sum of c * NF(w) over the terms c*w of p, where
         NF(w) comes from this system's word table and is computed on first
         use.  It equals rewriting the order-largest reducible word at its
         leftmost redex until none is left, on any rule set, confluent or
-        not.  Passing an rng rewrites random redexes instead, which is
-        useful for confluence spot checks.
+        not.
         """
-        if rng is not None:
-            return _reduce_random(p, self._index, rng)
         return _reduce_terms(p, self._index, self._nf)
 
     def overlaps(self):
@@ -284,26 +281,20 @@ def _rule_index(rules):
     return index
 
 
-def _redexes(word, index):
-    """Each (pos, rule) whose high term occurs in word at pos, leftmost first."""
-    if not word:
-        for rule in index[None]:
-            yield 0, rule
-        return
-    empty = index[None]
-    for pos, letter in enumerate(word):
-        for rule in index.get(letter, empty):
-            h = rule.high
-            if word[pos : pos + len(h)] == h:
-                yield pos, rule
-
-
 def _find_redex(word, index):
     """Leftmost (pos, rule) whose high term occurs in word at pos, or None.
 
     At that position the first matching rule in rule order wins.
     """
-    return next(_redexes(word, index), None)
+    empty = index[None]
+    if not word:
+        return (0, empty[0]) if empty else None
+    for pos, letter in enumerate(word):
+        for rule in index.get(letter, empty):
+            h = rule.high
+            if word[pos : pos + len(h)] == h:
+                return pos, rule
+    return None
 
 
 def _normal_form(word, index, table, field):
@@ -356,29 +347,6 @@ def _reduce_terms(p, index, table):
     nf = _combine(((c.payload, _normal_form(w, index, table, field)) for w, c in p.terms.items()), field)
     out = NCPoly(p.alphabet, field)
     out.terms = {w: Scalar(field, a) for w, a in nf.items()}
-    return out
-
-
-def _reduce_random(p, index, rng):
-    """Rewrite a uniformly chosen redex of p until none is left."""
-    terms = dict(p.terms)
-    while True:
-        redexes = [(w, hit) for w in terms for hit in _redexes(w, index)]
-        if not redexes:
-            break
-        w, (pos, rule) = redexes[rng.randrange(len(redexes))]
-        c = terms.pop(w)
-        u, v = w[:pos], w[pos + len(rule.high) :]
-        for tw, tc in rule.tail.terms.items():
-            nw = u + tw + v
-            acc = terms.get(nw)
-            s = tc * c if acc is None else acc + tc * c
-            if s.is_zero():
-                terms.pop(nw, None)
-            else:
-                terms[nw] = s
-    out = NCPoly(p.alphabet, p.field)
-    out.terms = terms
     return out
 
 

@@ -12,6 +12,7 @@ a scan that closes a cycle certifies the verdict for all n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .scalars import Scalar
 
@@ -25,27 +26,28 @@ class SequenceQuad:
     h: Scalar
 
 
+def _orbit(a, b):
+    """(n, e_n, f_n) for n = 0, 1, 2, ...: the state (e, f) under the fixed linear map."""
+    e = f = a.field.one()
+    for n in count():
+        yield n, e, f
+        e, f = b * e + f, -a * e + f
+
+
+def _quad(a, b, n, e, f):
+    return SequenceQuad(n, e, f, (a.field.one() - b) * e - f, -a * e)
+
+
 def efgh(a, b, n):
     """Exact (e_n, f_n, g_n, h_n) at (a, b); n >= 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    field = a.field
-    e, f = field.one(), field.one()
-    for _ in range(n):
-        e, f = b * e + f, -a * e + f
-    return SequenceQuad(n, e, f, (field.one() - b) * e - f, -a * e)
+    return _quad(a, b, *next(islice(_orbit(a, b), n, None)))
 
 
 def efgh_table(a, b, n):
     """SequenceQuad rows for indices 0..n (single pass)."""
-    field = a.field
-    rows = []
-    e, f = field.one(), field.one()
-    one = field.one()
-    for k in range(n + 1):
-        rows.append(SequenceQuad(k, e, f, (one - b) * e - f, -a * e))
-        e, f = b * e + f, -a * e + f
-    return rows
+    return [_quad(a, b, *state) for state in islice(_orbit(a, b), n + 1)]
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,16 @@ def fn_nonvanishing(a, b, bound):
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    field = a.field
     if a.is_zero():
         # f_n = f_{n-1} when the first argument vanishes, so f_n = 1 for all n
         return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
-    finite = field.characteristic() != 0
-    seen = {(str(field.one()), str(field.one()))} if finite else None
-    e, f = field.one(), field.one()
-    for n in range(1, bound + 1):
-        e, f = b * e + f, -a * e + f
-        if f.is_zero():
+    finite = a.field.characteristic() != 0
+    seen = set()
+    for n, e, f in islice(_orbit(a, b), bound + 1):
+        if f.is_zero():  # never at n = 0, where f = 1
             return NonvanishingReport(bound, "zero_at", n)
         if finite:
-            state = (str(e), str(f))
+            state = (e.payload, f.payload)
             if state in seen:
                 return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
             seen.add(state)

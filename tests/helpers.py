@@ -6,7 +6,8 @@ closed-form tables an independent target to reproduce at arbitrary
 specializations.  ``rewrite_degree3_overlap_elements`` computes the same
 pair by rewriting in ``overlap_system``, a second oracle.
 ``reference_reduce`` is a direct rewriting loop that the table-driven
-``RewriteSystem.reduce`` must agree with on any rule set.
+``RewriteSystem.reduce`` must agree with on any rule set, and
+``random_reduce`` rewrites random redexes for confluence spot checks.
 """
 
 from types import SimpleNamespace
@@ -93,39 +94,55 @@ def assert_poly_matches(poly, expected):
     assert poly.terms == want, f"got {poly}, want {want}"
 
 
+def _redexes(w, rules):
+    """Each (pos, rule) whose high term occurs in w at pos, leftmost first.
+
+    An empty high term matches every word, the empty word included.
+    """
+    return ((pos, rule) for pos in range(len(w) + 1) for rule in rules
+            if w[pos : pos + len(rule.high)] == rule.high)
+
+
+def _rewrite(terms, w, pos, rule):
+    """Replace the term on w by its one-step rewrite at pos with rule, in place."""
+    c = terms.pop(w)
+    u, v = w[:pos], w[pos + len(rule.high) :]
+    for tw, tc in rule.tail.terms.items():
+        nw = u + tw + v
+        s = tc * c if nw not in terms else terms[nw] + tc * c
+        if s.is_zero():
+            terms.pop(nw, None)
+        else:
+            terms[nw] = s
+
+
 def reference_reduce(p, rules):
     """Normal form of p by direct rewriting; a slow test oracle.
 
     Each step re-sorts the terms and rewrites the order-largest reducible
-    word at its leftmost redex, with the first rule that matches there.  An
-    empty high term matches every word, the empty word included.
+    word at its leftmost redex, with the first rule that matches there.
     """
-    alphabet = p.alphabet
     terms = dict(p.terms)
     while True:
         target = None
-        for w in sorted(terms, key=alphabet.sort_key, reverse=True):
-            target = next(
-                (
-                    (w, pos, rule)
-                    for pos in range(len(w) + 1)
-                    for rule in rules
-                    if w[pos : pos + len(rule.high)] == rule.high
-                ),
-                None,
-            )
+        for w in sorted(terms, key=p.alphabet.sort_key, reverse=True):
+            target = next(_redexes(w, rules), None)
             if target is not None:
+                _rewrite(terms, w, *target)
                 break
         if target is None:
-            break
-        w, pos, rule = target
-        c = terms.pop(w)
-        u, v = w[:pos], w[pos + len(rule.high) :]
-        for tw, tc in rule.tail.terms.items():
-            nw = u + tw + v
-            s = tc * c if nw not in terms else terms[nw] + tc * c
-            if s.is_zero():
-                terms.pop(nw, None)
-            else:
-                terms[nw] = s
-    return NCPoly(p.alphabet, p.field, terms)
+            return NCPoly(p.alphabet, p.field, terms)
+
+
+def random_reduce(p, rules, rng):
+    """Normal form of p by rewriting a uniformly chosen redex until none is left.
+
+    On a confluent system every rewriting strategy reaches the same normal
+    form, so agreement with ``RewriteSystem.reduce`` spot-checks confluence.
+    """
+    terms = dict(p.terms)
+    while True:
+        redexes = [(w, *hit) for w in terms for hit in _redexes(w, rules)]
+        if not redexes:
+            return NCPoly(p.alphabet, p.field, terms)
+        _rewrite(terms, *redexes[rng.randrange(len(redexes))])

@@ -181,7 +181,7 @@ def test_criterion_05_classification_partition_gf3():
     from ttpkit.cli import scan_space
 
     F = PrimeField(3)
-    space = scan_space(3, "T", {})
+    space = list(scan_space(3, "T", {}))
     assert len(space) == 2 * 3**7 + 2 * 3**6
     counts = {}
     unknowns = []

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,7 @@ def test_constraint_error_exit_two():
 
 
 TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
+MISSING_OUT = str(Path(__file__).parent / "no-such-directory" / "out.txt")
 
 
 @pytest.mark.parametrize("argv, status, names", [
@@ -235,12 +237,36 @@ TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
                  "not minimal", id="koszul-linear-relation"),
     pytest.param(["resolve", "--family", "raw", "--alphabet", "x,y", "--relations", "2"], 2,
                  "not minimal", id="resolve-constant-relation"),
+    pytest.param(["hilbert", *TGH, "--maxdeg", "2", "--out", MISSING_OUT], 1, "cannot write --out",
+                 id="hilbert-out-missing-directory"),
+    pytest.param(["scan", "--family", "C", "--out", MISSING_OUT], 1, "cannot write --out",
+                 id="scan-out-missing-directory"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)
     err = capsys.readouterr().err
     assert got == status
     assert out == ""
+    assert len(err.splitlines()) == 1 and names in err
+
+
+@pytest.mark.parametrize("doc, names", [
+    pytest.param([1, 2], "JSON object", id="top-level-list"),
+    pytest.param({"field": 3, "family": "C", "params": {"a": 1, "b": 1, "c": 1}}, "'field'", id="field-number"),
+    pytest.param({"family": ["C"], "params": {"a": 1, "b": 1, "c": 1}}, "'family'", id="family-list"),
+    pytest.param({"family": "C", "params": [1]}, "'params'", id="params-list"),
+    pytest.param({"family": "raw", "alphabet": ["x", "y"], "relations": [1]}, "'relations'",
+                 id="relations-number"),
+    pytest.param({"family": "raw", "alphabet": ["x", 2], "relations": ["xy"]}, "'alphabet'",
+                 id="alphabet-number"),
+    pytest.param({"family": "raw", "alphabet": "xy", "relations": "xy"}, "'alphabet'", id="alphabet-string"),
+])
+def test_job_document_of_the_wrong_shape_fails_with_one_line(doc, names, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    got, out = invoke(["hilbert", "--job", str(path), "--maxdeg", "2"])
+    err = capsys.readouterr().err
+    assert got == 1 and out == ""
     assert len(err.splitlines()) == 1 and names in err
 
 
@@ -379,8 +405,28 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
     assert many == serial
 
 
+def test_scan_folds_each_row_as_its_tuple_arrives(monkeypatch, tmp_path):
+    classified = []
+
+    def counting_row(task):
+        classified.append(task)
+        return scan_row(task)
+
+    def checking_space(p, family, ranges):
+        for k, values in enumerate(scan_space(p, family, ranges)):
+            assert len(classified) == k  # every earlier tuple is classified, none is queued
+            yield values
+
+    monkeypatch.setattr("ttpkit.cli.scan_row", counting_row)
+    monkeypatch.setattr("ttpkit.cli.scan_space", checking_space)
+    out_path = tmp_path / "rows.tsv"
+    status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(out_path)])
+    assert status == 0 and "total=27" in out
+    assert len(classified) == 27 and len(out_path.read_text().splitlines()) == 28
+
+
 def test_scan_space_T_shape():
-    space = scan_space(3, "T", {})
+    space = list(scan_space(3, "T", {}))
     assert len(space) == 2 * 3**7 + 2 * 3**6
     assert all(v["f"] == 1 and v["D"] == 0 and v["F"] == 0 for v in space[:50])
     space_small = scan_space(3, "T", parse_ranges("a=0,b=0,c=0,d=1,B=0,C=0,E=1,A=0|1"))
@@ -392,6 +438,7 @@ def test_scan_space_T_shape():
     ("C", "a=1|4|7,b=2|-1", 3),
     ("Tgh", "g=0..5", 9),
     ("T", "e=1|4,a=0,b=0,c=0,d=0", 27),
+    ("C", "a=0..1000000000000", 27),
 ])
 def test_scan_counts_each_residue_once(family, ranges, total):
     status, out = invoke(["scan", "--field", "GF(3)", "--family", family, "--ranges", ranges])
@@ -400,10 +447,10 @@ def test_scan_counts_each_residue_once(family, ranges, total):
 
 def test_scan_space_accepts_every_enumerated_name():
     for family, names in (("C", "abc"), ("Tgh", "gh"), ("T", "abcdeABCE")):
-        space = scan_space(3, family, {name: [1] for name in names})
+        space = list(scan_space(3, family, {name: [1] for name in names}))
         assert len(space) == 1 and all(space[0][name] == 1 for name in names)
 
 
 def test_parse_ranges():
     r = parse_ranges("a=0..2,b=*,c=1|2")
-    assert r["a"] == [0, 1, 2] and r["b"] is None and r["c"] == [1, 2]
+    assert list(r["a"]) == [0, 1, 2] and r["b"] is None and r["c"] == [1, 2]

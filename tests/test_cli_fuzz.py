@@ -2,25 +2,28 @@
 
 The grammar covers every subcommand with the parametric and raw families,
 the fields Q, GF(2), GF(3), GF(5) and Q(sqrt(2)), valid and malformed
-parameter literals, and numeric options small enough that each run takes
-milliseconds.  A run may fail, but only through an exit status (1 for
-malformed input, 2 for a constraint) with a one-line message; it must
-never raise.
+parameter literals, numeric options small enough that each run takes
+milliseconds, and rarely an --out path that cannot be written.  A run may
+fail, but only through an exit status (1 for malformed input, 2 for a
+constraint) with a one-line message; it must never raise.
 """
 
 import contextlib
 import io
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ttpkit.cli import FAMILY_PARAMS, SCAN_PARAMS, ParseError, run, scan_space
+from ttpkit.cli import FAMILY_PARAMS, SCAN_PARAMS, ParseError, parse_ranges, run, scan_space
 
 FIELDS = ["Q", "GF(2)", "GF(3)", "GF(5)", "Q(sqrt(2))"]
 GOOD_LITERALS = ["0", "1", "-1", "2", "-2", "1/2"]
 ROOT_LITERALS = ["sqrt(2)", "1+sqrt(2)", "-sqrt(2)"]  # Q(sqrt(2)) only
 BAD_LITERALS = ["x", "1/0", "", "1.5", "sqrt(3)", "2**3", "1/", "=1"]
+MISSING_DIR = Path(__file__).parent / "no-such-directory"
 RAW_ALPHABETS = ["x", "x,y", "x,y,z", "x,x"]
 RAW_RELATIONS = ["xx", "xy-yx", "xx;xy;yx;yy", "xy-yx+x", "x-x", "x*", "2", "yx-2xy;xx", "xz",
                  "x*y-y*x", "*x", "x**y", "2*", "x*y*", "xy-*yx", "xy+", "2*xy;yx"]
@@ -82,7 +85,7 @@ def scan_argv(draw):
     family = draw(st.sampled_from(["C", "T", "Tgh", "raw"]))
     argv = ["scan", "--field", draw(st.sampled_from(["GF(2)", "GF(3)"])), "--family", family]
     # values at or above p and values repeated mod p name a residue once
-    specs = ["0", "1", "0|2", "1..2", "*", "3", "2|5", "1|1|4", "0..4"]
+    specs = ["0", "1", "0|2", "1..2", "*", "3", "2|5", "1|1|4", "0..4", "-7..1000000000000"]
     names = draw(st.lists(st.sampled_from(SCAN_PARAMS.get(family, ("a",))), unique=True, max_size=2))
     ranges = {name: draw(st.sampled_from(specs)) for name in names}
     if family == "T":
@@ -99,7 +102,7 @@ def scan_argv(draw):
 
 
 @st.composite
-def argv_strategy(draw):
+def command_argv(draw):
     command = draw(st.sampled_from(sorted(OPTIONS) + ["sequences", "scan"]))
     if command == "scan":
         return draw(scan_argv())
@@ -113,6 +116,15 @@ def argv_strategy(draw):
         argv += option(draw, name, least, most)
     if command == "asreg" and draw(st.booleans()):
         argv.append("--evidence")
+    return argv
+
+
+@st.composite
+def argv_strategy(draw):
+    """A command line, rarely with --out into a directory that does not exist."""
+    argv = draw(command_argv())
+    if rarely(draw):
+        argv += ["--out", str(MISSING_DIR / "out.txt")]
     return argv
 
 
@@ -130,21 +142,37 @@ def test_every_argv_ends_in_a_documented_status(argv):
         assert "[/machine]" in out.getvalue(), argv
 
 
+def value_list(draw, values):
+    """A v1|v2|... spec of one to four values."""
+    return "|".join(map(str, draw(st.lists(values, min_size=1, max_size=4))))
+
+
 @st.composite
 def scan_ranges(draw):
-    """(p, family, ranges) with value lists that overshoot p and repeat residues."""
+    """(p, family, parsed ranges): value lists that overshoot p and repeat
+    residues, *, and lo..hi ranges up to far wider than p."""
     p = draw(st.sampled_from([2, 3, 5]))
     family = draw(st.sampled_from(["C", "T", "Tgh"]))
-    values = st.lists(st.integers(-3, 12), min_size=1, max_size=4)
     names = draw(st.lists(st.sampled_from(SCAN_PARAMS[family]), unique=True))
-    ranges = {name: draw(st.one_of(st.none(), values)) for name in names}
+    specs = {}
+    for name in names:
+        lo = draw(st.integers(-3, 12))
+        width = draw(st.sampled_from([0, 1, 2, 4, 10**3, 10**12]))
+        specs[name] = draw(st.sampled_from([value_list(draw, st.integers(-3, 12)), "*", f"{lo}..{lo + width}"]))
     if family == "T":
-        # pinning a, b, c and d keeps a GF(5) space small
-        ranges["e"] = draw(st.lists(st.sampled_from([0, 1, 2, p, p + 1, -p]), min_size=1, max_size=3))
+        # pinning a, b, c and d to value lists keeps a GF(5) space small
+        specs["e"] = value_list(draw, st.sampled_from([0, 1, 2, p, p + 1, -p]))
         for name in "abcd":
-            if ranges.get(name) is None:
-                ranges[name] = draw(values)
-    return p, family, ranges
+            if specs.get(name, "*") == "*" or ".." in specs[name]:
+                specs[name] = value_list(draw, st.integers(-3, 12))
+    return p, family, parse_ranges(",".join(f"{name}={spec}" for name, spec in specs.items()))
+
+
+def residues(values, p):
+    """The residues mod p named by a parsed range value, computed without a scan of a wide range."""
+    if values is None or isinstance(values, range) and len(values) >= p:
+        return set(range(p))
+    return {v % p for v in values}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -155,6 +183,8 @@ def test_scan_space_counts_each_tuple_once(case):
         with pytest.raises(ParseError, match="e in"):
             scan_space(p, family, ranges)
         return
-    space = scan_space(p, family, ranges)
+    space = list(scan_space(p, family, ranges))
     assert len(space) == len({tuple(sorted(values.items())) for values in space})
     assert all(0 <= v < p for values in space for v in values.values())
+    if family != "T":  # a plain product space
+        assert len(space) == math.prod(len(residues(ranges.get(name), p)) for name in SCAN_PARAMS[family])

@@ -185,10 +185,10 @@ def test_minimal_resolution_never_reduces_zero(monkeypatch):
     reduce = RewriteSystem.reduce
     zeros = []
 
-    def checked(self, p, rng=None):
+    def checked(self, p):
         if p.is_zero():
             zeros.append(p)
-        return reduce(self, p, rng)
+        return reduce(self, p)
 
     monkeypatch.setattr(RewriteSystem, "reduce", checked)
     for h in (0, 2):
