@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .families import (
     EllipticForm,
-    OreData,
     ParamTuple2D,
     ParamTuple3D,
     apply_basis_change,
@@ -312,32 +311,35 @@ class JNF3DResult:
     obstruction: str | None = None
 
 
-def _identity2(field):
-    return ScalarMatrix.identity(field, 2)
-
-
 def jordan_normal_form_3d(p):
     """Normalize the twelve coefficients by the isomorphism group action.
 
     Output satisfies D = F = 0 and e, f in {0, 1}, with A normalized to
     {0, 1} when e = 0 and C to {0, 1} when e = A = 0, and d = E when
     e = 1.  Each step records the substitution applied, so the isomorphism
-    can be replayed or inverted.  When the z^2 coefficient is nonzero the
-    degree-1 matrix can only be normalized if the orthogonal direction of
-    the z^2 vector is one of its left eigendirections; otherwise the tuple
-    is returned partially normalized with the obstruction named (such a
-    tuple is never a twisted tensor product).
+    can be replayed or inverted; a substitution that changes nothing is
+    not recorded, so a normalized tuple has an empty trace.  When the z^2
+    coefficient is nonzero the degree-1 matrix can only be normalized if
+    the orthogonal direction of the z^2 vector is one of its left
+    eigendirections; otherwise the tuple is returned partially normalized
+    with the obstruction named (such a tuple is never a twisted tensor
+    product).
     """
     field = p.field
     steps = []
     cur = p
 
-    def push(kind, pm=None, lam=None, note=""):
+    def push(kind, pm=None, lam=1, note=""):
+        # x, y -> rows of pm and z -> lam z, recorded unless it is the identity
         nonlocal cur
-        pm2 = pm if pm is not None else _identity2(cur.field)
-        lam2 = cur.field.scalar(lam) if lam is not None else cur.field.one()
-        cur = apply_basis_change(cur, pm2, lam2)
-        steps.append(Step(kind, pm2, lam2, note))
+        fld = cur.field
+        identity = ScalarMatrix.identity(fld, 2)
+        pm = identity if pm is None else pm
+        lam = fld.scalar(lam)
+        if pm == identity and lam == fld.one():
+            return
+        cur = apply_basis_change(cur, pm, lam)
+        steps.append(Step(kind, pm, lam, note))
 
     # stage 1: kill F and normalize f to {0, 1}
     if not cur.F.is_zero():
@@ -346,18 +348,13 @@ def jordan_normal_form_3d(p):
         push("rescale_z", None, cur.f.inv(), "make f = 1")
     if not cur.F.is_zero():
         # now f = 1: the shear y -> y + F x removes the remaining z^2 term
-        shear = ScalarMatrix(cur.field, [[cur.field.one(), cur.field.zero()], [cur.F, cur.field.one()]])
-        push("shear_y_add_x", shear, 1, "kill F")
-    assert cur.F.is_zero() and (cur.f.is_zero() or cur.f == cur.field.one())
+        push("shear_y_add_x", ScalarMatrix(field, [[1, 0], [cur.F, 1]]), 1, "kill F")
+    assert cur.F.is_zero() and (cur.f.is_zero() or cur.f == field.one())
 
     # stage 2: Jordan form of the degree-1 matrix
-    if cur.f.is_zero():
-        result = _jordanize_free(cur, steps)
-        if result is None:
-            return JNF3DResult(cur, tuple(steps), False, "nested field extension needed")
-        cur = result
-    else:
-        if not cur.D.is_zero():
+    d, e, D, E = cur.d, cur.e, cur.D, cur.E
+    if not cur.f.is_zero():
+        if not D.is_zero():
             return JNF3DResult(
                 cur,
                 tuple(steps),
@@ -365,66 +362,36 @@ def jordan_normal_form_3d(p):
                 "z^2 direction is not aligned with a left eigendirection "
                 "of the degree-1 matrix (D cannot be removed while f = 1)",
             )
-        fld = cur.field
-        if cur.d != cur.E:
-            if not cur.e.is_zero():
-                t = -cur.e / (cur.d - cur.E)
-                pm = ScalarMatrix(fld, [[fld.one(), t], [fld.zero(), fld.one()]])
-                cur = apply_basis_change(cur, pm, fld.one())
-                steps.append(Step("gl2", pm, fld.one(), "diagonalize keeping f = 1"))
-        elif not cur.e.is_zero():
-            pm = ScalarMatrix(fld, [[fld.one(), fld.zero()], [fld.zero(), cur.e.inv()]])
-            cur = apply_basis_change(cur, pm, fld.one())
-            steps.append(Step("rescale_y", pm, fld.one(), "make e = 1"))
-        assert cur.D.is_zero() and (cur.e.is_zero() or cur.e == cur.field.one())
+        if not e.is_zero() and d != E:
+            push("gl2", ScalarMatrix(field, [[1, -e / (d - E)], [0, 1]]), 1, "diagonalize keeping f = 1")
+        elif not e.is_zero() and e != field.one():
+            push("rescale_y", ScalarMatrix(field, [[1, 0], [0, e.inv()]]), 1, "make e = 1")
+    elif not (e.is_zero() and D.is_zero() and d == E):  # a scalar matrix is already diagonal
+        try:
+            res = solve_quadratic(field.one(), -(d + E), d * E - e * D)
+        except NestedExtension:
+            return JNF3DResult(cur, tuple(steps), False, "nested field extension needed")
+        F2 = res.field
+        if res.extended:
+            cur = cur.coerced(F2)
+            steps.append(Step("extend_field", None, None, f"adjoin eigenvalue field {F2}", F2))
+            d, e, D, E = cur.d, cur.e, cur.D, cur.E
+        if len(res.roots) == 2:
+            rows = [_left_eigvec(F2, d, e, D, E, lam) for lam in sorted(res.roots, key=lambda r: r.sort_key())]
+        else:
+            u = _left_eigvec(F2, d, e, D, E, res.roots[0])
+            rows = [_left_generalized(F2, d, e, D, E, res.roots[0], u), u]
+        push("gl2", mat2_inv(ScalarMatrix(F2, rows)), 1, "Jordan form of the degree-1 matrix")
+    assert cur.D.is_zero() and (cur.e.is_zero() or cur.e == cur.field.one())
 
     # stage 3: rescale y to pin A, then C
-    fld = cur.field
+    one = cur.field.one()
     if cur.e.is_zero():
-        if not cur.A.is_zero() and cur.A != fld.one():
-            pm = ScalarMatrix(fld, [[fld.one(), fld.zero()], [fld.zero(), cur.A]])
-            cur = apply_basis_change(cur, pm, fld.one())
-            steps.append(Step("rescale_y", pm, fld.one(), "make A = 1"))
-        if cur.A.is_zero() and not cur.C.is_zero() and cur.C != fld.one():
-            pm = ScalarMatrix(fld, [[fld.one(), fld.zero()], [fld.zero(), cur.C.inv()]])
-            cur = apply_basis_change(cur, pm, fld.one())
-            steps.append(Step("rescale_y", pm, fld.one(), "make C = 1"))
+        if not cur.A.is_zero() and cur.A != one:
+            push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.A]]), 1, "make A = 1")
+        if cur.A.is_zero() and not cur.C.is_zero() and cur.C != one:
+            push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.C.inv()]]), 1, "make C = 1")
     return JNF3DResult(cur, tuple(steps), True)
-
-
-def _jordanize_free(cur, steps):
-    """Full GL2 Jordan normalization of the degree-1 matrix (f = F = 0)."""
-    fld = cur.field
-    d, e, D, E = cur.d, cur.e, cur.D, cur.E
-    if e.is_zero() and D.is_zero() and d == E:
-        return cur  # scalar matrix: already diagonal
-    tr = d + E
-    det = d * E - e * D
-    try:
-        res = solve_quadratic(fld.one(), -tr, det)
-    except NestedExtension:
-        return None
-    F2 = res.field
-    if res.extended:
-        cur = cur.coerced(F2)
-        steps.append(Step("extend_field", None, None, f"adjoin eigenvalue field {F2}", F2))
-        d, e, D, E = cur.d, cur.e, cur.D, cur.E
-    if len(res.roots) == 2:
-        lams = sorted(res.roots, key=lambda r: r.sort_key())
-        u1 = _left_eigvec(F2, d, e, D, E, lams[0])
-        u2 = _left_eigvec(F2, d, e, D, E, lams[1])
-        pinv = ScalarMatrix(F2, [u1, u2])
-    else:
-        lam = res.roots[0]
-        if e.is_zero() and D.is_zero():
-            return cur  # scalar after coercion (cannot happen with extension)
-        u2 = _left_eigvec(F2, d, e, D, E, lam)
-        u1 = _left_generalized(F2, d, e, D, E, lam, u2)
-        pinv = ScalarMatrix(F2, [u1, u2])
-    pm = mat2_inv(pinv)
-    out = apply_basis_change(cur, pm, F2.one())
-    steps.append(Step("gl2", pm, F2.one(), "Jordan form of the degree-1 matrix"))
-    return out
 
 
 def _left_eigvec(field, d, e, D, E, lam):
@@ -434,9 +401,7 @@ def _left_eigvec(field, d, e, D, E, lam):
         return [field.one(), -(d - lam) / D]
     if not (E - lam).is_zero():
         return [field.one(), -e / (E - lam)]
-    if not (d - lam).is_zero():
-        return [field.zero(), field.one()]
-    # M = lam I on this row structure; any vector works
+    # D = 0 and E = lam: the second row already is an eigenvector
     return [field.zero(), field.one()]
 
 
@@ -593,7 +558,7 @@ def classify_3d(p, bound=50):
     one = fld.one()
 
     if q.f.is_zero():
-        residuals = derivation_residuals(OreData.from_params(q))
+        residuals = derivation_residuals(q)
         bad = next(((name, v) for name, v in residuals if not v.is_zero()), None)
         if bad is not None:
             return TTPType3D(

@@ -466,6 +466,8 @@ def parse_ranges(text):
                 out[name] = [int(v) for v in spec.split("|")]
         except ValueError:
             raise ParseError(f"bad range {chunk!r}: values must be integers")
+        if not out[name]:
+            raise ParseError(f"bad range {chunk!r}: empty, hi is below lo")
     return out
 
 
@@ -569,12 +571,28 @@ def scan_rows(tasks, workers):
         yield from pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
+@contextlib.contextmanager
 def open_out(path):
-    """path opened for writing; a path that cannot be written is a parse error."""
+    """A file written in place of path, which replaces path only once the block completes.
+
+    The file lives in path's directory under a temporary name and is removed
+    if the block raises, so a failed run leaves path as it was.  A path that
+    cannot be written is a parse error, raised before the block runs.
+    """
+    if os.path.isdir(path):
+        raise ParseError(f"cannot write --out {path}: Is a directory")
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        return open(path, "w")
+        fh = open(tmp, "x")
     except OSError as exc:
         raise ParseError(f"cannot write --out {path}: {exc.strerror}")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_scan(args):

@@ -188,38 +188,17 @@ class EllipticForm:
         return EllipticForm(beta, gamma, g, h)
 
 
-@dataclass(frozen=True)
-class OreData:
-    """Degree-1 endomorphism matrix and quadratic derivation coefficients."""
-
-    sigma: ScalarMatrix  # [[d, e], [D, E]]: sigma(x) = dx + ey, sigma(y) = Dx + Ey
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    A: Scalar
-    B: Scalar
-    C: Scalar
-
-    @staticmethod
-    def from_params(p):
-        sigma = ScalarMatrix(p.field, [[p.d, p.e], [p.D, p.E]])
-        return OreData(sigma, p.a, p.b, p.c, p.A, p.B, p.C)
-
-    @property
-    def field(self):
-        return self.a.field
-
-
-def derivation_residuals(o):
+def derivation_residuals(p):
     """Cubic-coefficient differences of sigma(x)d(y)+d(x)y = sigma(y)d(x)+d(y)x.
 
-    Returns [(monomial, lhs - rhs coefficient)] for x^3, x^2y, xy^2, y^3;
-    the data defines a derivation exactly when all four vanish.
+    sigma(x) = dx + ey and sigma(y) = Dx + Ey is the degree-1 matrix of p,
+    and d(x), d(y) are its quadratics (a, b, c) and (A, B, C).  Returns
+    [(monomial, lhs - rhs coefficient)] for x^3, x^2y, xy^2, y^3; the data
+    defines a derivation exactly when all four vanish.
     """
-    d, e = o.sigma[0, 0], o.sigma[0, 1]
-    D, E = o.sigma[1, 0], o.sigma[1, 1]
-    a, b, c, A, B, C = o.a, o.b, o.c, o.A, o.B, o.C
-    one = o.field.one()
+    a, b, c, d, e = p.a, p.b, p.c, p.d, p.e
+    A, B, C, D, E = p.A, p.B, p.C, p.D, p.E
+    one = p.field.one()
     return [
         ("x^3", A * (d - one) - a * D),
         ("x^2y", B * (d - one) + a * (one - E) + e * A - b * D),
@@ -228,9 +207,9 @@ def derivation_residuals(o):
     ]
 
 
-def derivation_check(o):
-    """Whether the quadratic data extends to a well-defined derivation."""
-    return all(v.is_zero() for _, v in derivation_residuals(o))
+def derivation_check(p):
+    """Whether the quadratic data of p extends to a well-defined derivation."""
+    return all(v.is_zero() for _, v in derivation_residuals(p))
 
 
 def twisting_axiom_mismatch(p, n):

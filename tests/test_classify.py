@@ -23,6 +23,7 @@ from ttpkit.classify import (
     rigidity_check_2d,
     skew_matrix,
 )
+from ttpkit.cli import scan_space
 from ttpkit.families import (
     ParamTuple2D,
     ParamTuple3D,
@@ -320,6 +321,35 @@ def test_jnf_side_conditions_and_round_trip_random():
             assert ideal_membership(rel, pres_src, 2)
         checked += 1
     assert checked == 30
+
+
+def _is_identity_step(step):
+    fld = step.pm.field
+    return step.pm == ScalarMatrix.identity(fld, 2) and step.lam == fld.one()
+
+
+def test_jnf_records_no_identity_step():
+    rng = random.Random(113)
+    F = PrimeField(101)
+    for _ in range(200):
+        r = jordan_normal_form_3d(_aligned_random_tuple(rng, F))
+        assert not any(_is_identity_step(s) for s in r.trace if s.kind != "extend_field"), r.trace
+    # the census space is normalized already: every tuple is its own normal form
+    for values in scan_space(3, "T", {}):
+        p = T3(PrimeField(3), **values)
+        r = jordan_normal_form_3d(p)
+        assert r.normalized and r.params == p and r.trace == (), (values, r.trace)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(f=1, e=1, d=2, E=2),  # e = 1 already
+    dict(d=3, E=5, B=2, C=1, a=1, b=1),  # diagonal, eigenvalues already in order
+    dict(d=3, e=1, E=3),  # a Jordan block already
+], ids=["e-one", "sorted-diagonal", "jordan-block"])
+def test_jnf_normalized_input_has_empty_trace(kw):
+    p = T3(PrimeField(32003), **kw)
+    r = jordan_normal_form_3d(p)
+    assert r.normalized and r.params == p and r.trace == ()
 
 
 def test_jnf_obstruction_detected():

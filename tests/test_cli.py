@@ -65,6 +65,17 @@ def test_classify_elliptic_T():
     assert machine["g"] == "0" and machine["h"] == "1"
 
 
+@pytest.mark.parametrize("field, params", [
+    ("GF(7)", "f=1,e=1,d=2,E=2"),
+    ("GF(32003)", "d=3,E=5,B=2,C=1,a=1,b=1"),
+], ids=["e-one", "sorted-diagonal"])
+def test_classify_normalized_T_has_empty_trace(field, params):
+    _, out = invoke(["classify", "--field", field, "--family", "T", "--defaults-zero", "--params", params])
+    machine = parse_machine_block(out)
+    assert machine["trace"] == "-"
+    assert "normalization trace" not in out
+
+
 def test_hilbert_on_tgh():
     status, out = invoke([
         "hilbert", "--family", "Tgh", "--params", "g=0,h=1", "--maxdeg", "4",
@@ -241,6 +252,7 @@ MISSING_OUT = str(Path(__file__).parent / "no-such-directory" / "out.txt")
                  id="hilbert-out-missing-directory"),
     pytest.param(["scan", "--family", "C", "--out", MISSING_OUT], 1, "cannot write --out",
                  id="scan-out-missing-directory"),
+    pytest.param(["scan", "--family", "C", "--ranges", "a=5..3"], 1, "a=5..3", id="scan-empty-range"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)
@@ -423,6 +435,17 @@ def test_scan_folds_each_row_as_its_tuple_arrives(monkeypatch, tmp_path):
     status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(out_path)])
     assert status == 0 and "total=27" in out
     assert len(classified) == 27 and len(out_path.read_text().splitlines()) == 28
+
+
+def test_failed_scan_leaves_out_as_it_was(tmp_path, capsys):
+    out_path = tmp_path / "rows.tsv"
+    status, _ = invoke(["scan", "--field", "GF(2)", "--family", "T", "--out", str(out_path)])
+    assert status == 2 and "characteristic" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    out_path.write_bytes(b"tuple\tverdict\nkept\n")
+    status, _ = invoke(["scan", "--field", "GF(2)", "--family", "T", "--out", str(out_path)])
+    assert status == 2
+    assert list(tmp_path.iterdir()) == [out_path] and out_path.read_bytes() == b"tuple\tverdict\nkept\n"
 
 
 def test_scan_space_T_shape():

@@ -5,7 +5,6 @@ import pytest
 
 from ttpkit.families import (
     EllipticForm,
-    OreData,
     ParamTuple2D,
     ParamTuple3D,
     Presentation,
@@ -58,21 +57,20 @@ def test_derivation_check_identity_sigma():
             a=rng.randint(-9, 9), b=rng.randint(-9, 9), c=rng.randint(-9, 9),
             A=rng.randint(-9, 9), B=rng.randint(-9, 9), C=rng.randint(-9, 9),
         )
-        assert derivation_check(OreData.from_params(p))
+        assert derivation_check(p)
 
 
 def test_derivation_check_first_equation_fails():
     p = T3(d=2, E=0, A=1)
-    o = OreData.from_params(p)
-    assert not derivation_check(o)
-    res = dict(derivation_residuals(o))
+    assert not derivation_check(p)
+    res = dict(derivation_residuals(p))
     assert res["x^3"] == QQ.one()  # A(d-1) = 1
 
 
 def test_derivation_check_zero_delta():
     for d, e, D, E in [(2, 3, 4, 5), (0, 0, 0, 0), (1, 0, 0, 7)]:
         p = T3(d=d, e=e, D=D, E=E)
-        assert derivation_check(OreData.from_params(p))
+        assert derivation_check(p)
 
 
 def test_twisting_axiom_identity_tuple():
@@ -105,7 +103,7 @@ def test_twisting_axiom_matches_derivation_check_for_ore_tuples():
                           D=rng.randrange(7), E=rng.randrange(7)))
     verdicts = set()
     for p in samples:
-        ok = derivation_check(OreData.from_params(p))
+        ok = derivation_check(p)
         assert ok == (twisting_axiom_mismatch(p, 3) is None)
         verdicts.add(ok)
     assert verdicts == {True, False}
