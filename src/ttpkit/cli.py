@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, product
@@ -573,23 +574,41 @@ def scan_rows(tasks, workers):
 
 @contextlib.contextmanager
 def open_out(path):
-    """A file written in place of path, which replaces path only once the block completes.
+    """A file to write the output of path to; a path that cannot be written is a parse error.
 
-    The file lives in path's directory under a temporary name and is removed
-    if the block raises, so a failed run leaves path as it was.  A path that
-    cannot be written is a parse error, raised before the block runs.
+    A new or plain regular path is written through a temporary file in its
+    directory, which replaces it only once the block completes and is removed
+    if the block raises, so a failed run leaves path as it was.  A symlink is
+    followed to its target.  Anything else (a device, a FIFO, a file with more
+    than one hard link) is written in place.
     """
-    if os.path.isdir(path):
+    real = os.path.realpath(path)
+    if os.path.isdir(real):
         raise ParseError(f"cannot write --out {path}: Is a directory")
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "x")
+        st = os.stat(real)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        try:
+            fh = open(real, "w")
+        except OSError as exc:
+            raise ParseError(f"cannot write --out {path}: {exc.strerror}")
+        with fh:
+            yield fh
+        return
+    # a leftover file under this pid's name can only be from a dead process
+    tmp = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w")
     except OSError as exc:
         raise ParseError(f"cannot write --out {path}: {exc.strerror}")
     try:
         with fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise

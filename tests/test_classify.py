@@ -219,9 +219,15 @@ def test_rigidity():
 
 
 def test_jnf_already_normalized_is_identity():
-    p = T3(a=2, b=3, d=1, e=0, f=1, A=1, B=4, E=-1)
-    r = jordan_normal_form_3d(p)
-    assert r.normalized and r.params == p and r.trace == ()
+    F = PrimeField(32003)
+    for p in [
+        T3(a=2, b=3, d=1, e=0, f=1, A=1, B=4, E=-1),
+        T3(F, f=1, e=1, d=2, E=2),  # e = 1 already
+        T3(F, d=3, E=5, B=2, C=1, a=1, b=1),  # diagonal, eigenvalues already in order
+        T3(F, d=3, e=1, E=3),  # a Jordan block already
+    ]:
+        r = jordan_normal_form_3d(p)
+        assert r.normalized and r.params == p and r.trace == (), (p, r.trace)
 
 
 def test_jnf_kills_F():
@@ -339,17 +345,6 @@ def test_jnf_records_no_identity_step():
         p = T3(PrimeField(3), **values)
         r = jordan_normal_form_3d(p)
         assert r.normalized and r.params == p and r.trace == (), (values, r.trace)
-
-
-@pytest.mark.parametrize("kw", [
-    dict(f=1, e=1, d=2, E=2),  # e = 1 already
-    dict(d=3, E=5, B=2, C=1, a=1, b=1),  # diagonal, eigenvalues already in order
-    dict(d=3, e=1, E=3),  # a Jordan block already
-], ids=["e-one", "sorted-diagonal", "jordan-block"])
-def test_jnf_normalized_input_has_empty_trace(kw):
-    p = T3(PrimeField(32003), **kw)
-    r = jordan_normal_form_3d(p)
-    assert r.normalized and r.params == p and r.trace == ()
 
 
 def test_jnf_obstruction_detected():

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -446,6 +447,32 @@ def test_failed_scan_leaves_out_as_it_was(tmp_path, capsys):
     status, _ = invoke(["scan", "--field", "GF(2)", "--family", "T", "--out", str(out_path)])
     assert status == 2
     assert list(tmp_path.iterdir()) == [out_path] and out_path.read_bytes() == b"tuple\tverdict\nkept\n"
+
+
+def test_scan_out_follows_symlink_and_keeps_mode(tmp_path):
+    target = tmp_path / "rows.tsv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    status, _ = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(link)])
+    assert status == 0 and link.is_symlink()
+    assert len(target.read_text().splitlines()) == 28 and (target.stat().st_mode & 0o777) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "rows.tsv"]
+
+
+def test_scan_out_to_devnull():
+    status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", os.devnull])
+    assert status == 0 and "total=27" in out
+
+
+def test_scan_out_overwrites_stale_temp_file(tmp_path):
+    # a run killed outright leaves its temporary file; a later run with the same pid must still write
+    out_path = tmp_path / "rows.tsv"
+    (tmp_path / f".rows.tsv.{os.getpid()}.tmp").write_text("left behind\n")
+    status, _ = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(out_path)])
+    assert status == 0 and len(out_path.read_text().splitlines()) == 28
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.tsv"]
 
 
 def test_scan_space_T_shape():
