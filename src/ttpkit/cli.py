@@ -3,8 +3,10 @@
 Every subcommand prints a short human-readable section followed by a
 fenced machine block of sorted key=value lines that parses back to the
 same dictionary (bit-exact across runs).  Exit status: 0 for definite
-verdicts, 3 when a verdict is only certified to a bound, 1 for malformed
-input, 2 for constraint violations (wrong family, bad characteristic).
+verdicts, 3 when a verdict is only certified to a bound (for a census:
+when it has undecided rows; rows certified to the bound get a note), 1 for
+malformed input, 2 for constraint violations (wrong family, bad
+characteristic).
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import os
 import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import chain, product
 
-from .classify import classify_2d_ttp, classify_3d, graded_iso_type_2d
+from .classify import canonical_2d, classify_2d_ttp, classify_3d, graded_iso_type_2d
 from .families import (
     ParamTuple2D,
     ParamTuple3D,
@@ -527,15 +530,25 @@ def scan_space(p, family, ranges):
     return chain.from_iterable(branches[e] for e in es)
 
 
-def scan_row(task):
-    """Classify and decide one census tuple; returns plain strings for aggregation."""
+def scan_row(task, memo=None):
+    """Classify and decide one census tuple; returns plain strings for aggregation.
+
+    A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
+    C(0,b,0) of its tuple, so the class is decided once and its decision
+    kept in memo, a dict that one scan (or one pool chunk) passes to every
+    call.
+    """
     p, family, bound, values = task
     field = PrimeField(p)
     if family == "C":
-        v = classify_2d_ttp(ParamTuple2D.make(field, **values), bound)
-        iso = graded_iso_type_2d(v) if v.is_ttp else None
-        kind, case, certified_to = v.kind, iso.kind if iso else "-", v.certified_to
-        reg = asreg_decide_2d(iso) if iso else None
+        memo = {} if memo is None else memo
+        cp = canonical_2d(ParamTuple2D.make(field, **values))
+        key = (p, bound, cp.a.payload, cp.b.payload, cp.c.payload)
+        if key not in memo:
+            v = classify_2d_ttp(cp, bound)
+            iso = graded_iso_type_2d(v) if v.is_ttp else None
+            memo[key] = (v.kind, iso.kind if iso else "-", v.certified_to, asreg_decide_2d(iso) if iso else None)
+        kind, case, certified_to, reg = memo[key]
     elif family == "Tgh":
         kind, case, certified_to = "elliptic", "-", None
         reg = elliptic_decide(field.scalar(values["g"]), field.scalar(values["h"]))
@@ -564,12 +577,15 @@ def scan_rows(tasks, workers):
         # task list anyway; listing it sizes the pool and chunksize exactly
         tasks = list(tasks)
         workers = min(workers, len(tasks))
+    # one memo per scan; the pool pickles the partial with each chunk, so
+    # every chunk starts from an empty memo of its own
+    row = partial(scan_row, memo={})
     if workers <= 1:
-        yield from map(scan_row, tasks)
+        yield from map(row, tasks)
         return
     # the pool forks every worker up front, so never ask for more than can run
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        yield from pool.map(row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
 @contextlib.contextmanager
@@ -623,12 +639,14 @@ def cmd_scan(args):
     space = scan_space(field.p, args.family, parse_ranges(args.ranges))
     tasks = ((field.p, args.family, args.bound, values) for values in space)
     counts = {}
+    bounded = 0  # decided rows certified only to the scan bound
     with open_out(args.out) if args.out else contextlib.nullcontext() as out:
         if out:
             out.write("\t".join(ROW_FIELDS) + "\n")
         for row in scan_rows(tasks, args.workers):
             key = (row["verdict"], row["case"], row["koszul"], row["asreg"])
             counts[key] = counts.get(key, 0) + 1
+            bounded += row["verdict"] != "unknown" and row["certified_to"] != "exact"
             if out:
                 out.write("\t".join(row[f] for f in ROW_FIELDS) + "\n")
     total = sum(counts.values())
@@ -646,6 +664,8 @@ def cmd_scan(args):
         machine["count_" + ":".join(key)] = counts[key]
     if args.out:
         human.append(f"rows written to {args.out}")
+    if bounded:
+        human.append(f"note: {bounded} tuples certified only to the scan bound N={args.bound}")
     unknowns = sum(n for key, n in counts.items() if key[0] == "unknown")
     if unknowns:
         human.append(f"note: {unknowns} tuples undecided at the scan bound")

@@ -8,12 +8,18 @@ pair by rewriting in ``overlap_system``, a second oracle.
 ``reference_reduce`` is a direct rewriting loop that the table-driven
 ``RewriteSystem.reduce`` must agree with on any rule set, and
 ``random_reduce`` rewrites random redexes for confluence spot checks.
+``reference_c_row`` decides a C census row from the tuple itself, where the
+census decides it once per canonical class.
 """
 
 from types import SimpleNamespace
 
+from ttpkit.classify import classify_2d_ttp, graded_iso_type_2d
+from ttpkit.families import ParamTuple2D
 from ttpkit.freealg import Alphabet, NCPoly
+from ttpkit.koszulreg import asreg_decide_2d
 from ttpkit.rewrite import RewriteSystem, Rule
+from ttpkit.scalars import PrimeField
 
 YXZ = Alphabet(["y", "x", "z"])
 
@@ -146,3 +152,18 @@ def random_reduce(p, rules, rng):
         if not redexes:
             return NCPoly(p.alphabet, p.field, terms)
         _rewrite(terms, *redexes[rng.randrange(len(redexes))])
+
+
+def reference_c_row(p, values, bound=50):
+    """The census row of the C tuple values over GF(p), decided on the tuple itself, not its class."""
+    v = classify_2d_ttp(ParamTuple2D.make(PrimeField(p), **values), bound)
+    iso = graded_iso_type_2d(v) if v.is_ttp else None
+    reg = asreg_decide_2d(iso) if iso else None
+    return {
+        "tuple": ",".join(f"{k}:{x}" for k, x in values.items()),
+        "verdict": v.kind,
+        "case": iso.kind if iso else "-",
+        "koszul": "-" if reg is None else "koszul" if reg.koszul else "not_koszul",
+        "asreg": "-" if reg is None else "regular" if reg.decision else "not_regular",
+        "certified_to": "exact" if v.certified_to is None else str(v.certified_to),
+    }

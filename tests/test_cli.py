@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import pytest
+from helpers import reference_c_row
 
 from ttpkit.cli import (
     JobDocument,
@@ -17,6 +18,7 @@ from ttpkit.cli import (
     scan_row,
     scan_space,
 )
+from ttpkit.classify import classify_2d_ttp
 from ttpkit.families import ParamTuple2D, ParamTuple3D, build_C, build_T, build_Tgh
 from ttpkit.homology import minimal_resolution
 from ttpkit.koszulreg import gorenstein_check, koszul_check
@@ -385,11 +387,17 @@ def test_scan_single_tuple_matches_classify():
     assert row["verdict"] == v.kind
 
 
-def test_scan_worker_determinism():
-    base = ["scan", "--field", "GF(3)", "--family", "C"]
-    _, out1 = invoke(base + ["--workers", "1"])
-    _, out2 = invoke(base + ["--workers", "2"])
-    assert parse_machine_block(out1) == parse_machine_block(out2)
+def test_scan_worker_determinism(tmp_path):
+    for argv in (
+        ["--field", "GF(7)", "--family", "C"],  # 343 tuples: several pool chunks, each with its own memo
+        ["--field", "GF(3)", "--family", "T", "--ranges", "e=0,A=1,B=0"],
+    ):
+        outs = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"rows{workers}.tsv"
+            status, out = invoke(["scan", *argv, "--workers", workers, "--out", str(path)])
+            outs.append((status, parse_machine_block(out), path.read_bytes()))
+        assert outs[0] == outs[1], argv
 
 
 def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
@@ -421,9 +429,9 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
 def test_scan_folds_each_row_as_its_tuple_arrives(monkeypatch, tmp_path):
     classified = []
 
-    def counting_row(task):
+    def counting_row(task, memo=None):
         classified.append(task)
-        return scan_row(task)
+        return scan_row(task, memo)
 
     def checking_space(p, family, ranges):
         for k, values in enumerate(scan_space(p, family, ranges)):
@@ -436,6 +444,43 @@ def test_scan_folds_each_row_as_its_tuple_arrives(monkeypatch, tmp_path):
     status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(out_path)])
     assert status == 0 and "total=27" in out
     assert len(classified) == 27 and len(out_path.read_text().splitlines()) == 28
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scan_class_rows_equal_tuple_rows(p, tmp_path):
+    path = tmp_path / "rows.tsv"
+    status, _ = invoke(["scan", "--field", f"GF({p})", "--family", "C", "--out", str(path)])
+    header, *lines = path.read_text().splitlines()
+    assert status == 0 and len(lines) == p**3
+    for line, values in zip(lines, scan_space(p, "C", {})):
+        assert dict(zip(header.split("\t"), line.split("\t"))) == reference_c_row(p, values)
+
+
+def test_scan_classifies_each_c_class_once_per_scan(monkeypatch):
+    calls = []
+
+    def counting_classify(p, bound=50):
+        calls.append(p)
+        return classify_2d_ttp(p, bound)
+
+    monkeypatch.setattr("ttpkit.cli.classify_2d_ttp", counting_classify)
+    for _ in range(2):  # nothing carries over from one run to the next
+        calls.clear()
+        status, out = invoke(["scan", "--field", "GF(7)", "--family", "C", "--workers", "1"])
+        assert status == 0 and "total=343" in out
+        assert len(calls) == 7**2 + 2 * 7
+
+
+@pytest.mark.parametrize("argv, notes", [
+    (["--field", "GF(13)", "--family", "C"], ["note: 96 tuples certified only to the scan bound N=50"]),
+    (["--field", "GF(7)", "--family", "C", "--ranges", "a=2,b=3,c=1", "--bound", "4"],
+     ["note: 1 tuples certified only to the scan bound N=4"]),
+    (["--field", "GF(7)", "--family", "C"], []),
+])
+def test_scan_notes_rows_certified_to_the_bound(argv, notes):
+    status, out = invoke(["scan", *argv])
+    assert status == 0
+    assert [line for line in out.splitlines() if "certified only to the scan bound" in line] == notes
 
 
 def test_failed_scan_leaves_out_as_it_was(tmp_path, capsys):
