@@ -77,7 +77,7 @@ def parse_field(spec):
 
                 return QuadExtField(QQ, Fraction(body))
             return QuadExtField(QQ, num)
-    except (ValueError, FieldError) as exc:
+    except (ValueError, ZeroDivisionError, FieldError) as exc:
         raise ParseError(f"cannot parse field {spec!r}: {exc}")
     raise ParseError(f"cannot parse field {spec!r}")
 

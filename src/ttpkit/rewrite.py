@@ -3,8 +3,7 @@
 Rules rewrite a monomial high term to a strictly smaller tail.  Overlap
 completion up to a degree bound turns a presentation into a Gröbner basis
 to that degree; normal words (no high term as subword) then form a basis
-of the quotient, giving the Hilbert function.  A brute-force linear-algebra
-oracle recomputes the same dimensions with no rewriting involved.
+of the quotient, giving the Hilbert function.
 
 Reduction goes through a table of word normal forms.  A word's entry is
 computed once: rewrite its leftmost redex with the first matching rule and
@@ -25,7 +24,7 @@ from __future__ import annotations
 import heapq
 
 from .freealg import Alphabet, NCPoly
-from .scalars import EchelonSpan, Scalar, add_multiple
+from .scalars import Scalar, add_multiple
 
 
 class NotCompleted(Exception):
@@ -354,49 +353,6 @@ def _interreduce_tails(rules):
     """Reduce every tail to normal form with respect to the whole system."""
     index, table = _rule_index(rules), {}
     return [Rule(r.high, _reduce_terms(r.tail, index, table)) for r in rules]
-
-
-def enumerate_words(alphabet, d):
-    """All words of each (weighted) degree up to d in lexicographic order."""
-    buckets = [[] for _ in range(d + 1)]
-    buckets[0].append(())
-    for n in range(d + 1):
-        for w in buckets[n]:
-            for i in range(len(alphabet)):
-                n2 = n + alphabet.weights[i]
-                if n2 <= d:
-                    buckets[n2].append(w + (i,))
-    return buckets
-
-
-def hilbert_oracle(relations, d):
-    """Quotient dimensions by brute-force linear algebra, no rewriting.
-
-    For each degree n the span of {m * r * m'} inside the full word space
-    is accumulated in echelon form; the codimension is the quotient dim.
-    """
-    relations = [r for r in relations if not r.is_zero()]
-    if not relations:
-        raise ValueError("no relations")
-    alphabet, field = relations[0].alphabet, relations[0].field
-    for r in relations:
-        if not r.is_homogeneous():
-            raise ValueError("relations must be homogeneous")
-    words = enumerate_words(alphabet, d)
-    dims = []
-    for n in range(d + 1):
-        index = {w: i for i, w in enumerate(words[n])}
-        span = EchelonSpan(field)
-        for r in relations:
-            k = r.degree()
-            if k > n:
-                continue
-            for dm in range(n - k + 1):
-                for m in words[dm]:
-                    for mp in words[n - k - dm]:
-                        span.insert({index[m + w + mp]: c.payload for w, c in r.terms.items()})
-        dims.append(len(index) - span.rank)
-    return HilbertProfile(tuple(dims))
 
 
 # The f = 1 normalized three-generator system over the alphabet y < x < z:

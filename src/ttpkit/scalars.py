@@ -3,6 +3,14 @@
 Every computation in the package runs over one of these fields; there is
 no floating point anywhere.  Square roots that do not exist in the ambient
 field are adjoined on demand as a single quadratic extension.
+
+Payloads are the raw values behind a Scalar.  A GF(p) payload is an int in
+[0, p); a quadratic-extension payload is a pair (u, v) of base payloads.  A
+Q payload is an int, or a Fraction whose denominator is above 1: the
+RationalField hooks return an integral value as a plain int, so integral
+computations over Q never pay for Fraction arithmetic.  An int and the
+equal Fraction compare, hash and print the same, and an int has
+.numerator and .denominator, so readers may take either.
 """
 
 from __future__ import annotations
@@ -148,24 +156,40 @@ class Field:
 class RationalField(Field):
     kind = "rationals"
 
+    # Every hook keeps the payload invariant: an int, or a Fraction with
+    # denominator above 1.  int op int is an int already; only a result
+    # that is a Fraction can need demoting.
+
     def _coerce(self, value):
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+        if isinstance(value, int):
+            return int(value)  # a bool becomes 0 or 1
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         raise FieldMismatch(f"cannot coerce {value!r} into Q")
 
     def _add(self, a, b):
-        return a + b
+        s = a + b
+        if s.__class__ is int or s.denominator != 1:
+            return s
+        return s.numerator
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        s = a * b
+        if s.__class__ is int or s.denominator != 1:
+            return s
+        return s.numerator
 
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero("1/0 in Q")
-        return 1 / a
+        n, d = a.numerator, a.denominator
+        if n == 1 or n == -1:
+            return n * d
+        # 1/int would be a float
+        return Fraction(d, n)
 
     def _is_zero(self, a):
         return a == 0
@@ -183,7 +207,7 @@ class RationalField(Field):
         rn = math.isqrt(a.numerator)
         rd = math.isqrt(a.denominator)
         if rn * rn == a.numerator and rd * rd == a.denominator:
-            return Scalar(self, Fraction(rn, rd))
+            return Scalar(self, self._coerce(Fraction(rn, rd)))
         return None
 
     def __eq__(self, other):

@@ -9,7 +9,9 @@ pair by rewriting in ``overlap_system``, a second oracle.
 ``RewriteSystem.reduce`` must agree with on any rule set, and
 ``random_reduce`` rewrites random redexes for confluence spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
-census decides it once per canonical class.
+census decides it once per canonical class.  ``hilbert_oracle`` recomputes
+quotient dimensions by linear algebra on the whole word space, with no
+rewriting involved.
 """
 
 from types import SimpleNamespace
@@ -18,8 +20,8 @@ from ttpkit.classify import classify_2d_ttp, graded_iso_type_2d
 from ttpkit.families import ParamTuple2D
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.koszulreg import asreg_decide_2d
-from ttpkit.rewrite import RewriteSystem, Rule
-from ttpkit.scalars import PrimeField
+from ttpkit.rewrite import HilbertProfile, RewriteSystem, Rule
+from ttpkit.scalars import EchelonSpan, PrimeField
 
 YXZ = Alphabet(["y", "x", "z"])
 
@@ -167,3 +169,46 @@ def reference_c_row(p, values, bound=50):
         "asreg": "-" if reg is None else "regular" if reg.decision else "not_regular",
         "certified_to": "exact" if v.certified_to is None else str(v.certified_to),
     }
+
+
+def enumerate_words(alphabet, d):
+    """All words of each (weighted) degree up to d in lexicographic order."""
+    buckets = [[] for _ in range(d + 1)]
+    buckets[0].append(())
+    for n in range(d + 1):
+        for w in buckets[n]:
+            for i in range(len(alphabet)):
+                n2 = n + alphabet.weights[i]
+                if n2 <= d:
+                    buckets[n2].append(w + (i,))
+    return buckets
+
+
+def hilbert_oracle(relations, d):
+    """Quotient dimensions by brute-force linear algebra, no rewriting.
+
+    For each degree n the span of {m * r * m'} inside the full word space
+    is accumulated in echelon form; the codimension is the quotient dim.
+    """
+    relations = [r for r in relations if not r.is_zero()]
+    if not relations:
+        raise ValueError("no relations")
+    alphabet, field = relations[0].alphabet, relations[0].field
+    for r in relations:
+        if not r.is_homogeneous():
+            raise ValueError("relations must be homogeneous")
+    words = enumerate_words(alphabet, d)
+    dims = []
+    for n in range(d + 1):
+        index = {w: i for i, w in enumerate(words[n])}
+        span = EchelonSpan(field)
+        for r in relations:
+            k = r.degree()
+            if k > n:
+                continue
+            for dm in range(n - k + 1):
+                for m in words[dm]:
+                    for mp in words[n - k - dm]:
+                        span.insert({index[m + w + mp]: c.payload for w, c in r.terms.items()})
+        dims.append(len(index) - span.rank)
+    return HilbertProfile(tuple(dims))

@@ -234,6 +234,8 @@ MISSING_OUT = str(Path(__file__).parent / "no-such-directory" / "out.txt")
                  "nonzero relation", id="raw-all-zero"),
     pytest.param(["classify", "--family", "C", "--field", "Q(sqrt(2))", "--params", "a=sqrt(2),b=1,c=1"], 2,
                  "second square-root extension", id="classify-nested-extension"),
+    pytest.param(["classify", "--family", "C", "--field", "Q(sqrt(2/0))", "--params", "a=1,b=1,c=1"], 1,
+                 "Q(sqrt(2/0))", id="field-radicand-division-by-zero"),
     pytest.param(["scan", "--field", "GF(2)", "--family", "T"], 2, "characteristic", id="scan-gf2-T"),
     pytest.param(["scan", "--field", "GF(2)", "--family", "Tgh"], 2, "characteristic", id="scan-gf2-Tgh"),
     pytest.param(["classify", "--field", "GF(2)", "--family", "Tgh", "--params", "g=1,h=1"], 2, "characteristic",

@@ -9,6 +9,7 @@ from helpers import (
     assert_poly_matches,
     expected_g1_coeffs,
     expected_g2_coeffs,
+    hilbert_oracle,
     make_params3d,
     overlap_system,
     random_reduce,
@@ -23,7 +24,6 @@ from ttpkit.rewrite import (
     RewriteSystem,
     Rule,
     degree3_overlap_elements,
-    hilbert_oracle,
 )
 from ttpkit.scalars import QQ, PrimeField, QuadExtField, Scalar
 

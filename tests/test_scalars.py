@@ -12,6 +12,7 @@ from ttpkit.scalars import (
     NoRoot,
     PrimeField,
     QuadExtField,
+    Scalar,
     ScalarMatrix,
     SquareRadicand,
     Unsupported,
@@ -26,6 +27,28 @@ def test_rational_arithmetic():
     assert half + third == QQ.scalar(Fraction(5, 6))
     assert (half * 2) == QQ.one()
     assert str(-half) == "-1/2"
+
+
+def test_integral_rational_payloads_are_ints():
+    half = QQ.scalar(Fraction(1, 2))
+    cases = [
+        (half + half, 1), (QQ.scalar(2) * half, 1), (half.inv(), 2),
+        (QQ.scalar(Fraction(4, 2)), 2), (QQ.scalar(True), 1), (QQ.sqrt(QQ.scalar(4)), 2),
+        (QQ.scalar(1).inv(), 1), (QQ.scalar(-1).inv(), -1), (QQ.scalar(Fraction(-1, 5)).inv(), -5),
+        # 1/a on an int is a float in Python; the inverse must stay exact
+        (QQ.scalar(2).inv(), Fraction(1, 2)), (QQ.scalar(-3).inv(), Fraction(-1, 3)),
+        (QQ.scalar(Fraction(-2, 5)).inv(), Fraction(-5, 2)), (QQ.sqrt(QQ.scalar(Fraction(4, 9))), Fraction(2, 3)),
+    ]
+    for s, want in cases:
+        assert type(s.payload) is type(want) and s.payload == want, (s.payload, want)
+
+
+def test_int_and_fraction_payloads_agree():
+    # a payload built outside the hooks may still be an integral Fraction
+    for n in (0, 1, -7, 12):
+        i, f = Scalar(QQ, n), Scalar(QQ, Fraction(n))
+        assert i == f and hash(i) == hash(f) and str(i) == str(f)
+        assert i == QQ.scalar(n) and f == QQ.scalar(Fraction(n, 1))
 
 
 def test_gf7_inverse():
