@@ -25,8 +25,9 @@ from .families import (
     twisting_axiom_mismatch,
 )
 from .freealg import NCPoly
-from .rewrite import degree3_overlap_elements
+from .rewrite import degree3_overlap_elements, second_obstruction_vanishes
 from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, adjoin_sqrt, solve_quadratic
+from .sequences import efgh, fn_nonvanishing
 
 
 class SingularN(Exception):
@@ -82,8 +83,6 @@ def canonical_2d(p):
 
 def _dependence_witness(a, b, n, field):
     """The spanning-set dependence relation at the first vanishing index."""
-    from .sequences import efgh
-
     alphabet = build_C(ParamTuple2D(a, b, field.one())).alphabet
     row = efgh(a, b, n)
     terms = {
@@ -101,8 +100,6 @@ def classify_2d_ttp(p, bound=50):
     f_n(ac, b) scan runs to the bound; over a finite field a closed orbit
     upgrades a clean scan to an unconditional certificate.
     """
-    from .sequences import fn_nonvanishing
-
     field = p.field
     if p.a.is_zero() or p.c.is_zero():
         return TwoDTTPVerdict("is_ttp", p, None)
@@ -335,21 +332,21 @@ def jordan_normal_form_3d(p):
         fld = cur.field
         identity = ScalarMatrix.identity(fld, 2)
         pm = identity if pm is None else pm
-        lam = fld.scalar(lam)
-        if pm == identity and lam == fld.one():
+        if lam == 1 and pm == identity:
             return
+        lam = fld.scalar(lam)
         cur = apply_basis_change(cur, pm, lam)
         steps.append(Step(kind, pm, lam, note))
 
     # stage 1: kill F and normalize f to {0, 1}
     if not cur.F.is_zero():
         push("swap_xy", ScalarMatrix(field, [[0, 1], [1, 0]]), 1, "exchange f and F")
-    if not cur.f.is_zero() and cur.f != field.one():
+    if not cur.f.is_zero() and cur.f != 1:
         push("rescale_z", None, cur.f.inv(), "make f = 1")
     if not cur.F.is_zero():
         # now f = 1: the shear y -> y + F x removes the remaining z^2 term
         push("shear_y_add_x", ScalarMatrix(field, [[1, 0], [cur.F, 1]]), 1, "kill F")
-    assert cur.F.is_zero() and (cur.f.is_zero() or cur.f == field.one())
+    assert cur.F.is_zero() and (cur.f.is_zero() or cur.f == 1)
 
     # stage 2: Jordan form of the degree-1 matrix
     d, e, D, E = cur.d, cur.e, cur.D, cur.E
@@ -364,7 +361,7 @@ def jordan_normal_form_3d(p):
             )
         if not e.is_zero() and d != E:
             push("gl2", ScalarMatrix(field, [[1, -e / (d - E)], [0, 1]]), 1, "diagonalize keeping f = 1")
-        elif not e.is_zero() and e != field.one():
+        elif not e.is_zero() and e != 1:
             push("rescale_y", ScalarMatrix(field, [[1, 0], [0, e.inv()]]), 1, "make e = 1")
     elif not (e.is_zero() and D.is_zero() and d == E):  # a scalar matrix is already diagonal
         try:
@@ -382,14 +379,13 @@ def jordan_normal_form_3d(p):
             u = _left_eigvec(F2, d, e, D, E, res.roots[0])
             rows = [_left_generalized(F2, d, e, D, E, res.roots[0], u), u]
         push("gl2", mat2_inv(ScalarMatrix(F2, rows)), 1, "Jordan form of the degree-1 matrix")
-    assert cur.D.is_zero() and (cur.e.is_zero() or cur.e == cur.field.one())
+    assert cur.D.is_zero() and (cur.e.is_zero() or cur.e == 1)
 
     # stage 3: rescale y to pin A, then C
-    one = cur.field.one()
     if cur.e.is_zero():
-        if not cur.A.is_zero() and cur.A != one:
+        if not cur.A.is_zero() and cur.A != 1:
             push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.A]]), 1, "make A = 1")
-        if cur.A.is_zero() and not cur.C.is_zero() and cur.C != one:
+        if cur.A.is_zero() and not cur.C.is_zero() and cur.C != 1:
             push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.C.inv()]]), 1, "make C = 1")
     return JNF3DResult(cur, tuple(steps), True)
 
@@ -517,16 +513,29 @@ def reducible_system_residuals(p):
     ]
 
 
+# What a nonzero second obstruction forces, in the order they are tested; a
+# tuple that fails one is not a twisted tensor product, and the later ones
+# are not evaluated.
+_ELLIPTIC_CONSTRAINTS = (
+    ("e = 0", lambda q: q.e.is_zero()),
+    ("d = -1", lambda q: q.d == -1),
+    ("A = 1", lambda q: q.A == 1),
+    ("E = -1", lambda q: q.E == -1),
+    ("b = (1-a)(2-B)", lambda q: q.b == (1 - q.a) * (2 - q.B)),
+)
+
+
 def classify_3d(p, bound=50):
     """Full trichotomy decision for the three-generator family.
 
     Normalizes first, then branches on the z^2 coefficient: the one-sided
     case reduces to the derivation check (an exact decision), the others
-    to the two degree-3 obstruction elements, the f_n scan and the
-    elliptic coefficient constraints.
+    to the degree-3 obstructions, the f_n scan and the elliptic coefficient
+    constraints.  A vanishing second obstruction G2 gives the reducible
+    case; otherwise the elliptic constraints decide, and the first
+    obstruction G1 is evaluated only once they hold, to check that it is
+    (1 - a) G2.
     """
-    from .sequences import fn_nonvanishing
-
     jnf = jordan_normal_form_3d(p)
     if not jnf.normalized:
         mismatch = twisting_axiom_mismatch(p, HILBERT_DEGREE)
@@ -554,9 +563,6 @@ def classify_3d(p, bound=50):
         )
 
     q = jnf.params
-    fld = q.field
-    one = fld.one()
-
     if q.f.is_zero():
         residuals = derivation_residuals(q)
         bad = next(((name, v) for name, v in residuals if not v.is_zero()), None)
@@ -575,8 +581,9 @@ def classify_3d(p, bound=50):
             )
         return TTPType3D("ore", ore_case_id(q), q, jnf.trace, None)
 
-    g1, g2 = degree3_overlap_elements(q)
-    if g2.is_zero():
+    # G2 = 0 is the reducible case, decided with an early exit; G1 is read
+    # only where the elliptic constraints hold, to check it against G2
+    if second_obstruction_vanishes(q):
         report = fn_nonvanishing(q.a, q.d, bound)
         if not report.all_nonzero:
             n = report.zero_index
@@ -598,14 +605,7 @@ def classify_3d(p, bound=50):
         certified = None if report.cycle_closed else bound
         return TTPType3D("reducible", reducible_case_id(q), q, jnf.trace, certified)
 
-    constraints = [
-        ("e = 0", q.e.is_zero()),
-        ("d = -1", q.d == -one),
-        ("A = 1", q.A == one),
-        ("E = -1", q.E == -one),
-        ("b = (1-a)(2-B)", q.b == (one - q.a) * (fld.scalar(2) - q.B)),
-    ]
-    bad = next((name for name, ok in constraints if not ok), None)
+    bad = next((name for name, holds in _ELLIPTIC_CONSTRAINTS if not holds(q)), None)
     if bad is not None:
         return TTPType3D(
             "not_ttp",
@@ -619,8 +619,9 @@ def classify_3d(p, bound=50):
                 {"constraint": bad},
             ),
         )
-    assert g1 == g2.scale(one - q.a)
+    g1, g2 = degree3_overlap_elements(q)
+    assert not g2.is_zero() and g1 == g2.scale(1 - q.a)
     ef = None
-    if fld.characteristic() != 2:
+    if q.field.characteristic() != 2:
         ef = EllipticForm.from_params(q.a, q.B, q.c, q.C)
     return TTPType3D("elliptic", None, q, jnf.trace, None, elliptic_form=ef)

@@ -459,6 +459,8 @@ def parse_ranges(text):
             raise ParseError(f"bad range {chunk!r}")
         name, spec = chunk.split("=", 1)
         name, spec = name.strip(), spec.strip()
+        if name in out:
+            raise ParseError(f"bad range {chunk!r}: {name} is given twice")
         if spec == "*":
             out[name] = None
             continue
@@ -492,8 +494,10 @@ def _residues(values, p):
 def scan_space(p, family, ranges):
     """Deterministic enumeration of the census tuple space over GF(p), as an iterator.
 
-    Range values are taken mod p, and each residue is enumerated once.  The
-    ranges are checked before the iterator is returned.
+    Range values are taken mod p, and each residue is enumerated once.  On
+    the T space a range only restricts the normalized tuples; it never adds
+    one that breaks a side condition.  The ranges are checked before the
+    iterator is returned, and ranges that leave no tuple are a parse error.
     """
     if family not in SCAN_PARAMS:
         raise ConstraintError(f"scan does not support family {family!r}")
@@ -516,16 +520,31 @@ def scan_space(p, family, ranges):
         raise ParseError(f"--ranges gives e = {bad[0]}, but the normalized T space has e in {{0, 1}}")
     # the f = 1 normalized space: D = F = 0, e in {0,1} with the usual side
     # conditions (A in {0,1} when e = 0; C in {0,1} when e = A = 0; E = d
-    # when e = 1)
-    abcd = [allowed(n) for n in "abcd"]
-    # the C values at e = A = 0, a sublist of allowed("C") in the same order
-    C_at_A0 = set(allowed("C", [0, 1]))
+    # when e = 1); each list keeps the order of allowed()
+    abc = [allowed(n) for n in "abc"]
+    As = [A for A in allowed("A") if A in (0, 1)]
+    Cs = allowed("C")
+    C01 = {C for C in Cs if C in (0, 1)}
+    Es = allowed("E")
+    E_set = set(Es)
+    dEs = [d for d in allowed("d") if d in E_set]  # d = E at e = 1
+    # the side condition that empties each e branch, if one does
+    empty = {0: None, 1: None}
+    if not As:
+        empty[0] = "A in {0, 1} when e = 0"
+    elif As == [0] and not C01:
+        empty[0] = "C in {0, 1} when e = A = 0"
+    if not dEs:
+        empty[1] = "E = d when e = 1"
+    if all(empty[e] for e in es):
+        why = " and ".join(empty[e] for e in es)
+        raise ParseError(f"--ranges leave no tuple of the normalized T space, which has {why}")
     branches = {
         0: (dict(a=a, b=b, c=c, d=d, e=0, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
-            for A, a, b, c, d, B, C, E in product(allowed("A", [0, 1]), *abcd, *map(allowed, "BCE"))
-            if A != 0 or C in C_at_A0),
+            for A, a, b, c, d, B, C, E in product(As, *abc, allowed("d"), allowed("B"), Cs, Es)
+            if A != 0 or C in C01),
         1: (dict(a=a, b=b, c=c, d=d, e=1, f=1, A=A, B=B, C=C, D=0, E=d, F=0)
-            for a, b, c, d, A, B, C in product(*abcd, *map(allowed, "ABC"))),
+            for a, b, c, d, A, B, C in product(*abc, dEs, *map(allowed, "ABC"))),
     }
     return chain.from_iterable(branches[e] for e in es)
 
@@ -533,17 +552,17 @@ def scan_space(p, family, ranges):
 def scan_row(task, memo=None):
     """Classify and decide one census tuple; returns plain strings for aggregation.
 
-    A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
-    C(0,b,0) of its tuple, so the class is decided once and its decision
-    kept in memo, a dict that one scan (or one pool chunk) passes to every
-    call.
+    task is (field, family, bound, values), where field is the scan's own
+    GF(p), so one field serves every tuple of a scan.  A C row depends only
+    on the canonical class C(ac,b,1), C(1,b,0) or C(0,b,0) of its tuple, so
+    the class is decided once and its decision kept in memo, a dict that
+    one scan (or one pool chunk) passes to every call.
     """
-    p, family, bound, values = task
-    field = PrimeField(p)
+    field, family, bound, values = task
     if family == "C":
         memo = {} if memo is None else memo
         cp = canonical_2d(ParamTuple2D.make(field, **values))
-        key = (p, bound, cp.a.payload, cp.b.payload, cp.c.payload)
+        key = (field.p, bound, cp.a.payload, cp.b.payload, cp.c.payload)
         if key not in memo:
             v = classify_2d_ttp(cp, bound)
             iso = graded_iso_type_2d(v) if v.is_ttp else None
@@ -637,7 +656,7 @@ def cmd_scan(args):
     if field.p > args.max_prime:
         raise ConstraintError(f"p = {field.p} too large for a census (limit {args.max_prime})")
     space = scan_space(field.p, args.family, parse_ranges(args.ranges))
-    tasks = ((field.p, args.family, args.bound, values) for values in space)
+    tasks = ((field, args.family, args.bound, values) for values in space)
     counts = {}
     bounded = 0  # decided rows certified only to the scan bound
     with open_out(args.out) if args.out else contextlib.nullcontext() as out:

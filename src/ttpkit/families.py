@@ -18,6 +18,7 @@ from .rewrite import NotCompleted, RewriteSystem
 from .scalars import CharTwo, DivisionByZero, Scalar, ScalarMatrix
 
 PARAM_NAMES_3D = ("a", "b", "c", "d", "e", "f", "A", "B", "C", "D", "E", "F")
+_PARAM_SET_3D = frozenset(PARAM_NAMES_3D)
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,21 @@ class ParamTuple3D:
 
     @staticmethod
     def make(field, **kw):
-        unknown = set(kw) - set(PARAM_NAMES_3D)
-        if unknown:
-            raise ValueError(f"unknown parameters {sorted(unknown)}")
-        return ParamTuple3D(**{k: field.scalar(kw.get(k, 0)) for k in PARAM_NAMES_3D})
+        """The tuple of the given coefficients, missing ones 0; each distinct int is boxed once."""
+        if not _PARAM_SET_3D.issuperset(kw):
+            raise ValueError(f"unknown parameters {sorted(kw.keys() - _PARAM_SET_3D)}")
+        ints = {}
+        entries = []
+        for k in PARAM_NAMES_3D:
+            value = kw.get(k, 0)
+            if value.__class__ is not int:
+                entries.append(field.scalar(value))
+                continue
+            s = ints.get(value)
+            if s is None:
+                s = ints[value] = field.scalar(value)
+            entries.append(s)
+        return ParamTuple3D(*entries)
 
     @property
     def field(self):

@@ -364,12 +364,14 @@ def _interreduce_tails(rules):
 #     G1 = NF(tail(z^2) z - z tail(z^2)),   G2 = NF(tail(z^2) y - z tail(zy)).
 # Their coefficients are integer polynomials in a, b, c, d, e, A, B, C, E,
 # tabled as word -> ((integer, monomial), ...); a monomial spells its
-# factors by coefficient name, and "" is 1.
+# factors by coefficient name, and "" is 1.  Each table also lists the
+# integers it uses, so an evaluation coerces each of them once.
 _YXZ = Alphabet(["y", "x", "z"])
 
 
 def _table(rows):
-    return tuple((_YXZ.word(w), monomials) for w, monomials in rows)
+    rows = tuple((_YXZ.word(w), monomials) for w, monomials in rows)
+    return rows, tuple(sorted({k for _, monomials in rows for k, _ in monomials}))
 
 
 _G1 = _table((
@@ -397,22 +399,38 @@ _G2 = _table((
 ))
 
 
-def _evaluate_table(table, field, values):
-    """The NCPoly of a coefficient table at coefficient payloads values[name]."""
-    coerce, add, mul, is0 = field._coerce, field._add, field._mul, field._is_zero
-    terms = {}
-    for word, monomials in table:
+def _coefficients(table, field, values):
+    """(word, payload) of each row of a coefficient table, in row order, at coefficient payloads values[name].
+
+    Rows are evaluated as they are read, so a caller that stops early pays
+    only for the rows it read.
+    """
+    rows, integers = table
+    add, mul = field._add, field._mul
+    consts = {k: field._coerce(k) for k in integers}
+    for word, monomials in rows:
         acc = None
         for k, monomial in monomials:
-            t = coerce(k)
+            t = consts[k]
             for name in monomial:
                 t = mul(t, values[name])
             acc = t if acc is None else add(acc, t)
-        if not is0(acc):
-            terms[word] = Scalar(field, acc)
+        yield word, acc
+
+
+def _evaluate_table(table, field, values):
+    """The NCPoly of a coefficient table at coefficient payloads values[name]."""
+    is0 = field._is_zero
     out = NCPoly(_YXZ, field)
-    out.terms = terms
+    out.terms = {word: Scalar(field, c) for word, c in _coefficients(table, field, values) if not is0(c)}
     return out
+
+
+def _normalized_payloads(params):
+    """Coefficient payloads of an f = 1 normalized tuple, by name; ValueError for any other tuple."""
+    if not (params.D.is_zero() and params.F.is_zero() and params.f == 1):
+        raise ValueError("parameters must be normalized with D = F = 0 and f = 1")
+    return {name: getattr(params, name).payload for name in "abcdeABCE"}
 
 
 def degree3_overlap_elements(params):
@@ -422,8 +440,19 @@ def degree3_overlap_elements(params):
     D = F = 0 and f = 1.  The result is two polynomials over y < x < z,
     evaluated from the closed-form tables above.
     """
-    field = params.field
-    if not (params.D.is_zero() and params.F.is_zero() and params.f == field.one()):
-        raise ValueError("parameters must be normalized with D = F = 0 and f = 1")
-    values = {name: getattr(params, name).payload for name in "abcdeABCE"}
+    field, values = params.field, _normalized_payloads(params)
     return _evaluate_table(_G1, field, values), _evaluate_table(_G2, field, values)
+
+
+def second_obstruction_vanishes(params):
+    """Whether G2 = 0 for the f=1 normalized tuple params (see degree3_overlap_elements).
+
+    The table is read row by row and the answer is False at the first
+    nonzero coefficient; the first row's coefficient is -A.
+    """
+    field = params.field
+    is0 = field._is_zero
+    for _, c in _coefficients(_G2, field, _normalized_payloads(params)):
+        if not is0(c):
+            return False
+    return True

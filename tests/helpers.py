@@ -9,19 +9,29 @@ pair by rewriting in ``overlap_system``, a second oracle.
 ``RewriteSystem.reduce`` must agree with on any rule set, and
 ``random_reduce`` rewrites random redexes for confluence spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
-census decides it once per canonical class.  ``hilbert_oracle`` recomputes
+census decides it once per canonical class.  ``reference_classify_3d``
+decides a three-generator tuple from both obstructions in full, where
+``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
+on elliptic tuples.  ``hilbert_oracle`` recomputes
 quotient dimensions by linear algebra on the whole word space, with no
 rewriting involved.
 """
 
 from types import SimpleNamespace
 
-from ttpkit.classify import classify_2d_ttp, graded_iso_type_2d
+from ttpkit.classify import (
+    classify_2d_ttp,
+    classify_3d,
+    graded_iso_type_2d,
+    jordan_normal_form_3d,
+    reducible_case_id,
+)
 from ttpkit.families import ParamTuple2D
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.koszulreg import asreg_decide_2d
-from ttpkit.rewrite import HilbertProfile, RewriteSystem, Rule
+from ttpkit.rewrite import HilbertProfile, RewriteSystem, Rule, degree3_overlap_elements
 from ttpkit.scalars import EchelonSpan, PrimeField
+from ttpkit.sequences import fn_nonvanishing
 
 YXZ = Alphabet(["y", "x", "z"])
 
@@ -169,6 +179,45 @@ def reference_c_row(p, values, bound=50):
         "asreg": "-" if reg is None else "regular" if reg.decision else "not_regular",
         "certified_to": "exact" if v.certified_to is None else str(v.certified_to),
     }
+
+
+def decision_3d(t):
+    """(kind, case, certified_to, witness) of a TTPType3D, the witness as (kind, data) or None."""
+    w = t.witness
+    return t.kind, t.case, t.certified_to, None if w is None else (w.kind, w.data)
+
+
+def reference_classify_3d(p, bound=50):
+    """decision_3d of p's verdict, an f = 1 tuple decided from G1 and G2 in full.
+
+    Both obstructions are evaluated by degree3_overlap_elements for every
+    tuple, and every elliptic constraint is evaluated before the first
+    failing one is named.  A tuple that does not normalize, or has f = 0,
+    never reaches the obstructions and is left to classify_3d.
+    """
+    jnf = jordan_normal_form_3d(p)
+    q = jnf.params
+    if not jnf.normalized or q.f.is_zero():
+        return decision_3d(classify_3d(p, bound))
+    one = q.field.one()
+    g1, g2 = degree3_overlap_elements(q)
+    if g2.is_zero():
+        report = fn_nonvanishing(q.a, q.d, bound)
+        if not report.all_nonzero:
+            return "not_ttp", None, None, ("fn_zero", {"n": report.zero_index, "a": q.a, "d": q.d})
+        return "reducible", reducible_case_id(q), None if report.cycle_closed else bound, None
+    constraints = [
+        ("e = 0", q.e.is_zero()),
+        ("d = -1", q.d == -one),
+        ("A = 1", q.A == one),
+        ("E = -1", q.E == -one),
+        ("b = (1-a)(2-B)", q.b == (one - q.a) * (q.field.scalar(2) - q.B)),
+    ]
+    bad = next((name for name, ok in constraints if not ok), None)
+    if bad is not None:
+        return "not_ttp", None, None, ("constraint_violated", {"constraint": bad})
+    assert g1 == g2.scale(one - q.a)
+    return "elliptic", None, None, None
 
 
 def enumerate_words(alphabet, d):

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from helpers import YXZ, decision_3d, make_params3d, reference_classify_3d
 
 from ttpkit.classify import (
     CongruenceData,
@@ -27,10 +29,12 @@ from ttpkit.cli import scan_space
 from ttpkit.families import (
     ParamTuple2D,
     ParamTuple3D,
+    apply_basis_change,
     build_T,
     ideal_membership,
 )
 from ttpkit.freealg import NCPoly, parse_poly, substitute
+from ttpkit.rewrite import degree3_overlap_elements, second_obstruction_vanishes
 from ttpkit.scalars import QQ, PrimeField, QuadExtField, ScalarMatrix
 
 
@@ -437,3 +441,91 @@ def test_classified_ttps_have_product_dimensions():
             dims = build_T(t.normal_form).hilbert(4)
             assert dims == [1, 3, 6, 10, 15]
     assert hits["ore"] >= 10 and hits["elliptic"] >= 10 and hits["reducible"] > 0
+
+
+def _random_decision_tuple(rng, field, draw):
+    """A random f = 1 tuple with D = F = 0, weighted towards the strata each branch decides.
+
+    draw() gives a random coefficient.  A quarter of the tuples are
+    elliptic, a quarter miss the elliptic constraints in one place, and a
+    quarter lie in the reducible stratum A = B = C = 0, E = 1, some of them
+    moved off it in one coefficient.  A third are then carried by a random
+    change of basis, for the normalization to undo.
+    """
+    kw = {k: draw() for k in "abcdABCE"}
+    kw["e"] = rng.randrange(2)
+    shape = rng.randrange(4)
+    if shape in (1, 2):
+        kw.update(e=0, d=-1, A=1, E=-1)
+        kw["b"] = (1 - field.scalar(kw["a"])) * (2 - field.scalar(kw["B"]))
+        if shape == 2:
+            kw[rng.choice("edAEb")] = draw()
+    elif shape == 3:
+        kw.update(A=0, B=0, C=0, d=1 if kw["e"] else kw["d"], E=1)
+        if rng.randrange(2):
+            kw[rng.choice("ABCE")] = draw()
+    if kw["e"] == 1:
+        kw["E"] = kw["d"]
+    p = ParamTuple3D.make(field, f=1, **kw)
+    if rng.randrange(3) == 0:
+        pm = ScalarMatrix(field, [[1, draw()], [0, 1]]) if rng.randrange(2) else ScalarMatrix(field, [[0, 1], [1, 0]])
+        lam = draw()
+        if pm.det().is_zero() or field.scalar(lam).is_zero():
+            return p
+        p = apply_basis_change(p, pm, lam)
+    return p
+
+
+def _outcome(decision):
+    """The branch that gave a decision_3d result: a TTP kind, fn_zero or the violated constraint."""
+    kind, _, _, witness = decision
+    if kind != "not_ttp":
+        return kind
+    return witness[1].get("constraint", witness[0])
+
+
+def test_classify_3d_matches_the_full_obstruction_reference():
+    """G2 read to its first nonzero coefficient and G1 read last decide exactly as both read in full."""
+    F3 = PrimeField(3)
+    outcomes = set()
+    for values in scan_space(3, "T", {}):
+        p = T3(F3, **values)
+        want = reference_classify_3d(p)
+        assert decision_3d(classify_3d(p)) == want, values
+        outcomes.add(_outcome(want))
+    every = {"reducible", "elliptic", "fn_zero", "e = 0", "d = -1", "A = 1", "E = -1", "b = (1-a)(2-B)"}
+    assert outcomes == every
+
+    rng = random.Random(131)
+    F101 = PrimeField(101)
+    draws = {
+        F101: lambda: rng.randrange(101) if rng.randrange(2) else rng.choice((0, 1, -1, 2)),
+        QQ: lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.randrange(2) else rng.choice((0, 1, -1, 2)),
+    }
+    for field, draw in draws.items():
+        outcomes = set()
+        for _ in range(500):
+            p = _random_decision_tuple(rng, field, draw)
+            want = reference_classify_3d(p)
+            assert decision_3d(classify_3d(p)) == want, p
+            outcomes.add(_outcome(want))
+        assert outcomes == every, field
+
+
+def test_second_obstruction_test_reads_every_row_of_g2():
+    """On every f = 1, D = F = 0 coefficient choice over GF(3) the early exit agrees with G2 in full.
+
+    The rows x^2z (-AE) and x^3 (A(1 - d - B)) vanish with the first row
+    zx^2 (-A); each of the other seven rows, the last one y^3 included, is
+    the first nonzero one for some choice, so a test that stopped before
+    any of them would call some nonzero G2 zero.
+    """
+    F = PrimeField(3)
+    first_rows = set()
+    for values in product(range(3), repeat=9):
+        p = make_params3d(F, f=1, **dict(zip("abcdeABCE", values)))
+        _, g2 = degree3_overlap_elements(p)
+        assert second_obstruction_vanishes(p) == g2.is_zero(), values
+        if not g2.is_zero():
+            first_rows.add(YXZ.word_str(max(g2.terms, key=YXZ.sort_key)))
+    assert first_rows == {"zx^2", "yzx", "yxz", "yx^2", "y^2z", "y^2x", "y^3"}

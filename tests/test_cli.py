@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -258,6 +259,13 @@ MISSING_OUT = str(Path(__file__).parent / "no-such-directory" / "out.txt")
     pytest.param(["scan", "--family", "C", "--out", MISSING_OUT], 1, "cannot write --out",
                  id="scan-out-missing-directory"),
     pytest.param(["scan", "--family", "C", "--ranges", "a=5..3"], 1, "a=5..3", id="scan-empty-range"),
+    pytest.param(["scan", "--family", "C", "--ranges", "a=1,a=2"], 1, "a is given twice", id="scan-repeated-name"),
+    pytest.param(["scan", "--family", "T", "--ranges", "e=1,E=2,d=1"], 1, "E = d when e = 1",
+                 id="scan-T-e1-d-E-disjoint"),
+    pytest.param(["scan", "--family", "T", "--ranges", "e=0,A=2"], 1, "A in {0, 1} when e = 0",
+                 id="scan-T-e0-A-outside"),
+    pytest.param(["scan", "--family", "T", "--ranges", "e=0,A=0,C=2"], 1, "C in {0, 1} when e = A = 0",
+                 id="scan-T-e0-A0-C-outside"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)
@@ -381,7 +389,7 @@ def test_scan_single_tuple_matches_classify():
     ])
     machine = parse_machine_block(out)
     assert machine["total"] == "1"
-    row = scan_row((3, "C", 50, {"a": 1, "b": 2, "c": 1}))
+    row = scan_row((PrimeField(3), "C", 50, {"a": 1, "b": 2, "c": 1}))
     from ttpkit.classify import classify_2d_ttp
     from ttpkit.families import ParamTuple2D
 
@@ -540,6 +548,60 @@ def test_scan_space_T_shape():
 def test_scan_counts_each_residue_once(family, ranges, total):
     status, out = invoke(["scan", "--field", "GF(3)", "--family", family, "--ranges", ranges])
     assert status == 0 and f"total={total}" in out
+
+
+@pytest.mark.parametrize("ranges, total, holds", [
+    # e = 1 fixes E = d, so d runs over the residues allowed for both
+    ("e=1,E=2,d=1|2", 3**6, lambda v: v["d"] == v["E"] == 2),
+    ("e=1,E=0|1", 2 * 3**6, lambda v: v["d"] == v["E"] in (0, 1)),
+    # e = 0 keeps A in {0, 1}, and C in {0, 1} when A = 0
+    ("e=0,A=0|2", 2 * 3**6, lambda v: v["A"] == 0 and v["C"] in (0, 1)),
+    ("e=0,A=0,C=1|2", 3**6, lambda v: v["A"] == 0 and v["C"] == 1),
+    ("e=0,C=2", 3**6, lambda v: v["A"] == 1 and v["C"] == 2),
+    # with both branches, a range that empties one leaves the other
+    ("A=2,d=1,E=1", 3**5, lambda v: v["e"] == 1 and v["A"] == 2 and v["d"] == v["E"] == 1),
+])
+def test_scan_space_T_ranges_keep_the_side_conditions(ranges, total, holds):
+    space = list(scan_space(3, "T", parse_ranges(ranges)))
+    assert len(space) == total and all(map(holds, space))
+    status, out = invoke(["scan", "--field", "GF(3)", "--family", "T", "--ranges", ranges])
+    assert status == 0 and f"total={total}" in out
+
+
+# SHA-256 of the --out rows of the full GF(3) T census, as the census wrote
+# them when it evaluated both obstructions in full for every tuple
+GF3_T_CENSUS_SHA256 = "e052bb30251584a9c01638b9f1508cade2345315556d103254f3c44637648ee4"
+
+
+def test_gf3_t_census_rows_are_pinned(tmp_path):
+    path = tmp_path / "rows.tsv"
+    status, _ = invoke(["scan", "--field", "GF(3)", "--family", "T", "--out", str(path)])
+    assert status == 0 and hashlib.sha256(path.read_bytes()).hexdigest() == GF3_T_CENSUS_SHA256
+
+
+def test_t_census_reads_g1_on_elliptic_rows_only(monkeypatch):
+    import ttpkit.classify
+
+    overlaps, fields = [], []
+    full_tables = ttpkit.classify.degree3_overlap_elements
+    field_init = PrimeField.__init__
+
+    def counting_tables(params):
+        overlaps.append(params)
+        return full_tables(params)
+
+    def counting_init(self, p):
+        fields.append(p)
+        field_init(self, p)
+
+    monkeypatch.setattr(ttpkit.classify, "degree3_overlap_elements", counting_tables)
+    monkeypatch.setattr(PrimeField, "__init__", counting_init)
+    status, out = invoke(["scan", "--field", "GF(3)", "--family", "T", "--workers", "1"])
+    machine = parse_machine_block(out)
+    elliptic = sum(int(n) for key, n in machine.items() if key.startswith("count_elliptic:"))
+    assert status == 0 and machine["total"] == "5832" and elliptic == 81
+    assert len(overlaps) == elliptic
+    assert fields == [3]
 
 
 def test_scan_space_accepts_every_enumerated_name():
