@@ -26,7 +26,7 @@ from .families import (
 )
 from .freealg import NCPoly
 from .rewrite import degree3_overlap_elements, second_obstruction_vanishes
-from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, adjoin_sqrt, solve_quadratic
+from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, Unsupported, adjoin_sqrt, solve_quadratic
 from .sequences import efgh, fn_nonvanishing
 
 
@@ -368,6 +368,14 @@ def jordan_normal_form_3d(p):
             res = solve_quadratic(field.one(), -(d + E), d * E - e * D)
         except NestedExtension:
             return JNF3DResult(cur, tuple(steps), False, "nested field extension needed")
+        except Unsupported:
+            return JNF3DResult(
+                cur,
+                tuple(steps),
+                False,
+                "the eigenvalues of the degree-1 matrix lie in GF(p^2), which adjoining "
+                "a square root does not reach in characteristic 2",
+            )
         F2 = res.field
         if res.extended:
             cur = cur.coerced(F2)

@@ -5,11 +5,16 @@ the letter order (first letter smallest).  The one term order is
 Alphabet.sort_key: (weighted) degree first, then left-lexicographic, with
 optional letter weights so that a generator may sit in a degree other
 than 1.
+
+A polynomial's terms map each word to a raw field payload (see scalars),
+never to zero.  Sums and products update them in place through
+scalars.add_multiple; only the readers coeff, leading_term and
+sorted_terms box a coefficient into a Scalar.
 """
 
 from __future__ import annotations
 
-from .scalars import FieldMismatch, Scalar
+from .scalars import FieldMismatch, Scalar, add_multiple
 
 
 class AlphabetMismatch(Exception):
@@ -104,19 +109,33 @@ class Alphabet:
 
 
 class NCPoly:
-    """Noncommutative polynomial: map from word to nonzero Scalar."""
+    """Noncommutative polynomial: map from word to nonzero field payload.
+
+    terms is a sparse payload row keyed by word, the format of the rewrite
+    normal-form table and of ScalarMatrix rows; zeros are never stored.
+    Reads (coeff, leading_term, sorted_terms) box coefficients into Scalars.
+    """
 
     __slots__ = ("alphabet", "field", "terms")
 
     def __init__(self, alphabet, field, terms=None):
+        """Polynomial with the given word -> Scalar, int or literal coefficients."""
         self.alphabet = alphabet
         self.field = field
         self.terms = {}
         if terms:
+            is0 = field._is_zero
             for w, c in terms.items():
-                c = field.scalar(c)
-                if not c.is_zero():
-                    self.terms[tuple(w)] = c
+                a = field.scalar(c).payload
+                if not is0(a):
+                    self.terms[tuple(w)] = a
+
+    @staticmethod
+    def from_payloads(alphabet, field, terms):
+        """Polynomial whose terms are the payload dict terms (no zeros), taken as its own."""
+        p = NCPoly.__new__(NCPoly)
+        p.alphabet, p.field, p.terms = alphabet, field, terms
+        return p
 
     @staticmethod
     def zero(alphabet, field):
@@ -140,27 +159,22 @@ class NCPoly:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __add__(self, other):
+    def _plus(self, c, other):
+        """self + c * other for a payload c."""
         self._check(other)
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        out = NCPoly(self.alphabet, self.field)
-        out.terms = terms
-        return out
+        add_multiple(self.field, terms, c, other.terms)
+        return NCPoly.from_payloads(self.alphabet, self.field, terms)
 
-    def __neg__(self):
-        out = NCPoly(self.alphabet, self.field)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+    def __add__(self, other):
+        return self._plus(self.field._coerce(1), other)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(self.field._coerce(-1), other)
+
+    def __neg__(self):
+        neg = self.field._neg
+        return NCPoly.from_payloads(self.alphabet, self.field, {w: neg(a) for w, a in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -168,18 +182,8 @@ class NCPoly:
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                acc = out.get(w)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        p = NCPoly(self.alphabet, self.field)
-        p.terms = out
-        return p
+            add_multiple(self.field, out, c1, {w1 + w2: c2 for w2, c2 in other.terms.items()})
+        return NCPoly.from_payloads(self.alphabet, self.field, out)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -187,11 +191,12 @@ class NCPoly:
         return NotImplemented
 
     def scale(self, c):
-        c = self.field.scalar(c)
-        out = NCPoly(self.alphabet, self.field)
-        if not c.is_zero():
-            out.terms = {w: cc * c for w, cc in self.terms.items()}
-        return out
+        field = self.field
+        c = field.scalar(c).payload
+        if field._is_zero(c):
+            return NCPoly(self.alphabet, field)
+        mul = field._mul
+        return NCPoly.from_payloads(self.alphabet, field, {w: mul(a, c) for w, a in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -200,16 +205,19 @@ class NCPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
+        # int payloads alone do not tell GF(5) from GF(7) or from Q
         return (
             isinstance(other, NCPoly)
             and self.alphabet == other.alphabet
+            and self.field == other.field
             and self.terms == other.terms
         )
 
     def coeff(self, word):
         if isinstance(word, str):
             word = self.alphabet.word(word)
-        return self.terms.get(tuple(word), self.field.zero())
+        field = self.field
+        return Scalar(field, self.terms.get(tuple(word), field._coerce(0)))
 
     def degree(self):
         """Degree of a homogeneous polynomial; raises if mixed or zero."""
@@ -225,23 +233,22 @@ class NCPoly:
         if not self.terms:
             raise ZeroPolynomial("leading term of 0")
         w = max(self.terms, key=self.alphabet.sort_key)
-        return w, self.terms[w]
+        return w, Scalar(self.field, self.terms[w])
 
     def monic(self):
         _, c = self.leading_term()
         return self.scale(c.inv())
 
     def sorted_terms(self):
-        key = self.alphabet.sort_key
-        return sorted(self.terms.items(), key=lambda wc: key(wc[0]), reverse=True)
+        """(word, Scalar) pairs, order-largest word first."""
+        key, field = self.alphabet.sort_key, self.field
+        words = sorted(self.terms, key=key, reverse=True)
+        return [(w, Scalar(field, self.terms[w])) for w in words]
 
     def map_coeffs(self, fn, field=None):
-        out = NCPoly(self.alphabet, field or self.field)
-        for w, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out.terms[w] = v
-        return out
+        """The polynomial with coefficients fn(c), a Scalar of field (default: this field)."""
+        own = self.field
+        return NCPoly(self.alphabet, field or own, {w: fn(Scalar(own, a)) for w, a in self.terms.items()})
 
     def __repr__(self):
         return poly_str(self)
@@ -250,9 +257,9 @@ class NCPoly:
 def substitute(p, images):
     """Image of p under the algebra map sending each letter to images[name].
 
-    images maps letter names to NCPoly values in a common target algebra;
-    letters absent from the map are sent to themselves (which requires the
-    target alphabet to contain them).
+    images maps letter names to NCPoly values in a common target algebra
+    over p's field; letters absent from the map are sent to themselves
+    (which requires the target alphabet to contain them).
     """
     vals = {}
     target = None
@@ -266,8 +273,8 @@ def substitute(p, images):
         if i not in vals:
             vals[i] = NCPoly.letter(alphabet, field, name)
     out = NCPoly.zero(alphabet, field)
-    for w, c in p.terms.items():
-        term = NCPoly(alphabet, field, {(): c})
+    for w, a in p.terms.items():
+        term = NCPoly(alphabet, field, {(): Scalar(p.field, a)})
         for i in w:
             term = term * vals[i]
         out = out + term

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .freealg import NCPoly
 from .rewrite import NotCompleted
-from .scalars import EchelonSpan, Scalar, ScalarMatrix
+from .scalars import EchelonSpan, ScalarMatrix
 
 
 class GradedComplex:
@@ -82,7 +82,7 @@ class GradedComplex:
                 prod = carrier * entry if self.side == "left" else entry * carrier
                 # each (tgt, w) is hit once per column: one entry, nothing to add up
                 for w, c in rs.reduce(prod).terms.items():
-                    rows[dst_index[(tgt, w)]][col] = c.payload
+                    rows[dst_index[(tgt, w)]][col] = c
         return ScalarMatrix.from_sparse(field, rows, len(src))
 
     def component_dim(self, i, j):
@@ -316,7 +316,7 @@ def _kernel_generators(cx, i, maxdeg):
 
 def _vectorize(row_elements, index):
     """Sparse payload row of a row of module elements over the basis index."""
-    return {index[(gen, w)]: c.payload for gen, poly in enumerate(row_elements) for w, c in poly.terms.items()}
+    return {index[(gen, w)]: c for gen, poly in enumerate(row_elements) for w, c in poly.terms.items()}
 
 
 def _devectorize(vec, basis, shifts, alphabet, field):
@@ -324,7 +324,7 @@ def _devectorize(vec, basis, shifts, alphabet, field):
     row = [NCPoly(alphabet, field) for _ in shifts]
     for col, a in vec.items():
         gen, word = basis[col]
-        row[gen].terms[word] = Scalar(field, a)
+        row[gen].terms[word] = a
     return row
 
 

@@ -51,18 +51,14 @@ def quadratic_dual(pres):
         if rel.degree() != 2:
             raise NotQuadratic(f"relation {rel} is not quadratic")
     rank, kernel = ScalarMatrix.from_sparse(field, _relation_vectors(pres, rels), n * n).rank_kernel()
-    pairs = _pair_index(n)
     dual_names = tuple(name + "'" for name in reversed(pres.alphabet.names))
     dual_alphabet = Alphabet(dual_names)
-    flip = lambda i: n - 1 - i
-    relations = []
-    for k in range(kernel.ncols):
-        vec = kernel.column(k)
-        terms = {}
-        for (i, j), c in zip(pairs, vec):
-            if not c.is_zero():
-                terms[(flip(i), flip(j))] = c
-        relations.append(NCPoly(dual_alphabet, field, terms))
+    # each kernel vector, a row of the transpose, pairs word u v with u' v'
+    flipped = [(n - 1 - i, n - 1 - j) for i, j in _pair_index(n)]
+    relations = [
+        NCPoly.from_payloads(dual_alphabet, field, {flipped[k]: a for k, a in vec.items()})
+        for vec in kernel.transpose().rows
+    ]
     dual = Presentation(dual_alphabet, field, relations)
     return QuadraticDual(dual, "word u v pairs with dual word u' v'", rank)
 
@@ -233,7 +229,7 @@ def _span_equal(field, vec_lists_a, vec_lists_b):
 def _relation_vectors(pres, polys):
     pairs = _pair_index(len(pres.alphabet))
     col = {p: k for k, p in enumerate(pairs)}
-    return [{col[w]: c.payload for w, c in p.terms.items()} for p in polys]
+    return [{col[w]: c for w, c in p.terms.items()} for p in polys]
 
 
 def square_normal_form_checks(dual_pres):
@@ -314,9 +310,7 @@ def regraded_yoneda_koszul(g, bound):
         raise CharTwo("the degenerate Yoneda presentation assumes characteristic != 2")
     graded = yoneda_presentation_h0(g)
     flat = Alphabet(graded.alphabet.names)  # same letters, all weights 1
-    relations = [
-        NCPoly(flat, field, dict(rel.terms)) for rel in graded.relations
-    ]
+    relations = [NCPoly.from_payloads(flat, field, dict(rel.terms)) for rel in graded.relations]
     return koszul_check(Presentation(flat, field, relations), bound)
 
 

@@ -8,12 +8,14 @@ of the quotient, giving the Hilbert function.
 Reduction goes through a table of word normal forms.  A word's entry is
 computed once: rewrite its leftmost redex with the first matching rule and
 sum the entries of the resulting (strictly smaller) words.  A polynomial
-then reduces to the sum of c * NF(w) over its terms.  Entries hold raw
-field payloads; only the terms of a result are boxed into Scalars.  A
-RewriteSystem keeps its table for its whole life, since its rules never
-change; completion, whose rule list grows, starts a fresh table for each
-reduction.  The leftmost redex is found through an index of the rules by
-the first letter of their high term.
+then reduces to the sum of c * NF(w) over its terms.  Entries are sparse
+payload rows keyed by word, the format of NCPoly.terms, so rule tails
+feed the table and a sum of entries is the reduced polynomial as it
+stands, with no conversion either way.  A RewriteSystem keeps its table
+for its whole life, since its rules never change; completion, whose rule
+list grows, starts a fresh table for each reduction.  The leftmost redex
+is found through an index of the rules by the first letter of their high
+term.
 
 The two degree-3 obstructions of the normalized three-generator family
 are evaluated from closed-form coefficient tables, with no rewriting.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import heapq
 
 from .freealg import Alphabet, NCPoly
-from .scalars import Scalar, add_multiple
+from .scalars import add_multiple
 
 
 class NotCompleted(Exception):
@@ -216,33 +218,8 @@ class RewriteSystem:
         return self._words
 
     def hilbert(self, d):
-        return HilbertProfile(tuple(len(b) for b in self.normal_words(d)))
-
-
-class HilbertProfile:
-    """Graded dimension counts, dims[n] = dim of the degree-n component."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims):
-        self.dims = tuple(dims)
-
-    def __getitem__(self, n):
-        return self.dims[n]
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertProfile):
-            return self.dims == other.dims
-        return self.dims == tuple(other)
-
-    def __repr__(self):
-        return f"HilbertProfile{self.dims}"
+        """[dim of the degree-n component for n = 0..d]."""
+        return [len(b) for b in self.normal_words(d)]
 
 
 def _contains(word, sub):
@@ -322,7 +299,7 @@ def _normal_form(word, index, table, field):
                 continue
             pos, rule = hit
             u, v = w[:pos], w[pos + len(rule.high) :]
-            children = top[1] = [(u + tw + v, tc.payload) for tw, tc in rule.tail.terms.items()]
+            children = top[1] = [(u + tw + v, tc) for tw, tc in rule.tail.terms.items()]
             missing = [[cw, None] for cw, _ in children if cw not in table]
             if missing:
                 stack.extend(missing)
@@ -343,10 +320,8 @@ def _combine(pairs, field):
 def _reduce_terms(p, index, table):
     """Sum of c * NF(w) over the terms of p, with NF entries from table."""
     field = p.field
-    nf = _combine(((c.payload, _normal_form(w, index, table, field)) for w, c in p.terms.items()), field)
-    out = NCPoly(p.alphabet, field)
-    out.terms = {w: Scalar(field, a) for w, a in nf.items()}
-    return out
+    nf = _combine(((c, _normal_form(w, index, table, field)) for w, c in p.terms.items()), field)
+    return NCPoly.from_payloads(p.alphabet, field, nf)
 
 
 def _interreduce_tails(rules):
@@ -421,9 +396,8 @@ def _coefficients(table, field, values):
 def _evaluate_table(table, field, values):
     """The NCPoly of a coefficient table at coefficient payloads values[name]."""
     is0 = field._is_zero
-    out = NCPoly(_YXZ, field)
-    out.terms = {word: Scalar(field, c) for word, c in _coefficients(table, field, values) if not is0(c)}
-    return out
+    terms = {word: c for word, c in _coefficients(table, field, values) if not is0(c)}
+    return NCPoly.from_payloads(_YXZ, field, terms)
 
 
 def _normalized_payloads(params):

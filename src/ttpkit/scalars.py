@@ -11,6 +11,12 @@ RationalField hooks return an integral value as a plain int, so integral
 computations over Q never pay for Fraction arithmetic.  An int and the
 equal Fraction compare, hash and print the same, and an int has
 .numerator and .denominator, so readers may take either.
+
+Bulk data holds payloads, never Scalars.  The rows of ScalarMatrix and
+EchelonSpan, the terms of an NCPoly and the entries of the rewrite
+normal-form table are all sparse payload rows, {key: payload} dicts that
+store no zero, and add_multiple is the one loop that accumulates into
+them.  A Scalar is built only when a single value is read out.
 """
 
 from __future__ import annotations
@@ -102,8 +108,6 @@ def _sqrt_mod(a, p):
 class Field:
     """Base class; subclasses implement exact arithmetic on payloads."""
 
-    kind = "abstract"
-
     def scalar(self, value):
         """Coerce an int, Fraction, Scalar or literal string into this field."""
         if isinstance(value, Scalar):
@@ -154,8 +158,6 @@ class Field:
 
 
 class RationalField(Field):
-    kind = "rationals"
-
     # Every hook keeps the payload invariant: an int, or a Fraction with
     # denominator above 1.  int op int is an int already; only a result
     # that is a Fraction can need demoting.
@@ -221,8 +223,6 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    kind = "prime"
-
     def __init__(self, p):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
@@ -281,8 +281,6 @@ class PrimeField(Field):
 
 class QuadExtField(Field):
     """base(sqrt(m)) with m a non-square of the base field; payload (u, v)."""
-
-    kind = "quadext"
 
     def __init__(self, base, m):
         if isinstance(base, QuadExtField):

@@ -14,9 +14,12 @@ decides a three-generator tuple from both obstructions in full, where
 ``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
 on elliptic tuples.  ``hilbert_oracle`` recomputes
 quotient dimensions by linear algebra on the whole word space, with no
-rewriting involved.
+rewriting involved.  ``assert_payload_terms`` checks that a polynomial
+stores raw field payloads only; the oracles box coefficients at entry and
+do their arithmetic on Scalars, so they share no code with it.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 from ttpkit.classify import (
@@ -29,8 +32,8 @@ from ttpkit.classify import (
 from ttpkit.families import ParamTuple2D
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.koszulreg import asreg_decide_2d
-from ttpkit.rewrite import HilbertProfile, RewriteSystem, Rule, degree3_overlap_elements
-from ttpkit.scalars import EchelonSpan, PrimeField
+from ttpkit.rewrite import RewriteSystem, Rule, degree3_overlap_elements
+from ttpkit.scalars import EchelonSpan, PrimeField, QuadExtField, Scalar
 from ttpkit.sequences import fn_nonvanishing
 
 YXZ = Alphabet(["y", "x", "z"])
@@ -106,9 +109,9 @@ def rewrite_degree3_overlap_elements(params):
 
 
 def assert_poly_matches(poly, expected):
-    """Compare an NCPoly against a word-string -> Scalar coefficient table."""
-    alphabet = poly.alphabet
-    want = {alphabet.word(w): c for w, c in expected.items() if not c.is_zero()}
+    """Compare an NCPoly against a word-string -> Scalar coefficient table over its field."""
+    alphabet, field = poly.alphabet, poly.field
+    want = {alphabet.word(w): field.scalar(c).payload for w, c in expected.items() if not c.is_zero()}
     assert poly.terms == want, f"got {poly}, want {want}"
 
 
@@ -121,11 +124,32 @@ def _redexes(w, rules):
             if w[pos : pos + len(rule.high)] == rule.high)
 
 
+def is_payload(field, a):
+    """Whether a is a raw payload of field in canonical form (see scalars), not a Scalar."""
+    if isinstance(field, QuadExtField):
+        return type(a) is tuple and len(a) == 2 and all(is_payload(field.base, x) for x in a)
+    if isinstance(field, PrimeField):
+        return type(a) is int and 0 <= a < field.p
+    return type(a) is int or (type(a) is Fraction and a.denominator > 1)
+
+
+def assert_payload_terms(poly):
+    """Every term of poly holds a nonzero raw payload of poly's field."""
+    for w, a in poly.terms.items():
+        assert is_payload(poly.field, a), f"term {w} of {poly} holds {a!r}, not a {poly.field} payload"
+        assert not poly.field._is_zero(a), f"term {w} of {poly} stores a zero"
+
+
+def _boxed(p):
+    """The terms of p as word -> Scalar, so the oracles below never touch payload arithmetic."""
+    return {w: Scalar(p.field, a) for w, a in p.terms.items()}
+
+
 def _rewrite(terms, w, pos, rule):
     """Replace the term on w by its one-step rewrite at pos with rule, in place."""
     c = terms.pop(w)
     u, v = w[:pos], w[pos + len(rule.high) :]
-    for tw, tc in rule.tail.terms.items():
+    for tw, tc in _boxed(rule.tail).items():
         nw = u + tw + v
         s = tc * c if nw not in terms else terms[nw] + tc * c
         if s.is_zero():
@@ -140,7 +164,7 @@ def reference_reduce(p, rules):
     Each step re-sorts the terms and rewrites the order-largest reducible
     word at its leftmost redex, with the first rule that matches there.
     """
-    terms = dict(p.terms)
+    terms = _boxed(p)
     while True:
         target = None
         for w in sorted(terms, key=p.alphabet.sort_key, reverse=True):
@@ -158,7 +182,7 @@ def random_reduce(p, rules, rng):
     On a confluent system every rewriting strategy reaches the same normal
     form, so agreement with ``RewriteSystem.reduce`` spot-checks confluence.
     """
-    terms = dict(p.terms)
+    terms = _boxed(p)
     while True:
         redexes = [(w, *hit) for w in terms for hit in _redexes(w, rules)]
         if not redexes:
@@ -258,6 +282,6 @@ def hilbert_oracle(relations, d):
             for dm in range(n - k + 1):
                 for m in words[dm]:
                     for mp in words[n - k - dm]:
-                        span.insert({index[m + w + mp]: c.payload for w, c in r.terms.items()})
+                        span.insert({index[m + w + mp]: c for w, c in r.terms.items()})
         dims.append(len(index) - span.rank)
-    return HilbertProfile(tuple(dims))
+    return dims

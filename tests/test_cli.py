@@ -202,7 +202,17 @@ def test_constraint_error_exit_two():
 
 
 TGH = ["--family", "Tgh", "--params", "g=1,h=1"]
+# degree-1 matrix [[0, 1], [1, 1]] over GF(2): x^2 + x + 1 splits only in GF(4)
+GF2_GF4_EIGENVALUES = ["--field", "GF(2)", "--family", "T", "--defaults-zero", "--params", "d=0,e=1,D=1,E=1"]
 MISSING_OUT = str(Path(__file__).parent / "no-such-directory" / "out.txt")
+
+
+def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
+    status, out = invoke(["classify", *GF2_GF4_EIGENVALUES])
+    assert status == 3
+    m = parse_machine_block(out)
+    assert (m["verdict"], m["witness_kind"], m["certified_to"]) == ("unknown", "alignment_obstruction", "4")
+    assert "characteristic 2" in out
 
 
 @pytest.mark.parametrize("argv, status, names", [
@@ -241,6 +251,8 @@ MISSING_OUT = str(Path(__file__).parent / "no-such-directory" / "out.txt")
     pytest.param(["scan", "--field", "GF(2)", "--family", "Tgh"], 2, "characteristic", id="scan-gf2-Tgh"),
     pytest.param(["classify", "--field", "GF(2)", "--family", "Tgh", "--params", "g=1,h=1"], 2, "characteristic",
                  id="classify-gf2-Tgh"),
+    pytest.param(["asreg", *GF2_GF4_EIGENVALUES], 2, "not a twisted tensor product: Unknown(N=4)",
+                 id="asreg-gf2-eigenvalues-in-gf4"),
     *(
         pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", rel], 1, "stray '*'",
                      id=f"raw-stray-star-{rel}")

@@ -1,11 +1,13 @@
-"""Every payload a computation over Q stores obeys the scalars invariant.
+"""Every payload a computation stores is a raw payload in canonical form.
 
 A Q payload is an int, or a Fraction whose denominator is above 1; over
-Q(sqrt(m)) each component of the (u, v) pair is such a payload.  The runs
-below record every stored payload they can reach: the component matrices,
-their kernels, every EchelonSpan row after every insertion, the rule tails
-of the completed system, its normal-form table and the differentials of
-the minimal resolution.
+Q(sqrt(m)) each component of the (u, v) pair is such a payload; a GF(p)
+payload is an int in [0, p).  No matrix row and no polynomial term holds
+a Scalar or a zero.  The runs below record every stored payload they can
+reach: the component matrices, their kernels, every EchelonSpan row after
+every insertion, the rule tails of the completed system, its normal-form
+table, every product and reduced polynomial, and the differentials of the
+minimal resolution.
 """
 
 from collections import defaultdict
@@ -13,22 +15,25 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import is_payload
 from ttpkit.families import ParamTuple3D, build_T, build_Tgh
+from ttpkit.freealg import NCPoly
 from ttpkit.homology import GradedComplex, minimal_resolution
 from ttpkit.koszulreg import gorenstein_check
-from ttpkit.scalars import QQ, EchelonSpan, QuadExtField, ScalarMatrix
+from ttpkit.rewrite import RewriteSystem
+from ttpkit.scalars import QQ, EchelonSpan, PrimeField, QuadExtField, ScalarMatrix
 
 SQRT2 = QuadExtField(QQ, 2)
 
 
-def _q_payloads(field, a):
+def _components(field, a):
     return a if isinstance(field, QuadExtField) else (a,)
 
 
 def _check(field, a, where, seen):
-    for x in _q_payloads(field, a):
-        ok = type(x) is int or (type(x) is Fraction and x.denominator > 1)
-        assert ok, f"{where}: payload {x!r} breaks the Q payload invariant"
+    assert is_payload(field, a), f"{where}: {a!r} is not a canonical {field} payload"
+    assert not field._is_zero(a), f"{where}: a zero is stored"
+    for x in _components(field, a):
         seen[where].add(type(x))
 
 
@@ -39,16 +44,16 @@ def _check_rows(field, rows, where, seen):
 
 
 def _check_poly(poly, where, seen):
-    for c in poly.terms.values():
-        _check(poly.field, c.payload, where, seen)
+    _check_rows(poly.field, [poly.terms], where, seen)
 
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Check the payloads of every EchelonSpan, component matrix and kernel as they are made."""
+    """Check the payloads of every EchelonSpan, matrix, product and reduced polynomial as they are made."""
     types = defaultdict(set)  # where -> payload types met there
     insert, rank_kernel = EchelonSpan._insert, ScalarMatrix.rank_kernel
     component_matrix = GradedComplex.component_matrix
+    mul, reduce = NCPoly.__mul__, RewriteSystem.reduce
 
     def checked_insert(self, vec):
         grew = insert(self, vec)
@@ -65,9 +70,21 @@ def seen(monkeypatch):
         _check_rows(mat.field, mat.rows, "component matrix", types)
         return mat
 
+    def checked_mul(self, other):
+        prod = mul(self, other)
+        _check_poly(prod, "product", types)
+        return prod
+
+    def checked_reduce(self, p):
+        nf = reduce(self, p)
+        _check_poly(nf, "reduced", types)
+        return nf
+
     monkeypatch.setattr(EchelonSpan, "_insert", checked_insert)
     monkeypatch.setattr(ScalarMatrix, "rank_kernel", checked_rank_kernel)
     monkeypatch.setattr(GradedComplex, "component_matrix", checked_component_matrix)
+    monkeypatch.setattr(NCPoly, "__mul__", checked_mul)
+    monkeypatch.setattr(RewriteSystem, "reduce", checked_reduce)
     return types
 
 
@@ -78,22 +95,23 @@ def _run(pres, maxdeg, seen):
     for rule in rs.rules:
         _check_poly(rule.tail, "rule tail", seen)
     assert rs._nf, "the run filled no normal-form table"
-    for nf in rs._nf.values():
-        _check_rows(rs.field, [nf], "normal-form table", seen)
+    _check_rows(rs.field, rs._nf.values(), "normal-form table", seen)
     for mat in res.complex.diffs[1:]:
         for row in mat:
             for entry in row:
                 _check_poly(entry, "differential", seen)
+    for where in ("rule tail", "product", "reduced", "differential"):
+        assert seen[where], f"the run reached no {where}"
     return res
 
 
 def test_elliptic_q_run_keeps_integral_data_int(seen):
     res = _run(build_Tgh(QQ.scalar(1), QQ.scalar(2)), 6, seen)
     assert res.betti.entries[(3, 3)] == 1
-    # integer coefficients and monic rules: the normal forms, the matrices
-    # and the resolution are integral; pivot division in the spans and the
-    # kernels may still leave a proper Fraction
-    for where in ("rule tail", "normal-form table", "component matrix", "differential"):
+    # integer coefficients and monic rules: the normal forms, the matrices,
+    # the products and the resolution are integral; pivot division in the
+    # spans and the kernels may still leave a proper Fraction
+    for where in ("rule tail", "normal-form table", "component matrix", "product", "reduced", "differential"):
         assert seen[where] == {int}, where
     assert seen["EchelonSpan row"] == seen["kernel"] == {int, Fraction}
 
@@ -109,3 +127,23 @@ def test_quadratic_extension_components_keep_the_invariant(seen):
     g = SQRT2.scalar(Fraction(1, 2)) + SQRT2.scalar(Fraction(3, 2)) * SQRT2.root()
     _run(build_Tgh(g, SQRT2.scalar(Fraction(3, 2))), 5, seen)
     assert set().union(*seen.values()) == {int, Fraction}
+
+
+def test_prime_field_run_stores_reduced_ints(seen):
+    gf = PrimeField(101)
+    _run(build_Tgh(gf.scalar(3), gf.scalar(2)), 6, seen)
+    p = ParamTuple3D.make(gf, d=-2, E=-1, B=1, C=1, a=50, b=50)
+    _run(build_T(p), 6, seen)
+    assert set().union(*seen.values()) == {int}
+
+
+def test_polynomials_over_different_prime_fields_differ():
+    # the same words with the same int payloads: only the field tells them apart
+    five, seven = PrimeField(5), PrimeField(7)
+    A = build_Tgh(five.scalar(1), five.scalar(2)).alphabet
+    p = NCPoly(A, five, {(0, 1): 2, (1,): 3})
+    q = NCPoly(A, seven, {(0, 1): 2, (1,): 3})
+    assert p.terms == q.terms
+    assert p != q and q != p
+    assert NCPoly.zero(A, five) != NCPoly.zero(A, seven)
+    assert p == NCPoly(A, five, {(1,): 3, (0, 1): 7})
