@@ -173,8 +173,7 @@ class NCPoly:
         return self._plus(self.field._coerce(-1), other)
 
     def __neg__(self):
-        neg = self.field._neg
-        return NCPoly.from_payloads(self.alphabet, self.field, {w: neg(a) for w, a in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
