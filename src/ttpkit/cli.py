@@ -390,6 +390,11 @@ def cmd_yoneda(args):
 
 
 def cmd_asreg(args):
+    if args.evidence and args.maxdeg < 3:
+        raise ConstraintError(
+            f"--evidence needs --maxdeg of at least 3, the degree of the top generator "
+            f"of a 3-dimensional regular algebra; got {args.maxdeg}"
+        )
     job = JobDocument.load(args)
     status = 0
     if job.family == "Tgh":

@@ -8,10 +8,16 @@ v to v D; the composite of D_{i+1} followed by D_i is the matrix product
 D_{i+1} D_i.  Restricting a differential to a single internal degree over
 the normal-word basis turns every homological question into an exact
 rank computation.
+
+The minimal resolution of the trivial module grows one such complex in
+place.  In internal degree j, the kernel vectors of the i-th component
+matrix that lie outside the image of the partial (i+1)-st differential,
+built from the generators of lower degree, are the new generators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .freealg import NCPoly
@@ -223,100 +229,52 @@ class NotMinimal(ValueError):
 def minimal_resolution(pres, max_i, maxdeg):
     """Minimal graded free resolution of the trivial module, truncated.
 
-    Kernels are taken degree by degree; new generators are kernel elements
-    independent of the span of lower-degree kernel elements multiplied by
-    the generators, so every differential entry lands in the radical.
-    That needs every relation term to be a word of length at least 2 (the
-    letters minimal generators, the algebra nonzero); NotMinimal otherwise.
+    One complex grows in place, position by position and, within a
+    position, degree by degree.  Before the new generators of degree j are
+    added, the image of the partial next differential in degree j is the
+    span of A_+ times the kernel in lower degrees (the generators found so
+    far generate the whole kernel there), so a degree-j kernel vector
+    becomes a new generator exactly when it lies outside that image.
+    Every differential entry then lands in the radical.  That needs every
+    relation term to be a word of length at least 2 (the letters minimal
+    generators, the algebra nonzero); NotMinimal otherwise.  Generators of
+    internal degree > maxdeg are invisible at this bound.
     """
     for rel in pres.relations:
         if any(len(word) < 2 for word in rel.terms):
             raise NotMinimal(f"relation {rel} has a term of length below 2, so the presentation is not minimal")
     rs = pres.completed(maxdeg)
-    field = pres.field
-    alphabet = pres.alphabet
-    shifts = [[0]]
-    diffs = []
-    betti = {(0, 0): 1}
-    # position 1: the generators of the augmentation ideal
-    gens = [NCPoly(alphabet, field, {(i,): field.one()}) for i in range(len(alphabet))]
-    cx = None
-    current = [[g] for g in gens]  # rows of d_1
-    shifts.append([alphabet.degree((i,)) for i in range(len(alphabet))])
-    diffs.append(current)
-    for s in shifts[1]:
-        betti[(1, s)] = betti.get((1, s), 0) + 1
+    field, alphabet = pres.field, pres.alphabet
+    letters = [(k,) for k in range(len(alphabet))]
+    d1 = [[NCPoly(alphabet, field, {w: field.one()})] for w in letters]
+    cx = GradedComplex(pres, [[0], [alphabet.degree(w) for w in letters]], [d1])
     truncated = False
-    for i in range(1, max_i):
-        cx = GradedComplex(pres, shifts, diffs)
-        new_rows, new_shifts = _kernel_generators(cx, i, maxdeg)
-        if not new_rows:
+    for i in range(1, max_i + 1):
+        shifts, rows = [], []
+        cx.shifts.append(shifts)
+        cx.diffs.append(rows)
+        for j in range(min(cx.shifts[i]), maxdeg + 1):
+            _, kernel = cx.component_matrix(i, j).rank_kernel()
+            if not kernel.ncols:
+                continue
+            image = EchelonSpan(field)
+            for col in cx.component_matrix(i + 1, j).transpose().rows:
+                image.insert(col)
+            basis = _graded_basis(rs, cx.shifts[i], j)
+            for vec in kernel.transpose().rows:
+                if image.insert(vec):
+                    row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
+                    for entry, s in zip(row, cx.shifts[i]):
+                        assert entry.is_zero() or entry.degree() == j - s > 0, "entry outside the radical"
+                    shifts.append(j)
+                    rows.append(row)
+        if not shifts or i == max_i:
+            # an empty position ends the resolution; generators past max_i mark it truncated
+            truncated = bool(cx.shifts.pop())
+            cx.diffs.pop()
             break
-        shifts.append(new_shifts)
-        diffs.append(new_rows)
-        for s in new_shifts:
-            betti[(i + 1, s)] = betti.get((i + 1, s), 0) + 1
-    else:
-        # did the last computed position still have kernel generators?
-        cx = GradedComplex(pres, shifts, diffs)
-        rows, _ = _kernel_generators(cx, max_i, maxdeg)
-        truncated = bool(rows)
-    return MinimalResolution(BettiTable(betti), GradedComplex(pres, shifts, diffs), truncated, maxdeg)
-
-
-def _kernel_generators(cx, i, maxdeg):
-    """Minimal generators of ker(d_i) in internal degrees <= maxdeg.
-
-    Kernels are computed degree by degree; a kernel vector becomes a new
-    generator exactly when it adds a pivot over the span of the letter
-    multiples of the previous degree's full kernel (the radical part).
-    The choice is deterministic.  Generators of internal degree > maxdeg
-    are invisible at this bound.
-    """
-    pres = cx.pres
-    rs = pres.completed(maxdeg)
-    field = pres.field
-    alphabet = pres.alphabet
-    letters = [NCPoly(alphabet, field, {(k,): field.one()}) for k in range(len(alphabet))]
-    new_rows = []
-    new_shifts = []
-    kernel_rows_prev = {}  # weight offset -icity: previous degrees' full kernel bases
-    min_shift = min(cx.shifts[i])
-    max_weight = max(alphabet.weights)
-    for j in range(min_shift, maxdeg + 1):
-        basis = _graded_basis(rs, cx.shifts[i], j)
-        if not basis:
-            kernel_rows_prev[j] = []
-            continue
-        index = {key: n for n, key in enumerate(basis)}
-        span = EchelonSpan(field)
-        for k, letter in enumerate(letters):
-            jj = j - alphabet.weights[k]
-            for row in kernel_rows_prev.get(jj, []):
-                shifted = [entry if entry.is_zero() else rs.reduce(letter * entry) for entry in row]
-                span.insert(_vectorize(shifted, index))
-        _, kernel = cx.component_matrix(i, j).rank_kernel()
-        full_rows = []
-        for vec in kernel.transpose().rows:
-            row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
-            full_rows.append(row)
-            if span.insert(vec):
-                new_rows.append(row)
-                new_shifts.append(j)
-        kernel_rows_prev[j] = full_rows
-        for jj in list(kernel_rows_prev):
-            if jj < j - max_weight + 1:
-                del kernel_rows_prev[jj]
-    for row, s in zip(new_rows, new_shifts):
-        for c, entry in enumerate(row):
-            if not entry.is_zero():
-                assert entry.degree() == s - cx.shifts[i][c] > 0, "entry outside the radical"
-    return new_rows, new_shifts
-
-
-def _vectorize(row_elements, index):
-    """Sparse payload row of a row of module elements over the basis index."""
-    return {index[(gen, w)]: c for gen, poly in enumerate(row_elements) for w, c in poly.terms.items()}
+    betti = Counter((i, s) for i, degrees in enumerate(cx.shifts) for s in degrees)
+    return MinimalResolution(BettiTable(betti), cx, truncated, maxdeg)
 
 
 def _devectorize(vec, basis, shifts, alphabet, field):

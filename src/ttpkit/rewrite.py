@@ -126,25 +126,6 @@ class RewriteSystem:
         """
         return _reduce_terms(p, self._index, self._nf)
 
-    def overlaps(self):
-        """All overlap configurations (i, j, m, mid, mpp), sorted by degree.
-
-        Rule i's high term is m+mid, rule j's is mid+mpp, with mid nonempty;
-        the overlap word m+mid+mpp admits two one-step reductions.
-        """
-        out = []
-        for i, ri in enumerate(self.rules):
-            for j, rj in enumerate(self.rules):
-                for m, mid, mpp in _overlaps(ri.high, rj.high):
-                    out.append((i, j, m, mid, mpp))
-        key = lambda o: (
-            self.alphabet.degree(o[2] + o[3] + o[4]),
-            o[2] + o[3] + o[4],
-            o[0],
-            o[1],
-        )
-        return sorted(out, key=key)
-
     def complete(self, d):
         """Resolve all overlaps of total degree <= d; returns (system, added).
 

@@ -254,6 +254,13 @@ def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
     pytest.param(["asreg", *GF2_GF4_EIGENVALUES], 2, "not a twisted tensor product: Unknown(N=4)",
                  id="asreg-gf2-eigenvalues-in-gf4"),
     *(
+        pytest.param(["asreg", "--field", "Q", *job, "--evidence", "--maxdeg", maxdeg], 2,
+                     "--maxdeg of at least 3", id=f"asreg-evidence-{job[1]}-maxdeg-{maxdeg}")
+        for job in (["--family", "Tgh", "--params", "g=0,h=1"],
+                    ["--family", "T", "--defaults-zero", "--params", "d=1,E=1"])
+        for maxdeg in ("1", "2")
+    ),
+    *(
         pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", rel], 1, "stray '*'",
                      id=f"raw-stray-star-{rel}")
         for rel in ("x*", "*x", "x**y", "2*", "x*y*")

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from ttpkit.families import ParamTuple2D, build_C, build_Tgh
+from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import (
     BettiTable,
@@ -194,3 +195,37 @@ def test_minimal_resolution_never_reduces_zero(monkeypatch):
     for h in (0, 2):
         minimal_resolution(tgh(1, h), 5, 6)
     assert not zeros
+
+
+def raw_presentation(names, relations, weights=None):
+    alphabet = Alphabet(names, weights)
+    return Presentation(alphabet, QQ, [parse_poly(alphabet, QQ, r) for r in relations])
+
+
+GF32003 = PrimeField(32003)
+# (presentation, max_i, maxdeg): Tgh with h != 0 and h = 0 over Q and
+# GF(32003), an Ore T tuple, C(1,-1,1), C(0,2,0), a monomial relation and
+# a weighted alphabet
+PINNED_RESOLUTIONS = [
+    (tgh(2, 3), 5, 7),
+    (tgh(4, 0), 6, 7),
+    (tgh(2, 3, GF32003), 5, 7),
+    (tgh(4, 0, GF32003), 6, 7),
+    (build_T(ParamTuple3D.make(QQ, d=1, E=1, a=2, b=3, B=4)), 5, 6),
+    (build_C(ParamTuple2D.make(QQ, 1, -1, 1)), 5, 6),
+    (build_C(ParamTuple2D.make(QQ, 0, 2, 0)), 5, 6),
+    (raw_presentation(["x", "y"], ["xyxy"]), 5, 9),
+    (raw_presentation(["x", "y"], ["xy - yx", "x^4 - y^2"], (1, 2)), 5, 8),
+]
+
+
+def test_minimal_resolution_differentials_are_pinned():
+    # the generator choice is deterministic: a change in which kernel
+    # vectors become generators changes the differentials and this hash
+    parts = []
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        res = minimal_resolution(pres, max_i, maxdeg)
+        cx = res.complex
+        parts.append(repr((res.betti, res.truncated_at_position, cx.shifts, cx.diffs[1:])))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "21242147cf10a19ed17905282fe3f955e48359aeacf58349787ddb2a50708d8c"

@@ -24,6 +24,7 @@ from ttpkit.rewrite import (
     NotCompleted,
     RewriteSystem,
     Rule,
+    _overlaps,
     degree3_overlap_elements,
 )
 from ttpkit.scalars import QQ, PrimeField, QuadExtField
@@ -41,6 +42,17 @@ def c_system(field, a, b, c=1):
         XZ.word("z^2"): -field.scalar(c),
     })
     return RewriteSystem.from_relations(XZ, field, [rel])
+
+
+def overlap_words(rs, degree):
+    """The words hi+mpp of the given degree where one rule's high term hi overlaps another's."""
+    return {
+        YXZ.word_str(ri.high + mpp)
+        for ri in rs.rules
+        for rj in rs.rules
+        for _, _, mpp in _overlaps(ri.high, rj.high)
+        if YXZ.degree(ri.high + mpp) == degree
+    }
 
 
 def t_system(params):
@@ -89,15 +101,13 @@ def test_reduce_idempotent_random():
 
 def test_overlaps_of_t_system():
     rs = t_system(make_params3d(QQ, f=1, a=1, b=2, A=1))
-    degree3 = [o for o in rs.overlaps() if YXZ.degree(o[2] + o[3] + o[4]) == 3]
-    words = {YXZ.word_str(o[2] + o[3] + o[4]) for o in degree3}
-    assert words == {"z^3", "z^2y"}
+    assert overlap_words(rs, 3) == {"z^3", "z^2y"}
 
 
 def test_single_rule_no_overlaps():
     rule = Rule(YXZ.word("xy"), parse_poly(YXZ, QQ, "yx"))
     rs = RewriteSystem(YXZ, QQ, [rule])
-    assert rs.overlaps() == []
+    assert all(not list(_overlaps(ri.high, rj.high)) for ri in rs.rules for rj in rs.rules)
 
 
 def test_completion_fibonacci_vs_generic():
@@ -154,12 +164,7 @@ def test_elliptic_completion_matches_displayed_rule():
         assert rule.tail == expected_tail
         assert rs.hilbert(4) == [1, 3, 6, 10, 15]
         # the new rule creates exactly the two expected degree-4 overlaps
-        words4 = {
-            YXZ.word_str(o[2] + o[3] + o[4])
-            for o in rs.overlaps()
-            if YXZ.degree(o[2] + o[3] + o[4]) == 4
-        }
-        assert {"z^2x^2", "zx^2y"} <= words4
+        assert {"z^2x^2", "zx^2y"} <= overlap_words(rs, 4)
 
 
 def test_elliptic_normal_words_shape():
