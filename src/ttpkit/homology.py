@@ -12,7 +12,10 @@ rank computation.
 The minimal resolution of the trivial module grows one such complex in
 place.  In internal degree j, the kernel vectors of the i-th component
 matrix that lie outside the image of the partial (i+1)-st differential,
-built from the generators of lower degree, are the new generators.
+built from the generators of lower degree, are the new generators.  Each
+degree-j component matrix is built once: the partial (i+1)-st one,
+extended by the new generators' columns, is the full matrix that the next
+position takes its kernel from.
 """
 
 from __future__ import annotations
@@ -79,15 +82,18 @@ class GradedComplex:
         field = self.pres.field
         # an empty target still gives one zero row: a 1 x len(src) matrix
         rows = [{} for _ in range(max(len(dst), 1))]
-        mat = self.diffs[i]
+        mat, alphabet, left = self.diffs[i], self.pres.alphabet, self.side == "left"
         for col, (gen, word) in enumerate(src):
-            carrier = NCPoly(self.pres.alphabet, field, {word: field.one()})
             for tgt, entry in enumerate(mat[gen]):
                 if entry.is_zero():
                     continue
-                prod = carrier * entry if self.side == "left" else entry * carrier
+                # word times entry: the entry's terms shifted by word on the acting side
+                if left:
+                    terms = {word + u: c for u, c in entry.terms.items()}
+                else:
+                    terms = {u + word: c for u, c in entry.terms.items()}
                 # each (tgt, w) is hit once per column: one entry, nothing to add up
-                for w, c in rs.reduce(prod).terms.items():
+                for w, c in rs.reduce(NCPoly.from_payloads(alphabet, field, terms)).terms.items():
                     rows[dst_index[(tgt, w)]][col] = c
         return ScalarMatrix.from_sparse(field, rows, len(src))
 
@@ -238,7 +244,15 @@ def minimal_resolution(pres, max_i, maxdeg):
     Every differential entry then lands in the radical.  That needs every
     relation term to be a word of length at least 2 (the letters minimal
     generators, the algebra nonzero); NotMinimal otherwise.  Generators of
-    internal degree > maxdeg are invisible at this bound.
+    internal degree > maxdeg are invisible at this bound, and the Betti
+    table does not count them.
+
+    Each degree-j matrix is built once.  The partial d_{i+1} built for the
+    image span is kept and extended by one column per new generator: such
+    a generator has only the empty word in degree j, so its column is its
+    kernel vector, and it comes last in basis order.  The result is the
+    full degree-j matrix of d_{i+1}, from which position i+1 takes its
+    kernel; the matrices of d_1 are built up front.
     """
     for rel in pres.relations:
         if any(len(word) < 2 for word in rel.terms):
@@ -249,31 +263,40 @@ def minimal_resolution(pres, max_i, maxdeg):
     d1 = [[NCPoly(alphabet, field, {w: field.one()})] for w in letters]
     cx = GradedComplex(pres, [[0], [alphabet.degree(w) for w in letters]], [d1])
     truncated = False
+    # mats[j]: the degree-j matrix of the differential leaving position i
+    mats = {j: cx.component_matrix(1, j) for j in range(min(cx.shifts[1]), maxdeg + 1)}
     for i in range(1, max_i + 1):
         shifts, rows = [], []
         cx.shifts.append(shifts)
         cx.diffs.append(rows)
+        nxt = {}
         for j in range(min(cx.shifts[i]), maxdeg + 1):
-            _, kernel = cx.component_matrix(i, j).rank_kernel()
-            if not kernel.ncols:
-                continue
-            image = EchelonSpan(field)
-            for col in cx.component_matrix(i + 1, j).transpose().rows:
-                image.insert(col)
-            basis = _graded_basis(rs, cx.shifts[i], j)
-            for vec in kernel.transpose().rows:
-                if image.insert(vec):
-                    row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
-                    for entry, s in zip(row, cx.shifts[i]):
-                        assert entry.is_zero() or entry.degree() == j - s > 0, "entry outside the radical"
-                    shifts.append(j)
-                    rows.append(row)
+            _, kernel = mats[j].rank_kernel()
+            # the partial next differential, one row per column; new generators' columns join below
+            partial = cx.component_matrix(i + 1, j).transpose()
+            cols = partial.rows
+            if kernel.ncols:
+                image = EchelonSpan(field)
+                for col in cols:
+                    image.insert(col)
+                basis = _graded_basis(rs, cx.shifts[i], j)
+                for vec in kernel.transpose().rows:
+                    if image.insert(vec):
+                        row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
+                        for entry, s in zip(row, cx.shifts[i]):
+                            assert entry.is_zero() or entry.degree() == j - s > 0, "entry outside the radical"
+                        shifts.append(j)
+                        rows.append(row)
+                        # a new generator has only the empty word in degree j: its column is vec
+                        cols.append(vec)
+            nxt[j] = ScalarMatrix.from_sparse(field, cols, partial.ncols).transpose()
+        mats = nxt
         if not shifts or i == max_i:
             # an empty position ends the resolution; generators past max_i mark it truncated
             truncated = bool(cx.shifts.pop())
             cx.diffs.pop()
             break
-    betti = Counter((i, s) for i, degrees in enumerate(cx.shifts) for s in degrees)
+    betti = Counter((i, s) for i, degrees in enumerate(cx.shifts) for s in degrees if s <= maxdeg)
     return MinimalResolution(BettiTable(betti), cx, truncated, maxdeg)
 
 

@@ -132,6 +132,13 @@ def test_resolve_koszul_asreg_on_tgh():
     assert machine["decision"] == "True" and machine["gorenstein_clean"] == "True"
 
 
+def test_resolve_counts_no_generator_above_maxdeg():
+    # the letters sit in degree 1, above the bound: only b[0,0] is visible
+    status, out = invoke(["resolve", "--field", "Q", "--family", "Tgh", "--params", "g=1,h=2", "--homdeg", "1", "--maxdeg", "0"])
+    assert status == 0
+    assert parse_machine_block(out)["betti"] == "0:0:1"
+
+
 def test_yoneda_cli():
     status, out = invoke(["yoneda", "--family", "Tgh", "--params", "g=1,h=2", "--homdeg", "4"])
     assert status == 0

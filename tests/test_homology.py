@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from ttpkit.homology import (
     exactness_profile,
     minimal_resolution,
 )
-from ttpkit.scalars import QQ, PrimeField
+from ttpkit.scalars import QQ, PrimeField, ScalarMatrix
 
 
 def tgh(g, h, field=QQ):
@@ -229,3 +230,46 @@ def test_minimal_resolution_differentials_are_pinned():
         parts.append(repr((res.betti, res.truncated_at_position, cx.shifts, cx.diffs[1:])))
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == "21242147cf10a19ed17905282fe3f955e48359aeacf58349787ddb2a50708d8c"
+
+
+def test_minimal_resolution_builds_each_component_matrix_once(monkeypatch):
+    # the degree-j matrix of d_{i+1} is built once, for the image span at
+    # position i, and carried to position i+1 with the new generators' columns
+    build = GradedComplex.component_matrix
+    built = []
+
+    def spy(self, i, j):
+        built.append((i, j))
+        return build(self, i, j)
+
+    monkeypatch.setattr(GradedComplex, "component_matrix", spy)
+    minimal_resolution(tgh(4, 0), 6, 8)
+    twice = sorted(key for key, n in Counter(built).items() if n > 1)
+    assert built and not twice, twice
+
+
+def test_minimal_resolution_carried_matrices_match_fresh_builds(monkeypatch):
+    # each kernel is taken from a carried matrix; it must equal the component
+    # matrix built from nothing on the finished complex, column order included
+    rank_kernel = ScalarMatrix.rank_kernel
+    seen = []
+
+    def spy(self):
+        seen.append(self)
+        return rank_kernel(self)
+
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ScalarMatrix, "rank_kernel", spy)
+            cx = minimal_resolution(pres, max_i, maxdeg).complex
+        keys = [(i, j) for i in range(1, len(cx)) for j in range(min(cx.shifts[i]), maxdeg + 1)]
+        assert len(seen) == len(keys), pres
+        for (i, j), carried in zip(keys, seen):
+            assert carried == cx.component_matrix(i, j), (pres, i, j)
+
+
+def test_minimal_resolution_betti_ignores_generators_above_maxdeg():
+    # y has weight 2, beyond maxdeg 1: the Betti table counts x alone
+    res = minimal_resolution(raw_presentation(["x", "y"], ["xy - yx", "x^4 - y^2"], (1, 2)), 3, 1)
+    assert res.betti == BettiTable({(0, 0): 1, (1, 1): 1})
