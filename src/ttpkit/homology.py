@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .freealg import NCPoly
-from .rewrite import NotCompleted
 from .scalars import EchelonSpan, ScalarMatrix
 
 
@@ -82,18 +81,13 @@ class GradedComplex:
         field = self.pres.field
         # an empty target still gives one zero row: a 1 x len(src) matrix
         rows = [{} for _ in range(max(len(dst), 1))]
-        mat, alphabet, left = self.diffs[i], self.pres.alphabet, self.side == "left"
+        mat = self.diffs[i]
         for col, (gen, word) in enumerate(src):
             for tgt, entry in enumerate(mat[gen]):
                 if entry.is_zero():
                     continue
-                # word times entry: the entry's terms shifted by word on the acting side
-                if left:
-                    terms = {word + u: c for u, c in entry.terms.items()}
-                else:
-                    terms = {u + word: c for u, c in entry.terms.items()}
-                # each (tgt, w) is hit once per column: one entry, nothing to add up
-                for w, c in rs.reduce(NCPoly.from_payloads(alphabet, field, terms)).terms.items():
+                # word times entry, its letters folded onto word: each (tgt, w) is hit once per column
+                for w, c in rs.multiply(word, entry, self.side).items():
                     rows[dst_index[(tgt, w)]][col] = c
         return ScalarMatrix.from_sparse(field, rows, len(src))
 
@@ -104,29 +98,6 @@ class GradedComplex:
     def _system_for_degree(self, j):
         low = min((s for shifts in self.shifts for s in shifts), default=0)
         return self.pres.completed(max(j - low, 0))
-
-    def compose_check(self, maxdeg):
-        """Every entry of every consecutive product reduces to zero."""
-        rs = self.pres.completed(maxdeg)
-        for i in range(2, len(self)):
-            hi, mid, lo = self.shifts[i], self.shifts[i - 1], self.shifts[i - 2]
-            for r in range(len(hi)):
-                for c in range(len(lo)):
-                    acc = NCPoly.zero(self.pres.alphabet, self.pres.field)
-                    for k in range(len(mid)):
-                        a, b = self.diffs[i][r][k], self.diffs[i - 1][k][c]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        acc = acc + (a * b if self.side == "left" else b * a)
-                    if acc.is_zero():
-                        continue
-                    if acc.degree() > maxdeg:
-                        raise NotCompleted(
-                            f"product entry has degree {acc.degree()} > bound {maxdeg}"
-                        )
-                    if not rs.reduce(acc).is_zero():
-                        return False
-        return True
 
 
 def _graded_basis(rs, shifts, j):
@@ -307,19 +278,6 @@ def _devectorize(vec, basis, shifts, alphabet, field):
         gen, word = basis[col]
         row[gen].terms[word] = a
     return row
-
-
-def euler_check(pres, betti, maxdeg):
-    """Alternating Betti convolution against the Hilbert profile is delta_0."""
-    dims = pres.hilbert(maxdeg)
-    for m in range(maxdeg + 1):
-        acc = 0
-        for (i, j), b in betti.items():
-            if j <= m:
-                acc += (-1) ** i * b * dims[m - j]
-        if acc != (1 if m == 0 else 0):
-            return False
-    return True
 
 
 def dualize(cx):

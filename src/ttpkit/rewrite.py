@@ -5,17 +5,25 @@ completion up to a degree bound turns a presentation into a Gröbner basis
 to that degree; normal words (no high term as subword) then form a basis
 of the quotient, giving the Hilbert function.
 
-Reduction goes through a table of word normal forms.  A word's entry is
-computed once: rewrite its leftmost redex with the first matching rule and
-sum the entries of the resulting (strictly smaller) words.  A polynomial
-then reduces to the sum of c * NF(w) over its terms.  Entries are sparse
-payload rows keyed by word, the format of NCPoly.terms, so rule tails
-feed the table and a sum of entries is the reduced polynomial as it
-stands, with no conversion either way.  A RewriteSystem keeps its table
-for its whole life, since its rules never change; completion, whose rule
-list grows, starts a fresh table for each reduction.  The leftmost redex
-is found through an index of the rules by the first letter of their high
-term.
+Normal forms are carried by letter multiplication maps (Faugère, Gianni,
+Lazard and Mora, JSC 16, 1993).  The right map sends a normal word v and
+a letter x to NF(v x); its mirror, the left map, sends them to NF(x v).
+Since v has no redex, a high term can occur in v x only as a suffix, so
+an entry needs one lookup among the rules ending in x: none matches and
+v x is normal, or v x = v1 h and the entry is the sum of c times v1
+folded through the map one letter of t at a time, over the tail terms
+c t of h.  Every word met on the way is below v x in the term order, so
+the entries a system asks for are finite in number and filled on first
+use, with an explicit stack instead of recursion.  A word's normal form
+is its letters folded from the empty word, and the normal words of
+degree n + 1 are the products v x whose lookup finds no rule.
+
+On any rule set the result is irreducible and congruent to the input.
+On a system complete through a word's degree it is the unique normal
+form, whatever the rewriting strategy.  Entries are sparse payload rows
+keyed by word, the format of NCPoly.terms.  A RewriteSystem keeps its
+maps for its whole life, since its rules never change; completion,
+whose rule list grows, folds each S-difference through fresh maps.
 
 The two degree-3 obstructions of the normalized three-generator family
 are evaluated from closed-form coefficient tables, with no rewriting.
@@ -67,16 +75,16 @@ class Rule:
 class RewriteSystem:
     """An ordered set of rules with a completion certificate."""
 
-    __slots__ = ("alphabet", "field", "rules", "completed_to", "_index", "_nf", "_words")
+    __slots__ = ("alphabet", "field", "rules", "completed_to", "_right", "_left", "_words")
 
     def __init__(self, alphabet, field, rules, completed_to=None):
         self.alphabet = alphabet
         self.field = field
         self.rules = tuple(rules)
         self.completed_to = completed_to
-        self._index = _rule_index(self.rules)
-        self._nf = {}  # word -> {normal word: coefficient}
-        self._words = ()  # normal-word buckets by degree, up to the largest d asked
+        self._right = _LetterMap(self.rules, field)  # (v, x) -> NF(v x)
+        self._left = _LetterMap(self.rules, field, right=False)  # (v, x) -> NF(x v)
+        self._words = []  # normal-word buckets by degree, up to the largest d asked
         highs = [r.high for r in self.rules]
         for i, h in enumerate(highs):
             for j, g in enumerate(highs):
@@ -99,7 +107,7 @@ class RewriteSystem:
         rules = []
         work = list(relations)
         while work:
-            p = _reduce_terms(work.pop(0), _rule_index(rules), {})
+            p = _LetterMap(rules, field).reduce(work.pop(0))
             if p.is_zero():
                 continue
             new = _monic_rule(p)
@@ -111,20 +119,35 @@ class RewriteSystem:
                     keep.append(r)
             keep.append(new)
             rules = keep
-        rules = _interreduce_tails(rules)
+        rules = _interreduce_tails(rules, field)
         rules.sort(key=lambda r: alphabet.sort_key(r.high))
         return RewriteSystem(alphabet, field, rules)
 
     def reduce(self, p):
-        """Normal form of p: no high term occurs as a subword of any word.
+        """An irreducible polynomial congruent to p: no high term occurs in any of its words.
 
-        The result is the sum of c * NF(w) over the terms c*w of p, where
-        NF(w) comes from this system's word table and is computed on first
-        use.  It equals rewriting the order-largest reducible word at its
-        leftmost redex until none is left, on any rule set, confluent or
-        not.
+        It is the sum of c * NF(w) over the terms c*w of p, each NF(w)
+        the letters of w folded through the right multiplication map from
+        the empty word.  Where the system is complete through the degree of
+        w, NF(w) is the unique normal form, reached by every rewriting
+        strategy; past that it is one irreducible representative.
         """
-        return _reduce_terms(p, self._index, self._nf)
+        return self._right.reduce(p)
+
+    def multiply(self, word, p, side="left"):
+        """NF(word * p), or NF(p * word) with side "right", as a payload row; word must be normal.
+
+        The letters of each term of p are folded onto word through the
+        right multiplication map, or through the left one from the last
+        letter on.
+        """
+        maps = self._right if side == "left" else self._left
+        field = self.field
+        start = {word: field._coerce(1)}
+        out = {}
+        for u, c in p.terms.items():
+            add_multiple(field, out, c, maps.fold(start, u))
+        return out
 
     def complete(self, d):
         """Resolve all overlaps of total degree <= d; returns (system, added).
@@ -160,7 +183,7 @@ class RewriteSystem:
             _, _, i, j, _, m, mpp = heapq.heappop(queue)
             left = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
             right = NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
-            sdiff = _reduce_terms(left - right, _rule_index(rules), {})
+            sdiff = _LetterMap(rules, field).reduce(left - right)
             if sdiff.is_zero():
                 continue
             rules.append(_monic_rule(sdiff))
@@ -170,37 +193,121 @@ class RewriteSystem:
                 push_overlaps(i2, k)
                 if i2 != k:
                     push_overlaps(k, i2)
-        rules = _interreduce_tails(rules)
+        rules = _interreduce_tails(rules, field)
         done = max(d, self.completed_to or 0)
         return RewriteSystem(alphabet, field, rules, completed_to=done), added
 
     def normal_words(self, d):
-        """Per-degree tuples of normal words up to degree d (a basis)."""
+        """Per-degree tuples of normal words up to degree d (a basis).
+
+        Degree n is built from the cached lower degrees: for a normal word
+        v, v x is normal exactly when the right multiplication map finds no
+        rule to rewrite it, the first step of its entry, so no entry is
+        filled here.
+        """
         if self.completed_to is None or self.completed_to < d:
             raise NotCompleted(f"system completed to {self.completed_to}, need {d}")
-        if len(self._words) > d:
-            return self._words[: d + 1]
-        highs = [r.high for r in self.rules]
-        buckets = [[] for _ in range(d + 1)]
-        if () not in highs:  # a rule 1 -> 0 makes the algebra zero
-            buckets[0].append(())
-        weights = self.alphabet.weights
-        for n in range(d + 1):
-            for w in buckets[n]:
-                for i in range(len(self.alphabet)):
-                    n2 = n + weights[i]
-                    if n2 > d:
-                        continue
-                    u = w + (i,)
-                    if any(len(h) <= len(u) and u[len(u) - len(h) :] == h for h in highs):
-                        continue
-                    buckets[n2].append(u)
-        self._words = tuple(tuple(b) for b in buckets)
-        return self._words
+        words, maps, weights = self._words, self._right, self.alphabet.weights
+        if not words:
+            words.append(tuple(maps.unit))
+        letters = range(len(weights))
+        while len(words) <= d:
+            n, bucket = len(words), []
+            for m, vs in enumerate(words):
+                xs = [x for x in letters if m + weights[x] == n]
+                for v in vs if xs else ():
+                    bucket.extend(v + (x,) for x in xs if maps.redex(v, x) is None)
+            words.append(tuple(bucket))
+        return tuple(words[: d + 1])
 
     def hilbert(self, d):
         """[dim of the degree-n component for n = 0..d]."""
         return [len(b) for b in self.normal_words(d)]
+
+
+class _LetterMap:
+    """Normal forms of normal word times letter, filled on first use.
+
+    The entry of (v, x) is NF(v x) for the right map and NF(x v) for the
+    left one, a payload row.  The rules are indexed by the letter their
+    high term ends with (right) or starts with (left), in rule order; where
+    several high terms fit, the first one rewrites.
+    """
+
+    __slots__ = ("field", "right", "index", "entries", "unit", "_one")
+
+    def __init__(self, rules, field, right=True):
+        self.field, self.right, self.entries = field, right, {}
+        self._one = field._coerce(1)
+        self.index = {}
+        for r in rules:
+            if r.high:
+                self.index.setdefault(r.high[-1] if right else r.high[0], []).append(r)
+        # NF of the empty word: zero under a rule 1 -> 0, which makes every word zero
+        self.unit = {} if any(not r.high for r in rules) else {(): self._one}
+
+    def fold(self, row, word):
+        """Sum of a * NF(u word) (right) or a * NF(word u) (left) over the terms a*u of row."""
+        return self._run(self._fold(row, word))
+
+    def reduce(self, p):
+        """Sum of c * NF(w) over the terms c*w of p, each NF(w) folded from the empty word."""
+        out = {}
+        for w, c in p.terms.items():
+            add_multiple(self.field, out, c, self.fold(self.unit, w))
+        return NCPoly.from_payloads(p.alphabet, p.field, out)
+
+    def _run(self, steps):
+        """Drive a suspended computation, filling each missing entry it yields on an explicit stack."""
+        stack, value = [steps], None
+        while True:
+            try:
+                key = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+            else:
+                stack.append(self._entry(key))
+                value = None
+
+    def _fold(self, row, word):
+        """fold as a suspended computation: it yields each missing key and is sent that key's entry."""
+        entries, field = self.entries, self.field
+        for x in word if self.right else reversed(word):
+            out = {}
+            for u, a in row.items():
+                nf = entries.get((u, x))
+                if nf is None:
+                    nf = yield (u, x)
+                add_multiple(field, out, a, nf)
+            row = out
+        return row
+
+    def redex(self, v, x):
+        """The first rule whose high term ends v x (right map) or starts x v (left map), or None."""
+        w = v + (x,) if self.right else (x,) + v
+        for rule in self.index.get(x, ()):
+            h = rule.high
+            if (w[len(w) - len(h) :] if self.right else w[: len(h)]) == h:
+                return rule
+        return None
+
+    def _entry(self, key):
+        """Compute and store the entry of key, suspended like _fold."""
+        v, x = key
+        rule = self.redex(v, x)
+        if rule is None:
+            nf = self.entries[key] = {v + (x,) if self.right else (x,) + v: self._one}
+            return nf
+        cut = len(v) + 1 - len(rule.high)  # the letters of v x or x v outside the high term
+        start = {v[:cut] if self.right else v[len(v) - cut :]: self._one}
+        nf = {}
+        for t, c in rule.tail.terms.items():
+            add_multiple(self.field, nf, c, (yield from self._fold(start, t)))
+        self.entries[key] = nf
+        return nf
 
 
 def _contains(word, sub):
@@ -225,90 +332,10 @@ def _monic_rule(p):
     return Rule(w, tail)
 
 
-def _rule_index(rules):
-    """Rules by the first letter of their high term, each list in rule order.
-
-    A rule with the empty high term matches at every position, so it sits
-    in every letter's list; the key None lists those rules alone, for the
-    empty word and for letters that start no high term.
-    """
-    index = {None: [r for r in rules if not r.high]}
-    for first in {r.high[0] for r in rules if r.high}:
-        index[first] = [r for r in rules if not r.high or r.high[0] == first]
-    return index
-
-
-def _find_redex(word, index):
-    """Leftmost (pos, rule) whose high term occurs in word at pos, or None.
-
-    At that position the first matching rule in rule order wins.
-    """
-    empty = index[None]
-    if not word:
-        return (0, empty[0]) if empty else None
-    for pos, letter in enumerate(word):
-        for rule in index.get(letter, empty):
-            h = rule.high
-            if word[pos : pos + len(h)] == h:
-                return pos, rule
-    return None
-
-
-def _normal_form(word, index, table, field):
-    """NF(word) as {normal word: payload}, filling table bottom-up.
-
-    One rewrite at the leftmost redex yields strictly smaller words, so the
-    entries needed form a finite acyclic graph; an explicit stack walks it
-    without recursion.  Each stack entry is [word, children], where children
-    is None until the word's redex has been looked up.
-    """
-    nf = table.get(word)
-    if nf is not None:
-        return nf
-    stack = [[word, None]]
-    while stack:
-        top = stack[-1]
-        w, children = top
-        if children is None:
-            if w in table:  # pushed by more than one parent
-                stack.pop()
-                continue
-            hit = _find_redex(w, index)
-            if hit is None:
-                table[w] = {w: field._coerce(1)}
-                stack.pop()
-                continue
-            pos, rule = hit
-            u, v = w[:pos], w[pos + len(rule.high) :]
-            children = top[1] = [(u + tw + v, tc) for tw, tc in rule.tail.terms.items()]
-            missing = [[cw, None] for cw, _ in children if cw not in table]
-            if missing:
-                stack.extend(missing)
-                continue
-        table[w] = _combine(((tc, table[cw]) for cw, tc in children), field)
-        stack.pop()
-    return table[word]
-
-
-def _combine(pairs, field):
-    """Sum of c * nf over (payload, normal form) pairs, as {word: payload} without zeros."""
-    acc = {}
-    for c, nf in pairs:
-        add_multiple(field, acc, c, nf)
-    return acc
-
-
-def _reduce_terms(p, index, table):
-    """Sum of c * NF(w) over the terms of p, with NF entries from table."""
-    field = p.field
-    nf = _combine(((c, _normal_form(w, index, table, field)) for w, c in p.terms.items()), field)
-    return NCPoly.from_payloads(p.alphabet, field, nf)
-
-
-def _interreduce_tails(rules):
+def _interreduce_tails(rules, field):
     """Reduce every tail to normal form with respect to the whole system."""
-    index, table = _rule_index(rules), {}
-    return [Rule(r.high, _reduce_terms(r.tail, index, table)) for r in rules]
+    maps = _LetterMap(rules, field)
+    return [Rule(r.high, maps.reduce(r.tail)) for r in rules]
 
 
 # The f = 1 normalized three-generator system over the alphabet y < x < z:

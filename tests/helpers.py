@@ -5,18 +5,21 @@ hand-checked coefficient expansions; freezing them here gives the library's
 closed-form tables an independent target to reproduce at arbitrary
 specializations.  ``rewrite_degree3_overlap_elements`` computes the same
 pair by rewriting in ``overlap_system``, a second oracle.
-``reference_reduce`` is a direct rewriting loop that the table-driven
-``RewriteSystem.reduce`` must agree with on any rule set, and
-``random_reduce`` rewrites random redexes for confluence spot checks.
+``reference_reduce`` is a direct rewriting loop that ``RewriteSystem.reduce``
+and the multiplication maps must agree with on systems complete through
+the degree, and ``random_reduce`` rewrites random redexes for confluence
+spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
 census decides it once per canonical class.  ``reference_classify_3d``
 decides a three-generator tuple from both obstructions in full, where
 ``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
-on elliptic tuples.  ``hilbert_oracle`` recomputes
-quotient dimensions by linear algebra on the whole word space, with no
-rewriting involved.  ``assert_payload_terms`` checks that a polynomial
-stores raw field payloads only; the oracles box coefficients at entry and
-do their arithmetic on Scalars, so they share no code with it.
+on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
+linear algebra on the whole word space, with no rewriting involved.
+``euler_check`` tests a resolution's Betti numbers against the Hilbert
+function, and ``compose_check`` that consecutive differentials of a
+complex compose to zero.  ``assert_payload_terms`` checks that a
+polynomial stores raw field payloads only; the oracles box coefficients at
+entry and do their arithmetic on Scalars, so they share no code with it.
 """
 
 from fractions import Fraction
@@ -32,7 +35,7 @@ from ttpkit.classify import (
 from ttpkit.families import ParamTuple2D
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.koszulreg import asreg_decide_2d
-from ttpkit.rewrite import RewriteSystem, Rule, degree3_overlap_elements
+from ttpkit.rewrite import NotCompleted, RewriteSystem, Rule, degree3_overlap_elements
 from ttpkit.scalars import EchelonSpan, PrimeField, QuadExtField, Scalar
 from ttpkit.sequences import fn_nonvanishing
 
@@ -122,6 +125,11 @@ def _redexes(w, rules):
     """
     return ((pos, rule) for pos in range(len(w) + 1) for rule in rules
             if w[pos : pos + len(rule.high)] == rule.high)
+
+
+def is_irreducible(p, rules):
+    """Whether no high term of rules occurs in any word of p."""
+    return not any(next(_redexes(w, rules), None) for w in p.terms)
 
 
 def is_payload(field, a):
@@ -285,3 +293,40 @@ def hilbert_oracle(relations, d):
                         span.insert({index[m + w + mp]: c for w, c in r.terms.items()})
         dims.append(len(index) - span.rank)
     return dims
+
+
+def euler_check(pres, betti, maxdeg):
+    """Alternating Betti convolution against the Hilbert profile is delta_0."""
+    dims = pres.hilbert(maxdeg)
+    for m in range(maxdeg + 1):
+        acc = 0
+        for (i, j), b in betti.items():
+            if j <= m:
+                acc += (-1) ** i * b * dims[m - j]
+        if acc != (1 if m == 0 else 0):
+            return False
+    return True
+
+
+def compose_check(cx, maxdeg):
+    """Every entry of every consecutive product of the complex cx reduces to zero."""
+    rs = cx.pres.completed(maxdeg)
+    for i in range(2, len(cx)):
+        hi, mid, lo = cx.shifts[i], cx.shifts[i - 1], cx.shifts[i - 2]
+        for r in range(len(hi)):
+            for c in range(len(lo)):
+                acc = NCPoly.zero(cx.pres.alphabet, cx.pres.field)
+                for k in range(len(mid)):
+                    a, b = cx.diffs[i][r][k], cx.diffs[i - 1][k][c]
+                    if a.is_zero() or b.is_zero():
+                        continue
+                    acc = acc + (a * b if cx.side == "left" else b * a)
+                if acc.is_zero():
+                    continue
+                if acc.degree() > maxdeg:
+                    raise NotCompleted(
+                        f"product entry has degree {acc.degree()} > bound {maxdeg}"
+                    )
+                if not rs.reduce(acc).is_zero():
+                    return False
+    return True

@@ -20,7 +20,8 @@ from ttpkit.cli import (
     scan_space,
 )
 from ttpkit.classify import classify_2d_ttp
-from ttpkit.families import ParamTuple2D, ParamTuple3D, build_C, build_T, build_Tgh
+from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
+from ttpkit.freealg import Alphabet, parse_poly
 from ttpkit.homology import minimal_resolution
 from ttpkit.koszulreg import gorenstein_check, koszul_check
 from ttpkit.scalars import QQ, PrimeField, QuadExtField
@@ -639,3 +640,51 @@ def test_scan_space_accepts_every_enumerated_name():
 def test_parse_ranges():
     r = parse_ranges("a=0..2,b=*,c=1|2")
     assert list(r["a"]) == [0, 1, 2] and r["b"] is None and r["c"] == [1, 2]
+
+
+# gb --maxdeg 6 for the presentations of the pinned resolutions in
+# test_homology.py that the command line can spell (all but the weighted
+# alphabet, checked below), an elliptic and an Ore T tuple, and a C tuple
+# over GF(101); SHA-256 of each exit status and stdout, concatenated, as
+# completion printed them when S-differences were reduced by rewriting
+# the leftmost redex
+GB_PINNED = [
+    ["--field", "Q", "--family", "Tgh", "--params", "g=2,h=3"],
+    ["--field", "Q", "--family", "Tgh", "--params", "g=4,h=0"],
+    ["--field", "GF(32003)", "--family", "Tgh", "--params", "g=2,h=3"],
+    ["--field", "GF(32003)", "--family", "Tgh", "--params", "g=4,h=0"],
+    ["--field", "Q", "--family", "T", "--defaults-zero", "--params", "d=1,E=1,a=2,b=3,B=4"],
+    ["--field", "Q", "--family", "C", "--params", "a=1,b=-1,c=1"],
+    ["--field", "Q", "--family", "C", "--params", "a=0,b=2,c=0"],
+    ["--field", "Q", "--family", "raw", "--alphabet", "x,y", "--relations", "xyxy"],
+    ["--field", "Q", "--family", "T", "--defaults-zero", "--params", "a=2,b=-2,c=3,d=-1,f=1,A=1,B=0,C=5,E=-1"],
+    ["--field", "Q", "--family", "T", "--defaults-zero", "--params", "d=-2,E=-1,B=1,C=1,a=3/2,b=3/2"],
+    ["--field", "GF(101)", "--family", "C", "--params", "a=2,b=3,c=1"],
+]
+GB_SHA256 = "f0dbf9a3deca848c4bf469fed8a0280c24eed7704ecc15835b45737754068927"
+
+
+def test_gb_output_is_pinned():
+    parts = []
+    for case in GB_PINNED:
+        status, out = invoke(["gb", *case, "--maxdeg", "6"])
+        parts.append(f"{status}\n{out}")
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == GB_SHA256
+    weighted = Alphabet(["x", "y"], (1, 2))
+    pres = Presentation(weighted, QQ, [parse_poly(weighted, QQ, r) for r in ("xy - yx", "x^4 - y^2")])
+    assert [repr(rule) for rule in pres.completed(6).rules] == ["yx -> xy", "y^2 -> x^4"]
+
+
+# SHA-256 of the stdout of the two largest resolution cases: Tgh(1,2) to
+# internal degree 16, and the Gorenstein evidence of an Ore T tuple with
+# proper fractions over Q to degree 10
+@pytest.mark.parametrize("argv, digest", [
+    (["resolve", "--field", "Q", "--family", "Tgh", "--params", "g=1,h=2", "--homdeg", "6", "--maxdeg", "16"],
+     "9216025caa5ad20ecb7b2dfe359b6488bda1ca892d876afb71ac61c7656c7d30"),
+    (["asreg", "--field", "Q", "--family", "T", "--defaults-zero", "--params", "d=-2,E=-1,B=1,C=1,a=3/2,b=3/2",
+      "--evidence", "--maxdeg", "10"],
+     "f43f2f97587bfed76151bf0104492dbac7741ede4aa9e871ac2ae1b14fe84e81"),
+], ids=["resolve-Tgh-maxdeg-16", "asreg-evidence-ore-Q-maxdeg-10"])
+def test_large_resolution_stdout_is_pinned(argv, digest):
+    status, out = invoke(argv)
+    assert status == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,9 +5,10 @@ Q(sqrt(m)) each component of the (u, v) pair is such a payload; a GF(p)
 payload is an int in [0, p).  No matrix row and no polynomial term holds
 a Scalar or a zero.  The runs below record every stored payload they can
 reach: the component matrices, their kernels, every EchelonSpan row after
-every insertion, the rule tails of the completed system, its normal-form
-table, every product and reduced polynomial, and the differentials of the
-minimal resolution.
+every insertion, the rule tails of the completed system, both of its
+letter multiplication maps, every product, every reduced polynomial and
+every word-times-entry row folded through the maps, and the differentials
+of the minimal resolution.
 """
 
 from collections import defaultdict
@@ -49,11 +50,11 @@ def _check_poly(poly, where, seen):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Check the payloads of every EchelonSpan, matrix, product and reduced polynomial as they are made."""
+    """Check the payloads of every EchelonSpan, matrix, product, reduced polynomial and folded row as they are made."""
     types = defaultdict(set)  # where -> payload types met there
     insert, rank_kernel = EchelonSpan._insert, ScalarMatrix.rank_kernel
     component_matrix = GradedComplex.component_matrix
-    mul, reduce = NCPoly.__mul__, RewriteSystem.reduce
+    mul, reduce, multiply = NCPoly.__mul__, RewriteSystem.reduce, RewriteSystem.multiply
 
     def checked_insert(self, vec):
         grew = insert(self, vec)
@@ -80,11 +81,17 @@ def seen(monkeypatch):
         _check_poly(nf, "reduced", types)
         return nf
 
+    def checked_multiply(self, word, p, side="left"):
+        row = multiply(self, word, p, side)
+        _check_rows(self.field, [row], "reduced", types)
+        return row
+
     monkeypatch.setattr(EchelonSpan, "_insert", checked_insert)
     monkeypatch.setattr(ScalarMatrix, "rank_kernel", checked_rank_kernel)
     monkeypatch.setattr(GradedComplex, "component_matrix", checked_component_matrix)
     monkeypatch.setattr(NCPoly, "__mul__", checked_mul)
     monkeypatch.setattr(RewriteSystem, "reduce", checked_reduce)
+    monkeypatch.setattr(RewriteSystem, "multiply", checked_multiply)
     return types
 
 
@@ -94,8 +101,9 @@ def _run(pres, maxdeg, seen):
     rs = pres.completed(maxdeg)
     for rule in rs.rules:
         _check_poly(rule.tail, "rule tail", seen)
-    assert rs._nf, "the run filled no normal-form table"
-    _check_rows(rs.field, rs._nf.values(), "normal-form table", seen)
+    for maps in (rs._right, rs._left):  # the dualized resolution fills the left map
+        assert maps.entries, "the run filled no multiplication map"
+        _check_rows(rs.field, maps.entries.values(), "multiplication map", seen)
     for mat in res.complex.diffs[1:]:
         for row in mat:
             for entry in row:
@@ -111,7 +119,7 @@ def test_elliptic_q_run_keeps_integral_data_int(seen):
     # integer coefficients and monic rules: the normal forms, the matrices,
     # the products and the resolution are integral; pivot division in the
     # spans and the kernels may still leave a proper Fraction
-    for where in ("rule tail", "normal-form table", "component matrix", "product", "reduced", "differential"):
+    for where in ("rule tail", "multiplication map", "component matrix", "product", "reduced", "differential"):
         assert seen[where] == {int}, where
     assert seen["EchelonSpan row"] == seen["kernel"] == {int, Fraction}
 
