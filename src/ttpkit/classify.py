@@ -34,10 +34,6 @@ class SingularN(Exception):
     pass
 
 
-class NotCanonical(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Witness:
     kind: str
@@ -148,16 +144,6 @@ def congruence_verify(cd):
     if cd.n.det().is_zero():
         raise SingularN("witness matrix is singular")
     return cd.n.transpose() * cd.m * cd.n == cd.target
-
-
-def relation_phi_matrix(rel):
-    """M with f = x phi(x) + z phi(z), phi read off a two-generator relation."""
-    alphabet = rel.alphabet
-    field = rel.field
-    if len(alphabet) != 2:
-        raise ValueError("expects a two-letter alphabet")
-    grid = [[rel.coeff((i, j)) for j in range(2)] for i in range(2)]
-    return ScalarMatrix(field, grid)
 
 
 def skew_matrix(q):
@@ -273,17 +259,6 @@ def graded_iso_type_2d(v):
     assert congruence_verify(cd)
     kind = "zx_zero" if q.is_zero() else "skew"
     return IsoType2D(kind, q, cp, cd, roots)
-
-
-def rigidity_check_2d(p, p2):
-    """Twisted-tensor-product isomorphism is bare equality of canonical tuples."""
-    for t in (p, p2):
-        ok = t.c == t.field.one() or (
-            t.c.is_zero() and (t.a == t.field.one() or t.a.is_zero())
-        )
-        if not ok:
-            raise NotCanonical(f"{t} is not in canonical form")
-    return p == p2
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +390,6 @@ def _left_generalized(field, d, e, D, E, lam, u):
     sol = m.solve(u)
     assert sol is not None, "generalized eigenvector must exist for a Jordan block"
     return sol
-
-
-def inverse_steps(trace):
-    """Substitution data undoing a normalization trace (reversed order)."""
-    out = []
-    for step in reversed(trace):
-        if step.kind == "extend_field":
-            out.append(step)
-            continue
-        out.append(Step(step.kind + "_inv", mat2_inv(step.pm), step.lam.inv(), f"undo {step.note}"))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product
 
 from .classify import canonical_2d, classify_2d_ttp, classify_3d, graded_iso_type_2d
@@ -712,7 +712,9 @@ def _add_job_arguments(sub):
     sub.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+@cache
 def build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     ap = argparse.ArgumentParser(prog="ttpkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

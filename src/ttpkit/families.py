@@ -5,7 +5,7 @@ C(a,b,c) = k<x,z>/(zx - a x^2 - b xz - c z^2), the twelve-coefficient
 three-generator family T on x,y,z, and its elliptic renormalization
 T(g,h) on x,y,w.  This module also houses the coefficient-level action
 of the basic isomorphisms (GL2 on x,y and rescaling of z), the Ore-data
-derivation check, and the degreewise twisted-tensor-product dimension
+derivation residuals, and the degreewise twisted-tensor-product dimension
 test.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Alphabet, NCPoly
-from .rewrite import NotCompleted, RewriteSystem
+from .rewrite import RewriteSystem
 from .scalars import CharTwo, DivisionByZero, Scalar, ScalarMatrix
 
 PARAM_NAMES_3D = ("a", "b", "c", "d", "e", "f", "A", "B", "C", "D", "E", "F")
@@ -219,11 +219,6 @@ def derivation_residuals(p):
     ]
 
 
-def derivation_check(p):
-    """Whether the quadratic data of p extends to a well-defined derivation."""
-    return all(v.is_zero() for _, v in derivation_residuals(p))
-
-
 def twisting_axiom_mismatch(p, n):
     """Degreewise twisted-tensor-product test: dim T_m = (m+1)(m+2)/2 for m <= n.
 
@@ -235,15 +230,6 @@ def twisting_axiom_mismatch(p, n):
         if dims[m] != want:
             return m, want, dims[m]
     return None
-
-
-def ideal_membership(poly, pres, d):
-    """Whether a homogeneous element of degree <= d lies in the relation ideal."""
-    if poly.is_zero():
-        return True
-    if poly.degree() > d:
-        raise NotCompleted(f"element has degree {poly.degree()} > completion bound {d}")
-    return pres.completed(d).reduce(poly).is_zero()
 
 
 def mat2_inv(m):
@@ -296,17 +282,3 @@ def apply_basis_change(p, pm, lam):
         A=new_q[1][0], B=new_q[1][1], C=new_q[1][2],
         D=sigma2[1, 0], E=sigma2[1, 1], F=fF[1],
     )
-
-
-def basis_change_substitution(pres_target, pm, lam):
-    """Letter images {x, y, z} -> NCPoly realizing the basis change in pres_target."""
-    field = pres_target.field
-    alphabet = pres_target.alphabet
-    x = NCPoly.letter(alphabet, field, "x")
-    y = NCPoly.letter(alphabet, field, "y")
-    z = NCPoly.letter(alphabet, field, "z")
-    return {
-        "x": x.scale(pm[0, 0]) + y.scale(pm[0, 1]),
-        "y": x.scale(pm[1, 0]) + y.scale(pm[1, 1]),
-        "z": z.scale(field.scalar(lam)),
-    }

@@ -244,40 +244,8 @@ class NCPoly:
         words = sorted(self.terms, key=key, reverse=True)
         return [(w, Scalar(field, self.terms[w])) for w in words]
 
-    def map_coeffs(self, fn, field=None):
-        """The polynomial with coefficients fn(c), a Scalar of field (default: this field)."""
-        own = self.field
-        return NCPoly(self.alphabet, field or own, {w: fn(Scalar(own, a)) for w, a in self.terms.items()})
-
     def __repr__(self):
         return poly_str(self)
-
-
-def substitute(p, images):
-    """Image of p under the algebra map sending each letter to images[name].
-
-    images maps letter names to NCPoly values in a common target algebra
-    over p's field; letters absent from the map are sent to themselves
-    (which requires the target alphabet to contain them).
-    """
-    vals = {}
-    target = None
-    for name, q in images.items():
-        vals[p.alphabet.index(name)] = q
-        target = q
-    if target is None:
-        return p
-    alphabet, field = target.alphabet, target.field
-    for i, name in enumerate(p.alphabet.names):
-        if i not in vals:
-            vals[i] = NCPoly.letter(alphabet, field, name)
-    out = NCPoly.zero(alphabet, field)
-    for w, a in p.terms.items():
-        term = NCPoly(alphabet, field, {(): Scalar(p.field, a)})
-        for i in w:
-            term = term * vals[i]
-        out = out + term
-    return out
 
 
 def poly_str(p):

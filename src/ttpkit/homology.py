@@ -10,12 +10,16 @@ the normal-word basis turns every homological question into an exact
 rank computation.
 
 The minimal resolution of the trivial module grows one such complex in
-place.  In internal degree j, the kernel vectors of the i-th component
-matrix that lie outside the image of the partial (i+1)-st differential,
-built from the generators of lower degree, are the new generators.  Each
-degree-j component matrix is built once: the partial (i+1)-st one,
-extended by the new generators' columns, is the full matrix that the next
-position takes its kernel from.
+place.  In internal degree j, the kernel of the i-th component matrix has
+a basis that is the identity on its free columns, so a vector of the
+kernel is known by its entries there: its kernel coordinates.  The image
+of the partial (i+1)-st differential, built from the generators of lower
+degree, lies in that kernel and is echelonized in kernel coordinates; the
+basis vectors at the coordinates where no image vector ends are the new
+generators, and no kernel vector is eliminated.  Each degree-j component
+matrix is built once: the partial (i+1)-st one, extended by the new
+generators' columns, is the full matrix that the next position takes its
+kernel from.
 """
 
 from __future__ import annotations
@@ -210,8 +214,13 @@ def minimal_resolution(pres, max_i, maxdeg):
     position, degree by degree.  Before the new generators of degree j are
     added, the image of the partial next differential in degree j is the
     span of A_+ times the kernel in lower degrees (the generators found so
-    far generate the whole kernel there), so a degree-j kernel vector
-    becomes a new generator exactly when it lies outside that image.
+    far generate the whole kernel there).  The degree-j kernel basis
+    vectors are taken in order, each becoming a new generator when it lies
+    outside the image and the generators taken before it.  That is decided
+    in kernel coordinates (_outside_image): the image columns are
+    renumbered to their entries at the kernel's free columns, so the
+    elimination is as wide as the kernel, not the degree-j basis, and the
+    kernel vectors themselves are never eliminated.
     Every differential entry then lands in the radical.  That needs every
     relation term to be a word of length at least 2 (the letters minimal
     generators, the algebra nonzero); NotMinimal otherwise.  Generators of
@@ -242,24 +251,21 @@ def minimal_resolution(pres, max_i, maxdeg):
         cx.diffs.append(rows)
         nxt = {}
         for j in range(min(cx.shifts[i]), maxdeg + 1):
-            _, kernel = mats[j].rank_kernel()
+            free, kernel = mats[j].kernel_rows()
             # the partial next differential, one row per column; new generators' columns join below
             partial = cx.component_matrix(i + 1, j).transpose()
             cols = partial.rows
-            if kernel.ncols:
-                image = EchelonSpan(field)
-                for col in cols:
-                    image.insert(col)
+            if kernel:
                 basis = _graded_basis(rs, cx.shifts[i], j)
-                for vec in kernel.transpose().rows:
-                    if image.insert(vec):
-                        row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
-                        for entry, s in zip(row, cx.shifts[i]):
-                            assert entry.is_zero() or entry.degree() == j - s > 0, "entry outside the radical"
-                        shifts.append(j)
-                        rows.append(row)
-                        # a new generator has only the empty word in degree j: its column is vec
-                        cols.append(vec)
+                for k in _outside_image(free, cols, field):
+                    vec = kernel[k]
+                    row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
+                    for entry, s in zip(row, cx.shifts[i]):
+                        assert entry.is_zero() or entry.degree() == j - s > 0, "entry outside the radical"
+                    shifts.append(j)
+                    rows.append(row)
+                    # a new generator has only the empty word in degree j: its column is vec
+                    cols.append(vec)
             nxt[j] = ScalarMatrix.from_sparse(field, cols, partial.ncols).transpose()
         mats = nxt
         if not shifts or i == max_i:
@@ -269,6 +275,26 @@ def minimal_resolution(pres, max_i, maxdeg):
             break
     betti = Counter((i, s) for i, degrees in enumerate(cx.shifts) for s in degrees if s <= maxdeg)
     return MinimalResolution(BettiTable(betti), cx, truncated, maxdeg)
+
+
+def _outside_image(free, cols, field):
+    """Indices k, increasing, of the kernel basis vectors that are new generators.
+
+    The columns cols lie in the kernel.  Its basis is the identity on the
+    free columns, so a column's coordinate k is its entry at free[k].  With
+    n = len(free) and coordinate k renumbered n-1-k, the span's
+    smallest-column pivots sit at the largest k: basis vector k lies
+    outside the span of the image and of vectors 0..k-1 exactly when no
+    image vector ends at coordinate k.
+    """
+    n = len(free)
+    coord = {c: n - 1 - k for k, c in enumerate(free)}
+    image = EchelonSpan(field)
+    for col in cols:
+        if image.rank == n:
+            break
+        image.insert({coord[c]: a for c, a in col.items() if c in coord})
+    return [k for k in range(n) if n - 1 - k not in image.rows]
 
 
 def _devectorize(vec, basis, shifts, alphabet, field):

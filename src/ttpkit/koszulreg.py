@@ -50,17 +50,16 @@ def quadratic_dual(pres):
     for rel in rels:
         if rel.degree() != 2:
             raise NotQuadratic(f"relation {rel} is not quadratic")
-    rank, kernel = ScalarMatrix.from_sparse(field, _relation_vectors(pres, rels), n * n).rank_kernel()
+    free, kernel = ScalarMatrix.from_sparse(field, _relation_vectors(pres, rels), n * n).kernel_rows()
     dual_names = tuple(name + "'" for name in reversed(pres.alphabet.names))
     dual_alphabet = Alphabet(dual_names)
-    # each kernel vector, a row of the transpose, pairs word u v with u' v'
+    # each kernel vector pairs word u v with u' v'
     flipped = [(n - 1 - i, n - 1 - j) for i, j in _pair_index(n)]
     relations = [
-        NCPoly.from_payloads(dual_alphabet, field, {flipped[k]: a for k, a in vec.items()})
-        for vec in kernel.transpose().rows
+        NCPoly.from_payloads(dual_alphabet, field, {flipped[k]: a for k, a in vec.items()}) for vec in kernel
     ]
     dual = Presentation(dual_alphabet, field, relations)
-    return QuadraticDual(dual, "word u v pairs with dual word u' v'", rank)
+    return QuadraticDual(dual, "word u v pairs with dual word u' v'", n * n - len(free))
 
 
 @dataclass

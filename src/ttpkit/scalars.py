@@ -732,28 +732,39 @@ class ScalarMatrix:
         rows = [{j: mul(x, di) for j, x in enumerate(r) if not is0(x)} for r in ((d, neg(b)), (neg(c), a))]
         return ScalarMatrix.from_sparse(field, rows, 2)
 
-    def rank_kernel(self):
-        """(rank, kernel basis as matrix columns); rank + nullity = ncols.
+    def _echelon(self):
+        span = EchelonSpan(self.field)
+        for row in self.rows:
+            span._insert(row)
+        return span
+
+    def kernel_rows(self):
+        """(free columns, kernel basis as sparse payload rows), one row per free column.
 
         Free column j gives e_j - sum_r rref[r][j] e_{pivot r}, read off the
         reduced row echelon form; that form is unique, so the basis is too.
+        The basis is the identity on the free columns, and every pivot
+        holding j lies below j, so each row's keys come in increasing order.
         """
-        field = self.field
-        span = EchelonSpan(field)
-        for row in self.rows:
-            span._insert(row)
-        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in span.rows)}
-        one, neg = field._coerce(1), field._neg
-        grid = [{} for _ in range(self.ncols)]  # row i: coordinate i of every basis vector
-        for j, k in free.items():
-            grid[j][k] = one
-        for p, row in span.rows.items():
-            for j, y in row.items():
-                grid[p][free[j]] = neg(y)
-        return span.rank, ScalarMatrix.from_sparse(field, grid, len(free))
+        span = self._echelon()
+        free = [j for j in range(self.ncols) if j not in span.rows]
+        rows = {j: {} for j in free}
+        neg = self.field._neg
+        for p in sorted(span.rows):
+            for j, y in span.rows[p].items():
+                rows[j][p] = neg(y)
+        one = self.field._coerce(1)
+        for j, row in rows.items():
+            row[j] = one
+        return free, list(rows.values())
+
+    def rank_kernel(self):
+        """(rank, kernel basis as matrix columns); rank + nullity = ncols."""
+        free, rows = self.kernel_rows()
+        return self.ncols - len(free), ScalarMatrix.from_sparse(self.field, rows, self.ncols).transpose()
 
     def rank(self):
-        return self.rank_kernel()[0]
+        return self._echelon().rank
 
     def solve(self, rhs):
         """One solution x of self * x = rhs (rhs a list of Scalars), or None."""
@@ -818,7 +829,7 @@ class EchelonSpan:
         return self._insert(vec)
 
     def _insert(self, vec):
-        # rank_kernel and solve feed whole matrices through here, so that
+        # _echelon and solve feed whole matrices through here, so that
         # perfbench, which traces insert(), counts incremental inserts only
         res = self._reduce(vec)
         if not res:

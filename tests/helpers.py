@@ -17,7 +17,17 @@ on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
 linear algebra on the whole word space, with no rewriting involved.
 ``euler_check`` tests a resolution's Betti numbers against the Hilbert
 function, and ``compose_check`` that consecutive differentials of a
-complex compose to zero.  ``assert_payload_terms`` checks that a
+complex compose to zero.  ``greedy_new_generators`` is the minimal
+resolution's former rule for picking new generators, a greedy insert of
+the kernel vectors after the image, which the selection in kernel
+coordinates must reproduce.  The remaining oracles check the library's
+verdicts and witnesses from outside: ``ideal_membership`` tests an element
+against the relation ideal, ``derivation_check`` the Ore-data equations,
+``substitute`` (with ``basis_change_substitution`` and ``inverse_steps``
+for its letter images, and ``map_coeffs`` for a field extension) carries
+relations along an isomorphism, ``relation_phi_matrix`` reads the
+phi-matrix off a two-generator relation, and ``rigidity_check_2d``
+compares canonical tuples.  ``assert_payload_terms`` checks that a
 polynomial stores raw field payloads only; the oracles box coefficients at
 entry and do their arithmetic on Scalars, so they share no code with it.
 """
@@ -26,17 +36,18 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from ttpkit.classify import (
+    Step,
     classify_2d_ttp,
     classify_3d,
     graded_iso_type_2d,
     jordan_normal_form_3d,
     reducible_case_id,
 )
-from ttpkit.families import ParamTuple2D
+from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.koszulreg import asreg_decide_2d
 from ttpkit.rewrite import NotCompleted, RewriteSystem, Rule, degree3_overlap_elements
-from ttpkit.scalars import EchelonSpan, PrimeField, QuadExtField, Scalar
+from ttpkit.scalars import EchelonSpan, PrimeField, QuadExtField, Scalar, ScalarMatrix
 from ttpkit.sequences import fn_nonvanishing
 
 YXZ = Alphabet(["y", "x", "z"])
@@ -330,3 +341,108 @@ def compose_check(cx, maxdeg):
                 if not rs.reduce(acc).is_zero():
                     return False
     return True
+
+
+def greedy_new_generators(kernel, cols, field):
+    """Indices of the kernel rows that grow the span of cols, inserted one by one in order."""
+    span = EchelonSpan(field)
+    for col in cols:
+        span.insert(col)
+    return [k for k, vec in enumerate(kernel) if span.insert(vec)]
+
+
+def ideal_membership(poly, pres, d):
+    """Whether a homogeneous element of degree <= d lies in the relation ideal."""
+    if poly.is_zero():
+        return True
+    if poly.degree() > d:
+        raise NotCompleted(f"element has degree {poly.degree()} > completion bound {d}")
+    return pres.completed(d).reduce(poly).is_zero()
+
+
+def derivation_check(p):
+    """Whether the quadratic data of p extends to a well-defined derivation."""
+    return all(v.is_zero() for _, v in derivation_residuals(p))
+
+
+def substitute(p, images):
+    """Image of p under the algebra map sending each letter to images[name].
+
+    images maps letter names to NCPoly values in a common target algebra
+    over p's field; letters absent from the map are sent to themselves
+    (which requires the target alphabet to contain them).
+    """
+    vals = {}
+    target = None
+    for name, q in images.items():
+        vals[p.alphabet.index(name)] = q
+        target = q
+    if target is None:
+        return p
+    alphabet, field = target.alphabet, target.field
+    for i, name in enumerate(p.alphabet.names):
+        if i not in vals:
+            vals[i] = NCPoly.letter(alphabet, field, name)
+    out = NCPoly.zero(alphabet, field)
+    for w, a in p.terms.items():
+        term = NCPoly(alphabet, field, {(): Scalar(p.field, a)})
+        for i in w:
+            term = term * vals[i]
+        out = out + term
+    return out
+
+
+def map_coeffs(p, fn, field=None):
+    """The polynomial with coefficients fn(c), a Scalar of field (default: p's field)."""
+    own = p.field
+    return NCPoly(p.alphabet, field or own, {w: fn(Scalar(own, a)) for w, a in p.terms.items()})
+
+
+def basis_change_substitution(pres_target, pm, lam):
+    """Letter images {x, y, z} -> NCPoly realizing the basis change in pres_target."""
+    field = pres_target.field
+    alphabet = pres_target.alphabet
+    x = NCPoly.letter(alphabet, field, "x")
+    y = NCPoly.letter(alphabet, field, "y")
+    z = NCPoly.letter(alphabet, field, "z")
+    return {
+        "x": x.scale(pm[0, 0]) + y.scale(pm[0, 1]),
+        "y": x.scale(pm[1, 0]) + y.scale(pm[1, 1]),
+        "z": z.scale(field.scalar(lam)),
+    }
+
+
+def inverse_steps(trace):
+    """Substitution data undoing a normalization trace (reversed order)."""
+    out = []
+    for step in reversed(trace):
+        if step.kind == "extend_field":
+            out.append(step)
+            continue
+        out.append(Step(step.kind + "_inv", mat2_inv(step.pm), step.lam.inv(), f"undo {step.note}"))
+    return tuple(out)
+
+
+def relation_phi_matrix(rel):
+    """M with f = x phi(x) + z phi(z), phi read off a two-generator relation."""
+    alphabet = rel.alphabet
+    field = rel.field
+    if len(alphabet) != 2:
+        raise ValueError("expects a two-letter alphabet")
+    grid = [[rel.coeff((i, j)) for j in range(2)] for i in range(2)]
+    return ScalarMatrix(field, grid)
+
+
+class NotCanonical(Exception):
+    pass
+
+
+def rigidity_check_2d(p, p2):
+    """Twisted-tensor-product isomorphism is bare equality of canonical tuples."""
+    for t in (p, p2):
+        ok = t.c == t.field.one() or (
+            t.c.is_zero() and (t.a == t.field.one() or t.a.is_zero())
+        )
+        if not ok:
+            raise NotCanonical(f"{t} is not in canonical form")
+    return p == p2

@@ -3,12 +3,23 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import YXZ, decision_3d, make_params3d, reference_classify_3d
+from helpers import (
+    YXZ,
+    NotCanonical,
+    decision_3d,
+    ideal_membership,
+    inverse_steps,
+    make_params3d,
+    map_coeffs,
+    reference_classify_3d,
+    relation_phi_matrix,
+    rigidity_check_2d,
+    substitute,
+)
 
 from ttpkit.classify import (
     CongruenceData,
     IsoType2D,
-    NotCanonical,
     SingularN,
     TTPType3D,
     c_matrix,
@@ -17,12 +28,9 @@ from ttpkit.classify import (
     classify_3d,
     congruence_verify,
     graded_iso_type_2d,
-    inverse_steps,
     jordan_normal_form_3d,
     ore_case_id,
     reducible_system_residuals,
-    relation_phi_matrix,
-    rigidity_check_2d,
     skew_matrix,
 )
 from ttpkit.cli import scan_space
@@ -31,9 +39,8 @@ from ttpkit.families import (
     ParamTuple3D,
     apply_basis_change,
     build_T,
-    ideal_membership,
 )
-from ttpkit.freealg import NCPoly, parse_poly, substitute
+from ttpkit.freealg import NCPoly, parse_poly
 from ttpkit.rewrite import degree3_overlap_elements, second_obstruction_vanishes
 from ttpkit.scalars import QQ, PrimeField, QuadExtField, ScalarMatrix
 
@@ -317,7 +324,7 @@ def test_jnf_side_conditions_and_round_trip_random():
         rels = build_T(p).relations
         for step in r.trace:
             if step.kind == "extend_field":
-                rels = [rel.map_coeffs(step.new_field.embed, step.new_field) for rel in rels]
+                rels = [map_coeffs(rel, step.new_field.embed, step.new_field) for rel in rels]
                 continue
             rels = [substitute(rel, step_images(step)) for rel in rels]
         for rel in rels:

@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from helpers import reference_c_row
 from ttpkit.cli import (
     JobDocument,
     ParseError,
+    build_parser,
     emit_machine,
     parse_field,
     parse_inline_params,
@@ -31,6 +35,40 @@ def invoke(argv):
     buf = io.StringIO()
     status = run(argv, stdout=buf)
     return status, buf.getvalue()
+
+
+def test_run_builds_the_parser_once_per_process(monkeypatch, capsys):
+    # a good job, then one whose --maxdeg argparse rejects: one parser is
+    # built for both, and each call answers as a fresh process does
+    jobs = [
+        ["koszul", "--field", "Q", "--family", "Tgh", "--params", "g=1,h=2", "--homdeg", "3"],
+        ["resolve", "--field", "Q", "--family", "Tgh", "--params", "g=1,h=2", "--maxdeg", "x"],
+    ]
+    init, made = argparse.ArgumentParser.__init__, []
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    got = []
+    for argv in jobs:
+        try:
+            status = run(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out = capsys.readouterr()
+        got.append((status, out.out, out.err))
+    # the two runs built as many parsers (the top one and its subparsers) as one build does
+    in_runs = len(made)
+    build_parser.__wrapped__()
+    monkeypatch.undo()
+    assert in_runs and len(made) == 2 * in_runs
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    fresh = [subprocess.run([sys.executable, "-m", "ttpkit.cli", *argv], capture_output=True, text=True, env=env) for argv in jobs]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert [status for status, _, _ in got] == [0, 2]
 
 
 def test_parse_field():

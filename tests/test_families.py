@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import basis_change_substitution, derivation_check, ideal_membership, substitute
 
 from ttpkit.families import (
     EllipticForm,
@@ -9,16 +10,13 @@ from ttpkit.families import (
     ParamTuple3D,
     Presentation,
     apply_basis_change,
-    basis_change_substitution,
     build_C,
     build_T,
     build_Tgh,
-    derivation_check,
     derivation_residuals,
-    ideal_membership,
     twisting_axiom_mismatch,
 )
-from ttpkit.freealg import NCPoly, parse_poly, substitute
+from ttpkit.freealg import NCPoly, parse_poly
 from ttpkit.scalars import QQ, CharTwo, PrimeField, ScalarMatrix
 
 

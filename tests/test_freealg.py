@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import substitute
 
 from ttpkit.freealg import (
     Alphabet,
@@ -9,7 +10,6 @@ from ttpkit.freealg import (
     ZeroPolynomial,
     parse_poly,
     poly_str,
-    substitute,
 )
 from ttpkit.scalars import QQ, PrimeField, QuadExtField
 

@@ -4,20 +4,21 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import compose_check, euler_check, reference_reduce
+from helpers import compose_check, euler_check, greedy_new_generators, reference_reduce
 
 from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import (
     BettiTable,
     GradedComplex,
+    _outside_image,
     build_p_complex,
     build_q_complex,
     dualize,
     exactness_profile,
     minimal_resolution,
 )
-from ttpkit.scalars import QQ, PrimeField, ScalarMatrix
+from ttpkit.scalars import QQ, EchelonSpan, PrimeField, QuadExtField, ScalarMatrix, add_multiple
 
 
 def tgh(g, h, field=QQ):
@@ -289,22 +290,96 @@ def test_minimal_resolution_builds_each_component_matrix_once(monkeypatch):
 def test_minimal_resolution_carried_matrices_match_fresh_builds(monkeypatch):
     # each kernel is taken from a carried matrix; it must equal the component
     # matrix built from nothing on the finished complex, column order included
-    rank_kernel = ScalarMatrix.rank_kernel
+    kernel_rows = ScalarMatrix.kernel_rows
     seen = []
 
     def spy(self):
         seen.append(self)
-        return rank_kernel(self)
+        return kernel_rows(self)
 
     for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
         seen.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(ScalarMatrix, "rank_kernel", spy)
+            patch.setattr(ScalarMatrix, "kernel_rows", spy)
             cx = minimal_resolution(pres, max_i, maxdeg).complex
         keys = [(i, j) for i in range(1, len(cx)) for j in range(min(cx.shifts[i]), maxdeg + 1)]
         assert len(seen) == len(keys), pres
         for (i, j), carried in zip(keys, seen):
             assert carried == cx.component_matrix(i, j), (pres, i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), QuadExtField(QQ, 2)], ids=["Q", "GF7", "Qsqrt2"])
+def test_kernel_coordinate_selection_matches_greedy_insert(field):
+    # random matrices, image columns random combinations of their kernel
+    # basis: the pivot complement in reversed kernel coordinates must pick
+    # what inserting the kernel vectors one by one after the image picks
+    rng = random.Random(59)
+    root = field.root() if isinstance(field, QuadExtField) else field.zero()
+
+    def entry():
+        if rng.random() < 0.4:
+            return field.zero()
+        return field.scalar(rng.randint(-3, 3)) + field.scalar(rng.randint(-1, 1)) * root
+
+    differs = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 3), rng.randint(3, 9)
+        free, kernel = ScalarMatrix(field, [[entry() for _ in range(n)] for _ in range(m)]).kernel_rows()
+        assert len(free) == len(kernel) and all(list(vec) == sorted(vec) for vec in kernel)
+        cols = []
+        for _ in range(rng.randint(0, len(kernel) + 1)):
+            col = {}
+            for vec in kernel:
+                c = entry()
+                if rng.random() < 0.5 and not c.is_zero():
+                    add_multiple(field, col, c.payload, vec)
+            cols.append(col)
+        picked = _outside_image(free, cols, field)
+        assert picked == greedy_new_generators(kernel, cols, field)
+        differs += picked != [k for k in range(len(kernel)) if k not in _lowest_coordinates(free, cols, field)]
+    # the reversal matters: pivots at the smallest coordinate pick otherwise
+    assert differs > 10, differs
+
+
+def _lowest_coordinates(free, cols, field):
+    """The first nonzero kernel coordinates of the image span, with no reversal."""
+    coord = {c: k for k, c in enumerate(free)}
+    span = EchelonSpan(field)
+    for col in cols:
+        span.insert({coord[c]: a for c, a in col.items() if c in coord})
+    return set(span.rows)
+
+
+def test_minimal_resolution_inserts_no_kernel_vector(monkeypatch):
+    # only image columns, renumbered to kernel coordinates, enter a span;
+    # the new generators are read off its pivots
+    kernel_rows, insert, insert_rows = ScalarMatrix.kernel_rows, EchelonSpan.insert, EchelonSpan._insert
+    widths, kernel_vectors, inserted = [], [], []
+
+    def spy_kernel_rows(self):
+        free, kernel = kernel_rows(self)
+        widths.append(len(free))
+        kernel_vectors.extend(kernel)
+        return free, kernel
+
+    def spy_insert(self, vec):
+        assert all(0 <= c < widths[-1] for c in vec), "an inserted row is not in kernel coordinates"
+        return insert(self, vec)
+
+    def spy_insert_rows(self, vec):
+        inserted.append(vec)
+        return insert_rows(self, vec)
+
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        with monkeypatch.context() as patch:
+            patch.setattr(ScalarMatrix, "kernel_rows", spy_kernel_rows)
+            patch.setattr(EchelonSpan, "insert", spy_insert)
+            patch.setattr(EchelonSpan, "_insert", spy_insert_rows)
+            minimal_resolution(pres, max_i, maxdeg)
+    assert kernel_vectors and inserted
+    # both lists hold their dicts alive, so equal ids mean the same dict
+    kernel_ids = {id(vec) for vec in kernel_vectors}
+    assert not [vec for vec in inserted if id(vec) in kernel_ids]
 
 
 def test_minimal_resolution_betti_ignores_generators_above_maxdeg():

@@ -4,11 +4,12 @@ A Q payload is an int, or a Fraction whose denominator is above 1; over
 Q(sqrt(m)) each component of the (u, v) pair is such a payload; a GF(p)
 payload is an int in [0, p).  No matrix row and no polynomial term holds
 a Scalar or a zero.  The runs below record every stored payload they can
-reach: the component matrices, their kernels, every EchelonSpan row after
-every insertion, the rule tails of the completed system, both of its
-letter multiplication maps, every product, every reduced polynomial and
-every word-times-entry row folded through the maps, and the differentials
-of the minimal resolution.
+reach: the component matrices, their kernels (as rows and as columns),
+the image rows in kernel coordinates that the minimal resolution inserts,
+every EchelonSpan row after every insertion, the rule tails of the
+completed system, both of its letter multiplication maps, every product,
+every reduced polynomial and every word-times-entry row folded through
+the maps, and the differentials of the minimal resolution.
 """
 
 from collections import defaultdict
@@ -53,6 +54,7 @@ def seen(monkeypatch):
     """Check the payloads of every EchelonSpan, matrix, product, reduced polynomial and folded row as they are made."""
     types = defaultdict(set)  # where -> payload types met there
     insert, rank_kernel = EchelonSpan._insert, ScalarMatrix.rank_kernel
+    insert_image, kernel_rows = EchelonSpan.insert, ScalarMatrix.kernel_rows
     component_matrix = GradedComplex.component_matrix
     mul, reduce, multiply = NCPoly.__mul__, RewriteSystem.reduce, RewriteSystem.multiply
 
@@ -60,6 +62,16 @@ def seen(monkeypatch):
         grew = insert(self, vec)
         _check_rows(self.field, self.rows.values(), "EchelonSpan row", types)
         return grew
+
+    def checked_insert_image(self, vec):
+        # in these runs only the minimal resolution inserts incrementally
+        _check_rows(self.field, [vec], "image in kernel coordinates", types)
+        return insert_image(self, vec)
+
+    def checked_kernel_rows(self):
+        free, kernel = kernel_rows(self)
+        _check_rows(self.field, kernel, "kernel", types)
+        return free, kernel
 
     def checked_rank_kernel(self):
         rank, kernel = rank_kernel(self)
@@ -88,6 +100,8 @@ def seen(monkeypatch):
 
     monkeypatch.setattr(EchelonSpan, "_insert", checked_insert)
     monkeypatch.setattr(ScalarMatrix, "rank_kernel", checked_rank_kernel)
+    monkeypatch.setattr(EchelonSpan, "insert", checked_insert_image)
+    monkeypatch.setattr(ScalarMatrix, "kernel_rows", checked_kernel_rows)
     monkeypatch.setattr(GradedComplex, "component_matrix", checked_component_matrix)
     monkeypatch.setattr(NCPoly, "__mul__", checked_mul)
     monkeypatch.setattr(RewriteSystem, "reduce", checked_reduce)
@@ -108,7 +122,7 @@ def _run(pres, maxdeg, seen):
         for row in mat:
             for entry in row:
                 _check_poly(entry, "differential", seen)
-    for where in ("rule tail", "product", "reduced", "differential"):
+    for where in ("rule tail", "product", "reduced", "differential", "kernel", "image in kernel coordinates"):
         assert seen[where], f"the run reached no {where}"
     return res
 
@@ -118,10 +132,14 @@ def test_elliptic_q_run_keeps_integral_data_int(seen):
     assert res.betti.entries[(3, 3)] == 1
     # integer coefficients and monic rules: the normal forms, the matrices,
     # the products and the resolution are integral; pivot division in the
-    # spans and the kernels may still leave a proper Fraction
-    for where in ("rule tail", "multiplication map", "component matrix", "product", "reduced", "differential"):
+    # spans may still leave a proper Fraction.  rank() builds no kernel, so
+    # the kernels met are the resolution's, and at this size they are integral
+    for where in (
+        "rule tail", "multiplication map", "component matrix", "image in kernel coordinates",
+        "kernel", "product", "reduced", "differential",
+    ):
         assert seen[where] == {int}, where
-    assert seen["EchelonSpan row"] == seen["kernel"] == {int, Fraction}
+    assert seen["EchelonSpan row"] == {int, Fraction}
 
 
 def test_ore_q_run_with_fractions_keeps_the_invariant(seen):
