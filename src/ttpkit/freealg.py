@@ -7,14 +7,14 @@ optional letter weights so that a generator may sit in a degree other
 than 1.
 
 A polynomial's terms map each word to a raw field payload (see scalars),
-never to zero.  Sums and products update them in place through
-scalars.add_multiple; only the readers coeff, leading_term and
-sorted_terms box a coefficient into a Scalar.
+never to zero.  Sums and products update them in place through the
+field's sparse-row kernel, _add_multiple; only the readers coeff,
+leading_term and sorted_terms box a coefficient into a Scalar.
 """
 
 from __future__ import annotations
 
-from .scalars import FieldMismatch, Scalar, add_multiple
+from .scalars import FieldMismatch, Scalar
 
 
 class AlphabetMismatch(Exception):
@@ -163,7 +163,7 @@ class NCPoly:
         """self + c * other for a payload c."""
         self._check(other)
         terms = dict(self.terms)
-        add_multiple(self.field, terms, c, other.terms)
+        self.field._add_multiple(terms, c, other.terms)
         return NCPoly.from_payloads(self.alphabet, self.field, terms)
 
     def __add__(self, other):
@@ -179,9 +179,9 @@ class NCPoly:
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         self._check(other)
-        out = {}
+        add, out = self.field._add_multiple, {}
         for w1, c1 in self.terms.items():
-            add_multiple(self.field, out, c1, {w1 + w2: c2 for w2, c2 in other.terms.items()})
+            add(out, c1, {w1 + w2: c2 for w2, c2 in other.terms.items()})
         return NCPoly.from_payloads(self.alphabet, self.field, out)
 
     def __rmul__(self, other):

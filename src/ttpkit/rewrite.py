@@ -23,7 +23,8 @@ On a system complete through a word's degree it is the unique normal
 form, whatever the rewriting strategy.  Entries are sparse payload rows
 keyed by word, the format of NCPoly.terms.  A RewriteSystem keeps its
 maps for its whole life, since its rules never change; completion,
-whose rule list grows, folds each S-difference through fresh maps.
+whose rule list grows, keeps one map per rule set, replaced when a rule
+is added.
 
 The two degree-3 obstructions of the normalized three-generator family
 are evaluated from closed-form coefficient tables, with no rewriting.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import heapq
 
 from .freealg import Alphabet, NCPoly
-from .scalars import add_multiple
 
 
 class NotCompleted(Exception):
@@ -104,10 +104,11 @@ class RewriteSystem:
         for r in relations:
             if not r.is_homogeneous():
                 raise ValueError(f"inhomogeneous relation {r}")
-        rules = []
+        rules, maps = [], None
         work = list(relations)
         while work:
-            p = _LetterMap(rules, field).reduce(work.pop(0))
+            maps = maps or _LetterMap(rules, field)
+            p = maps.reduce(work.pop(0))
             if p.is_zero():
                 continue
             new = _monic_rule(p)
@@ -118,8 +119,8 @@ class RewriteSystem:
                 else:
                     keep.append(r)
             keep.append(new)
-            rules = keep
-        rules = _interreduce_tails(rules, field)
+            rules, maps = keep, None
+        rules = _interreduce_tails(rules, maps or _LetterMap(rules, field))
         rules.sort(key=lambda r: alphabet.sort_key(r.high))
         return RewriteSystem(alphabet, field, rules)
 
@@ -139,14 +140,18 @@ class RewriteSystem:
 
         The letters of each term of p are folded onto word through the
         right multiplication map, or through the left one from the last
-        letter on.
+        letter on, starting from the entry of word and the first letter
+        folded.
         """
         maps = self._right if side == "left" else self._left
-        field = self.field
-        start = {word: field._coerce(1)}
-        out = {}
+        add, out = self.field._add_multiple, {}
         for u, c in p.terms.items():
-            add_multiple(field, out, c, maps.fold(start, u))
+            if not u:
+                add(out, c, {word: maps.one})
+            elif side == "left":
+                add(out, c, maps.fold(maps.entry(word, u[0]), u[1:]))
+            else:
+                add(out, c, maps.fold(maps.entry(word, u[-1]), u[:-1]))
         return out
 
     def complete(self, d):
@@ -178,22 +183,24 @@ class RewriteSystem:
             for j in range(n):
                 push_overlaps(i, j)
 
-        added = []
+        added, maps = [], None
         while queue:
             _, _, i, j, _, m, mpp = heapq.heappop(queue)
             left = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
             right = NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
-            sdiff = _LetterMap(rules, field).reduce(left - right)
+            maps = maps or _LetterMap(rules, field)
+            sdiff = maps.reduce(left - right)
             if sdiff.is_zero():
                 continue
             rules.append(_monic_rule(sdiff))
             added.append(rules[-1])
+            maps = None  # its index holds the old rules only
             k = len(rules) - 1
             for i2 in range(len(rules)):
                 push_overlaps(i2, k)
                 if i2 != k:
                     push_overlaps(k, i2)
-        rules = _interreduce_tails(rules, field)
+        rules = _interreduce_tails(rules, maps or _LetterMap(rules, field))
         done = max(d, self.completed_to or 0)
         return RewriteSystem(alphabet, field, rules, completed_to=done), added
 
@@ -234,27 +241,50 @@ class _LetterMap:
     several high terms fit, the first one rewrites.
     """
 
-    __slots__ = ("field", "right", "index", "entries", "unit", "_one")
+    __slots__ = ("field", "right", "index", "entries", "unit", "one")
 
     def __init__(self, rules, field, right=True):
         self.field, self.right, self.entries = field, right, {}
-        self._one = field._coerce(1)
+        self.one = field._coerce(1)
         self.index = {}
         for r in rules:
             if r.high:
                 self.index.setdefault(r.high[-1] if right else r.high[0], []).append(r)
         # NF of the empty word: zero under a rule 1 -> 0, which makes every word zero
-        self.unit = {} if any(not r.high for r in rules) else {(): self._one}
+        self.unit = {} if any(not r.high for r in rules) else {(): self.one}
+
+    def entry(self, v, x):
+        """The entry of (v, x), filled if missing; callers must not change it."""
+        nf = self.entries.get((v, x))
+        return self._run(self._entry((v, x))) if nf is None else nf
 
     def fold(self, row, word):
-        """Sum of a * NF(u word) (right) or a * NF(word u) (left) over the terms a*u of row."""
-        return self._run(self._fold(row, word))
+        """Sum of a * NF(u word) (right) or a * NF(word u) (left) over the terms a*u of row.
+
+        The result may be row itself, when word is empty; callers must not
+        change it.
+        """
+        # _fold below is this loop as a suspended computation, for _entry:
+        # an entry that needs other missing entries suspends instead of
+        # recursing, so a long rewrite chain cannot exhaust the stack.
+        # This loop is the common case, every entry present, and drives no
+        # generator unless one is missing.
+        entries, add = self.entries, self.field._add_multiple
+        for x in word if self.right else reversed(word):
+            out = {}
+            for u, a in row.items():
+                nf = entries.get((u, x))
+                if nf is None:
+                    nf = self._run(self._entry((u, x)))
+                add(out, a, nf)
+            row = out
+        return row
 
     def reduce(self, p):
         """Sum of c * NF(w) over the terms c*w of p, each NF(w) folded from the empty word."""
-        out = {}
+        add, out = self.field._add_multiple, {}
         for w, c in p.terms.items():
-            add_multiple(self.field, out, c, self.fold(self.unit, w))
+            add(out, c, self.fold(self.unit, w))
         return NCPoly.from_payloads(p.alphabet, p.field, out)
 
     def _run(self, steps):
@@ -274,14 +304,14 @@ class _LetterMap:
 
     def _fold(self, row, word):
         """fold as a suspended computation: it yields each missing key and is sent that key's entry."""
-        entries, field = self.entries, self.field
+        entries, add = self.entries, self.field._add_multiple
         for x in word if self.right else reversed(word):
             out = {}
             for u, a in row.items():
                 nf = entries.get((u, x))
                 if nf is None:
                     nf = yield (u, x)
-                add_multiple(field, out, a, nf)
+                add(out, a, nf)
             row = out
         return row
 
@@ -299,13 +329,13 @@ class _LetterMap:
         v, x = key
         rule = self.redex(v, x)
         if rule is None:
-            nf = self.entries[key] = {v + (x,) if self.right else (x,) + v: self._one}
+            nf = self.entries[key] = {v + (x,) if self.right else (x,) + v: self.one}
             return nf
         cut = len(v) + 1 - len(rule.high)  # the letters of v x or x v outside the high term
-        start = {v[:cut] if self.right else v[len(v) - cut :]: self._one}
-        nf = {}
+        start = {v[:cut] if self.right else v[len(v) - cut :]: self.one}
+        nf, add = {}, self.field._add_multiple
         for t, c in rule.tail.terms.items():
-            add_multiple(self.field, nf, c, (yield from self._fold(start, t)))
+            add(nf, c, (yield from self._fold(start, t)))
         self.entries[key] = nf
         return nf
 
@@ -332,9 +362,8 @@ def _monic_rule(p):
     return Rule(w, tail)
 
 
-def _interreduce_tails(rules, field):
-    """Reduce every tail to normal form with respect to the whole system."""
-    maps = _LetterMap(rules, field)
+def _interreduce_tails(rules, maps):
+    """Reduce every tail to normal form with respect to the whole system, through maps, its right map."""
     return [Rule(r.high, maps.reduce(r.tail)) for r in rules]
 
 

@@ -14,9 +14,11 @@ equal Fraction compare, hash and print the same, and an int has
 
 Bulk data holds payloads, never Scalars.  The rows of ScalarMatrix and
 EchelonSpan, the terms of an NCPoly and the entries of the rewrite
-normal-form table are all sparse payload rows, {key: payload} dicts that
-store no zero, and add_multiple is the one loop that accumulates into
-them.  A Scalar is built only when a single value is read out.
+letter multiplication maps are all sparse payload rows, {key: payload}
+dicts that store no zero, and a field's _add_multiple is the one loop
+that accumulates into them: the base class runs it on the hooks, and the
+rational and prime fields inline their arithmetic.  A Scalar is built
+only when a single value is read out.
 """
 
 from __future__ import annotations
@@ -61,16 +63,35 @@ class NestedExtension(FieldError):
     pass
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Whether n is prime; FieldError at or above _PRIME_BOUND, where no answer is certain."""
+    if n >= _PRIME_BOUND:
+        raise FieldError(f"primality of {n} is not decided at or above {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -143,6 +164,20 @@ class Field:
     def _is_zero(self, a):
         raise NotImplementedError
 
+    def _add_multiple(self, out, c, row):
+        """out += c * row in place, for sparse payload rows and a nonzero c; zero entries are dropped."""
+        add, mul, is0 = self._add, self._mul, self._is_zero
+        for j, y in row.items():
+            prev = out.get(j)
+            if prev is None:
+                out[j] = mul(c, y)
+            else:
+                s = add(prev, mul(c, y))
+                if is0(s):
+                    del out[j]
+                else:
+                    out[j] = s
+
     def _str(self, a):
         raise NotImplementedError
 
@@ -195,6 +230,19 @@ class RationalField(Field):
 
     def _is_zero(self, a):
         return a == 0
+
+    def _add_multiple(self, out, c, row):
+        # c * y is nonzero, so only an entry already present can cancel
+        get = out.get
+        for j, y in row.items():
+            prev = get(j)
+            s = c * y if prev is None else prev + c * y
+            if s.__class__ is not int and s.denominator == 1:
+                s = s.numerator
+            if s:
+                out[j] = s
+            else:
+                del out[j]
 
     def _str(self, a):
         return str(a)
@@ -255,6 +303,16 @@ class PrimeField(Field):
 
     def _is_zero(self, a):
         return a == 0
+
+    def _add_multiple(self, out, c, row):
+        # c * y is nonzero mod p, so only an entry already present can cancel
+        p, get = self.p, out.get
+        for j, y in row.items():
+            s = (get(j, 0) + c * y) % p
+            if s:
+                out[j] = s
+            else:
+                del out[j]
 
     def _str(self, a):
         return str(a)
@@ -691,11 +749,11 @@ class ScalarMatrix:
             raise ValueError("shape mismatch")
         if other.field != self.field:
             raise FieldMismatch(f"mixed fields {self.field} and {other.field}")
-        rows = []
+        add, rows = self.field._add_multiple, []
         for row in self.rows:
             acc = {}
             for k, a in row.items():
-                add_multiple(self.field, acc, a, other.rows[k])
+                add(acc, a, other.rows[k])
             rows.append(acc)
         return ScalarMatrix.from_sparse(self.field, rows, other.ncols)
 
@@ -784,21 +842,6 @@ class ScalarMatrix:
         return f"[{body}]"
 
 
-def add_multiple(field, out, c, row):
-    """out += c * row in place, for sparse payload rows; zero entries are dropped."""
-    add, mul, is0 = field._add, field._mul, field._is_zero
-    for j, y in row.items():
-        prev = out.get(j)
-        if prev is None:
-            out[j] = mul(c, y)
-        else:
-            s = add(prev, mul(c, y))
-            if is0(s):
-                del out[j]
-            else:
-                out[j] = s
-
-
 class EchelonSpan:
     """Mutable row span in reduced row echelon form, over sparse payload rows.
 
@@ -819,9 +862,9 @@ class EchelonSpan:
     def _reduce(self, vec):
         """A new sparse row: vec minus its part along the span."""
         field, rows = self.field, self.rows
-        out = dict(vec)
+        add, neg, out = field._add_multiple, field._neg, dict(vec)
         for p in [j for j in vec if j in rows]:
-            add_multiple(field, out, field._neg(out.pop(p)), rows[p])
+            add(out, neg(out.pop(p)), rows[p])
         return out
 
     def insert(self, vec):
@@ -836,13 +879,13 @@ class EchelonSpan:
             return False
         field = self.field
         p = min(res)
-        pinv, mul, neg = field._inv(res.pop(p)), field._mul, field._neg
-        res = {j: mul(y, pinv) for j, y in res.items()}
+        add, neg, scaled = field._add_multiple, field._neg, {}
+        add(scaled, field._inv(res.pop(p)), res)
         for row in self.rows.values():
             c = row.pop(p, None)
             if c is not None:
-                add_multiple(field, row, neg(c), res)
-        self.rows[p] = res
+                add(row, neg(c), scaled)
+        self.rows[p] = scaled
         return True
 
     def contains(self, vec):

@@ -293,6 +293,9 @@ def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
                  "second square-root extension", id="classify-nested-extension"),
     pytest.param(["classify", "--family", "C", "--field", "Q(sqrt(2/0))", "--params", "a=1,b=1,c=1"], 1,
                  "Q(sqrt(2/0))", id="field-radicand-division-by-zero"),
+    pytest.param(["classify", "--family", "C", "--field", "GF(10000000000000000000000013)", "--params",
+                  "a=1,b=1,c=1"], 1, "primality of 10000000000000000000000013 is not decided",
+                 id="field-prime-past-primality-bound"),
     pytest.param(["scan", "--field", "GF(2)", "--family", "T"], 2, "characteristic", id="scan-gf2-T"),
     pytest.param(["scan", "--field", "GF(2)", "--family", "Tgh"], 2, "characteristic", id="scan-gf2-Tgh"),
     pytest.param(["classify", "--field", "GF(2)", "--family", "Tgh", "--params", "g=1,h=1"], 2, "characteristic",

@@ -18,7 +18,7 @@ from ttpkit.homology import (
     exactness_profile,
     minimal_resolution,
 )
-from ttpkit.scalars import QQ, EchelonSpan, PrimeField, QuadExtField, ScalarMatrix, add_multiple
+from ttpkit.scalars import QQ, EchelonSpan, PrimeField, QuadExtField, ScalarMatrix
 
 
 def tgh(g, h, field=QQ):
@@ -332,7 +332,7 @@ def test_kernel_coordinate_selection_matches_greedy_insert(field):
             for vec in kernel:
                 c = entry()
                 if rng.random() < 0.5 and not c.is_zero():
-                    add_multiple(field, col, c.payload, vec)
+                    field._add_multiple(col, c.payload, vec)
             cols.append(col)
         picked = _outside_image(free, cols, field)
         assert picked == greedy_new_generators(kernel, cols, field)

@@ -27,6 +27,7 @@ from ttpkit.rewrite import (
     NotCompleted,
     RewriteSystem,
     Rule,
+    _LetterMap,
     _overlaps,
     degree3_overlap_elements,
 )
@@ -426,6 +427,48 @@ def test_multiplication_maps_match_rewriting_oracles_on_complete_systems():
                 assert got == reference_reduce(prod, rs.rules), (rs.rules, v, p, side)
                 assert got == random_reduce(prod, rs.rules, rng), (rs.rules, v, p, side)
                 assert_payload_terms(got)
+
+
+def test_multiply_on_filled_maps_drives_no_suspended_computation(monkeypatch):
+    # a fold looks each entry up first and suspends only to fill a missing
+    # one, so repeating a product on filled maps drives no generator
+    runs = []
+    run = _LetterMap._run
+    monkeypatch.setattr(_LetterMap, "_run", lambda self, steps: runs.append(steps) or run(self, steps))
+    F = PrimeField(32003)
+    ore = ParamTuple3D.make(F, a=F.scalar("3/2"), b=F.scalar("3/2"), d=-2, B=1, C=1, E=-1)
+    rs = build_T(ore).completed(8)
+    p = parse_poly(YXZ, F, "2z^2x + zxy - 3yzx + x^2y + 5z^3")
+    for side in ("left", "right"):
+        for v in rs.normal_words(3)[3]:
+            runs.clear()
+            first = rs.multiply(v, p, side)
+            filled = len(runs)
+            assert rs.multiply(v, p, side) == first
+            assert len(runs) == filled, (side, v)
+    assert filled > 0  # the first product of the last word still filled entries
+
+
+def test_completion_builds_one_map_per_rule_set(monkeypatch):
+    # complete() reduces each S-difference through one right map per rule
+    # set, replaced only when a rule is added
+    A = Alphabet(["x", "y", "z"])
+    rs = RewriteSystem.from_relations(A, QQ, [parse_poly(A, QQ, r) for r in ("xy-2yx+zz", "yz-zy", "xz-3zx+yy")])
+    built, reductions = [], []
+    init, reduce = _LetterMap.__init__, _LetterMap.reduce
+
+    def spy_init(self, rules, field, right=True):
+        built.append((tuple(rules), right))
+        init(self, rules, field, right)
+
+    monkeypatch.setattr(_LetterMap, "__init__", spy_init)
+    monkeypatch.setattr(_LetterMap, "reduce", lambda self, p: reductions.append(p) or reduce(self, p))
+    done, added = rs.complete(6)
+    right_sets = [rules for rules, right in built if right]
+    # the loop's rule sets, then the completed system's own maps
+    assert len(right_sets) == len(set(right_sets)) <= len(added) + 2
+    assert [rules for rules, right in built if not right] == [done.rules]
+    assert len(added) == 13 and len(reductions) == 80
 
 
 def test_multiplication_maps_hold_normal_word_times_letter_only():

@@ -2,11 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import is_payload
 from ttpkit.scalars import (
     QQ,
     DivisionByZero,
     EchelonSpan,
+    Field,
+    FieldError,
     FieldMismatch,
     NestedExtension,
     NoRoot,
@@ -16,6 +22,7 @@ from ttpkit.scalars import (
     ScalarMatrix,
     SquareRadicand,
     Unsupported,
+    _is_prime,
     parse_scalar,
     solve_quadratic,
 )
@@ -415,3 +422,109 @@ def test_quadext_sqrt_of_extension_element():
     r = E.sqrt(t)
     assert r is not None and r * r == t
     assert E.sqrt(E.scalar(7)) is None
+
+
+KERNEL_FIELDS = {
+    "Q": QQ,
+    "GF7": PrimeField(7),
+    "GF32003": PrimeField(32003),
+    "Qsqrt2": QuadExtField(QQ, 2),
+    "GF7sqrt3": QuadExtField(PrimeField(7), 3),
+}
+# a rational n/d with d in 1..4: integral and fractional Q payloads, and no
+# denominator divisible by 7
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _element(field, parts):
+    """The Scalar u + v*sqrt(m) of an extension, or u in a base field."""
+    u, v = parts
+    if isinstance(field, QuadExtField):
+        return field.embed(field.base.scalar(u)) + field.embed(field.base.scalar(v)) * field.root()
+    return field.scalar(u)
+
+
+@st.composite
+def _kernel_case(draw):
+    """(field, out, c, row): sparse payload rows with no zero, and a nonzero c.
+
+    Each entry of out is random, or is -c*y (exact cancellation) or
+    n - c*y with n an integer (over Q a Fraction sum demoted to an int),
+    for the entry y of row at the same key.
+    """
+    name = draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    field = KERNEL_FIELDS[name]
+    elements = st.tuples(_RATIONAL, _RATIONAL).map(lambda parts: _element(field, parts))
+    nonzero = elements.filter(lambda x: not x.is_zero())
+    c = draw(nonzero)
+    row = draw(st.dictionaries(st.integers(0, 7), nonzero, max_size=8))
+    out = {}
+    for j in draw(st.lists(st.integers(0, 7), max_size=8, unique=True)):
+        mode = draw(st.sampled_from(("random", "cancel", "demote")) if j in row else st.just("random"))
+        if mode == "random":
+            x = draw(elements)
+        elif mode == "cancel":
+            x = -(c * row[j])
+        else:
+            x = field.scalar(draw(st.integers(-3, 3))) - c * row[j]
+        if not x.is_zero():
+            out[j] = x
+    return name, {j: x.payload for j, x in out.items()}, c.payload, {j: x.payload for j, x in row.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_kernel_case())
+def test_add_multiple_kernels_match_the_hook_loop(case):
+    # each field kind's sparse-row kernel against the base class's loop on
+    # the hooks, and against Scalar arithmetic entry by entry
+    name, out, c, row = case
+    field = KERNEL_FIELDS[name]
+    got, want = dict(out), dict(out)
+    field._add_multiple(got, c, row)
+    Field._add_multiple(field, want, c, row)
+    assert got == want and list(got) == list(want), (name, out, c, row)
+    zero = field.zero()
+    for j in sorted(set(out) | set(row)):
+        value = Scalar(field, out[j]) if j in out else zero
+        if j in row:
+            value = value + Scalar(field, c) * Scalar(field, row[j])
+        assert (j in got) == (not value.is_zero()), (name, j)
+        if j in got:
+            assert Scalar(field, got[j]) == value
+    for j, a in got.items():
+        assert is_payload(field, a) and not field._is_zero(a), (name, j, a)
+
+
+# Carmichael numbers, and strong pseudoprimes: 3215031751 to bases 2, 3, 5
+# and 7, 3825123056546413051 to the first nine prime bases, and
+# 318665857834031151167461 to the first twelve
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745,
+    63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409,
+    314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461, 3215031751,
+    3825123056546413051, 318665857834031151167461,
+)
+
+
+def test_is_prime_matches_sympy():
+    rng = random.Random(23)
+    samples = [*range(-3, 3000), *PSEUDOPRIMES]
+    for bits in (20, 40, 64, 80):
+        samples += [rng.getrandbits(bits) for _ in range(300)]
+        samples += [sympy.randprime(2 ** (bits - 1), 2**bits) for _ in range(20)]
+        half = bits // 2
+        samples += [sympy.randprime(2 ** (half - 1), 2**half) * sympy.randprime(2 ** (half - 1), 2**half)
+                    for _ in range(20)]
+    for n in samples:
+        assert _is_prime(n) == sympy.isprime(n), n
+    assert not any(_is_prime(n) for n in PSEUDOPRIMES)
+
+
+def test_is_prime_refuses_to_guess_past_its_bound():
+    # 3317044064679887385961981 is a strong pseudoprime to the first 13
+    # prime bases, so Miller-Rabin on them is exact only below it
+    with pytest.raises(FieldError, match="not decided"):
+        _is_prime(3317044064679887385961981)
+    with pytest.raises(FieldError, match="not decided"):
+        PrimeField(10**25 + 13)
+    assert _is_prime(3317044064679887385961979) == sympy.isprime(3317044064679887385961979)
