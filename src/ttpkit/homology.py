@@ -10,16 +10,20 @@ the normal-word basis turns every homological question into an exact
 rank computation.
 
 The minimal resolution of the trivial module grows one such complex in
-place.  In internal degree j, the kernel of the i-th component matrix has
-a basis that is the identity on its free columns, so a vector of the
-kernel is known by its entries there: its kernel coordinates.  The image
-of the partial (i+1)-st differential, built from the generators of lower
-degree, lies in that kernel and is echelonized in kernel coordinates; the
-basis vectors at the coordinates where no image vector ends are the new
-generators, and no kernel vector is eliminated.  Each degree-j component
-matrix is built once: the partial (i+1)-st one, extended by the new
-generators' columns, is the full matrix that the next position takes its
-kernel from.
+place, and counts before it eliminates.  It is exact below the position
+it works on, so the rank of d_i in degree j is the kernel dimension of
+d_{i-1} there, and the kernel dimension K of d_i is plain arithmetic on
+module dimensions.  The image of the partial (i+1)-st differential, built
+from the generators of lower degree, lies in that kernel; its rows are
+echelonized only until the rank reaches K.  Only where it stays below K
+is a generator born, and only there is the kernel of d_i computed: its
+basis is the identity on its free columns, so the image is echelonized
+again in kernel coordinates (an image column's entries at the free rows),
+the basis vectors at the coordinates where no image vector ends are the
+new generators, and no kernel vector is eliminated.  At the last position
+only the count is taken.  Each degree-j component matrix is built at most
+once: the partial (i+1)-st one, extended by the new generators' columns,
+is carried in row form to the next position.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ class GradedComplex:
         self.shifts = [list(s) for s in shifts]
         self.diffs = [None] + list(diffs)  # diffs[i]: position i -> i-1
         self.side = side
+        # (completed system, tuple of shifts, degree) -> graded basis; a grown
+        # position or a further completion gives a new key
+        self._bases = {}
         if len(self.diffs) != len(self.shifts):
             raise ValueError("need exactly one differential per positive position")
         for i in range(1, len(self.shifts)):
@@ -79,8 +86,7 @@ class GradedComplex:
         matrix acts on coordinate columns of position i.
         """
         rs = self._system_for_degree(j)
-        src = _graded_basis(rs, self.shifts[i], j)
-        dst = _graded_basis(rs, self.shifts[i - 1], j)
+        src, dst = self._basis(rs, i, j), self._basis(rs, i - 1, j)
         dst_index = {key: n for n, key in enumerate(dst)}
         field = self.pres.field
         # an empty target still gives one zero row: a 1 x len(src) matrix
@@ -96,8 +102,20 @@ class GradedComplex:
         return ScalarMatrix.from_sparse(field, rows, len(src))
 
     def component_dim(self, i, j):
-        rs = self._system_for_degree(j)
-        return len(_graded_basis(rs, self.shifts[i], j))
+        """Dimension of position i in internal degree j: the sum of dim A_{j-s} over its shifts s."""
+        degrees = [j - s for s in self.shifts[i] if s <= j]
+        if not degrees:
+            return 0
+        hilbert = self._system_for_degree(j).hilbert(max(degrees))
+        return sum(hilbert[d] for d in degrees)
+
+    def _basis(self, rs, i, j):
+        """The degree-j basis of position i over rs, built once per system and shifts."""
+        key = (rs, tuple(self.shifts[i]), j)
+        basis = self._bases.get(key)
+        if basis is None:
+            basis = self._bases[key] = _graded_basis(rs, self.shifts[i], j)
+        return basis
 
     def _system_for_degree(self, j):
         low = min((s for shifts in self.shifts for s in shifts), default=0)
@@ -211,28 +229,35 @@ def minimal_resolution(pres, max_i, maxdeg):
     """Minimal graded free resolution of the trivial module, truncated.
 
     One complex grows in place, position by position and, within a
-    position, degree by degree.  Before the new generators of degree j are
-    added, the image of the partial next differential in degree j is the
-    span of A_+ times the kernel in lower degrees (the generators found so
-    far generate the whole kernel there).  The degree-j kernel basis
-    vectors are taken in order, each becoming a new generator when it lies
-    outside the image and the generators taken before it.  That is decided
-    in kernel coordinates (_outside_image): the image columns are
-    renumbered to their entries at the kernel's free columns, so the
-    elimination is as wide as the kernel, not the degree-j basis, and the
-    kernel vectors themselves are never eliminated.
-    Every differential entry then lands in the radical.  That needs every
+    position, degree by degree.  It counts before it eliminates.  Position
+    i is reached once the complex is exact below it through maxdeg, so the
+    rank of d_i in degree j is dim ker d_{i-1} there, and rank-nullity gives
+    K = dim ker d_i in every degree with no matrix built (_kernel_dims);
+    position 0 starts from the augmentation, whose kernel is A_j for j >= 1.
+    Where K is 0 nothing is built or eliminated.  Otherwise the image of the
+    partial next differential, the span of A_+ times the kernel in lower
+    degrees, is echelonized row by row until its rank reaches K
+    (_image_rank).  Only where it stays below K is a generator born, and
+    only there is the kernel of d_i taken: its basis vectors are taken in
+    order, each becoming a new generator when it lies outside the image and
+    the generators taken before it.  That is decided in kernel coordinates
+    (_outside_image): an image column's coordinates are its entries at the
+    kernel's free rows, so the elimination is as wide as the kernel, and the
+    kernel vectors themselves are never eliminated.  At position max_i only
+    the count is taken: a nonzero K there marks the resolution truncated.
+    Every differential entry lands in the radical.  That needs every
     relation term to be a word of length at least 2 (the letters minimal
     generators, the algebra nonzero); NotMinimal otherwise.  Generators of
     internal degree > maxdeg are invisible at this bound, and the Betti
     table does not count them.
 
-    Each degree-j matrix is built once.  The partial d_{i+1} built for the
-    image span is kept and extended by one column per new generator: such
-    a generator has only the empty word in degree j, so its column is its
-    kernel vector, and it comes last in basis order.  The result is the
-    full degree-j matrix of d_{i+1}, from which position i+1 takes its
-    kernel; the matrices of d_1 are built up front.
+    Each degree-j matrix is built at most once.  The partial d_{i+1} built
+    for the image count is kept in row form and extended by one column per
+    new generator: such a generator has only the empty word in degree j, so
+    its column is its kernel vector, and it comes last in basis order.  The
+    result is the full degree-j matrix of d_{i+1}, carried to position i+1
+    for its kernel; a matrix not carried (those of d_1, and any d_{i+1} in a
+    degree where K was 0) is built only when a kernel is taken from it.
     """
     for rel in pres.relations:
         if any(len(word) < 2 for word in rel.terms):
@@ -243,21 +268,40 @@ def minimal_resolution(pres, max_i, maxdeg):
     d1 = [[NCPoly(alphabet, field, {w: field.one()})] for w in letters]
     cx = GradedComplex(pres, [[0], [alphabet.degree(w) for w in letters]], [d1])
     truncated = False
-    # mats[j]: the degree-j matrix of the differential leaving position i
-    mats = {j: cx.component_matrix(1, j) for j in range(min(cx.shifts[1]), maxdeg + 1)}
+    # below[j]: dim ker d_{i-1} in degree j, at i = 1 that of the augmentation A -> k
+    below = [0] + rs.hilbert(maxdeg)[1:]
+    # mats[j]: the carried degree-j matrix of the differential leaving position i
+    mats = {}
     for i in range(1, max_i + 1):
+        dims = _kernel_dims(cx, i, below, maxdeg)
+        if i == max_i:
+            # generators past max_i exist exactly where a kernel is left
+            truncated = any(dims)
+            break
         shifts, rows = [], []
         cx.shifts.append(shifts)
         cx.diffs.append(rows)
         nxt = {}
-        for j in range(min(cx.shifts[i]), maxdeg + 1):
-            free, kernel = mats[j].kernel_rows()
-            # the partial next differential, one row per column; new generators' columns join below
-            partial = cx.component_matrix(i + 1, j).transpose()
-            cols = partial.rows
-            if kernel:
-                basis = _graded_basis(rs, cx.shifts[i], j)
-                for k in _outside_image(free, cols, field):
+        for j, K in enumerate(dims):
+            if not K:
+                continue
+            # the partial next differential in row form; new generators' columns join below
+            partial = cx.component_matrix(i + 1, j)
+            image, ncols = partial.rows, partial.ncols
+            rank = _image_rank(image, K, field)
+            if rank < K:
+                mat = mats[j] if j in mats else cx.component_matrix(i, j)
+                free, kernel = mat.kernel_rows()
+                assert len(free) == K, "the kernel dimension differs from its count"
+                # image columns in kernel coordinates: only the free rows are read
+                cols = [{} for _ in range(ncols)]
+                for r in free:
+                    for c, a in image[r].items():
+                        cols[c][r] = a
+                born = _outside_image(free, cols, field)
+                assert len(born) == K - rank, "the new generators differ from their count"
+                basis = cx._basis(rs, i, j)
+                for k in born:
                     vec = kernel[k]
                     row = _devectorize(vec, basis, cx.shifts[i], alphabet, field)
                     for entry, s in zip(row, cx.shifts[i]):
@@ -265,16 +309,38 @@ def minimal_resolution(pres, max_i, maxdeg):
                     shifts.append(j)
                     rows.append(row)
                     # a new generator has only the empty word in degree j: its column is vec
-                    cols.append(vec)
-            nxt[j] = ScalarMatrix.from_sparse(field, cols, partial.ncols).transpose()
-        mats = nxt
-        if not shifts or i == max_i:
-            # an empty position ends the resolution; generators past max_i mark it truncated
-            truncated = bool(cx.shifts.pop())
+                    for r, a in vec.items():
+                        image[r][ncols] = a
+                    ncols += 1
+            nxt[j] = ScalarMatrix.from_sparse(field, image, ncols)
+        mats, below = nxt, dims
+        if not shifts:
+            # an empty position ends the resolution
+            cx.shifts.pop()
             cx.diffs.pop()
             break
     betti = Counter((i, s) for i, degrees in enumerate(cx.shifts) for s in degrees if s <= maxdeg)
     return MinimalResolution(BettiTable(betti), cx, truncated, maxdeg)
+
+
+def _kernel_dims(cx, i, below, maxdeg):
+    """dim ker d_i in degrees 0..maxdeg, where below[j] = dim ker d_{i-1} in degree j.
+
+    The complex is exact at position i-1 through maxdeg, so d_i maps onto
+    ker d_{i-1} and rank-nullity leaves dim P_{i,j} - below[j].
+    """
+    return [cx.component_dim(i, j) - below[j] for j in range(maxdeg + 1)]
+
+
+def _image_rank(rows, bound, field):
+    """Rank of the span of the sparse payload rows, counted no further than bound."""
+    span = EchelonSpan(field)
+    for row in rows:
+        if span.rank == bound:
+            break
+        if row:
+            span.insert(row)
+    return span.rank
 
 
 def _outside_image(free, cols, field):

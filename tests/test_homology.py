@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from helpers import compose_check, euler_check, greedy_new_generators, reference_reduce
 
+from ttpkit import homology
 from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import (
@@ -288,24 +289,146 @@ def test_minimal_resolution_builds_each_component_matrix_once(monkeypatch):
 
 
 def test_minimal_resolution_carried_matrices_match_fresh_builds(monkeypatch):
-    # each kernel is taken from a carried matrix; it must equal the component
-    # matrix built from nothing on the finished complex, column order included
-    kernel_rows = ScalarMatrix.kernel_rows
-    seen = []
+    # a kernel is taken only where a generator is born, from the carried
+    # matrix; it, and every matrix built during the run as its rows stand at
+    # the end (the carried ones extended in place by the new generators'
+    # columns), must equal the component matrix built from nothing on the
+    # finished complex, column order included
+    kernel_rows, build = ScalarMatrix.kernel_rows, GradedComplex.component_matrix
+    seen, built = [], []
 
     def spy(self):
         seen.append(self)
         return kernel_rows(self)
 
+    def spy_build(self, i, j):
+        mat = build(self, i, j)
+        built.append((i, j, mat))
+        return mat
+
     for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
         seen.clear()
+        built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ScalarMatrix, "kernel_rows", spy)
+            patch.setattr(GradedComplex, "component_matrix", spy_build)
             cx = minimal_resolution(pres, max_i, maxdeg).complex
-        keys = [(i, j) for i in range(1, len(cx)) for j in range(min(cx.shifts[i]), maxdeg + 1)]
-        assert len(seen) == len(keys), pres
-        for (i, j), carried in zip(keys, seen):
+        # the degree-j generators of position i+1 are born at (i, j); none past max_i
+        births = [(i, j) for i in range(1, len(cx) - 1) for j in sorted(set(cx.shifts[i + 1]))]
+        assert len(seen) == len(births), pres
+        for (i, j), carried in zip(births, seen):
             assert carried == cx.component_matrix(i, j), (pres, i, j)
+        assert built, pres
+        for i, j, mat in built:
+            assert mat.rows == cx.component_matrix(i, j).rows, (pres, i, j)
+
+
+def test_minimal_resolution_counted_kernels_match_elimination(monkeypatch):
+    # dim ker d_i is counted from exactness below position i, not eliminated;
+    # at every position, max_i included, and every degree it must equal the
+    # nullity of the component matrix built from nothing on the finished complex
+    count = homology._kernel_dims
+    counted = {}
+
+    def spy(cx, i, below, maxdeg):
+        counted[i] = count(cx, i, below, maxdeg)
+        return counted[i]
+
+    monkeypatch.setattr(homology, "_kernel_dims", spy)
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        counted.clear()
+        cx = minimal_resolution(pres, max_i, maxdeg).complex
+        assert sorted(counted) == list(range(1, len(cx))), pres
+        for i, dims in counted.items():
+            assert len(dims) == maxdeg + 1
+            for j, K in enumerate(dims):
+                assert K == len(cx.component_matrix(i, j).kernel_rows()[0]), (pres, i, j)
+
+
+def test_minimal_resolution_image_count_stops_at_the_kernel_dimension(monkeypatch):
+    # the partial next differential's rows are echelonized only until their
+    # rank reaches the counted kernel dimension: no row enters that span once
+    # it has rank K, and the count is the true rank capped at K
+    image_rank, insert = homology._image_rank, EchelonSpan.insert
+    bounds, inserts, stopped = [], [], []
+
+    def spy_image_rank(rows, bound, field):
+        ncols = max((c + 1 for row in rows for c in row), default=0)
+        full = ScalarMatrix.from_sparse(field, [dict(row) for row in rows], ncols).rank()
+        bounds.append(bound)
+        inserts.clear()
+        try:
+            rank = image_rank(rows, bound, field)
+        finally:
+            bounds.pop()
+        assert rank == min(full, bound)
+        stopped.append(len(inserts) < sum(1 for row in rows if row))
+        return rank
+
+    def spy_insert(self, vec):
+        if bounds:
+            assert self.rank < bounds[-1], "an image row entered after the rank reached K"
+            inserts.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(homology, "_image_rank", spy_image_rank)
+    monkeypatch.setattr(EchelonSpan, "insert", spy_insert)
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        minimal_resolution(pres, max_i, maxdeg)
+    # rows were left over somewhere, so the stop was exercised
+    assert any(stopped)
+
+
+def test_minimal_resolution_transposes_no_matrix(monkeypatch):
+    # the carried matrices stay in row form; new columns are appended as entries
+    transpose = ScalarMatrix.transpose
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return transpose(self)
+
+    monkeypatch.setattr(ScalarMatrix, "transpose", spy)
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        minimal_resolution(pres, max_i, maxdeg)
+    assert not calls
+
+
+def test_graded_basis_is_built_once_per_argument(monkeypatch):
+    # a complex keeps each (system, shifts, degree) basis it builds: the
+    # resolution and the exactness check of its complex build none twice,
+    # and component_dim counts from the Hilbert function without a basis
+    build = homology._graded_basis
+    calls = []
+
+    def spy(rs, shifts, j):
+        calls.append((rs, tuple(shifts), j))
+        return build(rs, shifts, j)
+
+    monkeypatch.setattr(homology, "_graded_basis", spy)
+    for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
+        calls.clear()
+        cx = minimal_resolution(pres, max_i, maxdeg).complex
+        exactness_profile(cx, True, maxdeg)
+        twice = [key for key, n in Counter(calls).items() if n > 1]
+        assert calls and not twice, (pres, twice)
+        rs = pres.completed(maxdeg)
+        for i in range(len(cx)):
+            for j in range(maxdeg + 1):
+                assert cx.component_dim(i, j) == len(build(rs, cx.shifts[i], j)), (pres, i, j)
+
+
+def test_graded_basis_follows_shifts_and_system():
+    # a grown position or a further completion is a new key, never a stale basis
+    pres = tgh(2, 3)
+    cx = minimal_resolution(pres, 3, 3).complex
+    rs = pres.completed(3)
+    before = cx._basis(rs, 2, 3)
+    cx.shifts[2].append(3)
+    assert cx._basis(rs, 2, 3) == before + [(len(cx.shifts[2]) - 1, ())]
+    rs6 = pres.completed(6)
+    assert rs6 is not rs
+    assert cx._basis(rs6, 2, 3) is not cx._basis(rs, 2, 3)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), QuadExtField(QQ, 2)], ids=["Q", "GF7", "Qsqrt2"])
@@ -351,19 +474,29 @@ def _lowest_coordinates(free, cols, field):
 
 
 def test_minimal_resolution_inserts_no_kernel_vector(monkeypatch):
-    # only image columns, renumbered to kernel coordinates, enter a span;
-    # the new generators are read off its pivots
+    # only image vectors enter a span: the partial next differential's rows
+    # for the count, and its columns renumbered to kernel coordinates in
+    # _outside_image's span, whose pivots give the new generators
     kernel_rows, insert, insert_rows = ScalarMatrix.kernel_rows, EchelonSpan.insert, EchelonSpan._insert
-    widths, kernel_vectors, inserted = [], [], []
+    outside_image = homology._outside_image
+    widths, kernel_vectors, inserted, in_kernel_coordinates = [], [], [], []
 
     def spy_kernel_rows(self):
         free, kernel = kernel_rows(self)
-        widths.append(len(free))
         kernel_vectors.extend(kernel)
         return free, kernel
 
+    def spy_outside_image(free, cols, field):
+        widths.append(len(free))
+        try:
+            return outside_image(free, cols, field)
+        finally:
+            widths.pop()
+
     def spy_insert(self, vec):
-        assert all(0 <= c < widths[-1] for c in vec), "an inserted row is not in kernel coordinates"
+        if widths:
+            assert all(0 <= c < widths[-1] for c in vec), "an inserted row is not in kernel coordinates"
+            in_kernel_coordinates.append(vec)
         return insert(self, vec)
 
     def spy_insert_rows(self, vec):
@@ -373,10 +506,11 @@ def test_minimal_resolution_inserts_no_kernel_vector(monkeypatch):
     for pres, max_i, maxdeg in PINNED_RESOLUTIONS:
         with monkeypatch.context() as patch:
             patch.setattr(ScalarMatrix, "kernel_rows", spy_kernel_rows)
+            patch.setattr(homology, "_outside_image", spy_outside_image)
             patch.setattr(EchelonSpan, "insert", spy_insert)
             patch.setattr(EchelonSpan, "_insert", spy_insert_rows)
             minimal_resolution(pres, max_i, maxdeg)
-    assert kernel_vectors and inserted
+    assert kernel_vectors and inserted and in_kernel_coordinates
     # both lists hold their dicts alive, so equal ids mean the same dict
     kernel_ids = {id(vec) for vec in kernel_vectors}
     assert not [vec for vec in inserted if id(vec) in kernel_ids]

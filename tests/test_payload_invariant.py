@@ -5,7 +5,8 @@ Q(sqrt(m)) each component of the (u, v) pair is such a payload; a GF(p)
 payload is an int in [0, p).  No matrix row and no polynomial term holds
 a Scalar or a zero.  The runs below record every stored payload they can
 reach: the component matrices, their kernels (as rows and as columns),
-the image rows in kernel coordinates that the minimal resolution inserts,
+the image rows that the minimal resolution inserts (for the rank count,
+and in kernel coordinates where a generator is born),
 every EchelonSpan row after every insertion, the rule tails of the
 completed system, both of its letter multiplication maps, every product,
 every reduced polynomial and every word-times-entry row folded through
@@ -65,7 +66,7 @@ def seen(monkeypatch):
 
     def checked_insert_image(self, vec):
         # in these runs only the minimal resolution inserts incrementally
-        _check_rows(self.field, [vec], "image in kernel coordinates", types)
+        _check_rows(self.field, [vec], "image row", types)
         return insert_image(self, vec)
 
     def checked_kernel_rows(self):
@@ -122,7 +123,7 @@ def _run(pres, maxdeg, seen):
         for row in mat:
             for entry in row:
                 _check_poly(entry, "differential", seen)
-    for where in ("rule tail", "product", "reduced", "differential", "kernel", "image in kernel coordinates"):
+    for where in ("rule tail", "product", "reduced", "differential", "kernel", "image row"):
         assert seen[where], f"the run reached no {where}"
     return res
 
@@ -135,7 +136,7 @@ def test_elliptic_q_run_keeps_integral_data_int(seen):
     # spans may still leave a proper Fraction.  rank() builds no kernel, so
     # the kernels met are the resolution's, and at this size they are integral
     for where in (
-        "rule tail", "multiplication map", "component matrix", "image in kernel coordinates",
+        "rule tail", "multiplication map", "component matrix", "image row",
         "kernel", "product", "reduced", "differential",
     ):
         assert seen[where] == {int}, where
