@@ -207,22 +207,6 @@ def emit_machine(data):
     return "\n".join(lines)
 
 
-def parse_machine_block(text):
-    lines = text.splitlines()
-    try:
-        start = lines.index("[machine]")
-        end = lines.index("[/machine]")
-    except ValueError:
-        raise ParseError("no machine block found")
-    out = {}
-    for line in lines[start + 1 : end]:
-        if "=" not in line:
-            raise ParseError(f"bad machine line {line!r}")
-        k, v = line.split("=", 1)
-        out[k] = v
-    return out
-
-
 def render(human_lines, machine):
     return "\n".join(human_lines) + "\n" + emit_machine({k: str(v) for k, v in machine.items()}) + "\n"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Alphabet, NCPoly
-from .rewrite import RewriteSystem
+from .rewrite import _complete
 from .scalars import CharTwo, DivisionByZero, Scalar, ScalarMatrix
 
 PARAM_NAMES_3D = ("a", "b", "c", "d", "e", "f", "A", "B", "C", "D", "E", "F")
@@ -104,16 +104,10 @@ class Presentation:
                 raise ValueError(f"inhomogeneous relation {r}")
         self._rs = None
 
-    def system(self):
-        """The oriented, interreduced rule set (no completion certificate)."""
-        return RewriteSystem.from_relations(self.alphabet, self.field, self.relations)
-
     def completed(self, d):
-        """Rewrite system completed to degree d (cached and extended)."""
-        if self._rs is None:
-            self._rs = self.system()
-        if (self._rs.completed_to or -1) < d:
-            self._rs, _ = self._rs.complete(d)
+        """Rewrite system completed to degree d from the relations, cached until a larger d is asked."""
+        if self._rs is None or self._rs.completed_to < d:
+            self._rs, _ = _complete(self.alphabet, self.field, self.relations, d)
         return self._rs
 
     def hilbert(self, d):

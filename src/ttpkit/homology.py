@@ -136,33 +136,13 @@ def _graded_basis(rs, shifts, j):
     return out
 
 
-@dataclass
-class ExactnessReport:
-    """Homology dimensions per (position, internal degree), zeros omitted."""
-
-    homology: dict
-    maxdeg: int
-    augmented: bool
-
-    def clean(self):
-        return not self.homology
-
-    def __repr__(self):
-        if not self.homology:
-            return f"exact through degree {self.maxdeg}"
-        body = ", ".join(f"H_{i}[{j}]={d}" for (i, j), d in sorted(self.homology.items()))
-        return f"homology: {body}"
-
-
-def exactness_profile(cx, augment, maxdeg, mindeg=0):
+def exactness_profile(cx, maxdeg, mindeg=0):
     """Degreewise homology of the complex by component ranks.
 
-    With augment set, position 0 must be the free module of rank one in
-    degree zero and the map onto the trivial module is appended, so a
-    resolution reports no homology at all.
+    The result maps (position, internal degree) to the homology dimension,
+    zeros omitted; a resolution of the trivial module k has {(0, 0): 1},
+    its H_0 = k.
     """
-    if augment and cx.shifts[0] != [0]:
-        raise ValueError("augmentation needs a single degree-0 generator at position 0")
     homology = {}
     n = len(cx) - 1
     for j in range(mindeg, maxdeg + 1):
@@ -173,12 +153,10 @@ def exactness_profile(cx, augment, maxdeg, mindeg=0):
         for i in range(n + 1):
             incoming = ranks[i + 1] if i + 1 <= n else 0
             kernel = dims[i] - (ranks[i] if i >= 1 else 0)
-            if i == 0 and augment:
-                kernel -= 1 if j == 0 else 0
             h = kernel - incoming
             if h:
                 homology[(i, j)] = h
-    return ExactnessReport(homology, maxdeg, augment)
+    return homology
 
 
 class BettiTable:
@@ -192,9 +170,6 @@ class BettiTable:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def row(self, i):
-        return {j: v for (i2, j), v in self.entries.items() if i2 == i}
 
     def max_position(self):
         return max((i for i, _ in self.entries), default=0)

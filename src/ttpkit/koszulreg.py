@@ -338,9 +338,8 @@ def gorenstein_check(pres, res_complex, maxdeg):
     """
     dual = dualize(res_complex)
     top = max(res_complex.shifts[-1])
-    report = exactness_profile(dual, augment=False, maxdeg=maxdeg - top, mindeg=-top)
-    expected = {(0, -top): 1}
-    return GorensteinProfile(report.homology == expected, report.homology, top)
+    homology = exactness_profile(dual, maxdeg=maxdeg - top, mindeg=-top)
+    return GorensteinProfile(homology == {(0, -top): 1}, homology, top)
 
 
 @dataclass

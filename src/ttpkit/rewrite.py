@@ -3,7 +3,9 @@
 Rules rewrite a monomial high term to a strictly smaller tail.  Overlap
 completion up to a degree bound turns a presentation into a Gröbner basis
 to that degree; normal words (no high term as subword) then form a basis
-of the quotient, giving the Hilbert function.
+of the quotient, giving the Hilbert function.  Completion is one queue
+of relations and overlap S-differences taken in order of degree, so no
+high term ever contains a later one.
 
 Normal forms are carried by letter multiplication maps (Faugère, Gianni,
 Lazard and Mora, JSC 16, 1993).  The right map sends a normal word v and
@@ -24,7 +26,7 @@ form, whatever the rewriting strategy.  Entries are sparse payload rows
 keyed by word, the format of NCPoly.terms.  A RewriteSystem keeps its
 maps for its whole life, since its rules never change; completion,
 whose rule list grows, keeps one map per rule set, replaced when a rule
-is added.
+is born.
 
 The two degree-3 obstructions of the normalized three-generator family
 are evaluated from closed-form coefficient tables, with no rewriting.
@@ -100,29 +102,7 @@ class RewriteSystem:
 
         No nonzero relation gives the rule-free system of the free algebra.
         """
-        relations = [r for r in relations if not r.is_zero()]
-        for r in relations:
-            if not r.is_homogeneous():
-                raise ValueError(f"inhomogeneous relation {r}")
-        rules, maps = [], None
-        work = list(relations)
-        while work:
-            maps = maps or _LetterMap(rules, field)
-            p = maps.reduce(work.pop(0))
-            if p.is_zero():
-                continue
-            new = _monic_rule(p)
-            keep = []
-            for r in rules:
-                if _contains(r.high, new.high):
-                    work.append(r.element())
-                else:
-                    keep.append(r)
-            keep.append(new)
-            rules, maps = keep, None
-        rules = _interreduce_tails(rules, maps or _LetterMap(rules, field))
-        rules.sort(key=lambda r: alphabet.sort_key(r.high))
-        return RewriteSystem(alphabet, field, rules)
+        return _complete(alphabet, field, relations, None)[0]
 
     def reduce(self, p):
         """An irreducible polynomial congruent to p: no high term occurs in any of its words.
@@ -157,52 +137,15 @@ class RewriteSystem:
     def complete(self, d):
         """Resolve all overlaps of total degree <= d; returns (system, added).
 
-        Added rules are the monic normalized unresolved S-differences,
-        processed in increasing overlap degree and, within a degree, in
-        lexicographic order of the overlap word.
+        The completion loop runs from the system's own rules, which come
+        first in the result, in term order.  Added rules are the monic
+        normalized unresolved S-differences, processed in increasing
+        overlap degree and, within a degree, in lexicographic order of the
+        overlap word.
         """
         if self.completed_to is not None and self.completed_to >= d:
             return self, []
-        alphabet, field = self.alphabet, self.field
-        rules = list(self.rules)
-        counter = 0
-        queue = []
-
-        def push_overlaps(i, j):
-            nonlocal counter
-            hi = rules[i].high
-            for m, _, mpp in _overlaps(hi, rules[j].high):
-                word = hi + mpp
-                deg = alphabet.degree(word)
-                if deg <= d:
-                    counter += 1
-                    heapq.heappush(queue, (deg, word, i, j, counter, m, mpp))
-
-        n = len(rules)
-        for i in range(n):
-            for j in range(n):
-                push_overlaps(i, j)
-
-        added, maps = [], None
-        while queue:
-            _, _, i, j, _, m, mpp = heapq.heappop(queue)
-            left = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
-            right = NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
-            maps = maps or _LetterMap(rules, field)
-            sdiff = maps.reduce(left - right)
-            if sdiff.is_zero():
-                continue
-            rules.append(_monic_rule(sdiff))
-            added.append(rules[-1])
-            maps = None  # its index holds the old rules only
-            k = len(rules) - 1
-            for i2 in range(len(rules)):
-                push_overlaps(i2, k)
-                if i2 != k:
-                    push_overlaps(k, i2)
-        rules = _interreduce_tails(rules, maps or _LetterMap(rules, field))
-        done = max(d, self.completed_to or 0)
-        return RewriteSystem(alphabet, field, rules, completed_to=done), added
+        return _complete(self.alphabet, self.field, [r.element() for r in self.rules], d)
 
     def normal_words(self, d):
         """Per-degree tuples of normal words up to degree d (a basis).
@@ -340,6 +283,62 @@ class _LetterMap:
         return nf
 
 
+def _complete(alphabet, field, elements, d):
+    """Complete homogeneous elements through overlap degree d: (system, added).
+
+    Elements and the S-differences of overlaps of degree <= d share one
+    heap, by degree, elements first, then in element order or by overlap
+    word.  Each popped item is reduced through one right map per rule set,
+    and a nonzero result becomes a monic rule.  A rule is thus born of
+    degree at least every earlier one's, with a high term none of them
+    rewrites, so no high term contains another.  With d None the elements
+    are only oriented, with no certificate.  Rules from elements come
+    first, in term order, then the added ones as born; tails are
+    interreduced once, at the end.
+    """
+    heap = []
+    for n, p in enumerate(elements):
+        if not p.is_homogeneous():
+            raise ValueError(f"inhomogeneous relation {p}")
+        if not p.is_zero():
+            heap.append((p.degree(), 0, n, p))
+    heapq.heapify(heap)
+    rules, oriented, added, maps = [], [], [], None
+
+    def push_overlaps(i, j):
+        hi = rules[i].high
+        for m, _, mpp in _overlaps(hi, rules[j].high):
+            word = hi + mpp
+            deg = alphabet.degree(word)
+            if deg <= d:
+                heapq.heappush(heap, (deg, 1, word, i, j, m, mpp))
+
+    while heap:
+        item = heapq.heappop(heap)
+        if item[1] == 0:
+            p = item[3]
+        else:
+            _, _, _, i, j, m, mpp = item
+            p = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
+            p -= NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
+        maps = maps or _LetterMap(rules, field)
+        p = maps.reduce(p)
+        if p.is_zero():
+            continue
+        rules.append(_monic_rule(p))
+        (added if item[1] else oriented).append(rules[-1])
+        maps = None  # its index holds the old rules only
+        k = len(rules) - 1
+        for i in range(k + 1 if d is not None else 0):
+            push_overlaps(i, k)
+            if i != k:
+                push_overlaps(k, i)
+    oriented.sort(key=lambda r: alphabet.sort_key(r.high))
+    maps = maps or _LetterMap(rules, field)
+    rules = [Rule(r.high, maps.reduce(r.tail)) for r in oriented + added]
+    return RewriteSystem(alphabet, field, rules, completed_to=d), added
+
+
 def _contains(word, sub):
     """Whether sub occurs as a (contiguous) subword of word."""
     ls = len(sub)
@@ -360,11 +359,6 @@ def _monic_rule(p):
     w, c = p.leading_term()
     tail = (NCPoly(p.alphabet, p.field, {w: c}) - p).scale(c.inv())
     return Rule(w, tail)
-
-
-def _interreduce_tails(rules, maps):
-    """Reduce every tail to normal form with respect to the whole system, through maps, its right map."""
-    return [Rule(r.high, maps.reduce(r.tail)) for r in rules]
 
 
 # The f = 1 normalized three-generator system over the alphabet y < x < z:

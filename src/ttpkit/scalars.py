@@ -188,9 +188,6 @@ class Field:
         """A square root of s in this field, or None."""
         raise NotImplementedError
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class RationalField(Field):
     # Every hook keeps the payload invariant: an int, or a Fraction with

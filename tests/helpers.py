@@ -27,7 +27,8 @@ against the relation ideal, ``derivation_check`` the Ore-data equations,
 for its letter images, and ``map_coeffs`` for a field extension) carries
 relations along an isomorphism, ``relation_phi_matrix`` reads the
 phi-matrix off a two-generator relation, and ``rigidity_check_2d``
-compares canonical tuples.  ``assert_payload_terms`` checks that a
+compares canonical tuples.  ``parse_machine_block`` reads a report's
+``[machine]`` block back into a dict.  ``assert_payload_terms`` checks that a
 polynomial stores raw field payloads only; the oracles box coefficients at
 entry and do their arithmetic on Scalars, so they share no code with it.
 """
@@ -43,6 +44,7 @@ from ttpkit.classify import (
     jordan_normal_form_3d,
     reducible_case_id,
 )
+from ttpkit.cli import ParseError
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.koszulreg import asreg_decide_2d
@@ -446,3 +448,20 @@ def rigidity_check_2d(p, p2):
         if not ok:
             raise NotCanonical(f"{t} is not in canonical form")
     return p == p2
+
+
+def parse_machine_block(text):
+    """The key=value lines of a report's [machine] block, as a dict."""
+    lines = text.splitlines()
+    try:
+        start = lines.index("[machine]")
+        end = lines.index("[/machine]")
+    except ValueError:
+        raise ParseError("no machine block found")
+    out = {}
+    for line in lines[start + 1 : end]:
+        if "=" not in line:
+            raise ParseError(f"bad machine line {line!r}")
+        k, v = line.split("=", 1)
+        out[k] = v
+    return out

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import reference_c_row
+from helpers import parse_machine_block, reference_c_row
 
 from ttpkit.cli import (
     JobDocument,
@@ -17,7 +17,6 @@ from ttpkit.cli import (
     emit_machine,
     parse_field,
     parse_inline_params,
-    parse_machine_block,
     parse_ranges,
     run,
     scan_row,
@@ -142,6 +141,18 @@ def test_raw_family_hilbert():
     ])
     assert status == 0
     assert parse_machine_block(out)["dims"] == "1,2,3,4,5"
+
+
+def test_mixed_degree_raw_relations_complete():
+    # completion adds yx^2 in degree 3, a subword of the relation yx^3
+    base = ["--field", "Q", "--family", "raw", "--alphabet", "x,y", "--relations", "y^2+x^2;yx^3", "--maxdeg", "6"]
+    status, out = invoke(["gb", *base])
+    assert status == 0
+    rules = [v for k, v in parse_machine_block(out).items() if k.startswith("rule")]
+    assert "yx^2 -> x^2y" in rules and not any(r.startswith("yx^3 ") for r in rules)
+    status, out = invoke(["hilbert", *base])
+    assert status == 0
+    assert parse_machine_block(out)["dims"] == "1,2,3,4,4,2,2"
 
 
 def test_zero_algebra_has_zero_hilbert_function():

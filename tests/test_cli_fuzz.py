@@ -26,7 +26,8 @@ BAD_LITERALS = ["x", "1/0", "", "1.5", "sqrt(3)", "2**3", "1/", "=1"]
 MISSING_DIR = Path(__file__).parent / "no-such-directory"
 RAW_ALPHABETS = ["x", "x,y", "x,y,z", "x,x"]
 RAW_RELATIONS = ["xx", "xy-yx", "xx;xy;yx;yy", "xy-yx+x", "x-x", "x*", "2", "yx-2xy;xx", "xz",
-                 "x*y-y*x", "*x", "x**y", "2*", "x*y*", "xy-*yx", "xy+", "2*xy;yx"]
+                 "x*y-y*x", "*x", "x**y", "2*", "x*y*", "xy-*yx", "xy+", "2*xy;yx",
+                 "yy+xx;yxxx"]
 
 
 def rarely(draw):

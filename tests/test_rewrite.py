@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +21,7 @@ from helpers import (
     rewrite_degree3_overlap_elements,
 )
 from ttpkit.cli import scan_space
-from ttpkit.families import ParamTuple3D, build_T, build_Tgh
+from ttpkit.families import ParamTuple3D, Presentation, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import minimal_resolution
 from ttpkit.koszulreg import gorenstein_check
@@ -27,6 +29,7 @@ from ttpkit.rewrite import (
     NotCompleted,
     RewriteSystem,
     Rule,
+    _complete,
     _LetterMap,
     _overlaps,
     degree3_overlap_elements,
@@ -450,8 +453,8 @@ def test_multiply_on_filled_maps_drives_no_suspended_computation(monkeypatch):
 
 
 def test_completion_builds_one_map_per_rule_set(monkeypatch):
-    # complete() reduces each S-difference through one right map per rule
-    # set, replaced only when a rule is added
+    # complete() reduces the system's own rules and each S-difference
+    # through one right map per rule set, replaced only when a rule is born
     A = Alphabet(["x", "y", "z"])
     rs = RewriteSystem.from_relations(A, QQ, [parse_poly(A, QQ, r) for r in ("xy-2yx+zz", "yz-zy", "xz-3zx+yy")])
     built, reductions = [], []
@@ -465,10 +468,12 @@ def test_completion_builds_one_map_per_rule_set(monkeypatch):
     monkeypatch.setattr(_LetterMap, "reduce", lambda self, p: reductions.append(p) or reduce(self, p))
     done, added = rs.complete(6)
     right_sets = [rules for rules, right in built if right]
-    # the loop's rule sets, then the completed system's own maps
-    assert len(right_sets) == len(set(right_sets)) <= len(added) + 2
+    # never two maps for one rule set: the loop's, at most the empty set and
+    # one after each rule born, then the completed system's own maps
+    assert len(right_sets) == len(set(right_sets)) <= len(done.rules) + 2
     assert [rules for rules, right in built if not right] == [done.rules]
-    assert len(added) == 13 and len(reductions) == 80
+    # the three own rules, the 64 overlaps of degree <= 6, then 16 tails
+    assert len(added) == 13 and len(reductions) == 3 + 64 + 16
 
 
 def test_multiplication_maps_hold_normal_word_times_letter_only():
@@ -547,3 +552,70 @@ def test_normal_words_prefix_matches_fresh_computation():
     fresh = RewriteSystem(rs.alphabet, rs.field, rs.rules, rs.completed_to)
     assert rs.normal_words(4) == fresh.normal_words(4)
     assert rs.normal_words(7)[:5] == fresh.normal_words(4)
+
+
+def random_relations(rng, alphabet, field, degrees):
+    """One relation per entry of degrees: one to three words of that degree, nonzero coefficients."""
+    p = field.characteristic()
+    out = []
+    for k in degrees:
+        words = list(itertools.product(range(len(alphabet)), repeat=k))
+        picked = rng.sample(words, rng.randint(1, 3))
+        out.append(NCPoly(alphabet, field, {w: field.scalar(rng.randrange(1, p)) for w in picked}))
+    return out
+
+
+# SHA-256 of repr(rules) and repr(added) of from_relations(...).complete(d)
+# over 320 seeded random presentations whose relations share one degree,
+# recorded from a completion that oriented all relations before resolving
+# any overlap: on such input the degree-ordered queue must not change a
+# rule or its place
+SAME_DEGREE_COMPLETION_SHA256 = "d91833b269ce87141137c050513d797a2b8a028d62a165910ace12894efed38b"
+
+
+def test_same_degree_completion_is_pinned():
+    rng = random.Random(89)
+    parts = []
+    for _ in range(320):
+        alphabet = Alphabet(["x", "y", "z"][: rng.choice((2, 3))])
+        field = PrimeField(rng.choice((3, 5)))
+        k = rng.choice((2, 3))
+        rels = random_relations(rng, alphabet, field, [k] * rng.randint(1, 3))
+        d = {2: 6, 3: 7}[k] if len(alphabet) == 2 else {2: 5, 3: 6}[k]
+        rs, added = RewriteSystem.from_relations(alphabet, field, rels).complete(d)
+        parts.append(f"{rs.rules!r}\n{added!r}")
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == SAME_DEGREE_COMPLETION_SHA256
+
+
+# Presentations over x < y whose relations differ in degree, each with a
+# relation whose high term contains one that completion adds below it:
+# orienting the relations before resolving any overlap left yx^3 beside
+# the later yx^2, a system that is not interreduced
+MIXED_DEGREE = [
+    (QQ, "y^2+x^2; yx^3"),
+    (PrimeField(3), "y^2+2yx+xy; y^4+2xyxy"),
+    (PrimeField(3), "2y^2+yx+x^2; y^4+2y^3x+2yxyx"),
+    (PrimeField(3), "y^2+2xy; 2y^2xy+xy^2x+2x^2y^2"),
+]
+
+
+@pytest.mark.parametrize("field, relations", MIXED_DEGREE, ids=[r for _, r in MIXED_DEGREE])
+def test_mixed_degree_presentations_complete(field, relations):
+    xy = Alphabet(["x", "y"])
+    rels = [parse_poly(xy, field, r) for r in relations.split(";")]
+    want = hilbert_oracle(rels, 7)
+    assert Presentation(xy, field, rels).hilbert(7) == want
+    rs, _ = RewriteSystem.from_relations(xy, field, rels).complete(7)
+    assert rs.hilbert(7) == want
+
+
+def test_relations_precede_overlaps_of_their_degree():
+    # the self-overlap y^3 of y^2 -> x^2 resolves to yx^2 - x^2y, also a
+    # relation: taken first, the relation is oriented and the overlap
+    # reduces to zero, so no rule counts as added
+    xy = Alphabet(["x", "y"])
+    rels = [parse_poly(xy, QQ, r) for r in ("y^2 - x^2", "yx^2 - x^2y")]
+    rs, added = _complete(xy, QQ, rels, 3)
+    assert [repr(r) for r in rs.rules] == ["y^2 -> x^2", "yx^2 -> x^2y"]
+    assert added == []
