@@ -7,7 +7,10 @@ coefficients acting on the left, and a differential with matrix D sends
 v to v D; the composite of D_{i+1} followed by D_i is the matrix product
 D_{i+1} D_i.  Restricting a differential to a single internal degree over
 the normal-word basis turns every homological question into an exact
-rank computation.
+rank computation: exactness_profile reads the degreewise homology of a
+complex off those ranks.  Every complex here is one of left modules; the
+Gorenstein test reads the quadratic dual algebra (koszulreg) instead of
+dualizing a resolution.
 
 The minimal resolution of the trivial module grows one such complex in
 place, and counts before it eliminates.  It is exact below the position
@@ -40,14 +43,13 @@ class GradedComplex:
 
     shifts[i] lists the generator degrees of the i-th module, diffs[i]
     (for i >= 1) is the rank_i x rank_{i-1} matrix of the map from
-    position i to position i-1.  side is "left" or "right".
+    position i to position i-1.
     """
 
-    def __init__(self, pres, shifts, diffs, side="left"):
+    def __init__(self, pres, shifts, diffs):
         self.pres = pres
         self.shifts = [list(s) for s in shifts]
         self.diffs = [None] + list(diffs)  # diffs[i]: position i -> i-1
-        self.side = side
         # (completed system, tuple of shifts, degree) -> graded basis; a grown
         # position or a further completion gives a new key
         self._bases = {}
@@ -97,7 +99,7 @@ class GradedComplex:
                 if entry.is_zero():
                     continue
                 # word times entry, its letters folded onto word: each (tgt, w) is hit once per column
-                for w, c in rs.multiply(word, entry, self.side).items():
+                for w, c in rs.multiply(word, entry).items():
                     rows[dst_index[(tgt, w)]][col] = c
         return ScalarMatrix.from_sparse(field, rows, len(src))
 
@@ -170,12 +172,6 @@ class BettiTable:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def max_position(self):
-        return max((i for i, _ in self.entries), default=0)
-
-    def is_diagonal(self):
-        return all(i == j for i, j in self.entries)
 
     def off_diagonal(self):
         return sorted((i, j) for i, j in self.entries if i != j)
@@ -345,26 +341,6 @@ def _devectorize(vec, basis, shifts, alphabet, field):
         gen, word = basis[col]
         row[gen].terms[word] = a
     return row
-
-
-def dualize(cx):
-    """Contravariant dual complex as right modules, positions reversed.
-
-    Position 0 of the dual is the old top module with negated shifts; with
-    n = len(cx) - 1, the k-th dual differential is the old (n - k + 1)-st
-    matrix acting on the other side.
-    """
-    n = len(cx) - 1
-    shifts = [[-s for s in cx.shifts[i]] for i in range(n, -1, -1)]
-    diffs = []
-    for k in range(1, n + 1):
-        old = cx.diffs[n - k + 1]
-        # old: position n-k+1 -> n-k; dual: old target becomes source
-        rows = len(cx.shifts[n - k])
-        cols = len(cx.shifts[n - k + 1])
-        diffs.append([[old[c][r] for c in range(cols)] for r in range(rows)])
-    side = "right" if cx.side == "left" else "left"
-    return GradedComplex(cx.pres, shifts, diffs, side)
 
 
 def build_q_complex(g, h):

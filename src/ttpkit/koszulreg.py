@@ -8,6 +8,10 @@ bigraded presentation.  The paper's decision table lives here and only
 here: asreg_decide_2d (C), asreg_decide (T) and elliptic_decide (T(g,h))
 each return one verdict carrying Koszulity, AS-regularity and the
 deciding clause, with a computational Gorenstein certificate on request.
+The certificate needs no resolution: a Koszul algebra is AS-Gorenstein
+exactly when its quadratic dual is Frobenius (Smith 1996; Lu, Palmieri,
+Wu and Zhang 2008), a finite test of the dual's top degree and of the
+ranks of its multiplication pairings.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 from .classify import Witness
 from .families import Presentation, build_T, build_Tgh
 from .freealg import Alphabet, NCPoly
-from .homology import dualize, exactness_profile, minimal_resolution
+from .homology import minimal_resolution
 from .scalars import CharTwo, EchelonSpan, ScalarMatrix
 
 
@@ -321,25 +325,51 @@ def regraded_yoneda_koszul(g, bound):
 @dataclass
 class GorensteinProfile:
     clean: bool
-    homology: dict
-    top_degree: int
+    dual_dims: list  # dim of the quadratic dual in degrees 0..maxdeg + 1
+    top_degree: int | None  # its first degree n <= maxdeg with A^!_n != 0 = A^!_{n+1}
 
     def __repr__(self):
         if self.clean:
             return f"Gorenstein profile clean (socle in degree {self.top_degree})"
-        return f"Gorenstein profile fails: {self.homology}"
+        return f"Gorenstein profile fails: quadratic dual dimensions {','.join(map(str, self.dual_dims))}"
 
 
-def gorenstein_check(pres, res_complex, maxdeg):
-    """Exactness of the dualized resolution except one copy of the socle.
+def gorenstein_check(pres, maxdeg):
+    """Whether the quadratic dual A^! of pres is Frobenius with top degree at most maxdeg.
 
-    The dual right-module complex must have homology exactly k at its end
-    position (internal degree minus the top generator degree).
+    A Koszul algebra A is AS-Gorenstein exactly when A^! is Frobenius
+    (S. P. Smith, 1996; Lu, Palmieri, Wu and Zhang, JPAA 2008); the top
+    degree of A^! is then the global dimension of A.  A^! is generated in
+    degree 1, so A^!_{t+1} = 0 makes it finite with top degree t, and a
+    completion through maxdeg + 1 sees every t <= maxdeg.  It is Frobenius
+    when A^!_t is one-dimensional and each pairing A^!_i x A^!_{t-i} ->
+    A^!_t, 0 < i < t, is square and of full rank.
     """
-    dual = dualize(res_complex)
-    top = max(res_complex.shifts[-1])
-    homology = exactness_profile(dual, maxdeg=maxdeg - top, mindeg=-top)
-    return GorensteinProfile(homology == {(0, -top): 1}, homology, top)
+    rs = quadratic_dual(pres).dual.completed(maxdeg + 1)
+    dims = rs.hilbert(maxdeg + 1)
+    top = next((t for t in range(maxdeg + 1) if dims[t] and not dims[t + 1]), None)
+    clean = top is not None and dims[top] == 1 and all(_pairing_full_rank(rs, i, top) for i in range(1, top))
+    return GorensteinProfile(clean, dims, top)
+
+
+def _pairing_full_rank(rs, i, top):
+    """Whether the product A_i x A_{top-i} -> A_top of rs, A_top one-dimensional, is square of full rank.
+
+    Row u holds the coefficients of NF(u v) on the one normal word of
+    degree top, over the normal words v of degree top - i.
+    """
+    words = rs.normal_words(top)
+    (socle,) = words[top]
+    if len(words[i]) != len(words[top - i]):
+        return False
+    field = rs.field
+    monomials = [NCPoly(rs.alphabet, field, {v: field.one()}) for v in words[top - i]]
+    span = EchelonSpan(field)
+    for u in words[i]:
+        products = (rs.multiply(u, v) for v in monomials)
+        if not span.insert({k: nf[socle] for k, nf in enumerate(products) if socle in nf}):
+            return False
+    return True
 
 
 @dataclass
@@ -361,8 +391,7 @@ def _with_evidence(verdict, pres, maxdeg):
     """Attach the Gorenstein profile of pres to a regular verdict."""
     if not verdict.decision:
         return verdict
-    res = minimal_resolution(pres, max_i=4, maxdeg=maxdeg)
-    return replace(verdict, gorenstein=gorenstein_check(pres, res.complex, maxdeg))
+    return replace(verdict, gorenstein=gorenstein_check(pres, maxdeg))
 
 
 def asreg_decide_2d(iso):
@@ -381,8 +410,8 @@ def elliptic_decide(g, h, evidence=False, maxdeg=8):
     """Elliptic rule for T(g, h): Koszul iff AS-regular iff h != 0.
 
     The renormalized family needs characteristic != 2.  With evidence
-    requested, a regular verdict carries the Gorenstein certificate of the
-    minimal resolution of build_Tgh(g, h).
+    requested, a regular verdict carries the Gorenstein certificate of
+    build_Tgh(g, h), read off its quadratic dual.
     """
     if g.field.characteristic() == 2:
         raise CharTwo("the elliptic criterion assumes characteristic != 2")

@@ -7,16 +7,15 @@ of the quotient, giving the Hilbert function.  Completion is one queue
 of relations and overlap S-differences taken in order of degree, so no
 high term ever contains a later one.
 
-Normal forms are carried by letter multiplication maps (Faugère, Gianni,
-Lazard and Mora, JSC 16, 1993).  The right map sends a normal word v and
-a letter x to NF(v x); its mirror, the left map, sends them to NF(x v).
-Since v has no redex, a high term can occur in v x only as a suffix, so
-an entry needs one lookup among the rules ending in x: none matches and
-v x is normal, or v x = v1 h and the entry is the sum of c times v1
-folded through the map one letter of t at a time, over the tail terms
-c t of h.  Every word met on the way is below v x in the term order, so
-the entries a system asks for are finite in number and filled on first
-use, with an explicit stack instead of recursion.  A word's normal form
+Normal forms are carried by a letter multiplication map (Faugère, Gianni,
+Lazard and Mora, JSC 16, 1993), which sends a normal word v and a letter
+x to NF(v x).  Since v has no redex, a high term can occur in v x only as
+a suffix, so an entry needs one lookup among the rules ending in x: none
+matches and v x is normal, or v x = v1 h and the entry is the sum of c
+times v1 folded through the map one letter of t at a time, over the tail
+terms c t of h.  Every word met on the way is below v x in the term
+order, so the entries a system asks for are finite in number and filled
+on first use, with an explicit stack instead of recursion.  A word's normal form
 is its letters folded from the empty word, and the normal words of
 degree n + 1 are the products v x whose lookup finds no rule.
 
@@ -24,9 +23,9 @@ On any rule set the result is irreducible and congruent to the input.
 On a system complete through a word's degree it is the unique normal
 form, whatever the rewriting strategy.  Entries are sparse payload rows
 keyed by word, the format of NCPoly.terms.  A RewriteSystem keeps its
-maps for its whole life, since its rules never change; completion,
-whose rule list grows, keeps one map per rule set, replaced when a rule
-is born.
+map for its whole life, since its rules never change; completion, whose
+rule list grows, keeps one map per rule set, replaced when a rule is
+born.
 
 The two degree-3 obstructions of the normalized three-generator family
 are evaluated from closed-form coefficient tables, with no rewriting.
@@ -77,7 +76,7 @@ class Rule:
 class RewriteSystem:
     """An ordered set of rules with a completion certificate."""
 
-    __slots__ = ("alphabet", "field", "rules", "completed_to", "_right", "_left", "_words")
+    __slots__ = ("alphabet", "field", "rules", "completed_to", "_right", "_words")
 
     def __init__(self, alphabet, field, rules, completed_to=None):
         self.alphabet = alphabet
@@ -85,7 +84,6 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.completed_to = completed_to
         self._right = _LetterMap(self.rules, field)  # (v, x) -> NF(v x)
-        self._left = _LetterMap(self.rules, field, right=False)  # (v, x) -> NF(x v)
         self._words = []  # normal-word buckets by degree, up to the largest d asked
         highs = [r.high for r in self.rules]
         for i, h in enumerate(highs):
@@ -95,14 +93,6 @@ class RewriteSystem:
                         f"high term {alphabet.word_str(g)} is a subword of "
                         f"{alphabet.word_str(h)}; system is not interreduced"
                     )
-
-    @staticmethod
-    def from_relations(alphabet, field, relations):
-        """Orient and interreduce homogeneous relations into a rule set.
-
-        No nonzero relation gives the rule-free system of the free algebra.
-        """
-        return _complete(alphabet, field, relations, None)[0]
 
     def reduce(self, p):
         """An irreducible polynomial congruent to p: no high term occurs in any of its words.
@@ -115,23 +105,19 @@ class RewriteSystem:
         """
         return self._right.reduce(p)
 
-    def multiply(self, word, p, side="left"):
-        """NF(word * p), or NF(p * word) with side "right", as a payload row; word must be normal.
+    def multiply(self, word, p):
+        """NF(word * p) as a payload row; word must be normal.
 
         The letters of each term of p are folded onto word through the
-        right multiplication map, or through the left one from the last
-        letter on, starting from the entry of word and the first letter
-        folded.
+        right multiplication map, starting from the entry of word and the
+        term's first letter.
         """
-        maps = self._right if side == "left" else self._left
-        add, out = self.field._add_multiple, {}
+        maps, add, out = self._right, self.field._add_multiple, {}
         for u, c in p.terms.items():
             if not u:
                 add(out, c, {word: maps.one})
-            elif side == "left":
-                add(out, c, maps.fold(maps.entry(word, u[0]), u[1:]))
             else:
-                add(out, c, maps.fold(maps.entry(word, u[-1]), u[:-1]))
+                add(out, c, maps.fold(maps.entry(word, u[0]), u[1:]))
         return out
 
     def complete(self, d):
@@ -178,21 +164,20 @@ class RewriteSystem:
 class _LetterMap:
     """Normal forms of normal word times letter, filled on first use.
 
-    The entry of (v, x) is NF(v x) for the right map and NF(x v) for the
-    left one, a payload row.  The rules are indexed by the letter their
-    high term ends with (right) or starts with (left), in rule order; where
-    several high terms fit, the first one rewrites.
+    The entry of (v, x) is NF(v x), a payload row.  The rules are indexed
+    by the letter their high term ends with, in rule order; where several
+    high terms fit, the first one rewrites.
     """
 
-    __slots__ = ("field", "right", "index", "entries", "unit", "one")
+    __slots__ = ("field", "index", "entries", "unit", "one")
 
-    def __init__(self, rules, field, right=True):
-        self.field, self.right, self.entries = field, right, {}
+    def __init__(self, rules, field):
+        self.field, self.entries = field, {}
         self.one = field._coerce(1)
         self.index = {}
         for r in rules:
             if r.high:
-                self.index.setdefault(r.high[-1] if right else r.high[0], []).append(r)
+                self.index.setdefault(r.high[-1], []).append(r)
         # NF of the empty word: zero under a rule 1 -> 0, which makes every word zero
         self.unit = {} if any(not r.high for r in rules) else {(): self.one}
 
@@ -202,7 +187,7 @@ class _LetterMap:
         return self._run(self._entry((v, x))) if nf is None else nf
 
     def fold(self, row, word):
-        """Sum of a * NF(u word) (right) or a * NF(word u) (left) over the terms a*u of row.
+        """Sum of a * NF(u word) over the terms a*u of row.
 
         The result may be row itself, when word is empty; callers must not
         change it.
@@ -213,7 +198,7 @@ class _LetterMap:
         # This loop is the common case, every entry present, and drives no
         # generator unless one is missing.
         entries, add = self.entries, self.field._add_multiple
-        for x in word if self.right else reversed(word):
+        for x in word:
             out = {}
             for u, a in row.items():
                 nf = entries.get((u, x))
@@ -248,7 +233,7 @@ class _LetterMap:
     def _fold(self, row, word):
         """fold as a suspended computation: it yields each missing key and is sent that key's entry."""
         entries, add = self.entries, self.field._add_multiple
-        for x in word if self.right else reversed(word):
+        for x in word:
             out = {}
             for u, a in row.items():
                 nf = entries.get((u, x))
@@ -259,11 +244,11 @@ class _LetterMap:
         return row
 
     def redex(self, v, x):
-        """The first rule whose high term ends v x (right map) or starts x v (left map), or None."""
-        w = v + (x,) if self.right else (x,) + v
+        """The first rule whose high term ends v x, or None."""
+        w = v + (x,)
         for rule in self.index.get(x, ()):
             h = rule.high
-            if (w[len(w) - len(h) :] if self.right else w[: len(h)]) == h:
+            if w[len(w) - len(h) :] == h:
                 return rule
         return None
 
@@ -272,10 +257,9 @@ class _LetterMap:
         v, x = key
         rule = self.redex(v, x)
         if rule is None:
-            nf = self.entries[key] = {v + (x,) if self.right else (x,) + v: self.one}
+            nf = self.entries[key] = {v + (x,): self.one}
             return nf
-        cut = len(v) + 1 - len(rule.high)  # the letters of v x or x v outside the high term
-        start = {v[:cut] if self.right else v[len(v) - cut :]: self.one}
+        start = {v[: len(v) + 1 - len(rule.high)]: self.one}  # the letters of v x before the high term
         nf, add = {}, self.field._add_multiple
         for t, c in rule.tail.terms.items():
             add(nf, c, (yield from self._fold(start, t)))
@@ -288,12 +272,12 @@ def _complete(alphabet, field, elements, d):
 
     Elements and the S-differences of overlaps of degree <= d share one
     heap, by degree, elements first, then in element order or by overlap
-    word.  Each popped item is reduced through one right map per rule set,
-    and a nonzero result becomes a monic rule.  A rule is thus born of
-    degree at least every earlier one's, with a high term none of them
-    rewrites, so no high term contains another.  With d None the elements
-    are only oriented, with no certificate.  Rules from elements come
-    first, in term order, then the added ones as born; tails are
+    word.  Each popped item is reduced through one multiplication map per
+    rule set, and a nonzero result becomes a monic rule.  A rule is thus
+    born of degree at least every earlier one's, with a high term none of
+    them rewrites, so no high term contains another.  With d None the
+    elements are only oriented, with no certificate.  Rules from elements
+    come first, in term order, then the added ones as born; tails are
     interreduced once, at the end.
     """
     heap = []

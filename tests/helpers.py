@@ -17,7 +17,11 @@ on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
 linear algebra on the whole word space, with no rewriting involved.
 ``euler_check`` tests a resolution's Betti numbers against the Hilbert
 function, and ``compose_check`` that consecutive differentials of a
-complex compose to zero.  ``greedy_new_generators`` is the minimal
+complex compose to zero.  ``dual_complex_gorenstein`` is the former
+Gorenstein test, which ``dualize``s a resolution into a ``RightComplex``
+and reads its homology; the Frobenius test on the quadratic dual must
+agree with it.  ``from_relations`` orients relations into a rule set
+with no completion.  ``greedy_new_generators`` is the minimal
 resolution's former rule for picking new generators, a greedy insert of
 the kernel vectors after the image, which the selection in kernel
 coordinates must reproduce.  The remaining oracles check the library's
@@ -47,8 +51,9 @@ from ttpkit.classify import (
 from ttpkit.cli import ParseError
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
+from ttpkit.homology import GradedComplex, exactness_profile
 from ttpkit.koszulreg import asreg_decide_2d
-from ttpkit.rewrite import NotCompleted, RewriteSystem, Rule, degree3_overlap_elements
+from ttpkit.rewrite import NotCompleted, RewriteSystem, Rule, _complete, degree3_overlap_elements
 from ttpkit.scalars import EchelonSpan, PrimeField, QuadExtField, Scalar, ScalarMatrix
 from ttpkit.sequences import fn_nonvanishing
 
@@ -333,7 +338,7 @@ def compose_check(cx, maxdeg):
                     a, b = cx.diffs[i][r][k], cx.diffs[i - 1][k][c]
                     if a.is_zero() or b.is_zero():
                         continue
-                    acc = acc + (a * b if cx.side == "left" else b * a)
+                    acc = acc + (b * a if isinstance(cx, RightComplex) else a * b)
                 if acc.is_zero():
                     continue
                 if acc.degree() > maxdeg:
@@ -343,6 +348,62 @@ def compose_check(cx, maxdeg):
                 if not rs.reduce(acc).is_zero():
                     return False
     return True
+
+
+class RightComplex(GradedComplex):
+    """A complex of free right modules: a differential entry acts on the left of a basis word.
+
+    Its component matrices reduce each product entry * word in the
+    completed system, where a left-module complex folds the entry onto the
+    word through the multiplication map.
+    """
+
+    def component_matrix(self, i, j):
+        rs = self._system_for_degree(j)
+        src, dst = self._basis(rs, i, j), self._basis(rs, i - 1, j)
+        dst_index = {key: n for n, key in enumerate(dst)}
+        field, alphabet = self.pres.field, self.pres.alphabet
+        rows = [{} for _ in range(max(len(dst), 1))]
+        for col, (gen, word) in enumerate(src):
+            w = NCPoly(alphabet, field, {word: field.one()})
+            for tgt, entry in enumerate(self.diffs[i][gen]):
+                if not entry.is_zero():
+                    for u, c in rs.reduce(entry * w).terms.items():
+                        rows[dst_index[(tgt, u)]][col] = c
+        return ScalarMatrix.from_sparse(field, rows, len(src))
+
+
+def dualize(cx):
+    """The contravariant dual of a left-module complex, as a RightComplex with positions reversed.
+
+    Position 0 of the dual is the old top module with negated shifts; with
+    n = len(cx) - 1, the k-th dual differential is the transposed old
+    (n - k + 1)-st matrix.
+    """
+    n = len(cx) - 1
+    shifts = [[-s for s in cx.shifts[i]] for i in range(n, -1, -1)]
+    diffs = []
+    for k in range(1, n + 1):
+        old = cx.diffs[n - k + 1]
+        diffs.append([[old[c][r] for c in range(len(cx.shifts[n - k + 1]))] for r in range(len(cx.shifts[n - k]))])
+    return RightComplex(cx.pres, shifts, diffs)
+
+
+def dual_complex_gorenstein(pres, res_complex, maxdeg):
+    """Whether the dualized resolution res_complex of pres is exact but for one k at its end.
+
+    The dual's homology through internal degree maxdeg, shifted by the top
+    generator degree, must be a single copy of k at position 0.
+    """
+    assert res_complex.pres is pres
+    top = max(res_complex.shifts[-1])
+    homology = exactness_profile(dualize(res_complex), maxdeg=maxdeg - top, mindeg=-top)
+    return homology == {(0, -top): 1}
+
+
+def from_relations(alphabet, field, relations):
+    """Homogeneous relations oriented and interreduced into a rule set, with no completion."""
+    return _complete(alphabet, field, relations, None)[0]
 
 
 def greedy_new_generators(kernel, cols, field):

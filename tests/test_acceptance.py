@@ -28,7 +28,6 @@ from ttpkit.homology import (
 from ttpkit.koszulreg import (
     asreg_decide,
     dual_hilbert_convolution_ok,
-    gorenstein_check,
     koszul_check,
     quadratic_dual,
     regraded_yoneda_koszul,

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import compose_check, euler_check, greedy_new_generators, reference_reduce
+from helpers import RightComplex, compose_check, dualize, euler_check, greedy_new_generators, reference_reduce
 
 from ttpkit import homology
 from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
@@ -15,7 +15,6 @@ from ttpkit.homology import (
     _outside_image,
     build_p_complex,
     build_q_complex,
-    dualize,
     exactness_profile,
     minimal_resolution,
 )
@@ -136,7 +135,7 @@ def test_minimal_resolution_fibonacci_algebra_is_linear_but_infinite():
     pres = build_C(ParamTuple2D.make(QQ, 1, -1, 1))
     res = minimal_resolution(pres, max_i=4, maxdeg=6)
     # global dimension is infinite; every computed position is diagonal
-    assert res.betti.is_diagonal()
+    assert not res.betti.off_diagonal()
     assert res.truncated_at_position
 
 
@@ -157,7 +156,7 @@ def test_euler_check_degenerate_tail_telescopes():
 def test_dual_complex_of_q_has_single_top_homology():
     cx = build_q_complex(QQ.scalar(3), QQ.scalar(2))
     dual = dualize(cx)
-    assert dual.side == "right"
+    assert isinstance(dual, RightComplex)
     assert compose_check(dual, 8)
     homology = exactness_profile(dual, maxdeg=5, mindeg=-3)
     assert homology == {(0, -3): 1}, homology
@@ -192,10 +191,10 @@ def test_minimal_resolution_never_reduces_zero(monkeypatch):
             zeros.append(p)
         return reduce(self, p)
 
-    def checked_multiply(self, word, p, side="left"):
+    def checked_multiply(self, word, p):
         if p.is_zero():
             zeros.append(p)
-        return multiply(self, word, p, side)
+        return multiply(self, word, p)
 
     monkeypatch.setattr(RewriteSystem, "reduce", checked)
     monkeypatch.setattr(RewriteSystem, "multiply", checked_multiply)
@@ -215,25 +214,24 @@ def oracle_component_matrix(cx, i, j, rs):
     for col, (gen, word) in enumerate(src):
         w = NCPoly(rs.alphabet, field, {word: 1})
         for tgt, entry in enumerate(cx.diffs[i][gen]):
-            prod = w * entry if cx.side == "left" else entry * w
+            prod = entry * w if isinstance(cx, RightComplex) else w * entry
             for u, c in reference_reduce(prod, rs.rules).terms.items():
                 rows[dst.index((tgt, u))][col] = c
     return ScalarMatrix.from_sparse(field, rows, len(src))
 
 
 def test_component_matrices_match_rewriting_oracle_on_both_sides():
-    # word times entry folded through the multiplication maps: the right map
-    # for a resolution of left modules, the left map for its dual
+    # word times entry folded through the multiplication map for a
+    # resolution of left modules; entry times word reduced for the dual
+    # right-module complex of the test oracle
     for pres in (tgh(2, 3), build_T(ParamTuple3D.make(QQ, d=-2, E=-1, B=1, C=1, a=Fraction(3, 2), b=Fraction(3, 2)))):
         res = minimal_resolution(pres, 4, 6)
         top = max(res.complex.shifts[-1])
         rs = pres.completed(6)
-        dual = dualize(res.complex)
-        assert dual.side == "right"
-        for cx, low in ((res.complex, 0), (dual, -top)):
+        for cx, low in ((res.complex, 0), (dualize(res.complex), -top)):
             for i in range(1, len(cx)):
                 for j in range(low, low + 7):
-                    assert cx.component_matrix(i, j) == oracle_component_matrix(cx, i, j, rs), (pres, cx.side, i, j)
+                    assert cx.component_matrix(i, j) == oracle_component_matrix(cx, i, j, rs), (pres, cx, i, j)
 
 
 def raw_presentation(names, relations, weights=None):

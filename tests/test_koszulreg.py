@@ -1,7 +1,10 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from helpers import dual_complex_gorenstein, reference_c_row
 from ttpkit.classify import classify_3d
 from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
@@ -10,6 +13,7 @@ from ttpkit.koszulreg import (
     NotQuadratic,
     asreg_decide,
     dual_hilbert_convolution_ok,
+    elliptic_decide,
     gorenstein_check,
     koszul_check,
     quadratic_dual,
@@ -81,7 +85,7 @@ def test_dual_rejects_nonquadratic():
 def test_koszul_check_on_nondegenerate_family():
     v = koszul_check(tgh(2, 3), 6)
     assert v.koszul and v.convolution_ok
-    assert v.betti.b(3, 3) == 1 and v.betti.max_position() == 3
+    assert v.betti.b(3, 3) == 1 and max(i for i, _ in v.betti.entries) == 3
 
 
 def test_koszul_check_flags_degenerate_family():
@@ -153,9 +157,7 @@ def test_regraded_yoneda_not_koszul_for_small_g():
 
 
 def test_gorenstein_clean_for_nondegenerate():
-    pres = tgh(3, 2)
-    res = minimal_resolution(pres, max_i=4, maxdeg=8)
-    profile = gorenstein_check(pres, res.complex, 8)
+    profile = gorenstein_check(tgh(3, 2), 8)
     assert profile.clean and profile.top_degree == 3
 
 
@@ -169,10 +171,81 @@ def test_gorenstein_fails_for_reducible_with_E_zero():
     assert zero_divisor_witness_holds(t)
     from ttpkit.families import build_T
 
-    pres = build_T(t.normal_form)
-    res = minimal_resolution(pres, max_i=4, maxdeg=7)
-    profile = gorenstein_check(pres, res.complex, 7)
+    profile = gorenstein_check(build_T(t.normal_form), 7)
     assert not profile.clean
+
+
+def ore_products(field, rng, count):
+    """count classified Ore-type products over field, every other one with sigma = diag(d, E) singular.
+
+    The derivation equations with e = D = 0 read A(d-1) = 0,
+    B(d-1) = a(E-1), C(d-1) = b(E-1) and c(E-1) = 0.
+    """
+    one, zero = field.one(), field.zero()
+    out = []
+    while len(out) < count:
+        d, E = (field.scalar(rng.randint(-4, 4)) for _ in range(2))
+        if len(out) % 2:
+            d, E = (zero, E) if rng.random() < 0.5 else (d, zero)
+        elif d.is_zero() or E.is_zero():
+            continue
+        a, b, c, A, B, C = (field.scalar(rng.randint(-4, 4)) for _ in range(6))
+        A = A if d == one else zero
+        c = c if E == one else zero
+        if E != one:
+            a, b = B * (d - one) / (E - one), C * (d - one) / (E - one)
+        elif d != one:
+            B = C = zero
+        t = classify_3d(ParamTuple3D.make(field, a=a, b=b, c=c, d=d, A=A, B=B, C=C, E=E))
+        if t.is_ttp and t.kind == "ore":
+            out.append(t)
+    return out
+
+
+# (case, clean) -> count in test_frobenius_check_agrees_with_the_dual_complex
+FROBENIUS_VERDICTS = {
+    ("C", True): 12, ("C", False): 7,
+    ("Tgh", True): 6, ("Tgh h = 0", False): 3,
+    ("ore", True): 20, ("ore", False): 20,
+    ("reducible E = 0", False): 1,
+    ("free", True): 1, ("free", False): 1,
+}
+
+
+def test_frobenius_check_agrees_with_the_dual_complex():
+    # the Frobenius test on the quadratic dual against the former test, the
+    # homology of the dualized minimal resolution: on every Koszul row of
+    # the GF(3) C and Tgh censuses, on Ore products over Q and GF(101),
+    # regular and singular, on the reducible product with E = 0, on
+    # Tgh(g, 0), whose dual has no top degree, and on the free algebras
+    # k<x> (regular of dimension 1) and k<x,y> (a dual top of dimension 2)
+    gf3, maxdeg = PrimeField(3), 6
+    cases = []
+    for a, b, c in itertools.product(range(3), repeat=3):
+        if reference_c_row(3, {"a": a, "b": b, "c": c})["koszul"] == "koszul":
+            cases.append(("C", build_C(ParamTuple2D.make(gf3, a, b, c))))
+    for g, h in itertools.product(range(3), repeat=2):
+        assert elliptic_decide(gf3.scalar(g), gf3.scalar(h)).koszul == (h != 0)
+        cases.append(("Tgh" if h else "Tgh h = 0", tgh(g, h, gf3)))
+    rng = random.Random(211)
+    for field in (QQ, PrimeField(101)):
+        products = ore_products(field, rng, 20)
+        assert {asreg_decide(t).decision for t in products} == {True, False}
+        cases += [("ore", build_T(t.normal_form)) for t in products]
+    t = classify_3d(T3(f=1, a=QQ.scalar(2) * (1 - QQ.scalar(3) - 2), d=3, B=2))
+    assert t.kind == "reducible" and t.normal_form.E.is_zero()
+    cases.append(("reducible E = 0", build_T(t.normal_form)))
+    for names in (["x"], ["x", "y"]):
+        cases.append(("free", Presentation(Alphabet(names), QQ, [])))
+    verdicts = Counter()
+    for label, pres in cases:
+        profile = gorenstein_check(pres, maxdeg)
+        res = minimal_resolution(pres, max_i=4, maxdeg=maxdeg)
+        assert profile.clean == dual_complex_gorenstein(pres, res.complex, maxdeg), (label, pres, profile)
+        verdicts[label, profile.clean] += 1
+        if label == "Tgh h = 0":
+            assert profile.top_degree is None, profile
+    assert verdicts == Counter(FROBENIUS_VERDICTS)
 
 
 def test_asreg_ore_invertible_and_singular():
@@ -241,7 +314,7 @@ def test_gorenstein_commutative_three_variables():
     pres = build_T(T3(d=1, E=1))
     res = minimal_resolution(pres, max_i=4, maxdeg=7)
     assert res.betti == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1})
-    profile = gorenstein_check(pres, res.complex, 7)
+    profile = gorenstein_check(pres, 7)
     assert profile.clean and profile.top_degree == 3
 
 
@@ -263,7 +336,7 @@ def test_asreg_elliptic_cross_validation_random():
             v = asreg_decide(t, evidence=True)
             assert v.decision and v.gorenstein.clean
             res = minimal_resolution(build_Tgh(t.elliptic_form.g, t.elliptic_form.h), 5, 7)
-            assert res.betti.max_position() == 3
+            assert max(i for i, _ in res.betti.entries) == 3
             assert res.betti.b(3, 3) == 1
             done += 1
     assert done >= 4

@@ -12,6 +12,7 @@ from helpers import (
     assert_poly_matches,
     expected_g1_coeffs,
     expected_g2_coeffs,
+    from_relations,
     hilbert_oracle,
     is_irreducible,
     make_params3d,
@@ -24,7 +25,6 @@ from ttpkit.cli import scan_space
 from ttpkit.families import ParamTuple3D, Presentation, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import minimal_resolution
-from ttpkit.koszulreg import gorenstein_check
 from ttpkit.rewrite import (
     NotCompleted,
     RewriteSystem,
@@ -48,7 +48,7 @@ def c_system(field, a, b, c=1):
         XZ.word("xz"): -field.scalar(b),
         XZ.word("z^2"): -field.scalar(c),
     })
-    return RewriteSystem.from_relations(XZ, field, [rel])
+    return from_relations(XZ, field, [rel])
 
 
 def overlap_words(rs, degree):
@@ -82,7 +82,7 @@ def t_system(params):
         YXZ.word("y^2"): -params.C,
         YXZ.word("yz"): -params.E,
     })
-    return RewriteSystem.from_relations(YXZ, field, [rel1, rel2, rel3])
+    return from_relations(YXZ, field, [rel1, rel2, rel3])
 
 
 def test_reduce_basic_examples():
@@ -286,7 +286,7 @@ def test_hilbert_oracle_free_and_commutative():
     xy = Alphabet(["x", "y"])
     comm = parse_poly(xy, field, "xy - yx")
     assert hilbert_oracle([comm], 4) == [1, 2, 3, 4, 5]
-    rs = RewriteSystem.from_relations(xy, field, [comm])
+    rs = from_relations(xy, field, [comm])
     rs, _ = rs.complete(4)
     assert rs.hilbert(4) == [1, 2, 3, 4, 5]
     # free algebra on two letters: no relations version via a never-matching rule
@@ -413,9 +413,8 @@ def test_reduce_matches_direct_rewriting_oracle():
 
 
 def test_multiplication_maps_match_rewriting_oracles_on_complete_systems():
-    # normal word times polynomial on both sides: the right map folds the
-    # polynomial's letters onto the word from its first letter on, the left
-    # map from its last
+    # normal word times polynomial: the multiplication map folds the
+    # polynomial's letters onto the word from its first letter on
     rng = random.Random(71)
     for rs in oracle_systems():
         if rs.completed_to is None:
@@ -425,11 +424,11 @@ def test_multiplication_maps_match_rewriting_oracles_on_complete_systems():
             v = rng.choice(words)
             p = random_poly(rng, rs.alphabet, rs.field, 6 - len(v))
             word = NCPoly.from_payloads(rs.alphabet, rs.field, {v: rs.field.one().payload})
-            for side, prod in (("left", word * p), ("right", p * word)):
-                got = NCPoly.from_payloads(rs.alphabet, rs.field, rs.multiply(v, p, side))
-                assert got == reference_reduce(prod, rs.rules), (rs.rules, v, p, side)
-                assert got == random_reduce(prod, rs.rules, rng), (rs.rules, v, p, side)
-                assert_payload_terms(got)
+            prod = word * p
+            got = NCPoly.from_payloads(rs.alphabet, rs.field, rs.multiply(v, p))
+            assert got == reference_reduce(prod, rs.rules), (rs.rules, v, p)
+            assert got == random_reduce(prod, rs.rules, rng), (rs.rules, v, p)
+            assert_payload_terms(got)
 
 
 def test_multiply_on_filled_maps_drives_no_suspended_computation(monkeypatch):
@@ -442,13 +441,12 @@ def test_multiply_on_filled_maps_drives_no_suspended_computation(monkeypatch):
     ore = ParamTuple3D.make(F, a=F.scalar("3/2"), b=F.scalar("3/2"), d=-2, B=1, C=1, E=-1)
     rs = build_T(ore).completed(8)
     p = parse_poly(YXZ, F, "2z^2x + zxy - 3yzx + x^2y + 5z^3")
-    for side in ("left", "right"):
-        for v in rs.normal_words(3)[3]:
-            runs.clear()
-            first = rs.multiply(v, p, side)
-            filled = len(runs)
-            assert rs.multiply(v, p, side) == first
-            assert len(runs) == filled, (side, v)
+    for v in rs.normal_words(3)[3]:
+        runs.clear()
+        first = rs.multiply(v, p)
+        filled = len(runs)
+        assert rs.multiply(v, p) == first
+        assert len(runs) == filled, v
     assert filled > 0  # the first product of the last word still filled entries
 
 
@@ -456,45 +454,42 @@ def test_completion_builds_one_map_per_rule_set(monkeypatch):
     # complete() reduces the system's own rules and each S-difference
     # through one right map per rule set, replaced only when a rule is born
     A = Alphabet(["x", "y", "z"])
-    rs = RewriteSystem.from_relations(A, QQ, [parse_poly(A, QQ, r) for r in ("xy-2yx+zz", "yz-zy", "xz-3zx+yy")])
+    rs = from_relations(A, QQ, [parse_poly(A, QQ, r) for r in ("xy-2yx+zz", "yz-zy", "xz-3zx+yy")])
     built, reductions = [], []
     init, reduce = _LetterMap.__init__, _LetterMap.reduce
 
-    def spy_init(self, rules, field, right=True):
-        built.append((tuple(rules), right))
-        init(self, rules, field, right)
+    def spy_init(self, rules, field):
+        built.append(tuple(rules))
+        init(self, rules, field)
 
     monkeypatch.setattr(_LetterMap, "__init__", spy_init)
     monkeypatch.setattr(_LetterMap, "reduce", lambda self, p: reductions.append(p) or reduce(self, p))
     done, added = rs.complete(6)
-    right_sets = [rules for rules, right in built if right]
     # never two maps for one rule set: the loop's, at most the empty set and
-    # one after each rule born, then the completed system's own maps
-    assert len(right_sets) == len(set(right_sets)) <= len(done.rules) + 2
-    assert [rules for rules, right in built if not right] == [done.rules]
+    # one after each rule born, then the completed system's own map
+    assert len(built) == len(set(built)) <= len(done.rules) + 2
+    assert built[-1] == done.rules
     # the three own rules, the 64 overlaps of degree <= 6, then 16 tails
     assert len(added) == 13 and len(reductions) == 3 + 64 + 16
 
 
 def test_multiplication_maps_hold_normal_word_times_letter_only():
     # an entry is keyed by a normal word and a letter: a resolution to
-    # degree 16 and its dual fill at most letters x sum_{n<16} dim A_n
-    # entries per map, and memoizing any intermediate word breaks the bound
+    # degree 16 fills at most letters x sum_{n<16} dim A_n entries, and
+    # memoizing any intermediate word breaks the bound
     pres = build_Tgh(QQ.scalar(1), QQ.scalar(2))
-    res = minimal_resolution(pres, 6, 16)
-    assert gorenstein_check(pres, res.complex, 16).clean
+    minimal_resolution(pres, 6, 16)
     rs = pres.completed(16)
     normal = [w for bucket in rs.normal_words(15) for w in bucket]
-    bound = len(rs.alphabet) * len(normal)
-    for maps in (rs._right, rs._left):
-        assert 0 < len(maps.entries) <= bound
-        assert set(v for v, _ in maps.entries) <= set(normal)
+    maps = rs._right
+    assert 0 < len(maps.entries) <= len(rs.alphabet) * len(normal)
+    assert set(v for v, _ in maps.entries) <= set(normal)
 
 
 def test_constant_rule_reduces_the_empty_word():
     # k<x,y>/(2): the rule 1 -> 0 puts every element, 1 included, in the ideal
     xy = Alphabet(["x", "y"])
-    rs = RewriteSystem.from_relations(xy, QQ, [parse_poly(xy, QQ, "2")])
+    rs = from_relations(xy, QQ, [parse_poly(xy, QQ, "2")])
     assert [r.high for r in rs.rules] == [()]
     for text in ("1", "3 + x", "x - 2y^2x"):
         p = parse_poly(xy, QQ, text)
@@ -582,7 +577,7 @@ def test_same_degree_completion_is_pinned():
         k = rng.choice((2, 3))
         rels = random_relations(rng, alphabet, field, [k] * rng.randint(1, 3))
         d = {2: 6, 3: 7}[k] if len(alphabet) == 2 else {2: 5, 3: 6}[k]
-        rs, added = RewriteSystem.from_relations(alphabet, field, rels).complete(d)
+        rs, added = from_relations(alphabet, field, rels).complete(d)
         parts.append(f"{rs.rules!r}\n{added!r}")
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == SAME_DEGREE_COMPLETION_SHA256
@@ -606,7 +601,7 @@ def test_mixed_degree_presentations_complete(field, relations):
     rels = [parse_poly(xy, field, r) for r in relations.split(";")]
     want = hilbert_oracle(rels, 7)
     assert Presentation(xy, field, rels).hilbert(7) == want
-    rs, _ = RewriteSystem.from_relations(xy, field, rels).complete(7)
+    rs, _ = from_relations(xy, field, rels).complete(7)
     assert rs.hilbert(7) == want
 
 
