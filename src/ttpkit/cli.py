@@ -6,7 +6,9 @@ same dictionary (bit-exact across runs).  Exit status: 0 for definite
 verdicts, 3 when a verdict is only certified to a bound (for a census:
 when it has undecided rows; rows certified to the bound get a note), 1 for
 malformed input, 2 for constraint violations (wrong family, bad
-characteristic).
+characteristic, a radicand over Q past the trial-division bound).
+asreg --evidence certifies the job's own presentation: the Gorenstein
+profile is invariant under graded isomorphism, so it needs no normal form.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .families import (
 )
 from .freealg import Alphabet, parse_poly, poly_str
 from .homology import NotMinimal, minimal_resolution
-from .koszulreg import asreg_decide, asreg_decide_2d, elliptic_decide, koszul_check, yoneda_verify
+from .koszulreg import asreg_decide, asreg_decide_2d, elliptic_decide, gorenstein_check, koszul_check, yoneda_verify
 from .rewrite import NotCompleted
-from .scalars import QQ, CharTwo, FieldError, NestedExtension, PrimeField, QuadExtField
+from .scalars import QQ, CharTwo, FieldError, NestedExtension, PrimeField, QuadExtField, RadicandTooLarge
 from .sequences import efgh_table, fn_nonvanishing
 
 
@@ -383,14 +385,14 @@ def cmd_asreg(args):
     status = 0
     if job.family == "Tgh":
         g, h = job.params["g"], job.params["h"]
-        v = elliptic_decide(g, h, evidence=args.evidence, maxdeg=args.maxdeg)
+        v = elliptic_decide(g, h)
         human = [f"elliptic form Tgh(g={g}, h={h})"]
         machine = {"family": "Tgh", "field": job.field}
     elif job.family == "T":
         t = classify_3d(job.tuple3d(), args.bound)
         if not t.is_ttp:
             raise ConstraintError(f"not a twisted tensor product: {t}")
-        v = asreg_decide(t, evidence=args.evidence, maxdeg=args.maxdeg)
+        v = asreg_decide(t)
         human = [f"classified as {t}"]
         machine = {"family": "T", "field": job.field, "type": t.kind, "case": t.case or "-"}
         status = 0 if t.certified_to is None else 3
@@ -398,9 +400,10 @@ def cmd_asreg(args):
         raise ConstraintError("regularity runs on the T or Tgh families")
     human.append(f"regularity: {v}")
     machine.update(decision=v.decision, clause=v.clause)
-    if v.gorenstein is not None:
-        human.append(f"  {v.gorenstein}")
-        machine["gorenstein_clean"] = v.gorenstein.clean
+    if args.evidence and v.decision:
+        profile = gorenstein_check(job.presentation(), args.maxdeg)
+        human.append(f"  {profile}")
+        machine["gorenstein_clean"] = profile.clean
     return render(human, machine), status
 
 
@@ -785,7 +788,7 @@ def run(argv=None, stdout=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ConstraintError, NotCompleted, NotMinimal, CharTwo) as exc:
+    except (ConstraintError, NotCompleted, NotMinimal, CharTwo, RadicandTooLarge) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return 2
     stdout.write(text)

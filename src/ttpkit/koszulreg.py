@@ -6,17 +6,18 @@ numerical cross-check H(t) * H_dual(-t) = 1.  For the elliptic family the
 degenerate (h = 0) Yoneda algebra is verified against an explicit
 bigraded presentation.  The paper's decision table lives here and only
 here: asreg_decide_2d (C), asreg_decide (T) and elliptic_decide (T(g,h))
-each return one verdict carrying Koszulity, AS-regularity and the
-deciding clause, with a computational Gorenstein certificate on request.
-The certificate needs no resolution: a Koszul algebra is AS-Gorenstein
-exactly when its quadratic dual is Frobenius (Smith 1996; Lu, Palmieri,
-Wu and Zhang 2008), a finite test of the dual's top degree and of the
-ranks of its multiplication pairings.
+read classified data only and each return one verdict carrying Koszulity,
+AS-regularity and the deciding clause.  The Gorenstein certificate runs on
+any quadratic presentation: a Koszul algebra is AS-Gorenstein exactly when
+its quadratic dual is Frobenius (Smith 1996; Lu, Palmieri, Wu and Zhang
+2008), a finite test of the dual's top degree and of the ranks of its
+multiplication pairings, invariant under graded isomorphism and field
+extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .classify import Witness
 from .families import Presentation, build_T, build_Tgh
@@ -27,13 +28,6 @@ from .scalars import CharTwo, EchelonSpan, ScalarMatrix
 
 class NotQuadratic(Exception):
     pass
-
-
-@dataclass
-class QuadraticDual:
-    dual: Presentation
-    pairing: str  # description of the basis identification
-    relation_rank: int
 
 
 def _pair_index(n):
@@ -54,7 +48,7 @@ def quadratic_dual(pres):
     for rel in rels:
         if rel.degree() != 2:
             raise NotQuadratic(f"relation {rel} is not quadratic")
-    free, kernel = ScalarMatrix.from_sparse(field, _relation_vectors(pres, rels), n * n).kernel_rows()
+    _, kernel = ScalarMatrix.from_sparse(field, _relation_vectors(pres, rels), n * n).kernel_rows()
     dual_names = tuple(name + "'" for name in reversed(pres.alphabet.names))
     dual_alphabet = Alphabet(dual_names)
     # each kernel vector pairs word u v with u' v'
@@ -62,8 +56,7 @@ def quadratic_dual(pres):
     relations = [
         NCPoly.from_payloads(dual_alphabet, field, {flipped[k]: a for k, a in vec.items()}) for vec in kernel
     ]
-    dual = Presentation(dual_alphabet, field, relations)
-    return QuadraticDual(dual, "word u v pairs with dual word u' v'", n * n - len(free))
+    return Presentation(dual_alphabet, field, relations)
 
 
 @dataclass
@@ -120,7 +113,7 @@ def koszul_check(pres, bound):
         )
     conv = None
     try:
-        conv = dual_hilbert_convolution_ok(pres, quadratic_dual(pres).dual, bound)
+        conv = dual_hilbert_convolution_ok(pres, quadratic_dual(pres), bound)
     except NotQuadratic:
         conv = None
     return KoszulVerdict("koszul_to", bound, res.betti, None, conv)
@@ -274,14 +267,14 @@ def yoneda_verify(g, h, bound):
     if field.characteristic() == 2:
         raise CharTwo("the renormalized family assumes characteristic != 2")
     pres = build_Tgh(g, h)
-    qd = quadratic_dual(pres)
-    expected = expected_dual_relations(qd.dual.alphabet, g, h)
-    dual_match = len(qd.dual.relations) == 6 and _span_equal(
+    dual = quadratic_dual(pres)
+    expected = expected_dual_relations(dual.alphabet, g, h)
+    dual_match = len(dual.relations) == 6 and _span_equal(
         field,
-        _relation_vectors(qd.dual, qd.dual.relations),
-        _relation_vectors(qd.dual, expected),
+        _relation_vectors(dual, dual.relations),
+        _relation_vectors(dual, expected),
     )
-    squares_ok = square_normal_form_checks(qd.dual)
+    squares_ok = square_normal_form_checks(dual)
 
     if not h.is_zero():
         return YonedaReport("semisimple_dual", dual_match, squares_ok)
@@ -345,7 +338,7 @@ def gorenstein_check(pres, maxdeg):
     when A^!_t is one-dimensional and each pairing A^!_i x A^!_{t-i} ->
     A^!_t, 0 < i < t, is square and of full rank.
     """
-    rs = quadratic_dual(pres).dual.completed(maxdeg + 1)
+    rs = quadratic_dual(pres).completed(maxdeg + 1)
     dims = rs.hilbert(maxdeg + 1)
     top = next((t for t in range(maxdeg + 1) if dims[t] and not dims[t + 1]), None)
     clean = top is not None and dims[top] == 1 and all(_pairing_full_rank(rs, i, top) for i in range(1, top))
@@ -380,18 +373,10 @@ class ASRegVerdict:
     koszul: bool
     clause: str
     witness: Witness | None = None
-    gorenstein: GorensteinProfile | None = None
 
     def __repr__(self):
         tag = "AS-regular" if self.decision else "not AS-regular"
         return f"{tag} ({self.clause})"
-
-
-def _with_evidence(verdict, pres, maxdeg):
-    """Attach the Gorenstein profile of pres to a regular verdict."""
-    if not verdict.decision:
-        return verdict
-    return replace(verdict, gorenstein=gorenstein_check(pres, maxdeg))
 
 
 def asreg_decide_2d(iso):
@@ -406,97 +391,79 @@ def asreg_decide_2d(iso):
     return ASRegVerdict(False, True, "q = 0 or square-zero type: not a domain")
 
 
-def elliptic_decide(g, h, evidence=False, maxdeg=8):
+def elliptic_decide(g, h):
     """Elliptic rule for T(g, h): Koszul iff AS-regular iff h != 0.
 
-    The renormalized family needs characteristic != 2.  With evidence
-    requested, a regular verdict carries the Gorenstein certificate of
-    build_Tgh(g, h), read off its quadratic dual.
+    The renormalized family needs characteristic != 2.
     """
     if g.field.characteristic() == 2:
         raise CharTwo("the elliptic criterion assumes characteristic != 2")
     if h.is_zero():
         return ASRegVerdict(False, False, "elliptic type: h = 0, the algebra is not Koszul hence not regular")
-    verdict = ASRegVerdict(True, True, "elliptic type: h != 0")
-    return _with_evidence(verdict, build_Tgh(g, h), maxdeg) if evidence else verdict
+    return ASRegVerdict(True, True, "elliptic type: h != 0")
 
 
 def _ore_kernel_vector(p):
-    """Nonzero (px, py) with sigma(px x + py y) = 0, when sigma is singular."""
-    field = p.field
-    m = ScalarMatrix(field, [[p.d, p.e], [p.D, p.E]])
-    if not m.det().is_zero():
+    """Nonzero (px, py) with sigma(px x + py y) = 0, or None when sigma is invertible.
+
+    A singular sigma kills (D, -d) and (E, -e); a zero sigma kills everything.
+    """
+    if not (p.d * p.E - p.e * p.D).is_zero():
         return None
-    # sigma(px x + py y) = (px d + py D) x + (px e + py E) y
-    mt = m.transpose()
-    _, kernel = mt.rank_kernel()
-    return kernel.column(0)
+    for vec in ((p.D, -p.d), (p.E, -p.e)):
+        if not (vec[0].is_zero() and vec[1].is_zero()):
+            return vec
+    return p.field.one(), p.field.zero()
 
 
-def asreg_decide(t, evidence=False, maxdeg=8):
+def asreg_decide(t):
     """Regularity and Koszul decision for a classified twisted tensor product.
 
     Ore and reducible types are Koszul.  Ore type: regular iff the degree-1
     endomorphism matrix is invertible.  Reducible type: regular iff E != 0
-    and a + d != 0.  Elliptic type: elliptic_decide.  With evidence
-    requested, regular verdicts attach a computational Gorenstein
-    certificate.
+    and a + d != 0.  Elliptic type: elliptic_decide.
     """
     if not t.is_ttp:
         raise ValueError(f"regularity needs a classified product, got {t.kind}")
     if t.kind == "elliptic":
         if t.elliptic_form is None:
             raise CharTwo("the elliptic criterion assumes characteristic != 2")
-        return elliptic_decide(t.elliptic_form.g, t.elliptic_form.h, evidence, maxdeg)
+        return elliptic_decide(t.elliptic_form.g, t.elliptic_form.h)
     p = t.normal_form
 
     if t.kind == "ore":
-        det = p.d * p.E - p.e * p.D
-        if not det.is_zero():
-            verdict = ASRegVerdict(True, True, "ore type: degree-1 endomorphism invertible")
-        else:
-            vec = _ore_kernel_vector(p)
-            data = {"kernel": vec}
-            detail = "degree-1 endomorphism kills a generator combination"
-            delta_zero = (
-                (vec[0] * p.a + vec[1] * p.A).is_zero()
-                and (vec[0] * p.b + vec[1] * p.B).is_zero()
-                and (vec[0] * p.c + vec[1] * p.C).is_zero()
-            )
-            if delta_zero:
-                detail += "; z times that combination is zero (zero divisor)"
-            verdict = ASRegVerdict(
-                False,
-                True,
-                "ore type: degree-1 endomorphism singular (not a domain)",
-                Witness("zero_divisor", detail, data),
-            )
-    else:  # reducible
-        if p.E.is_zero():
-            verdict = ASRegVerdict(
-                False,
-                True,
-                "reducible type: E = 0 yields a zero divisor",
-                Witness(
-                    "zero_divisor",
-                    "(z - Bx - Cy) y = 0 holds in the algebra",
-                    {"B": p.B, "C": p.C},
-                ),
-            )
-        elif (p.a + p.d).is_zero():
-            verdict = ASRegVerdict(
-                False,
-                True,
-                "reducible type: a + d = 0 makes the quotient by y non-noetherian",
-                Witness(
-                    "factorization",
-                    "z^2 - zx + d xz + a x^2 = (z - ax)(z - x) in the quotient by y",
-                    {"a": p.a, "d": p.d},
-                ),
-            )
-        else:
-            verdict = ASRegVerdict(True, True, "reducible type: E != 0 and a + d != 0")
-    return _with_evidence(verdict, build_T(p), maxdeg) if evidence else verdict
+        vec = _ore_kernel_vector(p)
+        if vec is None:
+            return ASRegVerdict(True, True, "ore type: degree-1 endomorphism invertible")
+        detail = "degree-1 endomorphism kills a generator combination"
+        if all((vec[0] * u + vec[1] * v).is_zero() for u, v in ((p.a, p.A), (p.b, p.B), (p.c, p.C))):
+            detail += "; z times that combination is zero (zero divisor)"
+        return ASRegVerdict(
+            False,
+            True,
+            "ore type: degree-1 endomorphism singular (not a domain)",
+            Witness("zero_divisor", detail, {"kernel": vec}),
+        )
+    # reducible
+    if p.E.is_zero():
+        return ASRegVerdict(
+            False,
+            True,
+            "reducible type: E = 0 yields a zero divisor",
+            Witness("zero_divisor", "(z - Bx - Cy) y = 0 holds in the algebra", {"B": p.B, "C": p.C}),
+        )
+    if (p.a + p.d).is_zero():
+        return ASRegVerdict(
+            False,
+            True,
+            "reducible type: a + d = 0 makes the quotient by y non-noetherian",
+            Witness(
+                "factorization",
+                "z^2 - zx + d xz + a x^2 = (z - ax)(z - x) in the quotient by y",
+                {"a": p.a, "d": p.d},
+            ),
+        )
+    return ASRegVerdict(True, True, "reducible type: E != 0 and a + d != 0")
 
 
 def zero_divisor_witness_holds(t):

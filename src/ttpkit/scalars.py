@@ -63,6 +63,10 @@ class NestedExtension(FieldError):
     pass
 
 
+class RadicandTooLarge(FieldError):
+    """Raised when trial division does not decide the squarefree part of a rational radicand."""
+
+
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
 # this bound (Sorenson and Webster, Math. Comp. 86, 2017)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -611,6 +615,40 @@ class QuadraticRoots:
         return f"roots over {self.field}: {pairs}"
 
 
+_TRIAL_BOUND = 10**6
+
+
+def _squarefree_split(n):
+    """(sq, m) with n = sq^2 * m and m squarefree, for an int n > 0.
+
+    Trial division by every k below _TRIAL_BOUND leaves a cofactor c with
+    no prime factor below the bound.  Below the bound squared, c is 1 or a
+    prime; below its cube, c is p, p^2 or pq, and isqrt tells p^2 apart.
+    That decides every n below 10^18; a larger cofactor raises
+    RadicandTooLarge.
+    """
+    sq = m = 1
+    c = n
+    for k in range(2, _TRIAL_BOUND):
+        if k * k > c:
+            break
+        if c % k:
+            continue
+        e = 0
+        while c % k == 0:
+            c //= k
+            e += 1
+        sq *= k ** (e // 2)
+        m *= k ** (e % 2)
+    if c >= _TRIAL_BOUND**3:
+        raise RadicandTooLarge(
+            f"the squarefree part of the radicand {n} is not decided: trial division "
+            f"below {_TRIAL_BOUND} leaves a cofactor of {len(str(c))} digits"
+        )
+    r = math.isqrt(c)
+    return (sq * r, m) if r * r == c else (sq, m * c)
+
+
 def adjoin_sqrt(s):
     """(field2, root) with root * root == s viewed in field2.
 
@@ -624,16 +662,8 @@ def adjoin_sqrt(s):
     if isinstance(field, RationalField):
         d = s.payload
         n = d.numerator * d.denominator  # sqrt(n/den) = sqrt(n*den)/den
-        sq = 1
-        k = 2
-        npos = abs(n)
-        while k * k <= npos:
-            while npos % (k * k) == 0:
-                npos //= k * k
-                sq *= k
-            k += 1
-        m = npos if n > 0 else -npos
-        ext = QuadExtField(field, m)
+        sq, m = _squarefree_split(abs(n))
+        ext = QuadExtField(field, m if n > 0 else -m)
         return ext, ext.embed(field.scalar(Fraction(sq, d.denominator))) * ext.root()
     if isinstance(field, PrimeField):
         ext = QuadExtField(field, s.payload)

@@ -28,6 +28,7 @@ from ttpkit.homology import (
 from ttpkit.koszulreg import (
     asreg_decide,
     dual_hilbert_convolution_ok,
+    gorenstein_check,
     koszul_check,
     quadratic_dual,
     regraded_yoneda_koszul,
@@ -292,7 +293,7 @@ def test_criterion_08_koszul_dichotomy():
         pres = build_Tgh(g, h)
         v = koszul_check(pres, 8)
         assert v.koszul
-        assert dual_hilbert_convolution_ok(pres, quadratic_dual(pres).dual, 8)
+        assert dual_hilbert_convolution_ok(pres, quadratic_dual(pres), 8)
     for _ in range(3):
         g = QQ.scalar(rng.randint(-9, 9))
         v = koszul_check(build_Tgh(g, QQ.zero()), 8)
@@ -338,10 +339,10 @@ def test_criterion_10_regularity_decisions():
             dd, EE = QQ.scalar(d), QQ.scalar(E)
             kw = dict(d=d, E=E, B=B, C=C,
                       a=B * (dd - 1) / (EE - 1), b=C * (dd - 1) / (EE - 1))
-        t = classify_3d(ParamTuple3D.make(QQ, **kw))
+        p = ParamTuple3D.make(QQ, **kw)
+        t = classify_3d(p)
         assert t.kind == "ore", (kw, t)
-        v = asreg_decide(t, evidence=True)
-        assert v.decision and v.gorenstein.clean
+        assert asreg_decide(t).decision and gorenstein_check(build_T(p), 8).clean
         done += 1
     # two Ore samples with singular endomorphism and a zero-divisor witness
     for kw in (dict(d=1, E=0, B=2), dict(d=1, E=0, B=0)):
@@ -366,13 +367,11 @@ def test_criterion_10_regularity_decisions():
     lhs = z * z - z * x + (x * z).scale(d) + (x * x).scale(a)
     assert lhs == (z - x.scale(a)) * (z - x)
     # reducible regular
-    t = classify_3d(ParamTuple3D.make(QQ, f=1, a=2, d=3, E=1))
-    v = asreg_decide(t, evidence=True)
-    assert v.decision and v.gorenstein.clean
+    p = ParamTuple3D.make(QQ, f=1, a=2, d=3, E=1)
+    assert asreg_decide(classify_3d(p)).decision and gorenstein_check(build_T(p), 8).clean
     # elliptic on both sides of the h dichotomy
-    t = classify_3d(ParamTuple3D.make(QQ, f=1, A=1, d=-1, E=-1, a=1, b=0, B=2, c=1, C=0))
-    v = asreg_decide(t, evidence=True)
-    assert v.decision and v.gorenstein.clean
+    p = ParamTuple3D.make(QQ, f=1, A=1, d=-1, E=-1, a=1, b=0, B=2, c=1, C=0)
+    assert asreg_decide(classify_3d(p)).decision and gorenstein_check(build_T(p), 8).clean
     t = classify_3d(ParamTuple3D.make(QQ, f=1, A=1, d=-1, E=-1, a=1, b=0, B=2, c=0, C=0))
     assert not asreg_decide(t).decision
     report(10, "regularity decisions match the Gorenstein evidence on all "

@@ -306,6 +306,11 @@ def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
     pytest.param(["classify", "--family", "C", "--field", "GF(10000000000000000000000013)", "--params",
                   "a=1,b=1,c=1"], 1, "primality of 10000000000000000000000013 is not decided",
                  id="field-prime-past-primality-bound"),
+    pytest.param(["classify", "--field", "Q", "--family", "C", "--params", f"a={'7' * 95},b=3,c=1"], 2,
+                 "squarefree part of the radicand", id="classify-C-radicand-past-trial-bound"),
+    pytest.param(["asreg", "--field", "Q", "--family", "T", "--defaults-zero", "--params",
+                  f"d={10**38 + 39},e=1,D=1"], 2, "squarefree part of the radicand",
+                 id="asreg-T-radicand-past-trial-bound"),
     pytest.param(["scan", "--field", "GF(2)", "--family", "T"], 2, "characteristic", id="scan-gf2-T"),
     pytest.param(["scan", "--field", "GF(2)", "--family", "Tgh"], 2, "characteristic", id="scan-gf2-Tgh"),
     pytest.param(["classify", "--field", "GF(2)", "--family", "Tgh", "--params", "g=1,h=1"], 2, "characteristic",

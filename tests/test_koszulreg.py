@@ -1,12 +1,14 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from helpers import dual_complex_gorenstein, reference_c_row
 from ttpkit.classify import classify_3d
-from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
+from ttpkit.cli import scan_space
+from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, apply_basis_change, build_C, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import BettiTable, build_q_complex, minimal_resolution
 from ttpkit.koszulreg import (
@@ -21,7 +23,7 @@ from ttpkit.koszulreg import (
     yoneda_verify,
     zero_divisor_witness_holds,
 )
-from ttpkit.scalars import QQ, PrimeField
+from ttpkit.scalars import QQ, PrimeField, QuadExtField, ScalarMatrix
 
 
 def T3(field=QQ, **kw):
@@ -34,10 +36,10 @@ def tgh(g, h, field=QQ):
 
 def test_dual_of_commutative_plane_is_exterior():
     pres = build_C(ParamTuple2D.make(QQ, 0, 1, 0))  # zx - xz
-    qd = quadratic_dual(pres)
-    A = qd.dual.alphabet
+    dual = quadratic_dual(pres)
+    A = dual.alphabet
     assert A.names == ("z'", "x'")
-    rels = qd.dual.relations
+    rels = dual.relations
     assert len(rels) == 3
     # the span contains x'^2, z'^2 and x'z' + z'x'
     from ttpkit.koszulreg import _relation_vectors, _span_equal
@@ -47,31 +49,30 @@ def test_dual_of_commutative_plane_is_exterior():
         parse_poly(A, QQ, "z'^2"),
         parse_poly(A, QQ, "x'z' + z'x'"),
     ]
-    assert _span_equal(QQ, _relation_vectors(qd.dual, rels), _relation_vectors(qd.dual, expect))
+    assert _span_equal(QQ, _relation_vectors(dual, rels), _relation_vectors(dual, expect))
 
 
 def test_dual_of_free_algebra_spans_every_word():
     xy = Alphabet(["x", "y"])
-    qd = quadratic_dual(Presentation(xy, QQ, []))
-    A = qd.dual.alphabet
-    assert qd.relation_rank == 0 and len(qd.dual.relations) == 4
+    dual = quadratic_dual(Presentation(xy, QQ, []))
+    A = dual.alphabet
+    assert len(dual.relations) == 4  # relation rank n^2 - 4 = 0
     from ttpkit.koszulreg import _relation_vectors, _span_equal
 
     words = [parse_poly(A, QQ, w) for w in ("x'x'", "x'y'", "y'x'", "y'y'")]
-    assert _span_equal(QQ, _relation_vectors(qd.dual, qd.dual.relations), _relation_vectors(qd.dual, words))
-    assert qd.dual.hilbert(3) == [1, 2, 0, 0]
+    assert _span_equal(QQ, _relation_vectors(dual, dual.relations), _relation_vectors(dual, words))
+    assert dual.hilbert(3) == [1, 2, 0, 0]
     assert Presentation(xy, QQ, []).hilbert(3) == [1, 2, 4, 8]
 
 
 def test_double_dual_returns_original_relation_space():
     pres = tgh(3, 5)
-    qd = quadratic_dual(pres)
-    dd = quadratic_dual(qd.dual)
+    dd = quadratic_dual(quadratic_dual(pres))
     from ttpkit.koszulreg import _relation_vectors, _span_equal
 
     # double-primed names: strip back by comparing coefficient spans directly
     original = _relation_vectors(pres, pres.relations)
-    recovered = [vec for vec in _relation_vectors(dd.dual, dd.dual.relations)]
+    recovered = _relation_vectors(dd, dd.relations)
     assert _span_equal(QQ, recovered, original)
 
 
@@ -129,8 +130,7 @@ def test_koszul_check_two_generator_ttps():
 def test_dual_hilbert_convolution_detects_nonkoszul():
     # the degenerate family fails the numerical identity as well
     pres = tgh(1, 0)
-    qd = quadratic_dual(pres)
-    assert not dual_hilbert_convolution_ok(pres, qd.dual, 6)
+    assert not dual_hilbert_convolution_ok(pres, quadratic_dual(pres), 6)
 
 
 def test_yoneda_verify_nondegenerate():
@@ -248,10 +248,50 @@ def test_frobenius_check_agrees_with_the_dual_complex():
     assert verdicts == Counter(FROBENIUS_VERDICTS)
 
 
+def test_gorenstein_profile_is_invariant_under_basis_change():
+    # asreg --evidence checks the job's own presentation, not its normal
+    # form: the profile, failing ones included, must not see the difference.
+    # GF(5) census products of both kinds, regular and not, each under a
+    # random x, y -> GL2 and z -> scalar substitution, against the normal form
+    gf5, maxdeg = PrimeField(5), 6
+    rng = random.Random(223)
+    rows = {}
+    for values in scan_space(5, "T", {"e": [0], "d": [3, 4], "E": [0, 1, 4]}):
+        p = ParamTuple3D.make(gf5, **values)
+        t = classify_3d(p)
+        if t.is_ttp:
+            rows.setdefault((t.kind, asreg_decide(t).decision), []).append((p, t))
+    assert sorted(rows) == [("elliptic", False), ("elliptic", True), ("reducible", False), ("reducible", True)]
+    clean = Counter()
+    for key, pts in sorted(rows.items()):
+        for p, t in rng.sample(pts, 4):
+            while True:
+                pm = ScalarMatrix(gf5, [[rng.randrange(5) for _ in range(2)] for _ in range(2)])
+                if not pm.det().is_zero():
+                    break
+            q2 = apply_basis_change(p, pm, rng.randrange(1, 5))
+            nf = build_Tgh(t.elliptic_form.g, t.elliptic_form.h) if t.kind == "elliptic" else build_T(t.normal_form)
+            profile = gorenstein_check(build_T(q2), maxdeg)
+            assert repr(profile) == repr(gorenstein_check(nf, maxdeg)), (key, q2)
+            clean[(*key, profile.clean)] += 1
+    assert clean == Counter({
+        ("elliptic", True, True): 4, ("elliptic", False, False): 4,
+        ("reducible", True, True): 4, ("reducible", False, False): 4,
+    })
+    # Ore products over Q whose normalization swaps x and y (gl2 [0 1; 1 0]),
+    # and one whose normal form lives in Q(sqrt(3))
+    for kw, field in ((dict(d=-2, E=-1, B=1, C=1, a=Fraction(3, 2), b=Fraction(3, 2)), QQ),
+                      (dict(d=0, e=1, D=3, E=0), QuadExtField(QQ, 3))):
+        p = ParamTuple3D.make(QQ, **kw)
+        t = classify_3d(p)
+        assert t.kind == "ore" and t.normal_form.field == field
+        profile = gorenstein_check(build_T(p), maxdeg)
+        assert profile.clean and repr(profile) == repr(gorenstein_check(build_T(t.normal_form), maxdeg))
+
+
 def test_asreg_ore_invertible_and_singular():
-    t = classify_3d(T3(d=1, E=1, a=2, b=3, B=4))
-    v = asreg_decide(t, evidence=True)
-    assert v.decision and v.gorenstein.clean
+    p = T3(d=1, E=1, a=2, b=3, B=4)
+    assert asreg_decide(classify_3d(p)).decision and gorenstein_check(build_T(p), 8).clean
 
     t2 = classify_3d(T3(d=1, E=0, B=1))  # sigma singular, delta(ker) = 0
     assert t2.kind == "ore"
@@ -262,9 +302,8 @@ def test_asreg_ore_invertible_and_singular():
 
 def test_asreg_reducible_cases():
     # regular: E = 1, a + d != 0
-    t = classify_3d(T3(f=1, a=2, d=3, E=1))
-    v = asreg_decide(t, evidence=True)
-    assert v.decision and v.gorenstein.clean
+    p = T3(f=1, a=2, d=3, E=1)
+    assert asreg_decide(classify_3d(p)).decision and gorenstein_check(build_T(p), 8).clean
     # not regular: a + d = 0
     t2 = classify_3d(T3(f=1, a=2, d=-2, E=1))
     assert t2.kind == "reducible"
@@ -279,9 +318,8 @@ def test_asreg_reducible_cases():
 
 def test_asreg_elliptic_h_dichotomy():
     # h = c - (a-1)(C+a-1): a=1, c=1, C=0 gives h = 1
-    t = classify_3d(T3(f=1, A=1, d=-1, E=-1, a=1, b=0, B=2, c=1, C=0))
-    v = asreg_decide(t, evidence=True)
-    assert v.decision and v.gorenstein.clean
+    p = T3(f=1, A=1, d=-1, E=-1, a=1, b=0, B=2, c=1, C=0)
+    assert asreg_decide(classify_3d(p)).decision and gorenstein_check(build_T(p), 8).clean
     # a=1, c=0: h = 0
     t2 = classify_3d(T3(f=1, A=1, d=-1, E=-1, a=1, b=0, B=2, c=0, C=0))
     v2 = asreg_decide(t2)
@@ -329,12 +367,12 @@ def test_asreg_elliptic_cross_validation_random():
             c = field.scalar(rng.randint(-4, 4))
             C = field.scalar(rng.randint(-4, 4))
             b = (field.one() - a) * (field.scalar(2) - B)
-            t = classify_3d(ParamTuple3D.make(field, f=1, A=1, d=-1, E=-1, a=a, b=b, B=B, c=c, C=C))
+            p = ParamTuple3D.make(field, f=1, A=1, d=-1, E=-1, a=a, b=b, B=B, c=c, C=C)
+            t = classify_3d(p)
             assert t.kind == "elliptic"
             if t.elliptic_form.h.is_zero():
                 continue
-            v = asreg_decide(t, evidence=True)
-            assert v.decision and v.gorenstein.clean
+            assert asreg_decide(t).decision and gorenstein_check(build_T(p), 8).clean
             res = minimal_resolution(build_Tgh(t.elliptic_form.g, t.elliptic_form.h), 5, 7)
             assert max(i for i, _ in res.betti.entries) == 3
             assert res.betti.b(3, 3) == 1

@@ -111,7 +111,7 @@ def seen(monkeypatch):
 
 
 def _run(pres, maxdeg, seen):
-    """The resolution of pres, then its Gorenstein evidence; returns (res, the types met before the evidence)."""
+    """The resolution of pres, then its Gorenstein evidence; returns (res, the types met before the evidence, profile)."""
     res = minimal_resolution(pres, 4, maxdeg)
     rs = pres.completed(maxdeg)
     for rule in rs.rules:
@@ -125,13 +125,12 @@ def _run(pres, maxdeg, seen):
     for where in ("rule tail", "product", "reduced", "differential", "kernel", "image row"):
         assert seen[where], f"the run reached no {where}"
     resolved = {where: set(types) for where, types in seen.items()}
-    gorenstein_check(pres, maxdeg)
-    return res, resolved
+    return res, resolved, gorenstein_check(pres, maxdeg)
 
 
 def test_elliptic_q_run_keeps_integral_data_int(seen):
-    res, resolved = _run(build_Tgh(QQ.scalar(1), QQ.scalar(2)), 6, seen)
-    assert res.betti.entries[(3, 3)] == 1
+    res, resolved, profile = _run(build_Tgh(QQ.scalar(1), QQ.scalar(2)), 6, seen)
+    assert res.betti.entries[(3, 3)] == 1 and profile.clean
     # integer coefficients and monic rules: the normal forms, the matrices,
     # the products, the spans and the resolution are integral at this size.
     # The Gorenstein evidence runs on the quadratic dual, whose relation
@@ -147,21 +146,22 @@ def test_elliptic_q_run_keeps_integral_data_int(seen):
 def test_ore_q_run_with_fractions_keeps_the_invariant(seen):
     half3 = Fraction(3, 2)
     p = ParamTuple3D.make(QQ, d=-2, E=-1, B=1, C=1, a=half3, b=half3)
-    _run(build_T(p), 6, seen)
+    assert _run(build_T(p), 6, seen)[2].clean
     assert set().union(*seen.values()) == {int, Fraction}
 
 
 def test_quadratic_extension_components_keep_the_invariant(seen):
     g = SQRT2.scalar(Fraction(1, 2)) + SQRT2.scalar(Fraction(3, 2)) * SQRT2.root()
-    _run(build_Tgh(g, SQRT2.scalar(Fraction(3, 2))), 5, seen)
+    assert _run(build_Tgh(g, SQRT2.scalar(Fraction(3, 2))), 5, seen)[2].clean
     assert set().union(*seen.values()) == {int, Fraction}
 
 
 def test_prime_field_run_stores_reduced_ints(seen):
     gf = PrimeField(101)
-    _run(build_Tgh(gf.scalar(3), gf.scalar(2)), 6, seen)
-    p = ParamTuple3D.make(gf, d=-2, E=-1, B=1, C=1, a=50, b=50)
-    _run(build_T(p), 6, seen)
+    assert _run(build_Tgh(gf.scalar(3), gf.scalar(2)), 6, seen)[2].clean
+    # the Ore tuple of the Q run: 3/2 is 52 in GF(101)
+    p = ParamTuple3D.make(gf, d=-2, E=-1, B=1, C=1, a=52, b=52)
+    assert _run(build_T(p), 6, seen)[2].clean
     assert set().union(*seen.values()) == {int}
 
 

@@ -18,11 +18,14 @@ from ttpkit.scalars import (
     NoRoot,
     PrimeField,
     QuadExtField,
+    RadicandTooLarge,
     Scalar,
     ScalarMatrix,
     SquareRadicand,
     Unsupported,
     _is_prime,
+    _squarefree_split,
+    adjoin_sqrt,
     parse_scalar,
     solve_quadratic,
 )
@@ -528,3 +531,50 @@ def test_is_prime_refuses_to_guess_past_its_bound():
     with pytest.raises(FieldError, match="not decided"):
         PrimeField(10**25 + 13)
     assert _is_prime(3317044064679887385961979) == sympy.isprime(3317044064679887385961979)
+
+
+def _squarefree_by_trial_division_to_the_root(n):
+    """(sq, m) with n = sq^2 m, m squarefree: the loop adjoin_sqrt ran before it had a trial bound."""
+    sq, k = 1, 2
+    while k * k <= n:
+        while n % (k * k) == 0:
+            n //= k * k
+            sq *= k
+        k += 1
+    return sq, n
+
+
+def test_adjoin_sqrt_radicands_match_trial_division_to_the_root():
+    rng = random.Random(29)
+    samples = [rng.randrange(1, 10**digits) for digits in range(1, 11) for _ in range(4)]
+    samples += [rng.randrange(1, 1000) ** 2 * rng.randrange(2, 10**4) for _ in range(20)]
+    for n in samples:
+        for num, den in ((n, 1), (-n, 1), (n, rng.randrange(2, 50))):
+            field, root = adjoin_sqrt(QQ.scalar(Fraction(num, den)))
+            sq, m = _squarefree_by_trial_division_to_the_root(abs(num) * den)
+            m = m if num > 0 else -m
+            if m == 1:
+                assert field == QQ and root == QQ.scalar(Fraction(sq, den)), (num, den)
+            else:
+                assert field.m == QQ.scalar(m), (num, den)
+                assert root == field.embed(QQ.scalar(Fraction(sq, den))) * field.root(), (num, den)
+
+
+def test_squarefree_split_past_the_trial_bound_matches_sympy():
+    # cofactors with no prime factor below 10^6: p^2, pq and p^2 q decide
+    # below 10^18; p^2 q with both primes above 10^6 is past that and raises
+    rng = random.Random(31)
+    primes = [sympy.nextprime(10**6 + rng.randrange(10**4)) for _ in range(3)]
+    small = [rng.randrange(1, 10**4) for _ in range(3)]
+    samples = [p * p * s for p, s in zip(primes, small)]
+    samples += [p * q * s for p, q, s in zip(primes, primes[1:], small)]
+    samples += [p * p * sympy.prevprime(10**6 - rng.randrange(10**4)) for p in primes]
+    for n in samples:
+        sq = m = 1
+        for prime, exp in sympy.factorint(n).items():
+            sq *= prime ** (exp // 2)
+            m *= prime ** (exp % 2)
+        assert _squarefree_split(n) == (sq, m), n
+    for p, q in zip(primes, primes[1:]):
+        with pytest.raises(RadicandTooLarge, match="not decided"):
+            _squarefree_split(p * p * q)
