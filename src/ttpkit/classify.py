@@ -7,12 +7,15 @@ each verdict shipping an explicit congruence or substitution witness.
 Three-generator side: normalization of the twelve coefficients (kill the
 z^2 coefficient of the second image, Jordan form of the degree-1 matrix,
 then A and C rescales), followed by the Ore / reducible / elliptic
-trichotomy with concrete counterexample witnesses on failure.
+trichotomy with concrete counterexample witnesses on failure.  The same
+trichotomy, solved in ints mod p, gives ttp_locus: the only tuples of
+the normalized f = 1 space that a census needs to classify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .families import (
     EllipticForm,
@@ -483,6 +486,50 @@ def reducible_system_residuals(p):
         ("5", C * (one - d - two * B - B * E) - b * (one - E * E) - e * B),
         ("6", (one + E) * (-c * (one - E) - C * C) - e * C),
     ]
+
+
+def ttp_locus(p, outer, abc):
+    """The (a, b, c) that can make a normalized f = 1 tuple a twisted tensor product, in ints mod p.
+
+    outer is (e, d, A, B, C, E), and abc = (as, bs, cs) lists the values
+    that a, b and c may take; the candidates come in product order.
+
+    The first coefficient of G2 is -A.  So A != 0 leaves only the elliptic
+    plane e = 0, d = -1, A = 1, E = -1, b = (1-a)(2-B).  A = 0 leaves
+    G2 = 0, that is the six equations of reducible_system_residuals: 1, 2
+    and 4 read no a, b or c, and 3, 5 and 6 are linear in a, b and c with
+    the one coefficient 1 - E^2.  Where it vanishes the coordinate runs
+    over all of its values.  The locus only chooses candidates: classify_3d
+    decides each one, and every tuple outside it has G2 != 0 and fails an
+    elliptic constraint.
+    """
+    e, d, A, B, C, E = outer
+    as_, bs, cs = abc
+    if A:
+        if e or (A - 1) % p or (d + 1) % p or (E + 1) % p:
+            return []
+        out = []
+        for a in as_:
+            b = (1 - a) * (2 - B) % p
+            if b in bs:
+                out += [(a, b, c) for c in cs]
+        return out
+    if E * (1 - B - E) % p or E * (d * E - d - B) % p or E * (C + C * E + e - e * E) % p:
+        return []
+    k = (1 - E * E) % p
+
+    def solve(rhs, values):
+        # the values v with k v = rhs
+        if not k:
+            return [] if rhs % p else values
+        v = rhs * pow(k, -1, p) % p
+        return [v] if v in values else []
+
+    return list(product(
+        solve(B * (1 - d - B), as_),
+        solve(C * (1 - d - 2 * B - B * E) - e * B, bs),
+        solve(-(1 + E) * C * C - e * C, cs),
+    ))
 
 
 # What a nonzero second obstruction forces, in the order they are tested; a

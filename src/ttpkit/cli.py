@@ -9,6 +9,9 @@ malformed input, 2 for constraint violations (wrong family, bad
 characteristic, a radicand over Q past the trial-division bound).
 asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
+A T census classifies only the tuples on the TTP locus of
+classify.ttp_locus and counts every other one as not_ttp; it builds and
+formats those only when --out lists them.
 """
 
 from __future__ import annotations
@@ -16,14 +19,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
-from itertools import chain, product
+from itertools import product
 
-from .classify import canonical_2d, classify_2d_ttp, classify_3d, graded_iso_type_2d
+from .classify import canonical_2d, classify_2d_ttp, classify_3d, graded_iso_type_2d, ttp_locus
 from .families import (
     ParamTuple2D,
     ParamTuple3D,
@@ -483,14 +487,8 @@ def _residues(values, p):
     return list(seen)
 
 
-def scan_space(p, family, ranges):
-    """Deterministic enumeration of the census tuple space over GF(p), as an iterator.
-
-    Range values are taken mod p, and each residue is enumerated once.  On
-    the T space a range only restricts the normalized tuples; it never adds
-    one that breaks a side condition.  The ranges are checked before the
-    iterator is returned, and ranges that leave no tuple are a parse error.
-    """
+def _scan_allowed(p, family, ranges):
+    """allowed(name, default): the residues mod p a census enumerates for name, after checking family and ranges."""
     if family not in SCAN_PARAMS:
         raise ConstraintError(f"scan does not support family {family!r}")
     unknown = sorted(set(ranges) - set(SCAN_PARAMS[family]))
@@ -503,16 +501,24 @@ def scan_space(p, family, ranges):
         values = ranges.get(name, default)
         return _residues(full if values is None else values, p)
 
-    if family != "T":
-        names = SCAN_PARAMS[family]
-        return (dict(zip(names, t)) for t in product(*map(allowed, names)))
+    return allowed
+
+
+def t_blocks(p, ranges):
+    """The normalized f = 1 T space over GF(p) as blocks (abc, outers), in scan order.
+
+    A block holds the tuples with (a, b, c) in the product of the three
+    lists abc and an outer tuple (e, d, A, B, C, E) from outers, ordered by
+    (a, b, c) first.  The side conditions: D = F = 0, e in {0, 1}, A in
+    {0, 1} when e = 0, C in {0, 1} when e = A = 0, and E = d when e = 1;
+    each list keeps the order of the ranges.  Ranges that leave no tuple
+    are a parse error naming the side conditions that empty each branch.
+    """
+    allowed = _scan_allowed(p, "T", ranges)
     es = allowed("e", [0, 1])
     bad = [v for v in es if v not in (0, 1)]
     if bad:
         raise ParseError(f"--ranges gives e = {bad[0]}, but the normalized T space has e in {{0, 1}}")
-    # the f = 1 normalized space: D = F = 0, e in {0,1} with the usual side
-    # conditions (A in {0,1} when e = 0; C in {0,1} when e = A = 0; E = d
-    # when e = 1); each list keeps the order of allowed()
     abc = [allowed(n) for n in "abc"]
     As = [A for A in allowed("A") if A in (0, 1)]
     Cs = allowed("C")
@@ -531,14 +537,55 @@ def scan_space(p, family, ranges):
     if all(empty[e] for e in es):
         why = " and ".join(empty[e] for e in es)
         raise ParseError(f"--ranges leave no tuple of the normalized T space, which has {why}")
-    branches = {
-        0: (dict(a=a, b=b, c=c, d=d, e=0, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
-            for A, a, b, c, d, B, C, E in product(As, *abc, allowed("d"), allowed("B"), Cs, Es)
-            if A != 0 or C in C01),
-        1: (dict(a=a, b=b, c=c, d=d, e=1, f=1, A=A, B=B, C=C, D=0, E=d, F=0)
-            for a, b, c, d, A, B, C in product(*abc, dEs, *map(allowed, "ABC"))),
-    }
-    return chain.from_iterable(branches[e] for e in es)
+    blocks = []
+    for e in es:
+        if e == 0:
+            dBCE = list(product(allowed("d"), allowed("B"), Cs, Es))
+            blocks += [(abc, [(0, d, A, B, C, E) for d, B, C, E in dBCE if A != 0 or C in C01]) for A in As]
+        else:
+            blocks.append((abc, [(1, d, A, B, C, d) for d, A, B, C in product(dEs, *map(allowed, "ABC"))]))
+    return blocks
+
+
+def _t_tuples(blocks):
+    return (_t_values(a, b, c, outer) for abc, outers in blocks for a, b, c in product(*abc) for outer in outers)
+
+
+def _t_values(a, b, c, outer):
+    e, d, A, B, C, E = outer
+    return dict(a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
+
+
+def scan_space(p, family, ranges):
+    """Deterministic enumeration of the census tuple space over GF(p), as an iterator.
+
+    Range values are taken mod p, and each residue is enumerated once.  On
+    the T space a range only restricts the normalized tuples; it never adds
+    one that breaks a side condition.  The ranges are checked before the
+    iterator is returned, and ranges that leave no tuple are a parse error.
+    """
+    if family != "T":
+        allowed = _scan_allowed(p, family, ranges)
+        names = SCAN_PARAMS[family]
+        return (dict(zip(names, t)) for t in product(*map(allowed, names)))
+    return _t_tuples(t_blocks(p, ranges))
+
+
+def t_locus(p, blocks):
+    """(size, candidates): the number of tuples in the T blocks, and those on the TTP locus in scan order.
+
+    classify.ttp_locus solves each outer tuple for its candidates; every
+    other tuple is not a twisted tensor product.
+    """
+    size, candidates = 0, []
+    for abc, outers in blocks:
+        size += len(outers) * math.prod(map(len, abc))
+        pos = [{v: i for i, v in enumerate(values)} for values in abc]
+        # scan order within a block: (a, b, c) first, then the outer tuple
+        found = sorted(((pos[0][a], pos[1][b], pos[2][c], k), _t_values(a, b, c, outer))
+                       for k, outer in enumerate(outers) for a, b, c in ttp_locus(p, outer, abc))
+        candidates += [values for _, values in found]
+    return size, candidates
 
 
 def scan_row(task, memo=None):
@@ -641,23 +688,52 @@ def open_out(path):
         raise
 
 
+# The row of a tuple off the T locus, which classify_3d calls not_ttp.
+NOT_TTP_ROW = {"verdict": "not_ttp", "case": "-", "koszul": "-", "asreg": "-", "certified_to": "exact"}
+
+
+def t_census_rows(field, bound, blocks, workers, listing):
+    """(row, multiplicity) pairs whose fold is the T census of blocks.
+
+    Only the candidates of t_locus are classified.  The other tuples are
+    not_ttp rows: one per tuple, in scan order, when listing, else one row
+    that carries their number.
+    """
+    size, candidates = t_locus(field.p, blocks)
+    rows = scan_rows([(field, "T", bound, values) for values in candidates], workers)
+    if not listing:
+        yield from ((row, 1) for row in rows)
+        if size > len(candidates):
+            yield NOT_TTP_ROW, size - len(candidates)
+        return
+    found = {row["tuple"]: row for row in rows}
+    for values in _t_tuples(blocks):
+        tup = _fmt_params(values)
+        yield found.get(tup) or {"tuple": tup, **NOT_TTP_ROW}, 1
+
+
 def cmd_scan(args):
     field = parse_field(args.field or "GF(3)")
     if not isinstance(field, PrimeField):
         raise ConstraintError("the census scan runs over a prime field GF(p)")
     if field.p > args.max_prime:
         raise ConstraintError(f"p = {field.p} too large for a census (limit {args.max_prime})")
-    space = scan_space(field.p, args.family, parse_ranges(args.ranges))
-    tasks = ((field, args.family, args.bound, values) for values in space)
+    ranges = parse_ranges(args.ranges)
+    # the ranges are checked here, before --out is opened
+    if args.family == "T":
+        rows = t_census_rows(field, args.bound, t_blocks(field.p, ranges), args.workers, bool(args.out))
+    else:
+        tasks = ((field, args.family, args.bound, values) for values in scan_space(field.p, args.family, ranges))
+        rows = ((row, 1) for row in scan_rows(tasks, args.workers))
     counts = {}
     bounded = 0  # decided rows certified only to the scan bound
     with open_out(args.out) if args.out else contextlib.nullcontext() as out:
         if out:
             out.write("\t".join(ROW_FIELDS) + "\n")
-        for row in scan_rows(tasks, args.workers):
+        for row, n in rows:
             key = (row["verdict"], row["case"], row["koszul"], row["asreg"])
-            counts[key] = counts.get(key, 0) + 1
-            bounded += row["verdict"] != "unknown" and row["certified_to"] != "exact"
+            counts[key] = counts.get(key, 0) + n
+            bounded += n * (row["verdict"] != "unknown" and row["certified_to"] != "exact")
             if out:
                 out.write("\t".join(row[f] for f in ROW_FIELDS) + "\n")
     total = sum(counts.values())

@@ -10,7 +10,11 @@ and the multiplication maps must agree with on systems complete through
 the degree, and ``random_reduce`` rewrites random redexes for confluence
 spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
-census decides it once per canonical class.  ``reference_classify_3d``
+census decides it once per canonical class.  ``census_oracle`` is the
+census as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space``,
+where the T census classifies only the tuples on its locus;
+``census_text`` and ``census_counts`` give its ``--out`` text and its
+``[machine]`` counts.  ``reference_classify_3d``
 decides a three-generator tuple from both obstructions in full, where
 ``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
 on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
@@ -37,6 +41,7 @@ polynomial stores raw field payloads only; the oracles box coefficients at
 entry and do their arithmetic on Scalars, so they share no code with it.
 """
 
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -48,7 +53,7 @@ from ttpkit.classify import (
     jordan_normal_form_3d,
     reducible_case_id,
 )
-from ttpkit.cli import ParseError
+from ttpkit.cli import ROW_FIELDS, ParseError, scan_row, scan_space
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
@@ -229,6 +234,24 @@ def reference_c_row(p, values, bound=50):
         "asreg": "-" if reg is None else "regular" if reg.decision else "not_regular",
         "certified_to": "exact" if v.certified_to is None else str(v.certified_to),
     }
+
+
+def census_oracle(p, family, ranges=None, bound=50):
+    """The census rows over GF(p) from scan_row on every tuple of scan_space, in scan order."""
+    field = PrimeField(p)
+    return [scan_row((field, family, bound, values)) for values in scan_space(p, family, ranges or {})]
+
+
+def census_text(rows):
+    """The --out text of census rows."""
+    lines = ["\t".join(ROW_FIELDS)] + ["\t".join(row[f] for f in ROW_FIELDS) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def census_counts(rows):
+    """The total and count_ entries that a census of these rows puts in its [machine] block."""
+    counts = Counter("count_" + ":".join(row[f] for f in ("verdict", "case", "koszul", "asreg")) for row in rows)
+    return {"total": str(len(rows)), **{key: str(n) for key, n in counts.items()}}
 
 
 def decision_3d(t):

@@ -494,6 +494,8 @@ def test_scan_worker_determinism(tmp_path):
     for argv in (
         ["--field", "GF(7)", "--family", "C"],  # 343 tuples: several pool chunks, each with its own memo
         ["--field", "GF(3)", "--family", "T", "--ranges", "e=0,A=1,B=0"],
+        # 1,458 tuples, of which the pool classifies the 84 on the locus: reducible and elliptic rows
+        ["--field", "GF(3)", "--family", "T", "--ranges", "c=0,C=0|1"],
     ):
         outs = []
         for workers in ("1", "2"):
