@@ -27,7 +27,7 @@ from .families import (
     mat2_inv,
     twisting_axiom_mismatch,
 )
-from .freealg import NCPoly
+from .freealg import Alphabet, NCPoly
 from .rewrite import degree3_overlap_elements, second_obstruction_vanishes
 from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, Unsupported, adjoin_sqrt, solve_quadratic
 from .sequences import efgh, fn_nonvanishing
@@ -82,7 +82,7 @@ def canonical_2d(p):
 
 def _dependence_witness(a, b, n, field):
     """The spanning-set dependence relation at the first vanishing index."""
-    alphabet = build_C(ParamTuple2D(a, b, field.one())).alphabet
+    alphabet = Alphabet(["x", "z"])  # the alphabet of build_C
     row = efgh(a, b, n)
     terms = {
         alphabet.word("z" + "x" * n + "z"): row.e,

@@ -11,7 +11,8 @@ asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
 A T census classifies only the tuples on the TTP locus of
 classify.ttp_locus and counts every other one as not_ttp; it builds and
-formats those only when --out lists them.
+formats those only when --out lists them.  A C census decides each
+canonical class of C(a,b,c) once and counts the tuples of each class.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import math
 import os
 import stat
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache, partial
+from functools import cache
 from itertools import product
 
 from .classify import canonical_2d, classify_2d_ttp, classify_3d, graded_iso_type_2d, ttp_locus
@@ -552,8 +554,12 @@ def _t_tuples(blocks):
 
 
 def _t_values(a, b, c, outer):
+    return dict(a=a, b=b, c=c, **_t_outer_values(outer))
+
+
+def _t_outer_values(outer):
     e, d, A, B, C, E = outer
-    return dict(a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
+    return dict(d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
 
 
 def scan_space(p, family, ranges):
@@ -588,25 +594,19 @@ def t_locus(p, blocks):
     return size, candidates
 
 
-def scan_row(task, memo=None):
+def scan_row(task):
     """Classify and decide one census tuple; returns plain strings for aggregation.
 
     task is (field, family, bound, values), where field is the scan's own
-    GF(p), so one field serves every tuple of a scan.  A C row depends only
-    on the canonical class C(ac,b,1), C(1,b,0) or C(0,b,0) of its tuple, so
-    the class is decided once and its decision kept in memo, a dict that
-    one scan (or one pool chunk) passes to every call.
+    GF(p), so one field serves every tuple of a scan.  A C tuple is decided
+    on its canonical class C(ac,b,1), C(1,b,0) or C(0,b,0).
     """
     field, family, bound, values = task
     if family == "C":
-        memo = {} if memo is None else memo
-        cp = canonical_2d(ParamTuple2D.make(field, **values))
-        key = (field.p, bound, cp.a.payload, cp.b.payload, cp.c.payload)
-        if key not in memo:
-            v = classify_2d_ttp(cp, bound)
-            iso = graded_iso_type_2d(v) if v.is_ttp else None
-            memo[key] = (v.kind, iso.kind if iso else "-", v.certified_to, asreg_decide_2d(iso) if iso else None)
-        kind, case, certified_to, reg = memo[key]
+        v = classify_2d_ttp(canonical_2d(ParamTuple2D.make(field, **values)), bound)
+        iso = graded_iso_type_2d(v) if v.is_ttp else None
+        kind, case, certified_to = v.kind, iso.kind if iso else "-", v.certified_to
+        reg = asreg_decide_2d(iso) if iso else None
     elif family == "Tgh":
         kind, case, certified_to = "elliptic", "-", None
         reg = elliptic_decide(field.scalar(values["g"]), field.scalar(values["h"]))
@@ -627,6 +627,11 @@ def scan_row(task, memo=None):
 ROW_FIELDS = ("tuple", "verdict", "case", "koszul", "asreg", "certified_to")
 
 
+def _row_tail(row):
+    """The --out line of row after its tuple column, newline included."""
+    return "".join("\t" + row[f] for f in ROW_FIELDS[1:]) + "\n"
+
+
 def scan_rows(tasks, workers):
     """scan_row of each task, in task order, as each is classified."""
     workers = min(workers, os.cpu_count() or 1)
@@ -635,15 +640,12 @@ def scan_rows(tasks, workers):
         # task list anyway; listing it sizes the pool and chunksize exactly
         tasks = list(tasks)
         workers = min(workers, len(tasks))
-    # one memo per scan; the pool pickles the partial with each chunk, so
-    # every chunk starts from an empty memo of its own
-    row = partial(scan_row, memo={})
     if workers <= 1:
-        yield from map(row, tasks)
+        yield from map(scan_row, tasks)
         return
     # the pool forks every worker up front, so never ask for more than can run
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        yield from pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
 @contextlib.contextmanager
@@ -693,23 +695,74 @@ NOT_TTP_ROW = {"verdict": "not_ttp", "case": "-", "koszul": "-", "asreg": "-", "
 
 
 def t_census_rows(field, bound, blocks, workers, listing):
-    """(row, multiplicity) pairs whose fold is the T census of blocks.
+    """(row, multiplicity, text) triples whose fold is the T census of blocks.
 
-    Only the candidates of t_locus are classified.  The other tuples are
-    not_ttp rows: one per tuple, in scan order, when listing, else one row
-    that carries their number.
+    Only the candidates of t_locus are classified.  Every other tuple is a
+    not_ttp row, counted in one triple when not listing.  When listing,
+    text is the --out lines of the triple's tuples, in scan order: the
+    off-locus lines of one (a, b, c) of a block are formatted straight
+    from its outer tuples and come as runs between the candidate rows.
     """
     size, candidates = t_locus(field.p, blocks)
     rows = scan_rows([(field, "T", bound, values) for values in candidates], workers)
     if not listing:
-        yield from ((row, 1) for row in rows)
+        yield from ((row, 1, "") for row in rows)
         if size > len(candidates):
-            yield NOT_TTP_ROW, size - len(candidates)
+            yield NOT_TTP_ROW, size - len(candidates), ""
         return
-    found = {row["tuple"]: row for row in rows}
-    for values in _t_tuples(blocks):
-        tup = _fmt_params(values)
-        yield found.get(tup) or {"tuple": tup, **NOT_TTP_ROW}, 1
+    found = {}  # (a, b, c) -> {outer tuple (e, d, A, B, C, E): candidate row}
+    for values, row in zip(candidates, rows):
+        outer = tuple(values[n] for n in ("e", "d", "A", "B", "C", "E"))
+        found.setdefault((values["a"], values["b"], values["c"]), {})[outer] = row
+    not_ttp = _row_tail(NOT_TTP_ROW)
+    for abc, outers in blocks:
+        index = {outer: k for k, outer in enumerate(outers)}
+        tails = [_fmt_params(_t_outer_values(outer)) + not_ttp for outer in outers]
+        for a, b, c in product(*abc):
+            head = f"a:{a},b:{b},c:{c},"
+            start = 0
+            for k, row in sorted((index[o], row) for o, row in found.get((a, b, c), {}).items() if o in index):
+                if k > start:
+                    yield NOT_TTP_ROW, k - start, "".join([head + tail for tail in tails[start:k]])
+                yield row, 1, row["tuple"] + _row_tail(row)
+                start = k + 1
+            if start < len(tails):
+                yield NOT_TTP_ROW, len(tails) - start, "".join([head + tail for tail in tails[start:]])
+
+
+def _c_head(p, a, c):
+    """(a, c) of the canonical class of C(a, b, c) over GF(p): (ac, 1), (1, 0) or (0, 0)."""
+    return (a * c % p, 1) if c else (1, 0) if a else (0, 0)
+
+
+def c_census_rows(field, bound, ranges, workers, listing):
+    """(row, multiplicity, text) triples whose fold is the C census of ranges, as an iterator.
+
+    A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
+    C(0,b,0) of its tuple.  One pass over the a and c residues, in ints
+    mod p, gives each class head with the number of (a, c) pairs that map
+    to it; crossed with the b residues these are the classes, and each is
+    decided once.  When listing, every class is decided first, then the
+    tuples are walked in scan order, each line written from its class's
+    row.  The ranges are checked before the iterator is returned.
+    """
+    p = field.p
+    allowed = _scan_allowed(p, "C", ranges)
+    axes = [allowed(n) for n in "abc"]
+    heads = Counter(_c_head(p, a, c) for a in axes[0] for c in axes[2])
+    classes = [(a, b, c) for a, c in heads for b in axes[1]]
+    rows = scan_rows([(field, "C", bound, dict(a=a, b=b, c=c)) for a, b, c in classes], workers)
+    if not listing:
+        return ((row, heads[a, c], "") for (a, _, c), row in zip(classes, rows))
+
+    def listed():
+        decided = {cls: (row, _row_tail(row)) for cls, row in zip(classes, rows)}
+        for a, b, c in product(*axes):
+            ha, hc = _c_head(p, a, c)
+            row, tail = decided[ha, b, hc]
+            yield row, 1, f"a:{a},b:{b},c:{c}{tail}"
+
+    return listed()
 
 
 def cmd_scan(args):
@@ -719,23 +772,26 @@ def cmd_scan(args):
     if field.p > args.max_prime:
         raise ConstraintError(f"p = {field.p} too large for a census (limit {args.max_prime})")
     ranges = parse_ranges(args.ranges)
+    listing = bool(args.out)
     # the ranges are checked here, before --out is opened
     if args.family == "T":
-        rows = t_census_rows(field, args.bound, t_blocks(field.p, ranges), args.workers, bool(args.out))
+        rows = t_census_rows(field, args.bound, t_blocks(field.p, ranges), args.workers, listing)
+    elif args.family == "C":
+        rows = c_census_rows(field, args.bound, ranges, args.workers, listing)
     else:
         tasks = ((field, args.family, args.bound, values) for values in scan_space(field.p, args.family, ranges))
-        rows = ((row, 1) for row in scan_rows(tasks, args.workers))
+        rows = ((row, 1, row["tuple"] + _row_tail(row) if listing else "") for row in scan_rows(tasks, args.workers))
     counts = {}
     bounded = 0  # decided rows certified only to the scan bound
-    with open_out(args.out) if args.out else contextlib.nullcontext() as out:
+    with open_out(args.out) if listing else contextlib.nullcontext() as out:
         if out:
             out.write("\t".join(ROW_FIELDS) + "\n")
-        for row, n in rows:
+        for row, n, text in rows:
             key = (row["verdict"], row["case"], row["koszul"], row["asreg"])
             counts[key] = counts.get(key, 0) + n
             bounded += n * (row["verdict"] != "unknown" and row["certified_to"] != "exact")
             if out:
-                out.write("\t".join(row[f] for f in ROW_FIELDS) + "\n")
+                out.write(text)
     total = sum(counts.values())
     human = [f"census of family {args.family} over GF({field.p}): {total} tuples"]
     human.append("  verdict | case | koszul | asreg | count")

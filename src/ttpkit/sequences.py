@@ -6,7 +6,9 @@ Starting from e_0 = f_0 = 1,
 evaluated exactly at (t, u) = (a, b).  The nonvanishing of every f_n is
 the decision kernel for the two-generator twisted tensor product test;
 over a finite field the linear state recursion is eventually periodic, so
-a scan that closes a cycle certifies the verdict for all n.
+a scan that closes a cycle certifies the verdict for all n.  The orbit
+steps raw field payloads (see scalars); only the rows that efgh and
+efgh_table return are boxed as Scalars.
 """
 
 from __future__ import annotations
@@ -26,28 +28,42 @@ class SequenceQuad:
     h: Scalar
 
 
-def _orbit(a, b):
-    """(n, e_n, f_n) for n = 0, 1, 2, ...: the state (e, f) under the fixed linear map."""
-    e = f = a.field.one()
+def _orbit(field, a, b):
+    """(n, e_n, f_n) for n = 0, 1, 2, ...: the payload state (e, f) under the fixed linear map at payloads (a, b)."""
+    add, mul = field._add, field._mul
+    na = field._neg(a)
+    e = f = field.one().payload
     for n in count():
         yield n, e, f
-        e, f = b * e + f, -a * e + f
+        e, f = add(mul(b, e), f), add(mul(na, e), f)
 
 
-def _quad(a, b, n, e, f):
-    return SequenceQuad(n, e, f, (a.field.one() - b) * e - f, -a * e)
+def _payloads(a, b):
+    """(field, a, b) with a and b as payloads of a's field; b may be an int."""
+    field = a.field
+    return field, a.payload, field.scalar(b).payload
+
+
+def _quad(field, a, b, n, e, f):
+    """The SequenceQuad of the payload state (e_n, f_n); g_n and h_n are made on payloads too."""
+    add, mul, neg = field._add, field._mul, field._neg
+    g = add(mul(add(field.one().payload, neg(b)), e), neg(f))
+    h = mul(neg(a), e)
+    return SequenceQuad(n, Scalar(field, e), Scalar(field, f), Scalar(field, g), Scalar(field, h))
 
 
 def efgh(a, b, n):
     """Exact (e_n, f_n, g_n, h_n) at (a, b); n >= 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _quad(a, b, *next(islice(_orbit(a, b), n, None)))
+    field, a, b = _payloads(a, b)
+    return _quad(field, a, b, *next(islice(_orbit(field, a, b), n, None)))
 
 
 def efgh_table(a, b, n):
     """SequenceQuad rows for indices 0..n (single pass)."""
-    return [_quad(a, b, *state) for state in islice(_orbit(a, b), n + 1)]
+    field, a, b = _payloads(a, b)
+    return [_quad(field, a, b, *state) for state in islice(_orbit(field, a, b), n + 1)]
 
 
 @dataclass(frozen=True)
@@ -82,13 +98,15 @@ def fn_nonvanishing(a, b, bound):
     if a.is_zero():
         # f_n = f_{n-1} when the first argument vanishes, so f_n = 1 for all n
         return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
-    finite = a.field.characteristic() != 0
+    field, a, b = _payloads(a, b)
+    is_zero = field._is_zero
+    finite = field.characteristic() != 0
     seen = set()
-    for n, e, f in islice(_orbit(a, b), bound + 1):
-        if f.is_zero():  # never at n = 0, where f = 1
+    for n, e, f in islice(_orbit(field, a, b), bound + 1):
+        if is_zero(f):  # never at n = 0, where f = 1
             return NonvanishingReport(bound, "zero_at", n)
         if finite:
-            state = (e.payload, f.payload)
+            state = (e, f)
             if state in seen:
                 return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
             seen.add(state)

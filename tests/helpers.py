@@ -14,8 +14,11 @@ census decides it once per canonical class.  ``census_oracle`` is the
 census as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space``,
 where the T census classifies only the tuples on its locus;
 ``census_text`` and ``census_counts`` give its ``--out`` text and its
-``[machine]`` counts.  ``reference_classify_3d``
-decides a three-generator tuple from both obstructions in full, where
+``[machine]`` counts, and ``census_report`` its whole stdout.
+``reference_orbit`` and ``reference_nonvanishing`` step the (e_n, f_n)
+recurrence with Scalar operators, where ``sequences`` steps raw
+payloads.  ``reference_classify_3d`` decides a three-generator tuple
+from both obstructions in full, where
 ``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
 on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
 linear algebra on the whole word space, with no rewriting involved.
@@ -53,7 +56,7 @@ from ttpkit.classify import (
     jordan_normal_form_3d,
     reducible_case_id,
 )
-from ttpkit.cli import ROW_FIELDS, ParseError, scan_row, scan_space
+from ttpkit.cli import ROW_FIELDS, ParseError, render, scan_row, scan_space
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
@@ -252,6 +255,48 @@ def census_counts(rows):
     """The total and count_ entries that a census of these rows puts in its [machine] block."""
     counts = Counter("count_" + ":".join(row[f] for f in ("verdict", "case", "koszul", "asreg")) for row in rows)
     return {"total": str(len(rows)), **{key: str(n) for key, n in counts.items()}}
+
+
+def census_report(p, family, rows, bound=50, out=None):
+    """The stdout of a census over GF(p) whose rows are rows, with --out path out if given."""
+    counts = Counter(tuple(row[f] for f in ("verdict", "case", "koszul", "asreg")) for row in rows)
+    human = [f"census of family {family} over GF({p}): {len(rows)} tuples", "  verdict | case | koszul | asreg | count"]
+    human += ["  " + " | ".join(key) + f" | {counts[key]}" for key in sorted(counts)]
+    if out:
+        human.append(f"rows written to {out}")
+    bounded = sum(row["verdict"] != "unknown" and row["certified_to"] != "exact" for row in rows)
+    if bounded:
+        human.append(f"note: {bounded} tuples certified only to the scan bound N={bound}")
+    unknowns = sum(row["verdict"] == "unknown" for row in rows)
+    if unknowns:
+        human.append(f"note: {unknowns} tuples undecided at the scan bound")
+    return render(human, {"family": family, "field": PrimeField(p), "bound": bound, **census_counts(rows)})
+
+
+def reference_orbit(a, b, n):
+    """(e_k, f_k, g_k, h_k) for k = 0..n, stepped with Scalar operators."""
+    one = a.field.one()
+    e = f = one
+    rows = []
+    for _ in range(n + 1):
+        rows.append((e, f, (one - b) * e - f, -a * e))
+        e, f = b * e + f, -a * e + f
+    return rows
+
+
+def reference_nonvanishing(a, b, bound):
+    """(zero_index, cycle_closed) of the scan of f_1..f_bound over reference_orbit."""
+    if a.is_zero():
+        return None, True
+    seen = set()
+    for n, (e, f, _, _) in enumerate(reference_orbit(a, b, bound)):
+        if f.is_zero():
+            return n, False
+        if a.field.characteristic() != 0:
+            if (e, f) in seen:
+                return None, True
+            seen.add((e, f))
+    return None, False
 
 
 def decision_3d(t):

@@ -1,0 +1,145 @@
+"""The C census decides each canonical class once and counts its tuples.
+
+A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
+C(0,b,0) of its tuple, so ``cli.c_census_rows`` finds the class heads in
+ints mod p, decides each class through ``scan_row`` and folds it with the
+number of tuples it stands for.  These tests hold the report, the --out
+rows and the notes to the per-tuple fold of ``helpers.census_oracle``,
+and count the decisions: one ``classify_2d_ttp`` call per class.
+"""
+
+import io
+import random
+from functools import cache
+
+import pytest
+from helpers import census_oracle, census_report, census_text
+
+from ttpkit.classify import canonical_2d, classify_2d_ttp
+from ttpkit.cli import parse_ranges, run, scan_space
+from ttpkit.families import ParamTuple2D
+from ttpkit.scalars import PrimeField
+
+
+def invoke(argv):
+    buf = io.StringIO()
+    status = run(argv, stdout=buf)
+    return status, buf.getvalue()
+
+
+@cache
+def oracle(p, ranges, bound):
+    return census_oracle(p, "C", parse_ranges(ranges), bound)
+
+
+def check_census(tmp_path, p, ranges="", bound=50, workers=1):
+    """The C census over GF(p), with and without --out, against the per-tuple oracle."""
+    argv = ["scan", "--field", f"GF({p})", "--family", "C", "--bound", str(bound), "--workers", str(workers)]
+    argv += ["--ranges", ranges] if ranges else []
+    rows = oracle(p, ranges, bound)
+    path = tmp_path / "rows.tsv"
+    status, listed = invoke(argv + ["--out", str(path)])
+    assert status == 0 and path.read_text() == census_text(rows), ranges
+    assert listed == census_report(p, "C", rows, bound, out=str(path)), ranges
+    status, out = invoke(argv)
+    assert status == 0 and out == census_report(p, "C", rows, bound), ranges
+    return out
+
+
+def classes(p, ranges):
+    """The distinct canonical classes of the C tuples that ranges select over GF(p)."""
+    field = PrimeField(p)
+    found = set()
+    for values in scan_space(p, "C", parse_ranges(ranges)):
+        cp = canonical_2d(ParamTuple2D.make(field, **values))
+        found.add((cp.a.payload, cp.b.payload, cp.c.payload))
+    return found
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The canonical tuples that the census passes to classify_2d_ttp, in call order."""
+    calls = []
+
+    def counting(t, bound=50):
+        calls.append((t.a.payload, t.b.payload, t.c.payload))
+        return classify_2d_ttp(t, bound)
+
+    monkeypatch.setattr("ttpkit.cli.classify_2d_ttp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_c_census_equals_the_per_tuple_oracle(p, tmp_path):
+    out = check_census(tmp_path, p)
+    assert f"total={p**3}" in out
+
+
+def test_gf13_census_notes_its_bounded_rows(tmp_path):
+    out = check_census(tmp_path, 13)
+    assert "note: 96 tuples certified only to the scan bound N=50" in out.splitlines()
+    # a small bound leaves more orbits open
+    out = check_census(tmp_path, 13, bound=5)
+    assert sum(row["certified_to"] == "5" for row in oracle(13, "", 5)) > 96
+    assert "certified only to the scan bound N=5" in out
+
+
+@pytest.mark.parametrize("p", [2, 13])  # GF(7) in test_cli.py
+def test_full_cube_decides_each_class_once(p, decided):
+    oracle(p, "", 50)  # the oracle decides every tuple, so it runs before the spy counts
+    decided.clear()
+    status, out = invoke(["scan", "--field", f"GF({p})", "--family", "C"])
+    assert status == 0 and f"total={p**3}" in out
+    assert len(decided) == p**2 + 2 * p
+    assert set(decided) == classes(p, "")
+
+
+def _draw(rng, p):
+    parts = []
+    for name in "abc":
+        v = rng.randrange(p)
+        parts.append(f"{name}=" + rng.choice([
+            str(v), str(v - p), f"{v}|{v + p}|{rng.randrange(-p, p)}", f"{v}..{v + rng.randrange(4)}", "*",
+        ]))
+    return ",".join(parts)
+
+
+SHAPED = [
+    "a=1|8|15,b=2|2|9,c=3|10",  # every value repeated mod 7
+    "c=0",  # only the heads (1, 0) and (0, 0)
+    "a=0",  # only the heads (0, 1) and (0, 0)
+    "a=0,c=0",
+    "a=2,b=3,c=4",  # one tuple, one class
+    "a=1..6,b=5,c=0",  # six tuples, one class (1, 5, 0)
+    "a=1|2|4,b=5,c=4|2|1",  # nine tuples in three classes: ac runs over the squares {1, 2, 4}
+    "a=3..20,b=-1,c=0|7",  # a over all of GF(7), c = 0 once: (1, 6, 0) with six tuples, (0, 6, 0) with one
+]
+
+
+@pytest.mark.parametrize("ranges", SHAPED)
+def test_shaped_ranges_equal_the_oracle(ranges, tmp_path, decided):
+    oracle(7, ranges, 50)
+    decided.clear()
+    check_census(tmp_path, 7, ranges)
+    # two runs, with and without --out: each decides every class once
+    assert len(decided) == 2 * len(classes(7, ranges))
+    assert set(decided) == classes(7, ranges)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_seeded_ranges_equal_the_oracle(p, tmp_path, decided):
+    rng = random.Random(2400 + p)
+    for _ in range(4):
+        ranges = _draw(rng, p)
+        oracle(p, ranges, 50)
+        decided.clear()
+        check_census(tmp_path, p, ranges)
+        assert len(decided) == 2 * len(classes(p, ranges)), ranges
+
+
+@pytest.mark.parametrize("p, ranges", [(7, ""), (11, "c=0|1|2,b=*"), (5, SHAPED[0])])
+def test_two_workers_equal_serial(p, ranges, tmp_path):
+    reports = []
+    for workers in (1, 2):
+        reports.append(check_census(tmp_path, p, ranges, workers=workers))
+    assert reports[0] == reports[1]

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -492,7 +493,7 @@ def test_scan_single_tuple_matches_classify():
 
 def test_scan_worker_determinism(tmp_path):
     for argv in (
-        ["--field", "GF(7)", "--family", "C"],  # 343 tuples: several pool chunks, each with its own memo
+        ["--field", "GF(7)", "--family", "C"],  # 343 tuples in 63 classes: several pool chunks
         ["--field", "GF(3)", "--family", "T", "--ranges", "e=0,A=1,B=0"],
         # 1,458 tuples, of which the pool classifies the 84 on the locus: reducible and elliptic rows
         ["--field", "GF(3)", "--family", "T", "--ranges", "c=0,C=0|1"],
@@ -525,30 +526,40 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     base = ["scan", "--field", "GF(3)", "--family", "C"]
     _, serial = invoke(base)
-    _, many = invoke(base + ["--workers", "64"])  # 27 tasks, 4 cpus
-    invoke(base + ["--ranges", "a=0,b=0", "--workers", "64"])  # 3 tasks
-    assert sizes == [4, 3]
+    _, many = invoke(base + ["--workers", "64"])  # 27 tuples in 15 classes, 4 cpus
+    # the pool receives classes: the 3 tuples of a=0,b=0 are the classes (0,0,0) and (0,0,1)
+    invoke(base + ["--ranges", "a=0,b=0", "--workers", "64"])
+    assert sizes == [4, 2]
     assert many == serial
 
 
-def test_scan_folds_each_row_as_its_tuple_arrives(monkeypatch, tmp_path):
+def test_scan_decides_each_c_class_before_it_writes_a_row(monkeypatch, tmp_path):
     classified = []
+    written = []
 
-    def counting_row(task, memo=None):
-        classified.append(task)
-        return scan_row(task, memo)
+    def counting_row(task):
+        classified.append(task[3])
+        return scan_row(task)
 
-    def checking_space(p, family, ranges):
-        for k, values in enumerate(scan_space(p, family, ranges)):
-            assert len(classified) == k  # every earlier tuple is classified, none is queued
-            yield values
+    class CheckingFile(io.StringIO):
+        def write(self, text):
+            written.append(len(classified))  # classes decided when this text is written
+            return super().write(text)
+
+    @contextlib.contextmanager
+    def checking_out(path):
+        yield CheckingFile()
 
     monkeypatch.setattr("ttpkit.cli.scan_row", counting_row)
-    monkeypatch.setattr("ttpkit.cli.scan_space", checking_space)
-    out_path = tmp_path / "rows.tsv"
-    status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(out_path)])
+    monkeypatch.setattr("ttpkit.cli.open_out", checking_out)
+    status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", "rows.tsv"])
     assert status == 0 and "total=27" in out
-    assert len(classified) == 27 and len(out_path.read_text().splitlines()) == 28
+    # one task per canonical class (ac, b, 1), (1, b, 0) or (0, b, 0), none twice
+    assert len(classified) == 3**2 + 2 * 3
+    assert len({tuple(v.items()) for v in classified}) == len(classified)
+    assert all(v["c"] == 1 or v["c"] == 0 and v["a"] in (0, 1) for v in classified)
+    # the header, then every one of the 27 tuple lines after all classes are decided
+    assert written == [0] + [len(classified)] * 27
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

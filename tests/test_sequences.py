@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from ttpkit.scalars import QQ, PrimeField
+import pytest
+from helpers import is_payload, reference_nonvanishing, reference_orbit
+
+from ttpkit.scalars import QQ, PrimeField, QuadExtField
 from ttpkit.sequences import efgh, efgh_table, fn_nonvanishing
 
 
@@ -89,3 +92,46 @@ def test_cycle_certificate_matches_long_scan():
         assert short.all_nonzero == long.all_nonzero
         if not short.all_nonzero:
             assert short.zero_index == long.zero_index
+
+
+ORBIT_FIELDS = {
+    "Q": QQ,
+    "GF7": PrimeField(7),
+    "GF32003": PrimeField(32003),
+    "Qsqrt2": QuadExtField(QQ, 2),
+    "GF7sqrt3": QuadExtField(PrimeField(7), 3),
+}
+
+
+def _draw_scalar(field, rng):
+    if isinstance(field, QuadExtField):
+        u, v = (field.embed(_draw_scalar(field.base, rng)) for _ in range(2))
+        return u + field.root() * v
+    if field == QQ:
+        return field.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return field.scalar(rng.randrange(field.p))
+
+
+@pytest.mark.parametrize("name", ORBIT_FIELDS)
+def test_payload_orbit_matches_the_scalar_orbit(name):
+    # the orbit steps raw payloads; every row, report and payload type must
+    # match the recurrence stepped with Scalar operators
+    field = ORBIT_FIELDS[name]
+    rng = random.Random(sum(map(ord, name)))
+    draws = [(field.zero(), _draw_scalar(field, rng)), (field.one(), field.scalar(-1))]
+    draws += [(_draw_scalar(field, rng), _draw_scalar(field, rng)) for _ in range(12)]
+    for a, b in draws:
+        ref = reference_orbit(a, b, 12)
+        table = efgh_table(a, b, 12)
+        assert [(r.e, r.f, r.g, r.h) for r in table] == ref
+        assert [r.n for r in table] == list(range(13))
+        for n in (0, 5, 12):
+            row = efgh(a, b, n)
+            assert (row.n, row.e, row.f, row.g, row.h) == (n, *ref[n])
+        for row in table:
+            for x in (row.e, row.f, row.g, row.h):
+                assert x.field == field and is_payload(field, x.payload), (a, b, row)
+        for bound in (1, 7, 60):
+            report = fn_nonvanishing(a, b, bound)
+            assert (report.zero_index, report.cycle_closed) == reference_nonvanishing(a, b, bound), (a, b, bound)
+            assert report.all_nonzero == (report.zero_index is None)
