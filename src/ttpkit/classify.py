@@ -30,7 +30,7 @@ from .families import (
 from .freealg import Alphabet, NCPoly
 from .rewrite import degree3_overlap_elements, second_obstruction_vanishes
 from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, Unsupported, adjoin_sqrt, solve_quadratic
-from .sequences import efgh, fn_nonvanishing
+from .sequences import fn_nonvanishing
 
 
 class SingularN(Exception):
@@ -73,23 +73,30 @@ class TwoDTTPVerdict:
 def canonical_2d(p):
     """Canonical representative (ac,b,1), (1,b,0) or (0,b,0) of C(a,b,c)."""
     field = p.field
+    one = field._coerce(1)
     if not p.c.is_zero():
-        return ParamTuple2D(p.a * p.c, p.b, field.one())
-    if not p.a.is_zero():
+        return p if p.c.payload == one else ParamTuple2D(p.a * p.c, p.b, field.one())
+    if not p.a.is_zero() and p.a.payload != one:
         return ParamTuple2D(field.one(), p.b, field.zero())
     return p
 
 
-def _dependence_witness(a, b, n, field):
-    """The spanning-set dependence relation at the first vanishing index."""
-    alphabet = Alphabet(["x", "z"])  # the alphabet of build_C
-    row = efgh(a, b, n)
-    terms = {
-        alphabet.word("z" + "x" * n + "z"): row.e,
-        alphabet.word("x" * (n + 1) + "z"): -row.g,
-        alphabet.word("x" * (n + 2)): a * row.e,
-    }
-    return NCPoly(alphabet, field, terms)
+# the alphabet of build_C: x = 0 < z = 1
+_XZ = Alphabet(["x", "z"])
+
+
+def _dependence_witness(a, b, n, e):
+    """The spanning-set dependence relation at the first vanishing index n, where e_n = e.
+
+    There f_n = 0, so g_n = (1 - b) e_n; the relation is
+    e_n z x^n z - g_n x^(n+1) z + a e_n x^(n+2), built on payloads.
+    """
+    field = a.field
+    add, mul, neg, is0 = field._add, field._mul, field._neg, field._is_zero
+    e = e.payload
+    g = mul(add(field._coerce(1), neg(b.payload)), e)
+    terms = {(1,) + (0,) * n + (1,): e, (0,) * (n + 1) + (1,): neg(g), (0,) * (n + 2): mul(a.payload, e)}
+    return NCPoly.from_payloads(_XZ, field, {w: c for w, c in terms.items() if not is0(c)})
 
 
 def classify_2d_ttp(p, bound=50):
@@ -107,7 +114,7 @@ def classify_2d_ttp(p, bound=50):
     if report.all_nonzero:
         return TwoDTTPVerdict("is_ttp", p, None if report.cycle_closed else bound)
     n = report.zero_index
-    if n == 1 and p.b == field.scalar(-1):
+    if n == 1 and p.b.payload == field._coerce(-1):
         dims = build_C(canonical_2d(p)).hilbert(4)
         return TwoDTTPVerdict(
             "not_ttp",
@@ -119,7 +126,7 @@ def classify_2d_ttp(p, bound=50):
                 {"n": n, "dims": tuple(dims)},
             ),
         )
-    rel = _dependence_witness(t, p.b, n, field)
+    rel = _dependence_witness(t, p.b, n, report.zero_e)
     return TwoDTTPVerdict(
         "not_ttp",
         p,
@@ -149,22 +156,35 @@ def congruence_verify(cd):
     return cd.n.transpose() * cd.m * cd.n == cd.target
 
 
+def _matrix2(field, rows):
+    """The 2x2 matrix of the two dense payload rows, zeros dropped."""
+    is0 = field._is_zero
+    return ScalarMatrix.from_sparse(field, [{j: x for j, x in enumerate(row) if not is0(x)} for row in rows], 2)
+
+
+def _phi_matrix(field, a, b, c):
+    """phi-matrix [[-a, -b], [1, -c]] of zx - a x^2 - b xz - c z^2, for payloads a, b, c."""
+    neg = field._neg
+    return _matrix2(field, ((neg(a), neg(b)), (field._coerce(1), neg(c))))
+
+
 def skew_matrix(q):
     """phi-matrix of zx - q xz."""
     field = q.field
-    return ScalarMatrix(field, [[field.zero(), -q], [field.one(), field.zero()]])
+    zero = field._coerce(0)
+    return _phi_matrix(field, zero, q.payload, zero)
 
 
 def jordan_matrix(field):
     """phi-matrix of zx - xz - z^2."""
-    one = field.one()
-    return ScalarMatrix(field, [[field.zero(), -one], [one, -one]])
+    one = field._coerce(1)
+    return _phi_matrix(field, field._coerce(0), one, one)
 
 
 def c_matrix(a, b):
     """phi-matrix of zx - a x^2 - b xz - z^2."""
     field = a.field
-    return ScalarMatrix(field, [[-a, -b], [field.one(), -field.one()]])
+    return _phi_matrix(field, a.payload, b.payload, field._coerce(1))
 
 
 @dataclass(frozen=True)
@@ -193,72 +213,77 @@ def graded_iso_type_2d(v):
     type carries either an explicit congruence matrix or a generator
     substitution witnessing it.  The square-zero type (relation a perfect
     square) never occurs here: its coefficient matrix would be symmetric
-    of rank one, which forces the excluded degenerate parameters.
+    of rank one, which forces the excluded degenerate parameters.  The
+    decision and the witness entries are computed on payloads (see
+    scalars); only q, the roots and the witness matrices are boxed.
     """
     if not v.is_ttp:
         raise ValueError(f"not a twisted tensor product: {v}")
     p = v.params
     field = p.field
     cp = canonical_2d(p)
-    a, b = cp.a, cp.b
-    one = field.one()
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    a, b = cp.a.payload, cp.b.payload
+    one = field._coerce(1)
 
     if cp.c.is_zero():
         if cp.a.is_zero():
-            kind = "zx_zero" if b.is_zero() else "skew"
-            return IsoType2D(kind, b, cp, {"x": "x", "z": "z"}, (b,))
+            kind = "zx_zero" if cp.b.is_zero() else "skew"
+            return IsoType2D(kind, cp.b, cp, {"x": "x", "z": "z"}, (cp.b,))
         if b == one:
             # x -> -z, z -> x carries the relation onto the Jordan one
             return IsoType2D("jordan", None, cp, {"x": "-z", "z": "x"})
-        kind = "zx_zero" if b.is_zero() else "skew"
-        witness = {"x": f"({one - b})x", "z": "x + z"}
-        return IsoType2D(kind, b, cp, witness, (b,))
+        kind = "zx_zero" if cp.b.is_zero() else "skew"
+        witness = {"x": f"({field._str(add(one, neg(b)))})x", "z": "x + z"}
+        return IsoType2D(kind, cp.b, cp, witness, (cp.b,))
 
-    mc = c_matrix(a, b)
-    jordan_disc = 4 * a - (b - one) * (b - one)
-    if jordan_disc.is_zero():
+    b1 = add(b, neg(one))
+    if field._is_zero(add(mul(field._coerce(4), a), neg(mul(b1, b1)))):
+        # the Jordan discriminant 4a - (b - 1)^2 vanishes
         if field.characteristic() == 2:
-            s = field.sqrt(a)
+            s = field.sqrt(cp.a).payload
         else:
-            s = (b - one) / 2  # the square root of a with 2s = b - 1
-        n = ScalarMatrix(field, [[one + s, field.zero()], [s, one]])
-        cd = CongruenceData(jordan_matrix(field), n, mc)
+            s = mul(b1, inv(field._coerce(2)))  # the square root of a with 2s = b - 1
+        n = _matrix2(field, ((add(one, s), field._coerce(0)), (s, one)))
+        cd = CongruenceData(jordan_matrix(field), n, _phi_matrix(field, a, b, one))
         assert congruence_verify(cd)
         return IsoType2D("jordan", None, cp, cd)
 
-    if b == field.scalar(-1):
+    if b == field._coerce(-1):
         if field.characteristic() == 2:
             raise CharTwo("the q = -1 branch requires characteristic != 2")
-        ext, w = adjoin_sqrt(one - a)
-        if ext == field:
-            aa, bb, ww = a, b, w
-        else:
-            aa, bb, ww = ext.embed(a), ext.embed(b), w
-        e1 = ext.one()
-        two = ext.scalar(2)
-        n = ScalarMatrix(ext, [[(e1 + ww) / two, -e1 / two], [ww - e1, e1]])
-        q = -e1
-        cd = CongruenceData(skew_matrix(q), n, c_matrix(aa, bb))
+        ext, w = adjoin_sqrt(Scalar(field, add(one, neg(a))))
+        if ext != field:
+            a, b = ext._embed(a), ext._embed(b)
+        add, mul, neg = ext._add, ext._mul, ext._neg
+        e1, w = ext._coerce(1), w.payload
+        half = ext._inv(ext._coerce(2))
+        # N = [[(1 + w)/2, -1/2], [w - 1, 1]] with w^2 = 1 - a
+        n = _matrix2(ext, ((mul(add(e1, w), half), mul(neg(e1), half)), (add(w, neg(e1)), e1)))
+        q = Scalar(ext, neg(e1))
+        cd = CongruenceData(skew_matrix(q), n, _phi_matrix(ext, a, b, e1))
         assert congruence_verify(cd)
         return IsoType2D("skew", q, cp, cd, (q,))
 
-    res = solve_quadratic(a + b, 2 * a - b * b - one, a + b)
+    # q is a root of (a + b) q^2 + (2a - b^2 - 1) q + (a + b)
+    ab = Scalar(field, add(a, b))
+    res = solve_quadratic(ab, Scalar(field, add(add(a, a), neg(add(mul(b, b), one)))), ab)
     roots = tuple(res.roots)
     q = _canonical_root(roots)
     F2 = res.field
     if res.extended:
-        aa, bb = F2.embed(a), F2.embed(b)
-    else:
-        aa, bb = a, b
-    e1 = F2.one()
-    n = ScalarMatrix(
+        a, b = F2._embed(a), F2._embed(b)
+    add, mul, neg, inv = F2._add, F2._mul, F2._neg, F2._inv
+    e1, qq = F2._coerce(1), q.payload
+    # N = [[(bq - 1)/(q^2 - 1), 1/(q - 1)], [(b - q)/(q + 1), 1]]
+    n = _matrix2(
         F2,
-        [
-            [(bb * q - e1) / (q * q - e1), e1 / (q - e1)],
-            [(bb - q) / (q + e1), e1],
-        ],
+        (
+            (mul(add(mul(b, qq), neg(e1)), inv(add(mul(qq, qq), neg(e1)))), inv(add(qq, neg(e1)))),
+            (mul(add(b, neg(qq)), inv(add(qq, e1))), e1),
+        ),
     )
-    cd = CongruenceData(skew_matrix(q), n, c_matrix(aa, bb))
+    cd = CongruenceData(skew_matrix(q), n, _phi_matrix(F2, a, b, e1))
     assert congruence_verify(cd)
     kind = "zx_zero" if q.is_zero() else "skew"
     return IsoType2D(kind, q, cp, cd, roots)

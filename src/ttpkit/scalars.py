@@ -144,10 +144,10 @@ class Field:
         return Scalar(self, self._coerce(value))
 
     def zero(self):
-        return self.scalar(0)
+        return Scalar(self, self._coerce(0))
 
     def one(self):
-        return self.scalar(1)
+        return Scalar(self, self._coerce(1))
 
     # subclass hooks on raw payloads
     def _coerce(self, value):
@@ -359,7 +359,11 @@ class QuadExtField(Field):
             return s
         if s.field != self.base:
             raise FieldMismatch(f"cannot embed element of {s.field} into {self}")
-        return Scalar(self, (s.payload, self.base._coerce(0)))
+        return Scalar(self, self._embed(s.payload))
+
+    def _embed(self, a):
+        """The payload of this extension that lifts the base-field payload a."""
+        return (a, self.base._coerce(0))
 
     def root(self):
         """The adjoined square root as a Scalar."""
@@ -702,17 +706,20 @@ def solve_quadratic(p2, p1, p0):
             "adjoin-a-square-root extension in characteristic 2"
         )
 
-    disc = p1 * p1 - 4 * p2 * p0
-    two_a = 2 * p2
-    if disc.is_zero():
-        return QuadraticRoots(field, [-p1 / two_a], [2], False)
-    ext, w = adjoin_sqrt(disc)
-    if ext == field:
-        return QuadraticRoots(field, [(-p1 + w) / two_a, (-p1 - w) / two_a], [1, 1], False)
-    p1e, p2e = ext.embed(p1), ext.embed(p2)
-    r1 = (-p1e + w) / (2 * p2e)
-    r2 = (-p1e - w) / (2 * p2e)
-    return QuadraticRoots(ext, [r1, r2], [1, 1], True)
+    # (-p1 +/- sqrt(disc)) / (2 p2), on payloads; only the roots are boxed
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    a2, a1, a0 = p2.payload, p1.payload, p0.payload
+    disc = add(mul(a1, a1), neg(mul(field._coerce(4), mul(a2, a0))))
+    if field._is_zero(disc):
+        return QuadraticRoots(field, [Scalar(field, mul(neg(a1), inv(add(a2, a2))))], [2], False)
+    ext, w = adjoin_sqrt(Scalar(field, disc))
+    extended = ext != field
+    if extended:
+        a2, a1 = ext._embed(a2), ext._embed(a1)
+        add, mul, neg, inv = ext._add, ext._mul, ext._neg, ext._inv
+    w, d = w.payload, inv(add(a2, a2))
+    roots = [Scalar(ext, mul(add(neg(a1), w), d)), Scalar(ext, mul(add(neg(a1), neg(w)), d))]
+    return QuadraticRoots(ext, roots, [1, 1], extended)
 
 
 class ScalarMatrix:

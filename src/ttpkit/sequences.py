@@ -8,7 +8,8 @@ the decision kernel for the two-generator twisted tensor product test;
 over a finite field the linear state recursion is eventually periodic, so
 a scan that closes a cycle certifies the verdict for all n.  The orbit
 steps raw field payloads (see scalars); only the rows that efgh and
-efgh_table return are boxed as Scalars.
+efgh_table return, and the e_n at a zero that fn_nonvanishing reports,
+are boxed as Scalars.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class NonvanishingReport:
     cycle_closed: bool = False  # the scan became unconditional: the (e, f)
     # orbit repeated (finite field) or the recursion degenerated (a = 0),
     # so the verdict holds for every n, not just n <= bound
+    zero_e: Scalar | None = None  # e_n at the zero index n, where g_n = (1 - b) e_n
 
     @property
     def all_nonzero(self):
@@ -104,7 +106,7 @@ def fn_nonvanishing(a, b, bound):
     seen = set()
     for n, e, f in islice(_orbit(field, a, b), bound + 1):
         if is_zero(f):  # never at n = 0, where f = 1
-            return NonvanishingReport(bound, "zero_at", n)
+            return NonvanishingReport(bound, "zero_at", n, zero_e=Scalar(field, e))
         if finite:
             state = (e, f)
             if state in seen:

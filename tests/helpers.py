@@ -17,7 +17,11 @@ where the T census classifies only the tuples on its locus;
 ``[machine]`` counts, and ``census_report`` its whole stdout.
 ``reference_orbit`` and ``reference_nonvanishing`` step the (e_n, f_n)
 recurrence with Scalar operators, where ``sequences`` steps raw
-payloads.  ``reference_classify_3d`` decides a three-generator tuple
+payloads.  ``reference_iso_type_2d`` (with ``reference_solve_quadratic``)
+is the Scalar form of the two-generator isomorphism type and its
+congruence witnesses, and ``reference_dependence_relation`` builds the
+not_ttp relation from ``efgh`` and ``Alphabet.word`` strings, where
+``classify`` computes both on payloads.  ``reference_classify_3d`` decides a three-generator tuple
 from both obstructions in full, where
 ``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
 on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
@@ -49,8 +53,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from ttpkit.classify import (
+    CongruenceData,
+    IsoType2D,
     Step,
     classify_2d_ttp,
+    congruence_verify,
     classify_3d,
     graded_iso_type_2d,
     jordan_normal_form_3d,
@@ -62,8 +69,19 @@ from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
 from ttpkit.koszulreg import asreg_decide_2d
 from ttpkit.rewrite import NotCompleted, RewriteSystem, Rule, _complete, degree3_overlap_elements
-from ttpkit.scalars import EchelonSpan, PrimeField, QuadExtField, Scalar, ScalarMatrix
-from ttpkit.sequences import fn_nonvanishing
+from ttpkit.scalars import (
+    CharTwo,
+    EchelonSpan,
+    NoRoot,
+    PrimeField,
+    QuadExtField,
+    QuadraticRoots,
+    Scalar,
+    ScalarMatrix,
+    Unsupported,
+    adjoin_sqrt,
+)
+from ttpkit.sequences import efgh, fn_nonvanishing
 
 YXZ = Alphabet(["y", "x", "z"])
 
@@ -297,6 +315,116 @@ def reference_nonvanishing(a, b, bound):
                 return None, True
             seen.add((e, f))
     return None, False
+
+
+def reference_solve_quadratic(p2, p1, p0):
+    """The QuadraticRoots of p2*q^2 + p1*q + p0, computed with Scalar operators."""
+    field = p2.field
+    if p2.is_zero() and p1.is_zero() and p0.is_zero():
+        raise ValueError("identically zero quadratic")
+    if p2.is_zero():
+        if p1.is_zero():
+            raise NoRoot("constant nonzero polynomial has no roots")
+        return QuadraticRoots(field, [-p0 / p1], [1], False)
+    if field.characteristic() == 2:
+        if p1.is_zero():
+            r = field.sqrt(p0 / p2)
+            if r is None:
+                raise Unsupported("inseparable quadratic with no root in the field")
+            return QuadraticRoots(field, [r], [2], False)
+        roots = [x for x in field.elements() if (p2 * x * x + p1 * x + p0).is_zero()]
+        if len(roots) == 2:
+            return QuadraticRoots(field, roots, [1, 1], False)
+        raise Unsupported("separable quadratic splits only in GF(p^2)")
+    disc = p1 * p1 - 4 * p2 * p0
+    two_a = 2 * p2
+    if disc.is_zero():
+        return QuadraticRoots(field, [-p1 / two_a], [2], False)
+    ext, w = adjoin_sqrt(disc)
+    if ext == field:
+        return QuadraticRoots(field, [(-p1 + w) / two_a, (-p1 - w) / two_a], [1, 1], False)
+    p1e, p2e = ext.embed(p1), ext.embed(p2)
+    return QuadraticRoots(ext, [(-p1e + w) / (2 * p2e), (-p1e - w) / (2 * p2e)], [1, 1], True)
+
+
+def _reference_canonical_2d(p):
+    field = p.field
+    if not p.c.is_zero():
+        return ParamTuple2D(p.a * p.c, p.b, field.one())
+    if not p.a.is_zero():
+        return ParamTuple2D(field.one(), p.b, field.zero())
+    return p
+
+
+def _reference_skew_matrix(q):
+    field = q.field
+    return ScalarMatrix(field, [[field.zero(), -q], [field.one(), field.zero()]])
+
+
+def _reference_c_matrix(a, b):
+    field = a.field
+    return ScalarMatrix(field, [[-a, -b], [field.one(), -field.one()]])
+
+
+def reference_iso_type_2d(v):
+    """graded_iso_type_2d of the verdict v, computed with Scalar operators and dense matrices."""
+    if not v.is_ttp:
+        raise ValueError(f"not a twisted tensor product: {v}")
+    field = v.params.field
+    cp = _reference_canonical_2d(v.params)
+    a, b = cp.a, cp.b
+    one = field.one()
+    if cp.c.is_zero():
+        if cp.a.is_zero():
+            kind = "zx_zero" if b.is_zero() else "skew"
+            return IsoType2D(kind, b, cp, {"x": "x", "z": "z"}, (b,))
+        if b == one:
+            return IsoType2D("jordan", None, cp, {"x": "-z", "z": "x"})
+        kind = "zx_zero" if b.is_zero() else "skew"
+        return IsoType2D(kind, b, cp, {"x": f"({one - b})x", "z": "x + z"}, (b,))
+    if (4 * a - (b - one) * (b - one)).is_zero():
+        s = field.sqrt(a) if field.characteristic() == 2 else (b - one) / 2
+        n = ScalarMatrix(field, [[one + s, field.zero()], [s, one]])
+        jordan = ScalarMatrix(field, [[field.zero(), -one], [one, -one]])
+        cd = CongruenceData(jordan, n, _reference_c_matrix(a, b))
+        assert congruence_verify(cd)
+        return IsoType2D("jordan", None, cp, cd)
+    if b == field.scalar(-1):
+        if field.characteristic() == 2:
+            raise CharTwo("the q = -1 branch requires characteristic != 2")
+        ext, w = adjoin_sqrt(one - a)
+        if ext != field:
+            a, b = ext.embed(a), ext.embed(b)
+        e1 = ext.one()
+        two = ext.scalar(2)
+        n = ScalarMatrix(ext, [[(e1 + w) / two, -e1 / two], [w - e1, e1]])
+        q = -e1
+        cd = CongruenceData(_reference_skew_matrix(q), n, _reference_c_matrix(a, b))
+        assert congruence_verify(cd)
+        return IsoType2D("skew", q, cp, cd, (q,))
+    res = reference_solve_quadratic(a + b, 2 * a - b * b - one, a + b)
+    roots = tuple(res.roots)
+    q = min(roots, key=lambda r: r.sort_key())
+    F2 = res.field
+    if res.extended:
+        a, b = F2.embed(a), F2.embed(b)
+    e1 = F2.one()
+    n = ScalarMatrix(F2, [[(b * q - e1) / (q * q - e1), e1 / (q - e1)], [(b - q) / (q + e1), e1]])
+    cd = CongruenceData(_reference_skew_matrix(q), n, _reference_c_matrix(a, b))
+    assert congruence_verify(cd)
+    return IsoType2D("zx_zero" if q.is_zero() else "skew", q, cp, cd, roots)
+
+
+def reference_dependence_relation(t, b, n):
+    """The not_ttp relation e_n z x^n z - g_n x^(n+1) z + t e_n x^(n+2) of build_C's alphabet, from efgh."""
+    alphabet = Alphabet(["x", "z"])
+    row = efgh(t, b, n)
+    terms = {
+        alphabet.word("z" + "x" * n + "z"): row.e,
+        alphabet.word("x" * (n + 1) + "z"): -row.g,
+        alphabet.word("x" * (n + 2)): t * row.e,
+    }
+    return NCPoly(alphabet, t.field, terms)
 
 
 def decision_3d(t):

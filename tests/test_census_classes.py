@@ -5,9 +5,13 @@ C(0,b,0) of its tuple, so ``cli.c_census_rows`` finds the class heads in
 ints mod p, decides each class through ``scan_row`` and folds it with the
 number of tuples it stands for.  These tests hold the report, the --out
 rows and the notes to the per-tuple fold of ``helpers.census_oracle``,
-and count the decisions: one ``classify_2d_ttp`` call per class.
+and count the decisions: one ``classify_2d_ttp`` call per class.  The
+--out rows of the full GF(11) and GF(13) cubes are pinned by SHA-256, so
+a change to the class decision cannot move the oracle and the census
+together.
 """
 
+import hashlib
 import io
 import random
 from functools import cache
@@ -67,6 +71,21 @@ def decided(monkeypatch):
 
     monkeypatch.setattr("ttpkit.cli.classify_2d_ttp", counting)
     return calls
+
+
+# SHA-256 of the --out rows of the full GF(11) and GF(13) C censuses, as the
+# census wrote them when it decided each class with Scalar arithmetic
+C_CENSUS_SHA256 = {
+    11: "ba00eb26742eb7ffd73c42eb7e978896d55d090e98265a7869b4de38af67a1bf",
+    13: "eafe94f3fd831ea8c5e4dfaa73f61d87be0b59785095cf01cce6c9d79366caa9",
+}
+
+
+@pytest.mark.parametrize("p", sorted(C_CENSUS_SHA256))
+def test_c_census_rows_are_pinned(p, tmp_path):
+    path = tmp_path / "rows.tsv"
+    status, _ = invoke(["scan", "--field", f"GF({p})", "--family", "C", "--out", str(path)])
+    assert status == 0 and hashlib.sha256(path.read_bytes()).hexdigest() == C_CENSUS_SHA256[p]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

@@ -12,6 +12,8 @@ from helpers import (
     make_params3d,
     map_coeffs,
     reference_classify_3d,
+    reference_dependence_relation,
+    reference_iso_type_2d,
     relation_phi_matrix,
     rigidity_check_2d,
     substitute,
@@ -38,11 +40,12 @@ from ttpkit.families import (
     ParamTuple2D,
     ParamTuple3D,
     apply_basis_change,
+    build_C,
     build_T,
 )
 from ttpkit.freealg import NCPoly, parse_poly
 from ttpkit.rewrite import degree3_overlap_elements, second_obstruction_vanishes
-from ttpkit.scalars import QQ, PrimeField, QuadExtField, ScalarMatrix
+from ttpkit.scalars import QQ, FieldError, NestedExtension, PrimeField, QuadExtField, ScalarMatrix
 
 
 def C2(a, b, c, field=QQ):
@@ -86,6 +89,28 @@ def test_not_ttp_at_n2_with_dependence_witness():
 def test_dependence_witness_at_n1():
     v = classify_2d_ttp(C2(1, 5, 1))
     assert not v.is_ttp and v.witness.data["n"] == 1
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_dependence_witness_over_prime_fields(p):
+    # seeded not_ttp tuples whose first zero is past n = 1: the relation built
+    # on payloads lies in the ideal of the canonical class and equals the one
+    # spelled out with efgh and Alphabet.word
+    field, rng = PrimeField(p), random.Random(p)
+    ns = []
+    while len(ns) < 6:
+        params = C2(rng.randrange(1, p), rng.randrange(p), rng.randrange(1, p), field)
+        v = classify_2d_ttp(params)
+        if v.is_ttp or v.witness.data["n"] < 2:
+            continue
+        n, rel = v.witness.data["n"], v.witness.data["relation"]
+        t = params.a * params.c
+        assert v.witness.kind == "dependence_relation"
+        assert rel == reference_dependence_relation(t, params.b, n), params
+        assert rel.degree() == n + 2
+        assert ideal_membership(rel, build_C(ParamTuple2D(t, params.b, field.one())), n + 2), params
+        ns.append(n)
+    assert max(ns) >= 5, ns
 
 
 def test_finite_field_certificates_close_cycles():
@@ -214,6 +239,90 @@ def test_skew_canonical_representative_is_inversion_stable():
         q1, q2 = t.roots
         assert q1 * q2 == t.q.field.one()
         assert t.q == min(t.roots, key=lambda r: r.sort_key())
+
+
+def _iso_outcome(iso_type, v):
+    """iso_type(v), or the type and message of the field error it raises."""
+    try:
+        return iso_type(v)
+    except FieldError as exc:
+        return type(exc), str(exc)
+
+
+def _branch(iso):
+    """Which branch of the isomorphism type made iso: its kind, witness shape and witness field."""
+    if isinstance(iso, tuple):
+        return iso[0].__name__
+    w = iso.witness
+    if not isinstance(w, CongruenceData):
+        return iso.kind, "substitution"
+    return iso.kind, str(iso.q), "in field" if w.n.field == iso.canonical.field else "extended"
+
+
+def assert_same_iso_type(got, want):
+    """Equal kind, q, roots, canonical tuple and witness, each witness matrix entry for entry."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.kind, got.q, got.roots, got.canonical) == (want.kind, want.q, want.roots, want.canonical)
+    if not isinstance(want.witness, CongruenceData):
+        assert got.witness == want.witness
+        return
+    for name in ("m", "n", "target"):
+        g, w = getattr(got.witness, name), getattr(want.witness, name)
+        assert (g.field, g.nrows, g.ncols) == (w.field, w.nrows, w.ncols), name
+        entries = [[(i, j) for j in range(w.ncols)] for i in range(w.nrows)]
+        assert [[g[ij] for ij in row] for row in entries] == [[w[ij] for ij in row] for row in entries], name
+
+
+def check_iso_against_reference(params, bound=50):
+    """The branch that decided params, after checking it against the Scalar reference; None if not a TTP."""
+    v = classify_2d_ttp(params, bound)
+    if not v.is_ttp:
+        return None
+    got = _iso_outcome(graded_iso_type_2d, v)
+    assert_same_iso_type(got, _iso_outcome(reference_iso_type_2d, v))
+    return _branch(got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_iso_type_matches_the_scalar_reference_on_full_cubes(p):
+    field = PrimeField(p)
+    branches = {check_iso_against_reference(C2(a, b, c, field)) for a, b, c in product(range(p), repeat=3)}
+    if p == 13:
+        # the Jordan, q = -1 and generic branches, each in GF(13) and (but Jordan) in GF(13^2)
+        expected = {
+            ("jordan", "None", "in field"),
+            ("skew", "12", "in field"),
+            ("skew", "12", "extended"),
+            ("zx_zero", "0", "in field"),
+        }
+        assert expected <= branches
+        generic = {b[2] for b in branches if isinstance(b, tuple) and len(b) == 3 and b[1] not in ("None", "0", "12")}
+        assert generic == {"in field", "extended"}
+        assert {("jordan", "substitution"), ("skew", "substitution"), ("zx_zero", "substitution")} <= branches
+
+
+def test_iso_type_matches_the_scalar_reference_over_q_and_q_sqrt2():
+    rng = random.Random(113)
+    sqrt2 = QuadExtField(QQ, 2)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def in_sqrt2():
+        return sqrt2.scalar(rational()) + sqrt2.scalar(rational()) * sqrt2.root()
+
+    q_tuples = [(Fraction(1, 4), 0, 1), (3, -1, 1), (-3, -1, 1), (2, 3, 1), (1, 3, 0), (1, 1, 0), (0, 5, 0)]
+    q_tuples += [(rational(), rational(), rng.choice([0, 1, rational()])) for _ in range(40)]
+    branches = {check_iso_against_reference(C2(a, b, c)) for a, b, c in q_tuples}
+    assert {("jordan", "None", "in field"), ("skew", "-1", "extended"), ("skew", "-1", "in field")} <= branches
+    assert any(b[1:] != ("-1", "extended") and b[2] == "extended" for b in branches if isinstance(b, tuple) and len(b) == 3)
+    # over Q(sqrt(2)), a square root outside it needs a second extension, on both sides
+    ext_tuples = [(Fraction(1, 4), 0, 1), (-1, -1, 1), (2, -1, 1)]
+    ext_tuples += [(in_sqrt2(), in_sqrt2(), rng.choice([0, 1, in_sqrt2()])) for _ in range(25)]
+    branches = {check_iso_against_reference(C2(a, b, c, sqrt2), bound=20) for a, b, c in ext_tuples}
+    assert {"NestedExtension", ("jordan", "None", "in field"), ("skew", "-1", "in field")} <= branches
 
 
 def test_rigidity():

@@ -19,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import is_payload
-from ttpkit.families import ParamTuple3D, build_T, build_Tgh
+from ttpkit.classify import classify_2d_ttp, graded_iso_type_2d
+from ttpkit.families import ParamTuple2D, ParamTuple3D, build_T, build_Tgh
 from ttpkit.freealg import NCPoly
 from ttpkit.homology import GradedComplex, minimal_resolution
 from ttpkit.koszulreg import gorenstein_check
@@ -163,6 +164,36 @@ def test_prime_field_run_stores_reduced_ints(seen):
     p = ParamTuple3D.make(gf, d=-2, E=-1, B=1, C=1, a=52, b=52)
     assert _run(build_T(p), 6, seen)[2].clean
     assert set().union(*seen.values()) == {int}
+
+
+def _two_generator_payloads(field, params):
+    """Check every payload of the 2-D verdict and iso type of params over field; the payload types met."""
+    seen = defaultdict(set)
+    v = classify_2d_ttp(ParamTuple2D.make(field, *params), 20)
+    if not v.is_ttp:
+        _check_poly(v.witness.data["relation"], "relation", seen)
+        return set().union(*seen.values())
+    iso = graded_iso_type_2d(v)
+    for q in (iso.q, *iso.roots) if iso.q is not None else ():
+        assert is_payload(q.field, q.payload), (params, q)
+    for name in ("m", "n", "target"):
+        m = getattr(iso.witness, name)
+        _check_rows(m.field, m.rows, name, seen)
+    return set().union(*seen.values())
+
+
+def test_two_generator_witnesses_store_payloads():
+    # every branch of graded_iso_type_2d that builds matrices, over Q, GF(101)
+    # and Q(sqrt(2)), and the not_ttp dependence relation
+    q_cases = [(Fraction(1, 4), 0, 1), (3, -1, 1), (-3, -1, 1), (2, 3, 1), (-2, 5, 1), (Fraction(1, 2), 0, 1)]
+    assert set().union(*(_two_generator_payloads(QQ, params) for params in q_cases)) == {int, Fraction}
+    # an integral Jordan class: s = (b - 1)/2 = 2 is stored as an int
+    assert graded_iso_type_2d(classify_2d_ttp(ParamTuple2D.make(QQ, 4, 5, 1))).kind == "jordan"
+    assert _two_generator_payloads(QQ, (4, 5, 1)) == {int}
+    gf_cases = [(3, 99, 1), (11, 100, 1), (13, 100, 1), (2, 3, 1), (1, 5, 1), (4, 5, 1), (50, 3, 1)]
+    assert all(_two_generator_payloads(PrimeField(101), params) == {int} for params in gf_cases)
+    ext_cases = [(Fraction(1, 4), 0, 1), (-1, -1, 1), (Fraction(1, 2), 0, 1)]
+    assert set().union(*(_two_generator_payloads(SQRT2, params) for params in ext_cases)) == {int, Fraction}
 
 
 def test_polynomials_over_different_prime_fields_differ():

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_payload
+from helpers import is_payload, reference_solve_quadratic
 from ttpkit.scalars import (
     QQ,
     DivisionByZero,
@@ -125,6 +125,36 @@ def test_solve_quadratic_adjoins_sqrt2():
     # squarefree reduction should give radicand 2 (discriminant is 8)
     assert E.m == QQ.scalar(2)
     assert {str(r) for r in res.roots} == {"sqrt(2)", "-sqrt(2)"}
+
+
+def _roots_outcome(solve, coeffs):
+    try:
+        res = solve(*coeffs)
+    except FieldError as exc:
+        return type(exc), str(exc)
+    return res.field, res.roots, [type(r.payload) for r in res.roots], res.multiplicities, res.extended
+
+
+def test_solve_quadratic_matches_the_scalar_reference():
+    # the roots are computed on payloads; the reference divides Scalars
+    rng = random.Random(127)
+    sqrt2 = QuadExtField(QQ, 2)
+    cases = [
+        (QQ, lambda: QQ.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))),
+        (PrimeField(101), lambda: PrimeField(101).scalar(rng.randint(0, 100))),
+        (sqrt2, lambda: sqrt2.scalar(rng.randint(-4, 4)) + sqrt2.scalar(rng.randint(-4, 4)) * sqrt2.root()),
+    ]
+    seen = set()
+    for field, draw in cases:
+        for _ in range(40):
+            coeffs = [draw() for _ in range(3)]
+            if all(c.is_zero() for c in coeffs):
+                continue
+            got = _roots_outcome(solve_quadratic, coeffs)
+            assert got == _roots_outcome(reference_solve_quadratic, coeffs), (field, coeffs)
+            seen.add((field, got[0] if isinstance(got[0], type) else got[-1]))
+    assert {(QQ, True), (QQ, False), (PrimeField(101), True), (PrimeField(101), False)} <= seen
+    assert {(sqrt2, NestedExtension), (sqrt2, False)} <= seen
 
 
 def test_solve_quadratic_roots_satisfy_polynomial():

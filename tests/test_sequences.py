@@ -135,3 +135,9 @@ def test_payload_orbit_matches_the_scalar_orbit(name):
             report = fn_nonvanishing(a, b, bound)
             assert (report.zero_index, report.cycle_closed) == reference_nonvanishing(a, b, bound), (a, b, bound)
             assert report.all_nonzero == (report.zero_index is None)
+            # a zero reports the e_n it was found with
+            if report.zero_index is None:
+                assert report.zero_e is None
+            else:
+                e = reference_orbit(a, b, report.zero_index)[-1][0]
+                assert report.zero_e == e and is_payload(field, report.zero_e.payload), (a, b, bound)
