@@ -9,10 +9,11 @@ malformed input, 2 for constraint violations (wrong family, bad
 characteristic, a radicand over Q past the trial-division bound).
 asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
-A T census classifies only the tuples on the TTP locus of
-classify.ttp_locus and counts every other one as not_ttp; it builds and
-formats those only when --out lists them.  A C census decides each
-canonical class of C(a,b,c) once and counts the tuples of each class.
+A T census solves only the outer tuples that can carry a candidate of
+classify.ttp_locus, decides one candidate per class of that locus and
+counts every other tuple as not_ttp; it builds and formats those only
+when --out lists them.  A C census decides each canonical class of
+C(a,b,c) once and counts the tuples of each class.
 """
 
 from __future__ import annotations
@@ -28,8 +29,16 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
-from .classify import canonical_2d, classify_2d_ttp, classify_3d, graded_iso_type_2d, ttp_locus
+from .classify import (
+    canonical_2d,
+    classify_2d_ttp,
+    classify_3d,
+    graded_iso_type_2d,
+    reducible_case_id,
+    ttp_locus,
+)
 from .families import (
     ParamTuple2D,
     ParamTuple3D,
@@ -506,15 +515,28 @@ def _scan_allowed(p, family, ranges):
     return allowed
 
 
-def t_blocks(p, ranges):
-    """The normalized f = 1 T space over GF(p) as blocks (abc, outers), in scan order.
+class TBlock(NamedTuple):
+    """A block of the normalized f = 1 T space.
 
-    A block holds the tuples with (a, b, c) in the product of the three
-    lists abc and an outer tuple (e, d, A, B, C, E) from outers, ordered by
-    (a, b, c) first.  The side conditions: D = F = 0, e in {0, 1}, A in
-    {0, 1} when e = 0, C in {0, 1} when e = A = 0, and E = d when e = 1;
-    each list keeps the order of the ranges.  Ranges that leave no tuple
-    are a parse error naming the side conditions that empty each branch.
+    It holds the tuples with (a, b, c) in the product of the three lists
+    abc and an outer tuple (e, d, A, B, C, E) with (d, A, B, C, E) in the
+    product of the lists axes, ordered by (a, b, c) first; at e = 1 the E
+    axis is None, for E = d.
+    """
+
+    abc: list
+    e: int
+    axes: tuple
+
+
+def t_blocks(p, ranges):
+    """The normalized f = 1 T space over GF(p) as TBlocks, in scan order.
+
+    The side conditions: D = F = 0, e in {0, 1}, A in {0, 1} when e = 0, C
+    in {0, 1} when e = A = 0, and E = d when e = 1; e = 0 has one block
+    for each A.  Each list keeps the order of the ranges.  Ranges that
+    leave no tuple are a parse error naming the side conditions that empty
+    each branch.
     """
     allowed = _scan_allowed(p, "T", ranges)
     es = allowed("e", [0, 1])
@@ -524,7 +546,7 @@ def t_blocks(p, ranges):
     abc = [allowed(n) for n in "abc"]
     As = [A for A in allowed("A") if A in (0, 1)]
     Cs = allowed("C")
-    C01 = {C for C in Cs if C in (0, 1)}
+    C01 = [C for C in Cs if C in (0, 1)]
     Es = allowed("E")
     E_set = set(Es)
     dEs = [d for d in allowed("d") if d in E_set]  # d = E at e = 1
@@ -542,15 +564,30 @@ def t_blocks(p, ranges):
     blocks = []
     for e in es:
         if e == 0:
-            dBCE = list(product(allowed("d"), allowed("B"), Cs, Es))
-            blocks += [(abc, [(0, d, A, B, C, E) for d, B, C, E in dBCE if A != 0 or C in C01]) for A in As]
+            blocks += [TBlock(abc, 0, (allowed("d"), [A], allowed("B"), Cs if A else C01, Es)) for A in As]
         else:
-            blocks.append((abc, [(1, d, A, B, C, d) for d, A, B, C in product(dEs, *map(allowed, "ABC"))]))
+            blocks.append(TBlock(abc, 1, (dEs, allowed("A"), allowed("B"), Cs, None)))
     return blocks
 
 
+def _t_size(block):
+    return math.prod(map(len, block.abc)) * math.prod(len(axis) for axis in block.axes if axis is not None)
+
+
+def _t_outers(block):
+    """The outer tuples (e, d, A, B, C, E) of block, in scan order."""
+    ds, As, Bs, Cs, Es = block.axes
+    if block.e:
+        return [(1, d, A, B, C, d) for d, A, B, C in product(ds, As, Bs, Cs)]
+    return [(0, d, A, B, C, E) for d, A, B, C, E in product(ds, As, Bs, Cs, Es)]
+
+
 def _t_tuples(blocks):
-    return (_t_values(a, b, c, outer) for abc, outers in blocks for a, b, c in product(*abc) for outer in outers)
+    for block in blocks:
+        outers = _t_outers(block)
+        for a, b, c in product(*block.abc):
+            for outer in outers:
+                yield _t_values(a, b, c, outer)
 
 
 def _t_values(a, b, c, outer):
@@ -577,21 +614,92 @@ def scan_space(p, family, ranges):
     return _t_tuples(t_blocks(p, ranges))
 
 
+def _solve(p, k, rhs, values):
+    """(position, v) of each v in values with k v = rhs mod p."""
+    return [(i, v) for i, v in enumerate(values) if (k * v - rhs) % p == 0]
+
+
+def _locus_outers(p, block):
+    """(positions, outer) of each outer tuple of block that can carry a candidate of classify.ttp_locus.
+
+    positions index the outer tuple in block.axes, so they sort outer
+    tuples in scan order.  Equations 1, 2 and 4 and the elliptic plane read
+    no a, b or c, and they decide which outer tuples these are:
+    - A != 0: only e = 0, A = 1, d = -1, E = -1, with B and C free;
+    - A = 0, E = 0: d, B and C are free;
+    - A = 0, E != 0: B = 1 - E, (E - 1)(d + 1) = 0 and C(1 + E) = e(E - 1).
+    """
+    e, (ds, As, Bs, Cs, Es) = block.e, block.axes
+    free = list(product(enumerate(Bs), enumerate(Cs)))
+    # (position, value) of d and of E; E = d at e = 1
+    pairs = list(product(enumerate(ds), enumerate(Es))) if Es is not None else [(x, (0, x[1])) for x in enumerate(ds)]
+    for i_A, A in enumerate(As):
+        for (i_d, d), (i_E, E) in pairs:
+            if A:  # A = 1 where e = 0
+                if e or d != p - 1 or E != p - 1:
+                    continue
+                BCs = free
+            elif not E:
+                BCs = free
+            elif (E - 1) * (d + 1) % p:
+                continue
+            else:
+                BCs = product(_solve(p, 1, 1 - E, Bs), _solve(p, 1 + E, e * (E - 1), Cs))
+            for (i_B, B), (i_C, C) in BCs:
+                yield (i_d, i_A, i_B, i_C, i_E), (e, d, A, B, C, E)
+
+
+def _block_locus(p, block):
+    """The candidates (a, b, c, outer) of block, in scan order: (a, b, c) first, then the outer tuple."""
+    pos = [{v: i for i, v in enumerate(values)} for values in block.abc]
+    found = sorted(((pos[0][a], pos[1][b], pos[2][c], *where), (a, b, c, outer))
+                   for where, outer in _locus_outers(p, block) for a, b, c in ttp_locus(p, outer, block.abc))
+    return [candidate for _, candidate in found]
+
+
 def t_locus(p, blocks):
     """(size, candidates): the number of tuples in the T blocks, and those on the TTP locus in scan order.
 
-    classify.ttp_locus solves each outer tuple for its candidates; every
-    other tuple is not a twisted tensor product.
+    Each candidate is (a, b, c, outer).  classify.ttp_locus solves only the
+    outer tuples of _locus_outers; every other tuple is not a twisted
+    tensor product.
     """
-    size, candidates = 0, []
-    for abc, outers in blocks:
-        size += len(outers) * math.prod(map(len, abc))
-        pos = [{v: i for i, v in enumerate(values)} for values in abc]
-        # scan order within a block: (a, b, c) first, then the outer tuple
-        found = sorted(((pos[0][a], pos[1][b], pos[2][c], k), _t_values(a, b, c, outer))
-                       for k, outer in enumerate(outers) for a, b, c in ttp_locus(p, outer, abc))
-        candidates += [values for _, values in found]
-    return size, candidates
+    return sum(map(_t_size, blocks)), [candidate for block in blocks for candidate in _block_locus(p, block)]
+
+
+def t_class_key(field, bound):
+    """key(a, b, c, outer): the class of a T locus candidate, in ints mod p; its census row depends on nothing else.
+
+    An elliptic candidate (A != 0) is in the class of its normal form
+    Tgh(g, h), g = C + 2(a-1) - (2-B)^2/4 and h = c - (a-1)(C+a-1); in
+    characteristic 2, where the elliptic rule is a constraint error, all
+    are one class.  A reducible one is in the class of its outer tuple's
+    case, whether E = 0, whether a + d = 0 and whether the f_n(a, d) scan
+    closes its cycle; a zero of f_n makes it not_ttp whatever its case.
+    fn_nonvanishing runs once per distinct (a, d).
+    """
+    p = field.p
+    inv4 = pow(4, -1, p) if p != 2 else None
+    scans, cases = {}, {}
+
+    def key(a, b, c, outer):
+        e, d, A, B, C, E = outer
+        if A:
+            if inv4 is None:
+                return ("elliptic",)
+            return "elliptic", (C + 2 * (a - 1) - (2 - B) ** 2 * inv4) % p, (c - (a - 1) * (C + a - 1)) % p
+        scan = scans.get((a, d))
+        if scan is None:
+            report = fn_nonvanishing(field.scalar(a), field.scalar(d), bound)
+            scan = scans[a, d] = "zero" if not report.all_nonzero else "exact" if report.cycle_closed else "bounded"
+        if scan == "zero":
+            return ("fn_zero",)
+        case = cases.get(outer)
+        if case is None:
+            case = cases[outer] = reducible_case_id(ParamTuple3D.make(field, **_t_outer_values(outer)))
+        return "reducible", case, E == 0, (a + d) % p == 0, scan
+
+    return key
 
 
 def scan_row(task):
@@ -697,34 +805,49 @@ NOT_TTP_ROW = {"verdict": "not_ttp", "case": "-", "koszul": "-", "asreg": "-", "
 def t_census_rows(field, bound, blocks, workers, listing):
     """(row, multiplicity, text) triples whose fold is the T census of blocks.
 
-    Only the candidates of t_locus are classified.  Every other tuple is a
-    not_ttp row, counted in one triple when not listing.  When listing,
-    text is the --out lines of the triple's tuples, in scan order: the
-    off-locus lines of one (a, b, c) of a block are formatted straight
-    from its outer tuples and come as runs between the candidate rows.
+    Only the candidates of ttp_locus count: each is put in its class by
+    t_class_key, and one representative of each class is decided through
+    scan_row.  Every other tuple is a not_ttp row.  When not listing, each
+    class is one triple with its number of candidates, and the other
+    tuples one more.  When listing, every class is decided first; text is
+    then the --out lines of the triple's tuples, in scan order: each
+    candidate's line is written from its class's row, and the off-locus
+    lines of one (a, b, c) of a block are formatted straight from its outer
+    tuples and come as runs between them.
     """
-    size, candidates = t_locus(field.p, blocks)
-    rows = scan_rows([(field, "T", bound, values) for values in candidates], workers)
+    p, key = field.p, t_class_key(field, bound)
+    if listing:
+        located = [[(key(*candidate), candidate) for candidate in _block_locus(p, block)] for block in blocks]
+        keyed = [pair for block_keyed in located for pair in block_keyed]
+    else:
+        keyed = ((key(a, b, c, outer), (a, b, c, outer)) for block in blocks
+                 for _, outer in _locus_outers(p, block) for a, b, c in ttp_locus(p, outer, block.abc))
+    sizes, reps = Counter(), {}
+    for k, candidate in keyed:
+        sizes[k] += 1
+        reps.setdefault(k, candidate)
+    rows = dict(zip(reps, scan_rows([(field, "T", bound, _t_values(*c)) for c in reps.values()], workers)))
     if not listing:
-        yield from ((row, 1, "") for row in rows)
-        if size > len(candidates):
-            yield NOT_TTP_ROW, size - len(candidates), ""
+        yield from ((rows[k], n, "") for k, n in sizes.items())
+        rest = sum(map(_t_size, blocks)) - sum(sizes.values())
+        if rest:
+            yield NOT_TTP_ROW, rest, ""
         return
-    found = {}  # (a, b, c) -> {outer tuple (e, d, A, B, C, E): candidate row}
-    for values, row in zip(candidates, rows):
-        outer = tuple(values[n] for n in ("e", "d", "A", "B", "C", "E"))
-        found.setdefault((values["a"], values["b"], values["c"]), {})[outer] = row
     not_ttp = _row_tail(NOT_TTP_ROW)
-    for abc, outers in blocks:
+    for block, block_keyed in zip(blocks, located):
+        outers = _t_outers(block)
         index = {outer: k for k, outer in enumerate(outers)}
+        found = {}  # (a, b, c) -> [(outer index, class row)] of the block's candidates, in scan order
+        for k, (a, b, c, outer) in block_keyed:
+            found.setdefault((a, b, c), []).append((index[outer], rows[k]))
         tails = [_fmt_params(_t_outer_values(outer)) + not_ttp for outer in outers]
-        for a, b, c in product(*abc):
+        for a, b, c in product(*block.abc):
             head = f"a:{a},b:{b},c:{c},"
             start = 0
-            for k, row in sorted((index[o], row) for o, row in found.get((a, b, c), {}).items() if o in index):
+            for k, row in found.get((a, b, c), ()):
                 if k > start:
                     yield NOT_TTP_ROW, k - start, "".join([head + tail for tail in tails[start:k]])
-                yield row, 1, row["tuple"] + _row_tail(row)
+                yield row, 1, head + _fmt_params(_t_outer_values(outers[k])) + _row_tail(row)
                 start = k + 1
             if start < len(tails):
                 yield NOT_TTP_ROW, len(tails) - start, "".join([head + tail for tail in tails[start:]])

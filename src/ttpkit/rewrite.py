@@ -353,15 +353,23 @@ def _monic_rule(p):
 # S-differences
 #     G1 = NF(tail(z^2) z - z tail(z^2)),   G2 = NF(tail(z^2) y - z tail(zy)).
 # Their coefficients are integer polynomials in a, b, c, d, e, A, B, C, E,
-# tabled as word -> ((integer, monomial), ...); a monomial spells its
-# factors by coefficient name, and "" is 1.  Each table also lists the
-# integers it uses, so an evaluation coerces each of them once.
+# written as word -> ((integer, monomial), ...); a monomial spells its
+# factors by coefficient name, and "" is 1.  At import each table becomes
+# index form: a term is (integer, first, rest), with first and rest the
+# positions in _NAMES of the monomial's factors (first None for 1), and
+# the table lists the integers that an evaluation must coerce: those of
+# the constant terms, and every one but 1 and -1, which only sign a term.
 _YXZ = Alphabet(["y", "x", "z"])
+_NAMES = "abcdeABCE"
 
 
 def _table(rows):
-    rows = tuple((_YXZ.word(w), monomials) for w, monomials in rows)
-    return rows, tuple(sorted({k for _, monomials in rows for k, _ in monomials}))
+    rows = tuple(
+        (_YXZ.word(w), tuple((k, _NAMES.index(m[0]) if m else None, tuple(map(_NAMES.index, m[1:]))) for k, m in monomials))
+        for w, monomials in rows
+    )
+    integers = {k for _, terms in rows for k, first, _ in terms if first is None or k not in (1, -1)}
+    return rows, tuple(sorted(integers))
 
 
 _G1 = _table((
@@ -390,36 +398,43 @@ _G2 = _table((
 
 
 def _coefficients(table, field, values):
-    """(word, payload) of each row of a coefficient table, in row order, at coefficient payloads values[name].
+    """(word, payload) of each row of a coefficient table, in row order, at the coefficient payloads values, in _NAMES order.
 
     Rows are evaluated as they are read, so a caller that stops early pays
     only for the rows it read.
     """
     rows, integers = table
-    add, mul = field._add, field._mul
+    add, mul, neg = field._add, field._mul, field._neg
     consts = {k: field._coerce(k) for k in integers}
-    for word, monomials in rows:
+    for word, terms in rows:
         acc = None
-        for k, monomial in monomials:
-            t = consts[k]
-            for name in monomial:
-                t = mul(t, values[name])
+        for k, first, rest in terms:
+            if first is None:
+                t = consts[k]
+            else:
+                t = values[first]
+                for i in rest:
+                    t = mul(t, values[i])
+                if k == -1:
+                    t = neg(t)
+                elif k != 1:
+                    t = mul(consts[k], t)
             acc = t if acc is None else add(acc, t)
         yield word, acc
 
 
 def _evaluate_table(table, field, values):
-    """The NCPoly of a coefficient table at coefficient payloads values[name]."""
+    """The NCPoly of a coefficient table at the coefficient payloads values."""
     is0 = field._is_zero
     terms = {word: c for word, c in _coefficients(table, field, values) if not is0(c)}
     return NCPoly.from_payloads(_YXZ, field, terms)
 
 
 def _normalized_payloads(params):
-    """Coefficient payloads of an f = 1 normalized tuple, by name; ValueError for any other tuple."""
+    """Coefficient payloads of an f = 1 normalized tuple, in _NAMES order; ValueError for any other tuple."""
     if not (params.D.is_zero() and params.F.is_zero() and params.f == 1):
         raise ValueError("parameters must be normalized with D = F = 0 and f = 1")
-    return {name: getattr(params, name).payload for name in "abcdeABCE"}
+    return tuple(getattr(params, name).payload for name in _NAMES)
 
 
 def degree3_overlap_elements(params):

@@ -10,9 +10,13 @@ and the multiplication maps must agree with on systems complete through
 the degree, and ``random_reduce`` rewrites random redexes for confluence
 spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
-census decides it once per canonical class.  ``census_oracle`` is the
-census as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space``,
-where the T census classifies only the tuples on its locus;
+census decides it once per canonical class.  ``reference_t_blocks`` lists
+every outer tuple of the normalized T space and ``reference_t_locus``
+solves each one with ``ttp_locus``, where the census enumerates only the
+outer tuples that can carry a candidate.  ``census_oracle`` is the census
+as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space`` (of
+``reference_t_space`` for T), where the T census decides one candidate
+per class of its locus;
 ``census_text`` and ``census_counts`` give its ``--out`` text and its
 ``[machine]`` counts, and ``census_report`` its whole stdout.
 ``reference_orbit`` and ``reference_nonvanishing`` step the (e_n, f_n)
@@ -50,6 +54,7 @@ entry and do their arithmetic on Scalars, so they share no code with it.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 from ttpkit.classify import (
@@ -62,8 +67,9 @@ from ttpkit.classify import (
     graded_iso_type_2d,
     jordan_normal_form_3d,
     reducible_case_id,
+    ttp_locus,
 )
-from ttpkit.cli import ROW_FIELDS, ParseError, render, scan_row, scan_space
+from ttpkit.cli import ROW_FIELDS, ParseError, _scan_allowed, render, scan_row, scan_space
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
@@ -257,10 +263,76 @@ def reference_c_row(p, values, bound=50):
     }
 
 
+def reference_t_blocks(p, ranges):
+    """The normalized f = 1 T space over GF(p) as blocks (abc, outers), in scan order, every outer tuple listed.
+
+    A block holds the tuples with (a, b, c) in the product of the three
+    lists abc and an outer tuple (e, d, A, B, C, E) from outers, ordered by
+    (a, b, c) first.  The side conditions: D = F = 0, e in {0, 1}, A in
+    {0, 1} when e = 0, C in {0, 1} when e = A = 0, and E = d when e = 1;
+    each list keeps the order of the ranges.  Ranges that leave no tuple
+    are the same parse error as ``cli.t_blocks``.
+    """
+    allowed = _scan_allowed(p, "T", ranges)
+    es = allowed("e", [0, 1])
+    bad = [v for v in es if v not in (0, 1)]
+    if bad:
+        raise ParseError(f"--ranges gives e = {bad[0]}, but the normalized T space has e in {{0, 1}}")
+    abc = [allowed(n) for n in "abc"]
+    As = [A for A in allowed("A") if A in (0, 1)]
+    Cs = allowed("C")
+    C01 = {C for C in Cs if C in (0, 1)}
+    Es = allowed("E")
+    E_set = set(Es)
+    dEs = [d for d in allowed("d") if d in E_set]
+    empty = {0: None, 1: None}
+    if not As:
+        empty[0] = "A in {0, 1} when e = 0"
+    elif As == [0] and not C01:
+        empty[0] = "C in {0, 1} when e = A = 0"
+    if not dEs:
+        empty[1] = "E = d when e = 1"
+    if all(empty[e] for e in es):
+        why = " and ".join(empty[e] for e in es)
+        raise ParseError(f"--ranges leave no tuple of the normalized T space, which has {why}")
+    blocks = []
+    for e in es:
+        if e == 0:
+            dBCE = list(product(allowed("d"), allowed("B"), Cs, Es))
+            blocks += [(abc, [(0, d, A, B, C, E) for d, B, C, E in dBCE if A != 0 or C in C01]) for A in As]
+        else:
+            blocks.append((abc, [(1, d, A, B, C, d) for d, A, B, C in product(dEs, *map(allowed, "ABC"))]))
+    return blocks
+
+
+def reference_t_locus(p, blocks):
+    """(size, candidates) of reference T blocks: ttp_locus on every outer tuple, candidates (a, b, c, outer) in scan order."""
+    size, candidates = 0, []
+    for abc, outers in blocks:
+        size += len(outers) * len(abc[0]) * len(abc[1]) * len(abc[2])
+        pos = [{v: i for i, v in enumerate(values)} for values in abc]
+        found = sorted(((pos[0][a], pos[1][b], pos[2][c], k), (a, b, c, outer))
+                       for k, outer in enumerate(outers) for a, b, c in ttp_locus(p, outer, abc))
+        candidates += [candidate for _, candidate in found]
+    return size, candidates
+
+
+def reference_t_space(p, ranges):
+    """The values of every tuple of the reference T blocks, in scan order."""
+    for abc, outers in reference_t_blocks(p, ranges):
+        for a, b, c in product(*abc):
+            for e, d, A, B, C, E in outers:
+                yield dict(a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
+
+
 def census_oracle(p, family, ranges=None, bound=50):
-    """The census rows over GF(p) from scan_row on every tuple of scan_space, in scan order."""
+    """The census rows over GF(p) from scan_row on every tuple, in scan order.
+
+    The T tuples come from reference_t_space, the others from scan_space.
+    """
     field = PrimeField(p)
-    return [scan_row((field, family, bound, values)) for values in scan_space(p, family, ranges or {})]
+    space = reference_t_space(p, ranges or {}) if family == "T" else scan_space(p, family, ranges or {})
+    return [scan_row((field, family, bound, values)) for values in space]
 
 
 def census_text(rows):

@@ -1,12 +1,14 @@
 """The T census classifies only the tuples on its TTP locus.
 
-``classify.ttp_locus`` solves each outer tuple (e, d, A, B, C, E) of the
+``classify.ttp_locus`` solves an outer tuple (e, d, A, B, C, E) of the
 normalized f = 1 space for the (a, b, c) that can give a twisted tensor
-product, and the census sends only those to ``classify_3d``; every other
-tuple is a not_ttp row.  These tests hold the census to the per-tuple fold
-of ``helpers.census_oracle`` and pin the locus itself: a residual or an
-elliptic condition dropped from the solver only adds candidates, which the
-call counts catch.
+product.  The census passes it only the outer tuples that equations 1, 2
+and 4 and the elliptic plane leave open, and every other tuple is a not_ttp
+row.  These tests hold the census to the per-tuple fold of
+``helpers.census_oracle`` and the solved locus to ``helpers.reference_t_locus``,
+which solves every outer tuple, and pin the locus itself: a residual or an
+elliptic condition dropped from the solver or from the enumeration only
+adds candidates or calls, which the counts catch.
 """
 
 import io
@@ -16,10 +18,10 @@ from functools import cache
 from itertools import product
 
 import pytest
-from helpers import census_counts, census_oracle, census_text, parse_machine_block
+from helpers import census_counts, census_oracle, census_text, parse_machine_block, reference_t_blocks, reference_t_locus
 
 from ttpkit.classify import _ELLIPTIC_CONSTRAINTS, classify_3d, reducible_system_residuals, ttp_locus
-from ttpkit.cli import ParseError, parse_ranges, run, scan_space, t_blocks, t_locus
+from ttpkit.cli import ParseError, _t_outers, _t_values, parse_ranges, run, scan_space, t_blocks, t_locus
 from ttpkit.families import ParamTuple3D
 from ttpkit.scalars import PrimeField
 
@@ -58,18 +60,29 @@ def test_t_census_equals_the_per_tuple_oracle(p, tmp_path):
 
 def test_gf5_tuples_off_the_locus_are_not_ttp():
     _, candidates = t_locus(5, t_blocks(5, {}))
-    on_locus = {tuple(values.items()) for values in candidates}
+    on_locus = {tuple(_t_values(*candidate).items()) for candidate in candidates}
     off = [row for values, row in zip(scan_space(5, "T", {}), oracle(5, "")) if tuple(values.items()) not in on_locus]
     assert len(off) == 187500 - 1702
     assert {row["verdict"] for row in off} == {"not_ttp"}
 
 
+def check_locus(p, ranges):
+    """The solved locus of ranges over GF(p) has the size and candidates of the per-outer walk, in its order."""
+    assert t_locus(p, t_blocks(p, parse_ranges(ranges))) == reference_t_locus(p, reference_t_blocks(p, parse_ranges(ranges)))
+
+
+@pytest.mark.parametrize("p, ranges", [(3, ""), (5, ""), (7, ""), (2, "A=0")])
+def test_solved_locus_equals_the_per_outer_walk(p, ranges):
+    check_locus(p, ranges)
+
+
 @pytest.mark.parametrize("p, out, calls", [
-    (3, [], 270),
-    (3, ["--out", os.devnull], 270),  # listing every row classifies no more tuples
-    (5, [], 1702),
+    (3, [], 21),
+    (3, ["--out", os.devnull], 21),  # listing every row classifies no more tuples
+    (5, [], 37),
 ])
 def test_t_census_classifies_the_locus_only(p, out, calls, monkeypatch):
+    # one representative per class of the 270 and 1,702 candidates: p^2 elliptic classes and 12 reducible ones
     seen = []
 
     def counting(t, bound=50):
@@ -81,10 +94,34 @@ def test_t_census_classifies_the_locus_only(p, out, calls, monkeypatch):
     assert status == 0 and len(seen) == calls
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The outer tuples that the census passes to ttp_locus, in call order."""
+    import ttpkit.classify
+
+    calls = []
+
+    def counting(p, outer, abc):
+        calls.append(outer)
+        return ttpkit.classify.ttp_locus(p, outer, abc)
+
+    monkeypatch.setattr("ttpkit.cli.ttp_locus", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, calls", [(3, 42), (5, 110), (7, 210), (13, 702)])
+def test_t_census_solves_only_the_outer_tuples_that_can_carry_a_candidate(p, calls, solved):
+    # 4p^2 + 2p: p^2 on the elliptic plane, 2p^2 at e = A = E = 0 and p^2 at
+    # e = 1, d = E = 0, then 2p - 1 at e = A = 0, E != 0 and one at e = 1, d = E = 1
+    status, out = invoke(["scan", "--field", f"GF({p})", "--family", "T"])
+    assert status == 0 and len(solved) == calls == 4 * p * p + 2 * p
+    assert len(set(solved)) == calls
+
+
 def test_locus_at_A_0_is_the_common_zeros_of_the_reducible_system():
     field = PrimeField(5)
     abc = [list(range(5))] * 3
-    outers = [outer for _, outers in t_blocks(5, {}) for outer in outers if outer[2] == 0]
+    outers = [outer for block in t_blocks(5, {}) for outer in _t_outers(block) if outer[2] == 0]
     assert len(outers) == 5**3 * 2 + 5**3  # e = 0 with C in {0, 1}, and e = 1 with E = d
     for e, d, A, B, C, E in outers:
         zeros = [
@@ -133,7 +170,9 @@ def _draw(rng, p, fixed):
 def test_t_census_under_ranges_equals_the_oracle(p, fixed, tmp_path):
     rng = random.Random(p * 100 + len(fixed) * 10 + int(fixed.get("e", 2)))
     for _ in range(3):
-        check_census(tmp_path, p, _draw(rng, p, fixed))
+        ranges = _draw(rng, p, fixed)
+        check_locus(p, ranges)
+        check_census(tmp_path, p, ranges)
 
 
 @pytest.mark.parametrize("ranges", ["e=1,A=1|2,a=0,b=1", "e=0,A=1,d=0,a=2", "e=0,A=0,E=1,B=1,C=1,c=2"])

@@ -685,6 +685,88 @@ def test_gf3_t_census_rows_are_pinned(tmp_path):
     assert status == 0 and hashlib.sha256(path.read_bytes()).hexdigest() == GF3_T_CENSUS_SHA256
 
 
+# The [machine] counts and bounded-row note of the full GF(7), GF(11) and
+# GF(13) T censuses, and the SHA-256 of the GF(7) --out rows, as the census
+# wrote them when it solved every outer tuple and classified every candidate
+T_CENSUS_COUNTS = {
+    7: {
+        "count_elliptic:-:koszul:regular": "2058",
+        "count_elliptic:-:not_koszul:not_regular": "343",
+        "count_not_ttp:-:-:-": "1877992",
+        "count_reducible:i:koszul:not_regular": "33",
+        "count_reducible:ii:koszul:not_regular": "294",
+        "count_reducible:ii:koszul:regular": "882",
+        "count_reducible:iii:koszul:regular": "294",
+        "count_reducible:iv:koszul:not_regular": "33",
+        "count_reducible:v:koszul:regular": "294",
+        "count_reducible:vi:koszul:not_regular": "14",
+        "count_reducible:vii:koszul:not_regular": "49",
+        "count_reducible:vii:koszul:regular": "98",
+        "total": "1882384",
+    },
+    11: {
+        "count_elliptic:-:koszul:regular": "13310",
+        "count_elliptic:-:not_koszul:not_regular": "1331",
+        "count_not_ttp:-:-:-": "42492140",
+        "count_reducible:i:koszul:not_regular": "67",
+        "count_reducible:ii:koszul:not_regular": "1210",
+        "count_reducible:ii:koszul:regular": "6292",
+        "count_reducible:iii:koszul:regular": "1210",
+        "count_reducible:iv:koszul:not_regular": "67",
+        "count_reducible:v:koszul:regular": "1210",
+        "count_reducible:vi:koszul:not_regular": "22",
+        "count_reducible:vii:koszul:not_regular": "121",
+        "count_reducible:vii:koszul:regular": "484",
+        "total": "42517464",
+    },
+    13: {
+        "count_elliptic:-:koszul:regular": "26364",
+        "count_elliptic:-:not_koszul:not_regular": "2197",
+        "count_not_ttp:-:-:-": "135103438",
+        "count_reducible:i:koszul:not_regular": "103",
+        "count_reducible:ii:koszul:not_regular": "2028",
+        "count_reducible:ii:koszul:regular": "11323",
+        "count_reducible:iii:koszul:regular": "2028",
+        "count_reducible:iv:koszul:not_regular": "103",
+        "count_reducible:v:koszul:regular": "2028",
+        "count_reducible:vi:koszul:not_regular": "26",
+        "count_reducible:vii:koszul:not_regular": "169",
+        "count_reducible:vii:koszul:regular": "845",
+        "total": "135150652",
+    },
+}
+T_CENSUS_BOUNDED = {7: 0, 11: 484, 13: 1352}
+GF7_T_CENSUS_SHA256 = "8e0d81ce0d5edd19f2ea4329de1090c251164e6cf1a3c2dd6fd54875edc286a4"
+
+
+@pytest.mark.parametrize("p", sorted(T_CENSUS_COUNTS))
+def test_t_census_counts_are_pinned(p):
+    status, out = invoke(["scan", "--field", f"GF({p})", "--family", "T"])
+    machine = parse_machine_block(out)
+    assert status == 0
+    assert {k: v for k, v in machine.items() if k == "total" or k.startswith("count_")} == T_CENSUS_COUNTS[p]
+    notes = [line for line in out.splitlines() if "certified only to the scan bound" in line]
+    bounded = T_CENSUS_BOUNDED[p]
+    assert notes == ([f"note: {bounded} tuples certified only to the scan bound N=50"] if bounded else [])
+
+
+def test_gf7_t_census_rows_are_pinned(monkeypatch):
+    # 1,882,384 lines, 128 MB: hashed as they are written instead of stored
+    sha = hashlib.sha256()
+
+    class HashingFile:
+        def write(self, text):
+            sha.update(text.encode())
+
+    @contextlib.contextmanager
+    def hashing_out(path):
+        yield HashingFile()
+
+    monkeypatch.setattr("ttpkit.cli.open_out", hashing_out)
+    status, _ = invoke(["scan", "--field", "GF(7)", "--family", "T", "--out", "rows.tsv"])
+    assert status == 0 and sha.hexdigest() == GF7_T_CENSUS_SHA256
+
+
 def test_t_census_reads_g1_on_elliptic_rows_only(monkeypatch):
     import ttpkit.classify
 
@@ -706,7 +788,7 @@ def test_t_census_reads_g1_on_elliptic_rows_only(monkeypatch):
     machine = parse_machine_block(out)
     elliptic = sum(int(n) for key, n in machine.items() if key.startswith("count_elliptic:"))
     assert status == 0 and machine["total"] == "5832" and elliptic == 81
-    assert len(overlaps) == elliptic
+    assert len(overlaps) == 9  # one per elliptic class Tgh(g, h)
     assert fields == [3]
 
 
