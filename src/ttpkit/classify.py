@@ -8,8 +8,9 @@ Three-generator side: normalization of the twelve coefficients (kill the
 z^2 coefficient of the second image, Jordan form of the degree-1 matrix,
 then A and C rescales), followed by the Ore / reducible / elliptic
 trichotomy with concrete counterexample witnesses on failure.  The same
-trichotomy, solved in ints mod p, gives ttp_locus: the only tuples of
-the normalized f = 1 space that a census needs to classify.
+trichotomy, solved in ints mod p, gives ttp_locus: it solves a whole block
+of the normalized f = 1 space and yields the only tuples of it that a
+census needs to classify; the census writes none of its equations.
 """
 
 from __future__ import annotations
@@ -179,12 +180,6 @@ def jordan_matrix(field):
     """phi-matrix of zx - xz - z^2."""
     one = field._coerce(1)
     return _phi_matrix(field, field._coerce(0), one, one)
-
-
-def c_matrix(a, b):
-    """phi-matrix of zx - a x^2 - b xz - z^2."""
-    field = a.field
-    return _phi_matrix(field, a.payload, b.payload, field._coerce(1))
 
 
 @dataclass(frozen=True)
@@ -513,48 +508,65 @@ def reducible_system_residuals(p):
     ]
 
 
-def ttp_locus(p, outer, abc):
-    """The (a, b, c) that can make a normalized f = 1 tuple a twisted tensor product, in ints mod p.
+def ttp_locus(p, e, axes, abc):
+    """(outer, candidates) for each outer tuple of a T block that can carry a twisted tensor product, in ints mod p.
 
-    outer is (e, d, A, B, C, E), and abc = (as, bs, cs) lists the values
-    that a, b and c may take; the candidates come in product order.
+    The block holds the normalized f = 1 tuples with (a, b, c) in the
+    product of the lists abc and an outer tuple (e, d, A, B, C, E) with
+    (d, A, B, C, E) in the product of the lists axes; the E axis is None
+    where E = d (the block at e = 1).  Every value is a residue in
+    range(p).  The outer tuples come in the product order of axes, each
+    with its candidates (a, b, c) in the product order of abc, and an outer
+    tuple with no candidate is left out.
 
     The first coefficient of G2 is -A.  So A != 0 leaves only the elliptic
-    plane e = 0, d = -1, A = 1, E = -1, b = (1-a)(2-B).  A = 0 leaves
-    G2 = 0, that is the six equations of reducible_system_residuals: 1, 2
-    and 4 read no a, b or c, and 3, 5 and 6 are linear in a, b and c with
-    the one coefficient 1 - E^2.  Where it vanishes the coordinate runs
-    over all of its values.  The locus only chooses candidates: classify_3d
-    decides each one, and every tuple outside it has G2 != 0 and fails an
-    elliptic constraint.
+    plane e = 0, d = -1, A = 1, E = -1, b = (1-a)(2-B), with B, C, a and c
+    free.  A = 0 leaves G2 = 0, that is the six equations of
+    reducible_system_residuals.  Equations 1, 2 and 4 read no a, b or c:
+    they hold at E = 0, and at E != 0 they are B = 1 - E,
+    (E - 1)(d + 1) = 0 and C(1 + E) = e(E - 1).  Equations 3, 5 and 6 are
+    linear in a, b and c with the one coefficient 1 - E^2; where it
+    vanishes the coordinate runs over all of its values.  The locus only
+    chooses candidates: classify_3d decides each one, and every tuple
+    outside it has G2 != 0 and fails an elliptic constraint.
     """
-    e, d, A, B, C, E = outer
+    ds, As, Bs, Cs, Es = axes
     as_, bs, cs = abc
-    if A:
-        if e or (A - 1) % p or (d + 1) % p or (E + 1) % p:
-            return []
-        out = []
-        for a in as_:
-            b = (1 - a) * (2 - B) % p
-            if b in bs:
-                out += [(a, b, c) for c in cs]
-        return out
-    if E * (1 - B - E) % p or E * (d * E - d - B) % p or E * (C + C * E + e - e * E) % p:
-        return []
-    k = (1 - E * E) % p
+    # positions of B, C and E in their axes; E runs over d's values where E = d
+    at = [{v: i for i, v in enumerate(axis)} for axis in (Bs, Cs, ds if Es is None else Es)]
 
-    def solve(rhs, values):
+    def solve(k, rhs, values):
         # the values v with k v = rhs
-        if not k:
-            return [] if rhs % p else values
-        v = rhs * pow(k, -1, p) % p
-        return [v] if v in values else []
+        if k % p:
+            v = rhs * pow(k, -1, p) % p
+            return [v] if v in values else []
+        return [] if rhs % p else values
 
-    return list(product(
-        solve(B * (1 - d - B), as_),
-        solve(C * (1 - d - 2 * B - B * E) - e * B, bs),
-        solve(-(1 + E) * C * C - e * C, cs),
-    ))
+    for d, A in product(ds, As):
+        if A:
+            if e or A != 1 or d != p - 1:
+                continue
+            BCEs = product(Bs, Cs, solve(1, -1, Es))
+        else:
+            BCEs = []
+            for E in ([d] if Es is None else Es):
+                if not E:
+                    BCEs += product(Bs, Cs, [E])
+                elif (E - 1) * (d + 1) % p == 0:
+                    BCEs += product(solve(1, 1 - E, Bs), solve(1 + E, e * (E - 1), Cs), [E])
+            BCEs.sort(key=lambda BCE: [pos[v] for pos, v in zip(at, BCE)])
+        for B, C, E in BCEs:
+            if A:
+                candidates = [(a, b, c) for a in as_ for b in solve(1, (1 - a) * (2 - B), bs) for c in cs]
+            else:
+                k = 1 - E * E
+                candidates = list(product(
+                    solve(k, B * (1 - d - B), as_),
+                    solve(k, C * (1 - d - 2 * B - B * E) - e * B, bs),
+                    solve(k, -(1 + E) * C * C - e * C, cs),
+                ))
+            if candidates:
+                yield (e, d, A, B, C, E), candidates
 
 
 # What a nonzero second obstruction forces, in the order they are tested; a

@@ -9,11 +9,13 @@ malformed input, 2 for constraint violations (wrong family, bad
 characteristic, a radicand over Q past the trial-division bound).
 asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
-A T census solves only the outer tuples that can carry a candidate of
-classify.ttp_locus, decides one candidate per class of that locus and
-counts every other tuple as not_ttp; it builds and formats those only
-when --out lists them.  A C census decides each canonical class of
-C(a,b,c) once and counts the tuples of each class.
+A C or T census goes through one decide-and-fold, census_rows: it
+decides one representative per class through scan_row and counts each
+class with its multiplicity.  The classes of a C census are the canonical
+classes of C(a,b,c); those of a T census hold the candidates that
+classify.ttp_locus yields, and every other T tuple is counted as not_ttp
+and built and formatted only when --out lists it.  A Tgh census decides
+each tuple as it comes.
 """
 
 from __future__ import annotations
@@ -614,59 +616,6 @@ def scan_space(p, family, ranges):
     return _t_tuples(t_blocks(p, ranges))
 
 
-def _solve(p, k, rhs, values):
-    """(position, v) of each v in values with k v = rhs mod p."""
-    return [(i, v) for i, v in enumerate(values) if (k * v - rhs) % p == 0]
-
-
-def _locus_outers(p, block):
-    """(positions, outer) of each outer tuple of block that can carry a candidate of classify.ttp_locus.
-
-    positions index the outer tuple in block.axes, so they sort outer
-    tuples in scan order.  Equations 1, 2 and 4 and the elliptic plane read
-    no a, b or c, and they decide which outer tuples these are:
-    - A != 0: only e = 0, A = 1, d = -1, E = -1, with B and C free;
-    - A = 0, E = 0: d, B and C are free;
-    - A = 0, E != 0: B = 1 - E, (E - 1)(d + 1) = 0 and C(1 + E) = e(E - 1).
-    """
-    e, (ds, As, Bs, Cs, Es) = block.e, block.axes
-    free = list(product(enumerate(Bs), enumerate(Cs)))
-    # (position, value) of d and of E; E = d at e = 1
-    pairs = list(product(enumerate(ds), enumerate(Es))) if Es is not None else [(x, (0, x[1])) for x in enumerate(ds)]
-    for i_A, A in enumerate(As):
-        for (i_d, d), (i_E, E) in pairs:
-            if A:  # A = 1 where e = 0
-                if e or d != p - 1 or E != p - 1:
-                    continue
-                BCs = free
-            elif not E:
-                BCs = free
-            elif (E - 1) * (d + 1) % p:
-                continue
-            else:
-                BCs = product(_solve(p, 1, 1 - E, Bs), _solve(p, 1 + E, e * (E - 1), Cs))
-            for (i_B, B), (i_C, C) in BCs:
-                yield (i_d, i_A, i_B, i_C, i_E), (e, d, A, B, C, E)
-
-
-def _block_locus(p, block):
-    """The candidates (a, b, c, outer) of block, in scan order: (a, b, c) first, then the outer tuple."""
-    pos = [{v: i for i, v in enumerate(values)} for values in block.abc]
-    found = sorted(((pos[0][a], pos[1][b], pos[2][c], *where), (a, b, c, outer))
-                   for where, outer in _locus_outers(p, block) for a, b, c in ttp_locus(p, outer, block.abc))
-    return [candidate for _, candidate in found]
-
-
-def t_locus(p, blocks):
-    """(size, candidates): the number of tuples in the T blocks, and those on the TTP locus in scan order.
-
-    Each candidate is (a, b, c, outer).  classify.ttp_locus solves only the
-    outer tuples of _locus_outers; every other tuple is not a twisted
-    tensor product.
-    """
-    return sum(map(_t_size, blocks)), [candidate for block in blocks for candidate in _block_locus(p, block)]
-
-
 def t_class_key(field, bound):
     """key(a, b, c, outer): the class of a T locus candidate, in ints mod p; its census row depends on nothing else.
 
@@ -802,55 +751,41 @@ def open_out(path):
 NOT_TTP_ROW = {"verdict": "not_ttp", "case": "-", "koszul": "-", "asreg": "-", "certified_to": "exact"}
 
 
-def t_census_rows(field, bound, blocks, workers, listing):
-    """(row, multiplicity, text) triples whose fold is the T census of blocks.
+def _t_census(field, bound, ranges):
+    """(size, classes, values, walk) of the T census of ranges; see census_rows.
 
-    Only the candidates of ttp_locus count: each is put in its class by
-    t_class_key, and one representative of each class is decided through
-    scan_row.  Every other tuple is a not_ttp row.  When not listing, each
-    class is one triple with its number of candidates, and the other
-    tuples one more.  When listing, every class is decided first; text is
-    then the --out lines of the triple's tuples, in scan order: each
-    candidate's line is written from its class's row, and the off-locus
-    lines of one (a, b, c) of a block are formatted straight from its outer
-    tuples and come as runs between them.
+    The classes are those that t_class_key puts the candidates of
+    ttp_locus in, each candidate a representative of multiplicity 1; every
+    other tuple is not_ttp.  The walk writes each candidate's line from its
+    class's row, and the off-locus lines of one (a, b, c) of a block
+    straight from its outer tuples, as runs between them.
     """
-    p, key = field.p, t_class_key(field, bound)
-    if listing:
-        located = [[(key(*candidate), candidate) for candidate in _block_locus(p, block)] for block in blocks]
-        keyed = [pair for block_keyed in located for pair in block_keyed]
-    else:
-        keyed = ((key(a, b, c, outer), (a, b, c, outer)) for block in blocks
-                 for _, outer in _locus_outers(p, block) for a, b, c in ttp_locus(p, outer, block.abc))
-    sizes, reps = Counter(), {}
-    for k, candidate in keyed:
-        sizes[k] += 1
-        reps.setdefault(k, candidate)
-    rows = dict(zip(reps, scan_rows([(field, "T", bound, _t_values(*c)) for c in reps.values()], workers)))
-    if not listing:
-        yield from ((rows[k], n, "") for k, n in sizes.items())
-        rest = sum(map(_t_size, blocks)) - sum(sizes.values())
-        if rest:
-            yield NOT_TTP_ROW, rest, ""
-        return
-    not_ttp = _row_tail(NOT_TTP_ROW)
-    for block, block_keyed in zip(blocks, located):
-        outers = _t_outers(block)
-        index = {outer: k for k, outer in enumerate(outers)}
-        found = {}  # (a, b, c) -> [(outer index, class row)] of the block's candidates, in scan order
-        for k, (a, b, c, outer) in block_keyed:
-            found.setdefault((a, b, c), []).append((index[outer], rows[k]))
-        tails = [_fmt_params(_t_outer_values(outer)) + not_ttp for outer in outers]
-        for a, b, c in product(*block.abc):
-            head = f"a:{a},b:{b},c:{c},"
-            start = 0
-            for k, row in found.get((a, b, c), ()):
-                if k > start:
-                    yield NOT_TTP_ROW, k - start, "".join([head + tail for tail in tails[start:k]])
-                yield row, 1, head + _fmt_params(_t_outer_values(outers[k])) + _row_tail(row)
-                start = k + 1
-            if start < len(tails):
-                yield NOT_TTP_ROW, len(tails) - start, "".join([head + tail for tail in tails[start:]])
+    p, blocks, key = field.p, t_blocks(field.p, ranges), t_class_key(field, bound)
+
+    def walk(rows):
+        not_ttp = _row_tail(NOT_TTP_ROW)
+        for block in blocks:
+            outers = _t_outers(block)
+            index = {outer: k for k, outer in enumerate(outers)}
+            found = {}  # (a, b, c) -> [(outer index, class row)] of the block's candidates, in scan order
+            for outer, candidates in ttp_locus(p, block.e, block.axes, block.abc):
+                for a, b, c in candidates:
+                    found.setdefault((a, b, c), []).append((index[outer], rows[key(a, b, c, outer)]))
+            tails = [_fmt_params(_t_outer_values(outer)) + not_ttp for outer in outers]
+            for a, b, c in product(*block.abc):
+                head = f"a:{a},b:{b},c:{c},"
+                start = 0
+                for k, row in found.get((a, b, c), ()):
+                    if k > start:
+                        yield NOT_TTP_ROW, k - start, "".join([head + tail for tail in tails[start:k]])
+                    yield row, 1, head + _fmt_params(_t_outer_values(outers[k])) + _row_tail(row)
+                    start = k + 1
+                if start < len(tails):
+                    yield NOT_TTP_ROW, len(tails) - start, "".join([head + tail for tail in tails[start:]])
+
+    classes = ((key(a, b, c, outer), (a, b, c, outer), 1) for block in blocks
+               for outer, candidates in ttp_locus(p, block.e, block.axes, block.abc) for a, b, c in candidates)
+    return sum(map(_t_size, blocks)), classes, lambda candidate: _t_values(*candidate), walk
 
 
 def _c_head(p, a, c):
@@ -858,34 +793,60 @@ def _c_head(p, a, c):
     return (a * c % p, 1) if c else (1, 0) if a else (0, 0)
 
 
-def c_census_rows(field, bound, ranges, workers, listing):
-    """(row, multiplicity, text) triples whose fold is the C census of ranges, as an iterator.
+def _c_census(field, bound, ranges):
+    """(size, classes, values, walk) of the C census of ranges; see census_rows.
 
     A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
     C(0,b,0) of its tuple.  One pass over the a and c residues, in ints
     mod p, gives each class head with the number of (a, c) pairs that map
-    to it; crossed with the b residues these are the classes, and each is
-    decided once.  When listing, every class is decided first, then the
-    tuples are walked in scan order, each line written from its class's
-    row.  The ranges are checked before the iterator is returned.
+    to it; crossed with the b residues these are the classes, each its own
+    representative.  The walk writes each tuple's line from its class's row.
     """
     p = field.p
-    allowed = _scan_allowed(p, "C", ranges)
-    axes = [allowed(n) for n in "abc"]
+    axes = list(map(_scan_allowed(p, "C", ranges), "abc"))
     heads = Counter(_c_head(p, a, c) for a in axes[0] for c in axes[2])
-    classes = [(a, b, c) for a, c in heads for b in axes[1]]
-    rows = scan_rows([(field, "C", bound, dict(a=a, b=b, c=c)) for a, b, c in classes], workers)
-    if not listing:
-        return ((row, heads[a, c], "") for (a, _, c), row in zip(classes, rows))
 
-    def listed():
-        decided = {cls: (row, _row_tail(row)) for cls, row in zip(classes, rows)}
+    def walk(rows):
+        decided = {cls: (row, _row_tail(row)) for cls, row in rows.items()}
         for a, b, c in product(*axes):
             ha, hc = _c_head(p, a, c)
             row, tail = decided[ha, b, hc]
             yield row, 1, f"a:{a},b:{b},c:{c}{tail}"
 
-    return listed()
+    classes = (((a, b, c), (a, b, c), n) for (a, c), n in heads.items() for b in axes[1])
+    return math.prod(map(len, axes)), classes, lambda cls: dict(zip("abc", cls)), walk
+
+
+def census_rows(field, bound, family, ranges, workers, listing):
+    """(row, multiplicity, text) triples whose fold is the C or T census of ranges, as an iterator.
+
+    The family gives the number of its tuples, its classes as (key,
+    representative, multiplicity) and a walk for --out.  The first
+    representative of each class is decided through scan_row, in one
+    scan_rows call, and is the row of its whole class.  When not listing,
+    each class is one triple with its multiplicity, and the tuples outside
+    every class one not_ttp triple more.  When listing, every class is
+    decided first; the walk then yields text, the --out lines of its
+    triple's tuples, in scan order.  The ranges are checked before the
+    iterator is returned.
+    """
+    size, classes, values, walk = (_t_census if family == "T" else _c_census)(field, bound, ranges)
+
+    def fold():
+        sizes, reps = Counter(), {}
+        for key, rep, n in classes:
+            sizes[key] += n
+            reps.setdefault(key, rep)
+        rows = dict(zip(reps, scan_rows([(field, family, bound, values(rep)) for rep in reps.values()], workers)))
+        if listing:
+            yield from walk(rows)
+            return
+        yield from ((rows[key], n, "") for key, n in sizes.items())
+        rest = size - sum(sizes.values())
+        if rest:
+            yield NOT_TTP_ROW, rest, ""
+
+    return fold()
 
 
 def cmd_scan(args):
@@ -897,10 +858,8 @@ def cmd_scan(args):
     ranges = parse_ranges(args.ranges)
     listing = bool(args.out)
     # the ranges are checked here, before --out is opened
-    if args.family == "T":
-        rows = t_census_rows(field, args.bound, t_blocks(field.p, ranges), args.workers, listing)
-    elif args.family == "C":
-        rows = c_census_rows(field, args.bound, ranges, args.workers, listing)
+    if args.family in ("C", "T"):
+        rows = census_rows(field, args.bound, args.family, ranges, args.workers, listing)
     else:
         tasks = ((field, args.family, args.bound, values) for values in scan_space(field.p, args.family, ranges))
         rows = ((row, 1, row["tuple"] + _row_tail(row) if listing else "") for row in scan_rows(tasks, args.workers))

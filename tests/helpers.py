@@ -12,9 +12,11 @@ spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
 census decides it once per canonical class.  ``reference_t_blocks`` lists
 every outer tuple of the normalized T space and ``reference_t_locus``
-solves each one with ``ttp_locus``, where the census enumerates only the
-outer tuples that can carry a candidate.  ``census_oracle`` is the census
-as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space`` (of
+solves each one with ``reference_ttp_locus``, the former per-outer
+solver, where the census has ``ttp_locus`` solve a whole block and yield
+only the outer tuples that can carry a candidate; ``solved_t_locus``
+lists what that block solver yields in scan order.  ``census_oracle`` is
+the census as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space`` (of
 ``reference_t_space`` for T), where the T census decides one candidate
 per class of its locus;
 ``census_text`` and ``census_counts`` give its ``--out`` text and its
@@ -69,7 +71,7 @@ from ttpkit.classify import (
     reducible_case_id,
     ttp_locus,
 )
-from ttpkit.cli import ROW_FIELDS, ParseError, _scan_allowed, render, scan_row, scan_space
+from ttpkit.cli import ROW_FIELDS, ParseError, _scan_allowed, _t_size, render, scan_row, scan_space
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
@@ -305,16 +307,75 @@ def reference_t_blocks(p, ranges):
     return blocks
 
 
+def reference_ttp_locus(p, outer, abc):
+    """The (a, b, c) that can make a normalized f = 1 tuple a twisted tensor product, in ints mod p.
+
+    outer is (e, d, A, B, C, E), and abc = (as, bs, cs) lists the values
+    that a, b and c may take; the candidates come in product order.
+
+    The first coefficient of G2 is -A.  So A != 0 leaves only the elliptic
+    plane e = 0, d = -1, A = 1, E = -1, b = (1-a)(2-B).  A = 0 leaves
+    G2 = 0, that is the six equations of reducible_system_residuals: 1, 2
+    and 4 read no a, b or c, and 3, 5 and 6 are linear in a, b and c with
+    the one coefficient 1 - E^2.  Where it vanishes the coordinate runs
+    over all of its values.  The locus only chooses candidates: classify_3d
+    decides each one, and every tuple outside it has G2 != 0 and fails an
+    elliptic constraint.
+    """
+    e, d, A, B, C, E = outer
+    as_, bs, cs = abc
+    if A:
+        if e or (A - 1) % p or (d + 1) % p or (E + 1) % p:
+            return []
+        out = []
+        for a in as_:
+            b = (1 - a) * (2 - B) % p
+            if b in bs:
+                out += [(a, b, c) for c in cs]
+        return out
+    if E * (1 - B - E) % p or E * (d * E - d - B) % p or E * (C + C * E + e - e * E) % p:
+        return []
+    k = (1 - E * E) % p
+
+    def solve(rhs, values):
+        # the values v with k v = rhs
+        if not k:
+            return [] if rhs % p else values
+        v = rhs * pow(k, -1, p) % p
+        return [v] if v in values else []
+
+    return list(product(
+        solve(B * (1 - d - B), as_),
+        solve(C * (1 - d - 2 * B - B * E) - e * B, bs),
+        solve(-(1 + E) * C * C - e * C, cs),
+    ))
+
+
+def _scan_ordered(abc, found):
+    """The candidates (a, b, c, outer) of a block in scan order, from (outer position, (a, b, c), outer) triples."""
+    pos = [{v: i for i, v in enumerate(values)} for values in abc]
+    return [candidate for _, candidate in sorted(((pos[0][a], pos[1][b], pos[2][c], k), (a, b, c, outer))
+                                                 for k, (a, b, c), outer in found)]
+
+
 def reference_t_locus(p, blocks):
-    """(size, candidates) of reference T blocks: ttp_locus on every outer tuple, candidates (a, b, c, outer) in scan order."""
+    """(size, candidates) of reference T blocks: reference_ttp_locus on every outer tuple, candidates (a, b, c, outer) in scan order."""
     size, candidates = 0, []
     for abc, outers in blocks:
         size += len(outers) * len(abc[0]) * len(abc[1]) * len(abc[2])
-        pos = [{v: i for i, v in enumerate(values)} for values in abc]
-        found = sorted(((pos[0][a], pos[1][b], pos[2][c], k), (a, b, c, outer))
-                       for k, outer in enumerate(outers) for a, b, c in ttp_locus(p, outer, abc))
-        candidates += [candidate for _, candidate in found]
+        candidates += _scan_ordered(abc, [(k, candidate, outer) for k, outer in enumerate(outers)
+                                          for candidate in reference_ttp_locus(p, outer, abc)])
     return size, candidates
+
+
+def solved_t_locus(p, blocks):
+    """(size, candidates) of census T blocks as the block solver ttp_locus yields them, candidates in scan order."""
+    candidates = []
+    for block in blocks:
+        solved = ttp_locus(p, block.e, block.axes, block.abc)
+        candidates += _scan_ordered(block.abc, [(k, candidate, outer) for k, (outer, found) in enumerate(solved)
+                                                for candidate in found])
+    return sum(map(_t_size, blocks)), candidates
 
 
 def reference_t_space(p, ranges):

@@ -1,9 +1,9 @@
 """The C census decides each canonical class once and counts its tuples.
 
 A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
-C(0,b,0) of its tuple, so ``cli.c_census_rows`` finds the class heads in
-ints mod p, decides each class through ``scan_row`` and folds it with the
-number of tuples it stands for.  These tests hold the report, the --out
+C(0,b,0) of its tuple, so the C census finds the class heads in ints
+mod p, and ``cli.census_rows`` decides each class through ``scan_row``
+and folds it with the number of tuples it stands for.  These tests hold the report, the --out
 rows and the notes to the per-tuple fold of ``helpers.census_oracle``,
 and count the decisions: one ``classify_2d_ttp`` call per class.  The
 --out rows of the full GF(11) and GF(13) cubes are pinned by SHA-256, so

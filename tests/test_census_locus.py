@@ -1,14 +1,15 @@
 """The T census classifies only the tuples on its TTP locus.
 
-``classify.ttp_locus`` solves an outer tuple (e, d, A, B, C, E) of the
-normalized f = 1 space for the (a, b, c) that can give a twisted tensor
-product.  The census passes it only the outer tuples that equations 1, 2
-and 4 and the elliptic plane leave open, and every other tuple is a not_ttp
-row.  These tests hold the census to the per-tuple fold of
-``helpers.census_oracle`` and the solved locus to ``helpers.reference_t_locus``,
-which solves every outer tuple, and pin the locus itself: a residual or an
-elliptic condition dropped from the solver or from the enumeration only
-adds candidates or calls, which the counts catch.
+``classify.ttp_locus`` solves a whole block of the normalized f = 1 space:
+equations 1, 2 and 4 and the elliptic plane choose the outer tuples
+(e, d, A, B, C, E) that can carry a candidate, and equations 3, 5 and 6
+their (a, b, c).  It yields only those outer tuples, each with its
+candidates, and every other tuple is a not_ttp row.  These tests hold the
+census to the per-tuple fold of ``helpers.census_oracle`` and the solved
+locus to ``helpers.reference_t_locus``, which solves every outer tuple with
+the former per-outer solver, and pin the locus itself: a residual or an
+elliptic condition dropped from the solver only adds candidates or solved
+outer tuples, which the counts catch.
 """
 
 import io
@@ -18,12 +19,21 @@ from functools import cache
 from itertools import product
 
 import pytest
-from helpers import census_counts, census_oracle, census_text, parse_machine_block, reference_t_blocks, reference_t_locus
+from helpers import (
+    census_counts,
+    census_oracle,
+    census_text,
+    parse_machine_block,
+    reference_t_blocks,
+    reference_t_locus,
+    solved_t_locus,
+)
 
-from ttpkit.classify import _ELLIPTIC_CONSTRAINTS, classify_3d, reducible_system_residuals, ttp_locus
-from ttpkit.cli import ParseError, _t_outers, _t_values, parse_ranges, run, scan_space, t_blocks, t_locus
+from ttpkit.classify import _ELLIPTIC_CONSTRAINTS, classify_3d, reducible_case_id, reducible_system_residuals, ttp_locus
+from ttpkit.cli import ParseError, _t_outers, _t_values, parse_ranges, run, scan_space, t_blocks
 from ttpkit.families import ParamTuple3D
 from ttpkit.scalars import PrimeField
+from ttpkit.sequences import efgh
 
 
 def invoke(argv):
@@ -59,7 +69,7 @@ def test_t_census_equals_the_per_tuple_oracle(p, tmp_path):
 
 
 def test_gf5_tuples_off_the_locus_are_not_ttp():
-    _, candidates = t_locus(5, t_blocks(5, {}))
+    _, candidates = solved_t_locus(5, t_blocks(5, {}))
     on_locus = {tuple(_t_values(*candidate).items()) for candidate in candidates}
     off = [row for values, row in zip(scan_space(5, "T", {}), oracle(5, "")) if tuple(values.items()) not in on_locus]
     assert len(off) == 187500 - 1702
@@ -68,7 +78,7 @@ def test_gf5_tuples_off_the_locus_are_not_ttp():
 
 def check_locus(p, ranges):
     """The solved locus of ranges over GF(p) has the size and candidates of the per-outer walk, in its order."""
-    assert t_locus(p, t_blocks(p, parse_ranges(ranges))) == reference_t_locus(p, reference_t_blocks(p, parse_ranges(ranges)))
+    assert solved_t_locus(p, t_blocks(p, parse_ranges(ranges))) == reference_t_locus(p, reference_t_blocks(p, parse_ranges(ranges)))
 
 
 @pytest.mark.parametrize("p, ranges", [(3, ""), (5, ""), (7, ""), (2, "A=0")])
@@ -96,14 +106,15 @@ def test_t_census_classifies_the_locus_only(p, out, calls, monkeypatch):
 
 @pytest.fixture
 def solved(monkeypatch):
-    """The outer tuples that the census passes to ttp_locus, in call order."""
+    """The outer tuples that ttp_locus yields to the census, in order."""
     import ttpkit.classify
 
     calls = []
 
-    def counting(p, outer, abc):
-        calls.append(outer)
-        return ttpkit.classify.ttp_locus(p, outer, abc)
+    def counting(p, e, axes, abc):
+        for outer, candidates in ttpkit.classify.ttp_locus(p, e, axes, abc):
+            calls.append(outer)
+            yield outer, candidates
 
     monkeypatch.setattr("ttpkit.cli.ttp_locus", counting)
     return calls
@@ -129,7 +140,7 @@ def test_locus_at_A_0_is_the_common_zeros_of_the_reducible_system():
             if all(v.is_zero() for _, v in reducible_system_residuals(
                 ParamTuple3D.make(field, a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, E=E)))
         ]
-        assert ttp_locus(5, (e, d, A, B, C, E), abc) == zeros
+        assert list(ttp_locus(5, e, ([d], [A], [B], [C], [E]), abc)) == ([((e, d, A, B, C, E), zeros)] if zeros else [])
 
 
 def test_locus_at_A_nonzero_is_the_elliptic_plane():
@@ -142,7 +153,29 @@ def test_locus_at_A_nonzero_is_the_elliptic_plane():
             q = ParamTuple3D.make(field, a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, E=E)
             if all(holds(q) for _, holds in _ELLIPTIC_CONSTRAINTS):
                 plane.append((a, b, c))
-        assert ttp_locus(3, (e, d, A, B, C, E), abc) == plane
+        assert list(ttp_locus(3, e, ([d], [A], [B], [C], [E]), abc)) == ([((e, d, A, B, C, E), plane)] if plane else [])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_caseless_locus_tuples_are_decided_by_f1_first(p):
+    # the locus keeps p - 3 outer tuples at e = A = 0, d = -1 that no reducible
+    # case names (B = 1 - E, C = 0, E not in {0, 1, -1}); f_1(a, d) = 1 - a
+    # vanishes on each of their candidates, and the census tests f_n before it
+    # reads the case table, so a locus change that lets another one through
+    # would end the census in the AssertionError of reducible_case_id
+    field = PrimeField(p)
+    caseless = []
+    for block in t_blocks(p, {}):
+        for outer, candidates in ttp_locus(p, block.e, block.axes, block.abc):
+            e, d, A, B, C, E = outer
+            if e or A or d != p - 1:
+                continue
+            try:
+                reducible_case_id(ParamTuple3D.make(field, d=d, e=e, f=1, A=A, B=B, C=C, E=E))
+            except AssertionError:
+                caseless.append(outer)
+                assert all(efgh(field.scalar(a), field.scalar(d), 1).f.is_zero() for a, _, _ in candidates), outer
+    assert len(caseless) == p - 3
 
 
 def _draw(rng, p, fixed):
@@ -158,7 +191,7 @@ def _draw(rng, p, fixed):
             ])
         text = ",".join(f"{k}={v}" for k, v in ranges.items())
         try:
-            size, _ = t_locus(p, t_blocks(p, parse_ranges(text)))
+            size, _ = solved_t_locus(p, t_blocks(p, parse_ranges(text)))
         except ParseError:  # a side condition that the ranges leave empty
             continue
         if size <= 600:
@@ -178,7 +211,7 @@ def test_t_census_under_ranges_equals_the_oracle(p, fixed, tmp_path):
 @pytest.mark.parametrize("ranges", ["e=1,A=1|2,a=0,b=1", "e=0,A=1,d=0,a=2", "e=0,A=0,E=1,B=1,C=1,c=2"])
 def test_ranges_off_the_locus_classify_nothing(ranges, monkeypatch, tmp_path):
     # e = 1 with A != 0, d != -1 with A = 1, and residual 6 that no c in range solves
-    _, candidates = t_locus(5, t_blocks(5, parse_ranges(ranges)))
+    _, candidates = solved_t_locus(5, t_blocks(5, parse_ranges(ranges)))
     assert candidates == []
     oracle(5, ranges)  # the oracle classifies every tuple, so it runs before the spy
     seen = []

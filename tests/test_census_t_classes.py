@@ -11,10 +11,10 @@ the decisions and the f_n scans, and keep the characteristic-2 behaviour.
 import io
 
 import pytest
-from helpers import census_oracle, census_text, parse_machine_block
+from helpers import census_oracle, census_text, parse_machine_block, solved_t_locus
 
 from ttpkit.classify import classify_3d
-from ttpkit.cli import _t_values, parse_ranges, run, scan_row, t_blocks, t_class_key, t_locus
+from ttpkit.cli import _t_values, parse_ranges, run, scan_row, t_blocks, t_class_key
 from ttpkit.scalars import PrimeField
 from ttpkit.sequences import fn_nonvanishing
 
@@ -29,7 +29,7 @@ def invoke(argv):
 def test_each_candidate_has_the_row_of_its_class(p):
     field = PrimeField(p)
     key = t_class_key(field, 50)
-    _, candidates = t_locus(p, t_blocks(p, {}))
+    _, candidates = solved_t_locus(p, t_blocks(p, {}))
     rows, kinds = {}, set()
     for candidate in candidates:
         own = scan_row((field, "T", 50, _t_values(*candidate)))
@@ -71,7 +71,7 @@ def test_fn_scans_once_per_distinct_a_d_and_once_per_representative(p, ranges, s
     monkeypatch.setattr("ttpkit.cli.classify_3d", counting)
     status, _ = invoke(["scan", "--field", f"GF({p})", "--family", "T"] + (["--ranges", ranges] if ranges else []))
     assert status == 0
-    _, candidates = t_locus(p, t_blocks(p, parse_ranges(ranges)))
+    _, candidates = solved_t_locus(p, t_blocks(p, parse_ranges(ranges)))
     reducible = {(a, outer[1]) for a, b, c, outer in candidates if not outer[2]}
     assert sorted(scans["cli"]) == sorted(reducible)
     representatives = [t for t in decided if t.A.is_zero()]

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from helpers import (
     YXZ,
+    _reference_c_matrix,
     NotCanonical,
     decision_3d,
     ideal_membership,
@@ -24,7 +25,6 @@ from ttpkit.classify import (
     IsoType2D,
     SingularN,
     TTPType3D,
-    c_matrix,
     canonical_2d,
     classify_2d_ttp,
     classify_3d,
@@ -144,7 +144,7 @@ def test_phi_matrix_of_family_relation():
     from ttpkit.families import build_C
 
     pres = build_C(C2(3, 5, 1))
-    assert relation_phi_matrix(pres.relations[0]) == c_matrix(QQ.scalar(3), QQ.scalar(5))
+    assert relation_phi_matrix(pres.relations[0]) == _reference_c_matrix(QQ.scalar(3), QQ.scalar(5))
 
 
 def test_iso_type_c0_cases():
