@@ -15,8 +15,8 @@ census needs to classify; the census writes none of its equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import NamedTuple
 
 from .families import (
     EllipticForm,
@@ -38,11 +38,10 @@ class SingularN(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: str
     detail: str
-    data: dict = dc_field(default_factory=dict)
+    data: dict
 
     def __repr__(self):
         return f"[{self.kind}] {self.detail}"
@@ -53,8 +52,7 @@ class Witness:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoDTTPVerdict:
+class TwoDTTPVerdict(NamedTuple):
     kind: str  # "is_ttp" | "not_ttp"
     params: ParamTuple2D
     certified_to: int | None  # None: unconditional; n: no obstruction up to n
@@ -141,8 +139,7 @@ def classify_2d_ttp(p, bound=50):
     )
 
 
-@dataclass(frozen=True)
-class CongruenceData:
+class CongruenceData(NamedTuple):
     m: ScalarMatrix
     n: ScalarMatrix
     target: ScalarMatrix
@@ -182,8 +179,7 @@ def jordan_matrix(field):
     return _phi_matrix(field, field._coerce(0), one, one)
 
 
-@dataclass(frozen=True)
-class IsoType2D:
+class IsoType2D(NamedTuple):
     kind: str  # "skew" | "jordan" | "zx_zero" | "xsq_zero"
     q: Scalar | None
     canonical: ParamTuple2D
@@ -289,8 +285,7 @@ def graded_iso_type_2d(v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     kind: str  # "swap_xy" | "rescale_z" | "shear_y_add_x" | "gl2" | "rescale_y" | "extend_field"
     pm: ScalarMatrix | None = None
     lam: Scalar | None = None
@@ -298,8 +293,7 @@ class Step:
     new_field: object = None  # set on extend_field steps
 
 
-@dataclass(frozen=True)
-class JNF3DResult:
+class JNF3DResult(NamedTuple):
     params: ParamTuple3D
     trace: tuple
     normalized: bool
@@ -424,8 +418,7 @@ def _left_generalized(field, d, e, D, E, lam, u):
 HILBERT_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class TTPType3D:
+class TTPType3D(NamedTuple):
     kind: str  # "ore" | "reducible" | "elliptic" | "not_ttp" | "unknown"
     case: str | None
     normal_form: ParamTuple3D | None

@@ -15,7 +15,8 @@ class with its multiplicity.  The classes of a C census are the canonical
 classes of C(a,b,c); those of a T census hold the candidates that
 classify.ttp_locus yields, and every other T tuple is counted as not_ttp
 and built and formatted only when --out lists it.  A Tgh census decides
-each tuple as it comes.
+each tuple as it comes.  The process pool of scan --workers N is imported
+only when N > 1 workers will run, so no other run pays for loading it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 import stat
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import product
 from typing import NamedTuple
@@ -700,7 +700,10 @@ def scan_rows(tasks, workers):
     if workers <= 1:
         yield from map(scan_row, tasks)
         return
-    # the pool forks every worker up front, so never ask for more than can run
+    # the pool forks every worker up front, so never ask for more than can run;
+    # its module is loaded only here, which keeps it out of every other run's start
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 

@@ -11,7 +11,7 @@ test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .freealg import Alphabet, NCPoly
 from .rewrite import _complete
@@ -21,8 +21,7 @@ PARAM_NAMES_3D = ("a", "b", "c", "d", "e", "f", "A", "B", "C", "D", "E", "F")
 _PARAM_SET_3D = frozenset(PARAM_NAMES_3D)
 
 
-@dataclass(frozen=True)
-class ParamTuple2D:
+class ParamTuple2D(NamedTuple):
     a: Scalar
     b: Scalar
     c: Scalar
@@ -42,8 +41,7 @@ class ParamTuple2D:
         return f"C({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
-class ParamTuple3D:
+class ParamTuple3D(NamedTuple):
     a: Scalar
     b: Scalar
     c: Scalar
@@ -171,8 +169,7 @@ def build_Tgh(g, h):
     return Presentation(alphabet, field, [r1, r2, r3])
 
 
-@dataclass(frozen=True)
-class EllipticForm:
+class EllipticForm(NamedTuple):
     """Renormalized constants of the elliptic family (characteristic != 2)."""
 
     beta: Scalar

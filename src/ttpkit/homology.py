@@ -32,7 +32,7 @@ is carried in row form to the next position.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .freealg import NCPoly
 from .scalars import EchelonSpan, ScalarMatrix
@@ -184,8 +184,7 @@ class BettiTable:
         return f"BettiTable({body})"
 
 
-@dataclass
-class MinimalResolution:
+class MinimalResolution(NamedTuple):
     betti: BettiTable
     complex: GradedComplex
     truncated_at_position: bool  # a nonzero kernel remained past max_i

@@ -17,7 +17,7 @@ extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import Witness
 from .families import Presentation, build_T, build_Tgh
@@ -59,8 +59,7 @@ def quadratic_dual(pres):
     return Presentation(dual_alphabet, field, relations)
 
 
-@dataclass
-class KoszulVerdict:
+class KoszulVerdict(NamedTuple):
     verdict: str  # "koszul_to" | "not_koszul"
     bound: int
     betti: object
@@ -193,8 +192,7 @@ def bigraded_dimensions(pres, second_weights, bound):
     return out
 
 
-@dataclass
-class YonedaReport:
+class YonedaReport(NamedTuple):
     branch: str  # "semisimple_dual" | "degenerate"
     dual_relations_match: bool
     square_normal_forms_ok: bool
@@ -315,8 +313,7 @@ def regraded_yoneda_koszul(g, bound):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GorensteinProfile:
+class GorensteinProfile(NamedTuple):
     clean: bool
     dual_dims: list  # dim of the quadratic dual in degrees 0..maxdeg + 1
     top_degree: int | None  # its first degree n <= maxdeg with A^!_n != 0 = A^!_{n+1}
@@ -365,8 +362,7 @@ def _pairing_full_rank(rs, i, top):
     return True
 
 
-@dataclass
-class ASRegVerdict:
+class ASRegVerdict(NamedTuple):
     """One row of the decision table: regularity, Koszulity and the clause deciding them."""
 
     decision: bool

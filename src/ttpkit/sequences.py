@@ -14,14 +14,13 @@ are boxed as Scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
+from typing import NamedTuple
 
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class SequenceQuad:
+class SequenceQuad(NamedTuple):
     n: int
     e: Scalar
     f: Scalar
@@ -67,8 +66,7 @@ def efgh_table(a, b, n):
     return [_quad(field, a, b, *state) for state in islice(_orbit(field, a, b), n + 1)]
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
+class NonvanishingReport(NamedTuple):
     bound: int
     verdict: str  # "all_nonzero" or "zero_at"
     zero_index: int | None = None

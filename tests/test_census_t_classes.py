@@ -112,7 +112,7 @@ def test_the_pool_receives_one_task_per_class(monkeypatch):
             tasks.extend(chunk)
             return map(fn, chunk)
 
-    monkeypatch.setattr("ttpkit.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     status, out = invoke(["scan", "--field", "GF(3)", "--family", "T", "--workers", "2"])
     assert status == 0 and parse_machine_block(out)["total"] == "5832"

@@ -251,7 +251,7 @@ def _iso_outcome(iso_type, v):
 
 def _branch(iso):
     """Which branch of the isomorphism type made iso: its kind, witness shape and witness field."""
-    if isinstance(iso, tuple):
+    if not isinstance(iso, IsoType2D):
         return iso[0].__name__
     w = iso.witness
     if not isinstance(w, CongruenceData):
@@ -261,7 +261,7 @@ def _branch(iso):
 
 def assert_same_iso_type(got, want):
     """Equal kind, q, roots, canonical tuple and witness, each witness matrix entry for entry."""
-    if isinstance(want, tuple):
+    if not isinstance(want, IsoType2D):
         assert got == want
         return
     assert (got.kind, got.q, got.roots, got.canonical) == (want.kind, want.q, want.roots, want.canonical)

@@ -522,7 +522,7 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr("ttpkit.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     base = ["scan", "--field", "GF(3)", "--family", "C"]
     _, serial = invoke(base)
@@ -531,6 +531,41 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
     invoke(base + ["--ranges", "a=0,b=0", "--workers", "64"])
     assert sizes == [4, 2]
     assert many == serial
+
+
+# A fresh interpreter imports the CLI and builds its parser, then runs a GF(3)
+# C census on two workers and on one; cpu_count is raised so that the pool
+# path runs on any host.
+START_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import ttpkit.cli
+ttpkit.cli.build_parser()
+heavy = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures.process")
+at_start = [m for m in heavy if m in sys.modules]
+import io, json, os
+os.cpu_count = lambda: 2
+outs, pool_loaded = [], []
+for workers in ("2", "1"):
+    buf = io.StringIO()
+    status = ttpkit.cli.run(["scan", "--field", "GF(3)", "--family", "C", "--workers", workers], stdout=buf)
+    outs.append((status, buf.getvalue()))
+    pool_loaded.append("concurrent.futures.process" in sys.modules)
+print(json.dumps({"at_start": at_start, "pool_loaded": pool_loaded, "outs": outs}))
+"""
+
+
+def test_cli_start_loads_neither_the_pool_nor_dataclasses():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", START_PROBE, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["at_start"] == []
+    assert probe["pool_loaded"] == [True, True]
+    (pooled_status, pooled), (serial_status, serial) = probe["outs"]
+    assert pooled_status == serial_status == 0
+    assert parse_machine_block(pooled) == parse_machine_block(serial)
+    assert parse_machine_block(serial)["total"] == "27"
 
 
 def test_scan_decides_each_c_class_before_it_writes_a_row(monkeypatch, tmp_path):
