@@ -69,15 +69,20 @@ class TwoDTTPVerdict(NamedTuple):
         return f"NotTTP({self.witness})"
 
 
+def canonical_head(field, a, c):
+    """The (a, c) payloads of the canonical class of C(a, b, c): (ac, 1), (1, 0) or (0, 0); ints mod p over GF(p)."""
+    if not field._is_zero(c):
+        return field._mul(a, c), field._coerce(1)
+    return (a if field._is_zero(a) else field._coerce(1)), c
+
+
 def canonical_2d(p):
-    """Canonical representative (ac,b,1), (1,b,0) or (0,b,0) of C(a,b,c)."""
+    """Canonical representative (ac,b,1), (1,b,0) or (0,b,0) of C(a,b,c); a canonical tuple is returned as it is."""
     field = p.field
-    one = field._coerce(1)
-    if not p.c.is_zero():
-        return p if p.c.payload == one else ParamTuple2D(p.a * p.c, p.b, field.one())
-    if not p.a.is_zero() and p.a.payload != one:
-        return ParamTuple2D(field.one(), p.b, field.zero())
-    return p
+    a, c = canonical_head(field, p.a.payload, p.c.payload)
+    if a == p.a.payload and c == p.c.payload:
+        return p
+    return ParamTuple2D(Scalar(field, a), p.b, Scalar(field, c))
 
 
 # the alphabet of build_C: x = 0 < z = 1

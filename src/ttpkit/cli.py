@@ -9,14 +9,15 @@ malformed input, 2 for constraint violations (wrong family, bad
 characteristic, a radicand over Q past the trial-division bound).
 asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
-A C or T census goes through one decide-and-fold, census_rows: it
-decides one representative per class through scan_row and counts each
-class with its multiplicity.  The classes of a C census are the canonical
-classes of C(a,b,c); those of a T census hold the candidates that
-classify.ttp_locus yields, and every other T tuple is counted as not_ttp
-and built and formatted only when --out lists it.  A Tgh census decides
-each tuple as it comes.  The process pool of scan --workers N is imported
-only when N > 1 workers will run, so no other run pays for loading it.
+Every census goes through one decide-and-fold, census_rows: it decides
+one representative per class through scan_row and counts each class with
+its multiplicity.  The classes of a C census are the canonical classes of
+C(a,b,c); those of a T census hold the candidates that classify.ttp_locus
+yields, and every other T tuple is counted as not_ttp and built and
+formatted only when --out lists it; each (g, h) of a Tgh census is its own
+class.  A listing of more than LISTING_LIMIT rows is refused before --out
+is opened.  The process pool of scan --workers N is imported only when
+N > 1 workers will run, so no other run pays for loading it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import NamedTuple
 
 from .classify import (
     canonical_2d,
+    canonical_head,
     classify_2d_ttp,
     classify_3d,
     graded_iso_type_2d,
@@ -501,9 +503,7 @@ def _residues(values, p):
 
 
 def _scan_allowed(p, family, ranges):
-    """allowed(name, default): the residues mod p a census enumerates for name, after checking family and ranges."""
-    if family not in SCAN_PARAMS:
-        raise ConstraintError(f"scan does not support family {family!r}")
+    """allowed(name, default): the residues mod p, each once, a census enumerates for name, after checking the ranges."""
     unknown = sorted(set(ranges) - set(SCAN_PARAMS[family]))
     if unknown:
         names = ", ".join(SCAN_PARAMS[family])
@@ -584,14 +584,6 @@ def _t_outers(block):
     return [(0, d, A, B, C, E) for d, A, B, C, E in product(ds, As, Bs, Cs, Es)]
 
 
-def _t_tuples(blocks):
-    for block in blocks:
-        outers = _t_outers(block)
-        for a, b, c in product(*block.abc):
-            for outer in outers:
-                yield _t_values(a, b, c, outer)
-
-
 def _t_values(a, b, c, outer):
     return dict(a=a, b=b, c=c, **_t_outer_values(outer))
 
@@ -599,21 +591,6 @@ def _t_values(a, b, c, outer):
 def _t_outer_values(outer):
     e, d, A, B, C, E = outer
     return dict(d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
-
-
-def scan_space(p, family, ranges):
-    """Deterministic enumeration of the census tuple space over GF(p), as an iterator.
-
-    Range values are taken mod p, and each residue is enumerated once.  On
-    the T space a range only restricts the normalized tuples; it never adds
-    one that breaks a side condition.  The ranges are checked before the
-    iterator is returned, and ranges that leave no tuple are a parse error.
-    """
-    if family != "T":
-        allowed = _scan_allowed(p, family, ranges)
-        names = SCAN_PARAMS[family]
-        return (dict(zip(names, t)) for t in product(*map(allowed, names)))
-    return _t_tuples(t_blocks(p, ranges))
 
 
 def t_class_key(field, bound):
@@ -690,22 +667,16 @@ def _row_tail(row):
 
 
 def scan_rows(tasks, workers):
-    """scan_row of each task, in task order, as each is classified."""
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        # Executor.map submits every chunk at once, so the pool path holds the
-        # task list anyway; listing it sizes the pool and chunksize exactly
-        tasks = list(tasks)
-        workers = min(workers, len(tasks))
+    """The list of scan_row of each task, in task order."""
+    # the pool forks every worker up front, so never ask for more than can run
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        yield from map(scan_row, tasks)
-        return
-    # the pool forks every worker up front, so never ask for more than can run;
+        return list(map(scan_row, tasks))
     # its module is loaded only here, which keeps it out of every other run's start
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        return list(pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 @contextlib.contextmanager
@@ -791,37 +762,54 @@ def _t_census(field, bound, ranges):
     return sum(map(_t_size, blocks)), classes, lambda candidate: _t_values(*candidate), walk
 
 
-def _c_head(p, a, c):
-    """(a, c) of the canonical class of C(a, b, c) over GF(p): (ac, 1), (1, 0) or (0, 0)."""
-    return (a * c % p, 1) if c else (1, 0) if a else (0, 0)
-
-
 def _c_census(field, bound, ranges):
     """(size, classes, values, walk) of the C census of ranges; see census_rows.
 
     A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
-    C(0,b,0) of its tuple.  One pass over the a and c residues, in ints
-    mod p, gives each class head with the number of (a, c) pairs that map
-    to it; crossed with the b residues these are the classes, each its own
-    representative.  The walk writes each tuple's line from its class's row.
+    C(0,b,0) of its tuple.  One pass over the a and c residues gives the
+    class head of each (a, c) pair, through canonical_head on ints mod p,
+    and the number of pairs that map to each head; crossed with the b
+    residues these are the classes, each its own representative.  The walk
+    writes each tuple's line from its class's row.
     """
-    p = field.p
-    axes = list(map(_scan_allowed(p, "C", ranges), "abc"))
-    heads = Counter(_c_head(p, a, c) for a in axes[0] for c in axes[2])
+    axes = list(map(_scan_allowed(field.p, "C", ranges), "abc"))
+    heads = {(a, c): canonical_head(field, a, c) for a in axes[0] for c in axes[2]}
 
     def walk(rows):
         decided = {cls: (row, _row_tail(row)) for cls, row in rows.items()}
         for a, b, c in product(*axes):
-            ha, hc = _c_head(p, a, c)
+            ha, hc = heads[a, c]
             row, tail = decided[ha, b, hc]
             yield row, 1, f"a:{a},b:{b},c:{c}{tail}"
 
-    classes = (((a, b, c), (a, b, c), n) for (a, c), n in heads.items() for b in axes[1])
+    classes = (((a, b, c), (a, b, c), n) for (a, c), n in Counter(heads.values()).items() for b in axes[1])
     return math.prod(map(len, axes)), classes, lambda cls: dict(zip("abc", cls)), walk
 
 
+def _tgh_census(field, bound, ranges):
+    """(size, classes, values, walk) of the Tgh census of ranges; see census_rows.
+
+    Each (g, h) is its own class of multiplicity 1, decided by scan_row.
+    """
+    allowed = _scan_allowed(field.p, "Tgh", ranges)
+    pairs = list(product(allowed("g"), allowed("h")))
+
+    def walk(rows):
+        for g, h in pairs:
+            row = rows[g, h]
+            yield row, 1, f"g:{g},h:{h}{_row_tail(row)}"
+
+    return len(pairs), ((gh, gh, 1) for gh in pairs), lambda gh: dict(zip("gh", gh)), walk
+
+
+CENSUSES = {"C": _c_census, "T": _t_census, "Tgh": _tgh_census}
+
+# The most rows scan --out lists; full GF(13) T, the largest census within the default --max-prime, has 135,150,652.
+LISTING_LIMIT = 2 * 10**8
+
+
 def census_rows(field, bound, family, ranges, workers, listing):
-    """(row, multiplicity, text) triples whose fold is the C or T census of ranges, as an iterator.
+    """(row, multiplicity, text) triples whose fold is the census of ranges, as an iterator.
 
     The family gives the number of its tuples, its classes as (key,
     representative, multiplicity) and a walk for --out.  The first
@@ -830,10 +818,14 @@ def census_rows(field, bound, family, ranges, workers, listing):
     each class is one triple with its multiplicity, and the tuples outside
     every class one not_ttp triple more.  When listing, every class is
     decided first; the walk then yields text, the --out lines of its
-    triple's tuples, in scan order.  The ranges are checked before the
-    iterator is returned.
+    triple's tuples, in scan order.  The family, the ranges and the size
+    of a listing are checked before the iterator is returned.
     """
-    size, classes, values, walk = (_t_census if family == "T" else _c_census)(field, bound, ranges)
+    if family not in CENSUSES:
+        raise ConstraintError(f"scan does not support family {family!r}")
+    size, classes, values, walk = CENSUSES[family](field, bound, ranges)
+    if listing and size > LISTING_LIMIT:
+        raise ConstraintError(f"--out would list {size} rows, more than the limit of {LISTING_LIMIT}")
 
     def fold():
         sizes, reps = Counter(), {}
@@ -861,11 +853,7 @@ def cmd_scan(args):
     ranges = parse_ranges(args.ranges)
     listing = bool(args.out)
     # the ranges are checked here, before --out is opened
-    if args.family in ("C", "T"):
-        rows = census_rows(field, args.bound, args.family, ranges, args.workers, listing)
-    else:
-        tasks = ((field, args.family, args.bound, values) for values in scan_space(field.p, args.family, ranges))
-        rows = ((row, 1, row["tuple"] + _row_tail(row) if listing else "") for row in scan_rows(tasks, args.workers))
+    rows = census_rows(field, args.bound, args.family, ranges, args.workers, listing)
     counts = {}
     bounded = 0  # decided rows certified only to the scan bound
     with open_out(args.out) if listing else contextlib.nullcontext() as out:

@@ -16,9 +16,9 @@ solves each one with ``reference_ttp_locus``, the former per-outer
 solver, where the census has ``ttp_locus`` solve a whole block and yield
 only the outer tuples that can carry a candidate; ``solved_t_locus``
 lists what that block solver yields in scan order.  ``census_oracle`` is
-the census as a per-tuple fold, ``scan_row`` on every tuple of ``scan_space`` (of
-``reference_t_space`` for T), where the T census decides one candidate
-per class of its locus;
+the census as a per-tuple fold, ``scan_row`` on every tuple of ``product_space``
+(of ``reference_t_space`` for T), where the census decides one
+representative per class;
 ``census_text`` and ``census_counts`` give its ``--out`` text and its
 ``[machine]`` counts, and ``census_report`` its whole stdout.
 ``reference_orbit`` and ``reference_nonvanishing`` step the (e_n, f_n)
@@ -71,7 +71,7 @@ from ttpkit.classify import (
     reducible_case_id,
     ttp_locus,
 )
-from ttpkit.cli import ROW_FIELDS, ParseError, _scan_allowed, _t_size, render, scan_row, scan_space
+from ttpkit.cli import ROW_FIELDS, SCAN_PARAMS, ParseError, _scan_allowed, _t_size, render, scan_row
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
@@ -386,13 +386,20 @@ def reference_t_space(p, ranges):
                 yield dict(a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
 
 
+def product_space(p, family, ranges):
+    """The values of every C or Tgh census tuple over GF(p), in scan order: the product of the allowed residues."""
+    allowed = _scan_allowed(p, family, ranges)
+    names = SCAN_PARAMS[family]
+    return [dict(zip(names, t)) for t in product(*map(allowed, names))]
+
+
 def census_oracle(p, family, ranges=None, bound=50):
     """The census rows over GF(p) from scan_row on every tuple, in scan order.
 
-    The T tuples come from reference_t_space, the others from scan_space.
+    The T tuples come from reference_t_space, the others from product_space.
     """
     field = PrimeField(p)
-    space = reference_t_space(p, ranges or {}) if family == "T" else scan_space(p, family, ranges or {})
+    space = reference_t_space(p, ranges or {}) if family == "T" else product_space(p, family, ranges or {})
     return [scan_row((field, family, bound, values)) for values in space]
 
 

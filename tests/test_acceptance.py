@@ -7,7 +7,14 @@ every check is exact (no tolerances anywhere).
 import random
 from fractions import Fraction
 
-from helpers import assert_poly_matches, compose_check, expected_g1_coeffs, expected_g2_coeffs, make_params3d
+from helpers import (
+    assert_poly_matches,
+    compose_check,
+    expected_g1_coeffs,
+    expected_g2_coeffs,
+    make_params3d,
+    reference_t_space,
+)
 from ttpkit.classify import classify_2d_ttp, classify_3d, congruence_verify, graded_iso_type_2d
 from ttpkit.families import (
     EllipticForm,
@@ -178,10 +185,8 @@ def test_criterion_04_obstruction_elements_and_trichotomy():
 
 
 def test_criterion_05_classification_partition_gf3():
-    from ttpkit.cli import scan_space
-
     F = PrimeField(3)
-    space = list(scan_space(3, "T", {}))
+    space = list(reference_t_space(3, {}))
     assert len(space) == 2 * 3**7 + 2 * 3**6
     counts = {}
     unknowns = []

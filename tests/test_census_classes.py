@@ -1,14 +1,15 @@
-"""The C census decides each canonical class once and counts its tuples.
+"""The C and Tgh censuses decide each class once and count its tuples.
 
 A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
 C(0,b,0) of its tuple, so the C census finds the class heads in ints
 mod p, and ``cli.census_rows`` decides each class through ``scan_row``
-and folds it with the number of tuples it stands for.  These tests hold the report, the --out
+and folds it with the number of tuples it stands for; each (g, h) of a
+Tgh census is its own class.  These tests hold the report, the --out
 rows and the notes to the per-tuple fold of ``helpers.census_oracle``,
-and count the decisions: one ``classify_2d_ttp`` call per class.  The
---out rows of the full GF(11) and GF(13) cubes are pinned by SHA-256, so
-a change to the class decision cannot move the oracle and the census
-together.
+and count the decisions: one ``classify_2d_ttp`` call per C class and
+one ``scan_row`` call per (g, h).  The --out rows of the full GF(11) and
+GF(13) cubes are pinned by SHA-256, so a change to the class decision
+cannot move the oracle and the census together.
 """
 
 import hashlib
@@ -17,10 +18,10 @@ import random
 from functools import cache
 
 import pytest
-from helpers import census_oracle, census_report, census_text
+from helpers import census_oracle, census_report, census_text, product_space
 
 from ttpkit.classify import canonical_2d, classify_2d_ttp
-from ttpkit.cli import parse_ranges, run, scan_space
+from ttpkit.cli import parse_ranges, run, scan_row
 from ttpkit.families import ParamTuple2D
 from ttpkit.scalars import PrimeField
 
@@ -31,22 +32,26 @@ def invoke(argv):
     return status, buf.getvalue()
 
 
+def oracle(p, ranges, bound, family="C"):
+    return _oracle(p, ranges, bound, family)  # one cache entry however family is passed
+
+
 @cache
-def oracle(p, ranges, bound):
-    return census_oracle(p, "C", parse_ranges(ranges), bound)
+def _oracle(p, ranges, bound, family):
+    return census_oracle(p, family, parse_ranges(ranges), bound)
 
 
-def check_census(tmp_path, p, ranges="", bound=50, workers=1):
-    """The C census over GF(p), with and without --out, against the per-tuple oracle."""
-    argv = ["scan", "--field", f"GF({p})", "--family", "C", "--bound", str(bound), "--workers", str(workers)]
+def check_census(tmp_path, p, ranges="", bound=50, workers=1, family="C"):
+    """The census over GF(p), with and without --out, against the per-tuple oracle."""
+    argv = ["scan", "--field", f"GF({p})", "--family", family, "--bound", str(bound), "--workers", str(workers)]
     argv += ["--ranges", ranges] if ranges else []
-    rows = oracle(p, ranges, bound)
+    rows = oracle(p, ranges, bound, family)
     path = tmp_path / "rows.tsv"
     status, listed = invoke(argv + ["--out", str(path)])
     assert status == 0 and path.read_text() == census_text(rows), ranges
-    assert listed == census_report(p, "C", rows, bound, out=str(path)), ranges
+    assert listed == census_report(p, family, rows, bound, out=str(path)), ranges
     status, out = invoke(argv)
-    assert status == 0 and out == census_report(p, "C", rows, bound), ranges
+    assert status == 0 and out == census_report(p, family, rows, bound), ranges
     return out
 
 
@@ -54,7 +59,7 @@ def classes(p, ranges):
     """The distinct canonical classes of the C tuples that ranges select over GF(p)."""
     field = PrimeField(p)
     found = set()
-    for values in scan_space(p, "C", parse_ranges(ranges)):
+    for values in product_space(p, "C", parse_ranges(ranges)):
         cp = canonical_2d(ParamTuple2D.make(field, **values))
         found.add((cp.a.payload, cp.b.payload, cp.c.payload))
     return found
@@ -113,9 +118,9 @@ def test_full_cube_decides_each_class_once(p, decided):
     assert set(decided) == classes(p, "")
 
 
-def _draw(rng, p):
+def _draw(rng, p, names="abc"):
     parts = []
-    for name in "abc":
+    for name in names:
         v = rng.randrange(p)
         parts.append(f"{name}=" + rng.choice([
             str(v), str(v - p), f"{v}|{v + p}|{rng.randrange(-p, p)}", f"{v}..{v + rng.randrange(4)}", "*",
@@ -162,3 +167,34 @@ def test_two_workers_equal_serial(p, ranges, tmp_path):
     for workers in (1, 2):
         reports.append(check_census(tmp_path, p, ranges, workers=workers))
     assert reports[0] == reports[1]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The values of each scan_row task, in call order."""
+    calls = []
+
+    def counting(task):
+        calls.append(task[3])
+        return scan_row(task)
+
+    monkeypatch.setattr("ttpkit.cli.scan_row", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tgh_census_equals_the_per_tuple_oracle(p, tmp_path, scanned):
+    out = check_census(tmp_path, p, family="Tgh")
+    assert f"total={p**2}" in out
+    # two runs, with and without --out: each decides every (g, h) once
+    assert scanned == 2 * product_space(p, "Tgh", {})
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_tgh_seeded_ranges_equal_the_oracle(p, tmp_path, scanned):
+    rng = random.Random(2900 + p)
+    for _ in range(4):
+        ranges = _draw(rng, p, "gh")
+        check_census(tmp_path, p, ranges, family="Tgh")
+        assert scanned == 2 * product_space(p, "Tgh", parse_ranges(ranges)), ranges
+        scanned.clear()

@@ -26,11 +26,12 @@ from helpers import (
     parse_machine_block,
     reference_t_blocks,
     reference_t_locus,
+    reference_t_space,
     solved_t_locus,
 )
 
 from ttpkit.classify import _ELLIPTIC_CONSTRAINTS, classify_3d, reducible_case_id, reducible_system_residuals, ttp_locus
-from ttpkit.cli import ParseError, _t_outers, _t_values, parse_ranges, run, scan_space, t_blocks
+from ttpkit.cli import ParseError, _t_outers, _t_values, parse_ranges, run, t_blocks
 from ttpkit.families import ParamTuple3D
 from ttpkit.scalars import PrimeField
 from ttpkit.sequences import efgh
@@ -71,7 +72,8 @@ def test_t_census_equals_the_per_tuple_oracle(p, tmp_path):
 def test_gf5_tuples_off_the_locus_are_not_ttp():
     _, candidates = solved_t_locus(5, t_blocks(5, {}))
     on_locus = {tuple(_t_values(*candidate).items()) for candidate in candidates}
-    off = [row for values, row in zip(scan_space(5, "T", {}), oracle(5, "")) if tuple(values.items()) not in on_locus]
+    off = [row for values, row in zip(reference_t_space(5, {}), oracle(5, ""))
+           if tuple(values.items()) not in on_locus]
     assert len(off) == 187500 - 1702
     assert {row["verdict"] for row in off} == {"not_ttp"}
 

@@ -15,6 +15,7 @@ from helpers import (
     reference_classify_3d,
     reference_dependence_relation,
     reference_iso_type_2d,
+    reference_t_space,
     relation_phi_matrix,
     rigidity_check_2d,
     substitute,
@@ -35,7 +36,6 @@ from ttpkit.classify import (
     reducible_system_residuals,
     skew_matrix,
 )
-from ttpkit.cli import scan_space
 from ttpkit.families import (
     ParamTuple2D,
     ParamTuple3D,
@@ -461,7 +461,7 @@ def test_jnf_records_no_identity_step():
         r = jordan_normal_form_3d(_aligned_random_tuple(rng, F))
         assert not any(_is_identity_step(s) for s in r.trace if s.kind != "extend_field"), r.trace
     # the census space is normalized already: every tuple is its own normal form
-    for values in scan_space(3, "T", {}):
+    for values in reference_t_space(3, {}):
         p = T3(PrimeField(3), **values)
         r = jordan_normal_form_3d(p)
         assert r.normalized and r.params == p and r.trace == (), (values, r.trace)
@@ -604,7 +604,7 @@ def test_classify_3d_matches_the_full_obstruction_reference():
     """G2 read to its first nonzero coefficient and G1 read last decide exactly as both read in full."""
     F3 = PrimeField(3)
     outcomes = set()
-    for values in scan_space(3, "T", {}):
+    for values in reference_t_space(3, {}):
         p = T3(F3, **values)
         want = reference_classify_3d(p)
         assert decision_3d(classify_3d(p)) == want, values

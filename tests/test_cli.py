@@ -6,14 +6,19 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
-from helpers import parse_machine_block, reference_c_row
+from helpers import parse_machine_block, product_space, reference_c_row
 
 from ttpkit.cli import (
     JobDocument,
     ParseError,
+    _t_outer_values,
+    _t_outers,
+    _t_size,
+    _t_values,
     build_parser,
     emit_machine,
     parse_field,
@@ -21,7 +26,7 @@ from ttpkit.cli import (
     parse_ranges,
     run,
     scan_row,
-    scan_space,
+    t_blocks,
 )
 from ttpkit.classify import classify_2d_ttp
 from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, build_C, build_T, build_Tgh
@@ -497,6 +502,7 @@ def test_scan_worker_determinism(tmp_path):
         ["--field", "GF(3)", "--family", "T", "--ranges", "e=0,A=1,B=0"],
         # 1,458 tuples, of which the pool classifies the 84 on the locus: reducible and elliptic rows
         ["--field", "GF(3)", "--family", "T", "--ranges", "c=0,C=0|1"],
+        ["--field", "GF(7)", "--family", "Tgh"],  # 49 classes of one (g, h) each
     ):
         outs = []
         for workers in ("1", "2"):
@@ -603,7 +609,7 @@ def test_scan_class_rows_equal_tuple_rows(p, tmp_path):
     status, _ = invoke(["scan", "--field", f"GF({p})", "--family", "C", "--out", str(path)])
     header, *lines = path.read_text().splitlines()
     assert status == 0 and len(lines) == p**3
-    for line, values in zip(lines, scan_space(p, "C", {})):
+    for line, values in zip(lines, product_space(p, "C", {})):
         assert dict(zip(header.split("\t"), line.split("\t"))) == reference_c_row(p, values)
 
 
@@ -636,13 +642,16 @@ def test_scan_notes_rows_certified_to_the_bound(argv, notes):
 
 def test_failed_scan_leaves_out_as_it_was(tmp_path, capsys):
     out_path = tmp_path / "rows.tsv"
-    status, _ = invoke(["scan", "--field", "GF(2)", "--family", "T", "--out", str(out_path)])
-    assert status == 2 and "characteristic" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-    out_path.write_bytes(b"tuple\tverdict\nkept\n")
-    status, _ = invoke(["scan", "--field", "GF(2)", "--family", "T", "--out", str(out_path)])
-    assert status == 2
-    assert list(tmp_path.iterdir()) == [out_path] and out_path.read_bytes() == b"tuple\tverdict\nkept\n"
+    for family in ("T", "Tgh"):
+        argv = ["scan", "--field", "GF(2)", "--family", family, "--out", str(out_path)]
+        status, _ = invoke(argv)
+        assert status == 2 and "characteristic" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        out_path.write_bytes(b"tuple\tverdict\nkept\n")
+        status, _ = invoke(argv)
+        assert status == 2
+        assert list(tmp_path.iterdir()) == [out_path] and out_path.read_bytes() == b"tuple\tverdict\nkept\n"
+        out_path.unlink()
 
 
 def test_scan_out_follows_symlink_and_keeps_mode(tmp_path):
@@ -655,6 +664,31 @@ def test_scan_out_follows_symlink_and_keeps_mode(tmp_path):
     assert status == 0 and link.is_symlink()
     assert len(target.read_text().splitlines()) == 28 and (target.stat().st_mode & 0o777) == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "rows.tsv"]
+
+
+def test_scan_refuses_a_listing_past_the_row_limit(monkeypatch, tmp_path, capsys):
+    def no_row(task):
+        raise AssertionError("a refused listing decides nothing")
+
+    monkeypatch.setattr("ttpkit.cli.scan_row", no_row)
+    path = tmp_path / "rows.tsv"
+    status, out = invoke(["scan", "--field", "GF(17)", "--family", "T", "--max-prime", "17", "--out", str(path)])
+    assert status == 2 and out == "" and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == "constraint error: --out would list 868952484 rows, more than the limit of 200000000\n"
+
+
+@pytest.mark.parametrize("limit, status", [(26, 2), (27, 0)])
+def test_scan_lists_up_to_the_row_limit(limit, status, monkeypatch, tmp_path):
+    monkeypatch.setattr("ttpkit.cli.LISTING_LIMIT", limit)
+    path = tmp_path / "rows.tsv"
+    assert invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", str(path)])[0] == status
+    assert path.exists() == (status == 0)
+    if status == 0:
+        assert len(path.read_text().splitlines()) == 28
+    # the report alone is never limited
+    got, out = invoke(["scan", "--field", "GF(3)", "--family", "C"])
+    assert got == 0 and "total=27" in out
 
 
 def test_scan_out_to_devnull():
@@ -671,11 +705,19 @@ def test_scan_out_overwrites_stale_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.tsv"]
 
 
+def t_space(blocks):
+    """The values of every tuple of census T blocks, in scan order."""
+    return [_t_values(a, b, c, outer) for block in blocks
+            for a, b, c in product(*block.abc) for outer in _t_outers(block)]
+
+
 def test_scan_space_T_shape():
-    space = list(scan_space(3, "T", {}))
-    assert len(space) == 2 * 3**7 + 2 * 3**6
-    assert all(v["f"] == 1 and v["D"] == 0 and v["F"] == 0 for v in space[:50])
-    space_small = scan_space(3, "T", parse_ranges("a=0,b=0,c=0,d=1,B=0,C=0,E=1,A=0|1"))
+    blocks = t_blocks(3, {})
+    space = t_space(blocks)
+    assert len(space) == sum(map(_t_size, blocks)) == 2 * 3**7 + 2 * 3**6
+    outers = [_t_outer_values(outer) for block in blocks for outer in _t_outers(block)]
+    assert all(v["f"] == 1 and v["D"] == 0 and v["F"] == 0 for v in outers)
+    space_small = t_space(t_blocks(3, parse_ranges("a=0,b=0,c=0,d=1,B=0,C=0,E=1,A=0|1")))
     assert all(v["e"] in (0, 1) for v in space_small)
 
 
@@ -703,8 +745,9 @@ def test_scan_counts_each_residue_once(family, ranges, total):
     ("A=2,d=1,E=1", 3**5, lambda v: v["e"] == 1 and v["A"] == 2 and v["d"] == v["E"] == 1),
 ])
 def test_scan_space_T_ranges_keep_the_side_conditions(ranges, total, holds):
-    space = list(scan_space(3, "T", parse_ranges(ranges)))
-    assert len(space) == total and all(map(holds, space))
+    blocks = t_blocks(3, parse_ranges(ranges))
+    space = t_space(blocks)
+    assert len(space) == sum(map(_t_size, blocks)) == total and all(map(holds, space))
     status, out = invoke(["scan", "--field", "GF(3)", "--family", "T", "--ranges", ranges])
     assert status == 0 and f"total={total}" in out
 
@@ -827,10 +870,14 @@ def test_t_census_reads_g1_on_elliptic_rows_only(monkeypatch):
     assert fields == [3]
 
 
-def test_scan_space_accepts_every_enumerated_name():
+def test_scan_space_accepts_every_enumerated_name(tmp_path):
+    path = tmp_path / "rows.tsv"
     for family, names in (("C", "abc"), ("Tgh", "gh"), ("T", "abcdeABCE")):
-        space = list(scan_space(3, family, {name: [1] for name in names}))
-        assert len(space) == 1 and all(space[0][name] == 1 for name in names)
+        ranges = ",".join(f"{name}=1" for name in names)
+        status, out = invoke(["scan", "--field", "GF(3)", "--family", family, "--ranges", ranges, "--out", str(path)])
+        _, line = path.read_text().splitlines()
+        values = dict(kv.split(":") for kv in line.split("\t")[0].split(","))
+        assert status == 0 and "total=1" in out and all(values[name] == "1" for name in names), family
 
 
 def test_parse_ranges():

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dual_complex_gorenstein, reference_c_row
+from helpers import dual_complex_gorenstein, reference_c_row, reference_t_space
 from ttpkit.classify import classify_3d
-from ttpkit.cli import scan_space
 from ttpkit.families import ParamTuple2D, ParamTuple3D, Presentation, apply_basis_change, build_C, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import BettiTable, build_q_complex, minimal_resolution
@@ -256,7 +255,7 @@ def test_gorenstein_profile_is_invariant_under_basis_change():
     gf5, maxdeg = PrimeField(5), 6
     rng = random.Random(223)
     rows = {}
-    for values in scan_space(5, "T", {"e": [0], "d": [3, 4], "E": [0, 1, 4]}):
+    for values in reference_t_space(5, {"e": [0], "d": [3, 4], "E": [0, 1, 4]}):
         p = ParamTuple3D.make(gf5, **values)
         t = classify_3d(p)
         if t.is_ttp:

@@ -19,9 +19,9 @@ from helpers import (
     overlap_system,
     random_reduce,
     reference_reduce,
+    reference_t_space,
     rewrite_degree3_overlap_elements,
 )
-from ttpkit.cli import scan_space
 from ttpkit.families import ParamTuple3D, Presentation, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import minimal_resolution
@@ -238,7 +238,7 @@ def test_g1_g2_displayed_coefficients():
 def test_closed_form_obstructions_on_gf3_census_slices():
     F = PrimeField(3)
     for ranges in ({"e": [1], "d": [2]}, {"e": [0], "A": [1], "a": [1]}):
-        space = list(scan_space(3, "T", ranges))
+        space = list(reference_t_space(3, ranges))
         assert len(space) == 3**6
         for values in space:
             assert_obstructions_agree(ParamTuple3D.make(F, **values))
