@@ -11,7 +11,8 @@ asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
 Every census goes through one decide-and-fold, census_rows: it decides
 one representative per class through scan_row and counts each class with
-its multiplicity.  The classes of a C census are the canonical classes of
+its size, whether or not --out lists the census; the walk that lists it
+only writes text.  The classes of a C census are the canonical classes of
 C(a,b,c); those of a T census hold the candidates that classify.ttp_locus
 yields, and every other T tuple is counted as not_ttp and built and
 formatted only when --out lists it; each (g, h) of a Tgh census is its own
@@ -629,11 +630,12 @@ def t_class_key(field, bound):
 
 
 def scan_row(task):
-    """Classify and decide one census tuple; returns plain strings for aggregation.
+    """Classify and decide one census tuple: its --out columns after tuple, as strings.
 
     task is (field, family, bound, values), where field is the scan's own
     GF(p), so one field serves every tuple of a scan.  A C tuple is decided
-    on its canonical class C(ac,b,1), C(1,b,0) or C(0,b,0).
+    on its canonical class C(ac,b,1), C(1,b,0) or C(0,b,0).  The row is the
+    tuple (verdict, case, koszul, asreg, certified_to).
     """
     field, family, bound, values = task
     if family == "C":
@@ -648,14 +650,9 @@ def scan_row(task):
         t = classify_3d(ParamTuple3D.make(field, **values), bound)
         kind, case, certified_to = t.kind, t.case or "-", t.certified_to
         reg = asreg_decide(t) if t.is_ttp else None
-    return {
-        "tuple": _fmt_params(values),
-        "verdict": kind,
-        "case": case,
-        "koszul": "-" if reg is None else "koszul" if reg.koszul else "not_koszul",
-        "asreg": "-" if reg is None else "regular" if reg.decision else "not_regular",
-        "certified_to": "exact" if certified_to is None else str(certified_to),
-    }
+    return (kind, case, "-" if reg is None else "koszul" if reg.koszul else "not_koszul",
+            "-" if reg is None else "regular" if reg.decision else "not_regular",
+            "exact" if certified_to is None else str(certified_to))
 
 
 ROW_FIELDS = ("tuple", "verdict", "case", "koszul", "asreg", "certified_to")
@@ -663,20 +660,20 @@ ROW_FIELDS = ("tuple", "verdict", "case", "koszul", "asreg", "certified_to")
 
 def _row_tail(row):
     """The --out line of row after its tuple column, newline included."""
-    return "".join("\t" + row[f] for f in ROW_FIELDS[1:]) + "\n"
+    return "\t" + "\t".join(row) + "\n"
 
 
-def scan_rows(tasks, workers):
-    """The list of scan_row of each task, in task order."""
+def scan_rows(tasks, n, workers):
+    """scan_row of each of the n tasks, in task order; tasks is read lazily, never listed."""
     # the pool forks every worker up front, so never ask for more than can run
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    workers = min(workers, os.cpu_count() or 1, n)
     if workers <= 1:
-        return list(map(scan_row, tasks))
+        return map(scan_row, tasks)
     # its module is loaded only here, which keeps it out of every other run's start
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(scan_row, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return list(pool.map(scan_row, tasks, chunksize=max(1, n // (4 * workers))))
 
 
 @contextlib.contextmanager
@@ -722,7 +719,7 @@ def open_out(path):
 
 
 # The row of a tuple off the T locus, which classify_3d calls not_ttp.
-NOT_TTP_ROW = {"verdict": "not_ttp", "case": "-", "koszul": "-", "asreg": "-", "certified_to": "exact"}
+NOT_TTP_ROW = ("not_ttp", "-", "-", "-", "exact")
 
 
 def _t_census(field, bound, ranges):
@@ -751,11 +748,11 @@ def _t_census(field, bound, ranges):
                 start = 0
                 for k, row in found.get((a, b, c), ()):
                     if k > start:
-                        yield NOT_TTP_ROW, k - start, "".join([head + tail for tail in tails[start:k]])
-                    yield row, 1, head + _fmt_params(_t_outer_values(outers[k])) + _row_tail(row)
+                        yield "".join([head + tail for tail in tails[start:k]])
+                    yield head + _fmt_params(_t_outer_values(outers[k])) + _row_tail(row)
                     start = k + 1
                 if start < len(tails):
-                    yield NOT_TTP_ROW, len(tails) - start, "".join([head + tail for tail in tails[start:]])
+                    yield "".join([head + tail for tail in tails[start:]])
 
     classes = ((key(a, b, c, outer), (a, b, c, outer), 1) for block in blocks
                for outer, candidates in ttp_locus(p, block.e, block.axes, block.abc) for a, b, c in candidates)
@@ -776,11 +773,10 @@ def _c_census(field, bound, ranges):
     heads = {(a, c): canonical_head(field, a, c) for a in axes[0] for c in axes[2]}
 
     def walk(rows):
-        decided = {cls: (row, _row_tail(row)) for cls, row in rows.items()}
+        tails = {cls: _row_tail(row) for cls, row in rows.items()}
         for a, b, c in product(*axes):
             ha, hc = heads[a, c]
-            row, tail = decided[ha, b, hc]
-            yield row, 1, f"a:{a},b:{b},c:{c}{tail}"
+            yield f"a:{a},b:{b},c:{c}{tails[ha, b, hc]}"
 
     classes = (((a, b, c), (a, b, c), n) for (a, c), n in Counter(heads.values()).items() for b in axes[1])
     return math.prod(map(len, axes)), classes, lambda cls: dict(zip("abc", cls)), walk
@@ -796,8 +792,7 @@ def _tgh_census(field, bound, ranges):
 
     def walk(rows):
         for g, h in pairs:
-            row = rows[g, h]
-            yield row, 1, f"g:{g},h:{h}{_row_tail(row)}"
+            yield f"g:{g},h:{h}{_row_tail(rows[g, h])}"
 
     return len(pairs), ((gh, gh, 1) for gh in pairs), lambda gh: dict(zip("gh", gh)), walk
 
@@ -809,17 +804,16 @@ LISTING_LIMIT = 2 * 10**8
 
 
 def census_rows(field, bound, family, ranges, workers, listing):
-    """(row, multiplicity, text) triples whose fold is the census of ranges, as an iterator.
+    """census(out): the census of ranges, a mapping from each decided row to its number of tuples.
 
     The family gives the number of its tuples, its classes as (key,
-    representative, multiplicity) and a walk for --out.  The first
-    representative of each class is decided through scan_row, in one
-    scan_rows call, and is the row of its whole class.  When not listing,
-    each class is one triple with its multiplicity, and the tuples outside
-    every class one not_ttp triple more.  When listing, every class is
-    decided first; the walk then yields text, the --out lines of its
-    triple's tuples, in scan order.  The family, the ranges and the size
-    of a listing are checked before the iterator is returned.
+    representative, multiplicity) and a walk that yields the --out text of
+    its tuples in scan order.  census decides the first representative of
+    each class through scan_row, in one scan_rows pass fed lazily; that row
+    is the row of its whole class, and counts the class's size.  The tuples
+    outside every class count for NOT_TTP_ROW.  When out is given, the walk
+    then writes to it; the counts never depend on it.  The family, the
+    ranges and the size of a listing are checked before census is returned.
     """
     if family not in CENSUSES:
         raise ConstraintError(f"scan does not support family {family!r}")
@@ -827,21 +821,25 @@ def census_rows(field, bound, family, ranges, workers, listing):
     if listing and size > LISTING_LIMIT:
         raise ConstraintError(f"--out would list {size} rows, more than the limit of {LISTING_LIMIT}")
 
-    def fold():
+    def census(out):
         sizes, reps = Counter(), {}
         for key, rep, n in classes:
             sizes[key] += n
             reps.setdefault(key, rep)
-        rows = dict(zip(reps, scan_rows([(field, family, bound, values(rep)) for rep in reps.values()], workers)))
-        if listing:
-            yield from walk(rows)
-            return
-        yield from ((rows[key], n, "") for key, n in sizes.items())
+        tasks = ((field, family, bound, values(rep)) for rep in reps.values())
+        rows = dict(zip(reps, scan_rows(tasks, len(reps), workers)))
+        if out:
+            for text in walk(rows):
+                out.write(text)
+        counts = Counter()
+        for key, n in sizes.items():
+            counts[rows[key]] += n
         rest = size - sum(sizes.values())
         if rest:
-            yield NOT_TTP_ROW, rest, ""
+            counts[NOT_TTP_ROW] += rest
+        return counts
 
-    return fold()
+    return census
 
 
 def cmd_scan(args):
@@ -853,18 +851,15 @@ def cmd_scan(args):
     ranges = parse_ranges(args.ranges)
     listing = bool(args.out)
     # the ranges are checked here, before --out is opened
-    rows = census_rows(field, args.bound, args.family, ranges, args.workers, listing)
-    counts = {}
-    bounded = 0  # decided rows certified only to the scan bound
+    census = census_rows(field, args.bound, args.family, ranges, args.workers, listing)
     with open_out(args.out) if listing else contextlib.nullcontext() as out:
         if out:
             out.write("\t".join(ROW_FIELDS) + "\n")
-        for row, n, text in rows:
-            key = (row["verdict"], row["case"], row["koszul"], row["asreg"])
-            counts[key] = counts.get(key, 0) + n
-            bounded += n * (row["verdict"] != "unknown" and row["certified_to"] != "exact")
-            if out:
-                out.write(text)
+        decided = census(out)
+    counts, bounded = Counter(), 0  # bounded: tuples certified only to the scan bound
+    for row, n in decided.items():
+        counts[row[:4]] += n
+        bounded += n * (row[0] != "unknown" and row[4] != "exact")
     total = sum(counts.values())
     human = [f"census of family {args.family} over GF({field.p}): {total} tuples"]
     human.append("  verdict | case | koszul | asreg | count")

@@ -57,21 +57,10 @@ class ParamTuple3D(NamedTuple):
 
     @staticmethod
     def make(field, **kw):
-        """The tuple of the given coefficients, missing ones 0; each distinct int is boxed once."""
+        """The tuple of the given coefficients, missing ones 0."""
         if not _PARAM_SET_3D.issuperset(kw):
             raise ValueError(f"unknown parameters {sorted(kw.keys() - _PARAM_SET_3D)}")
-        ints = {}
-        entries = []
-        for k in PARAM_NAMES_3D:
-            value = kw.get(k, 0)
-            if value.__class__ is not int:
-                entries.append(field.scalar(value))
-                continue
-            s = ints.get(value)
-            if s is None:
-                s = ints[value] = field.scalar(value)
-            entries.append(s)
-        return ParamTuple3D(*entries)
+        return ParamTuple3D(*(field.scalar(kw.get(k, 0)) for k in PARAM_NAMES_3D))
 
     @property
     def field(self):

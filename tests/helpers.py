@@ -397,35 +397,38 @@ def census_oracle(p, family, ranges=None, bound=50):
     """The census rows over GF(p) from scan_row on every tuple, in scan order.
 
     The T tuples come from reference_t_space, the others from product_space.
+    Each row holds the ROW_FIELDS columns: the tuple column, formatted here
+    from the tuple's values, then the columns of its scan_row.
     """
     field = PrimeField(p)
     space = reference_t_space(p, ranges or {}) if family == "T" else product_space(p, family, ranges or {})
-    return [scan_row((field, family, bound, values)) for values in space]
+    return [(",".join(f"{k}:{v}" for k, v in values.items()), *scan_row((field, family, bound, values)))
+            for values in space]
 
 
 def census_text(rows):
     """The --out text of census rows."""
-    lines = ["\t".join(ROW_FIELDS)] + ["\t".join(row[f] for f in ROW_FIELDS) for row in rows]
+    lines = ["\t".join(ROW_FIELDS)] + ["\t".join(row) for row in rows]
     return "".join(line + "\n" for line in lines)
 
 
 def census_counts(rows):
     """The total and count_ entries that a census of these rows puts in its [machine] block."""
-    counts = Counter("count_" + ":".join(row[f] for f in ("verdict", "case", "koszul", "asreg")) for row in rows)
+    counts = Counter("count_" + ":".join(row[1:5]) for row in rows)
     return {"total": str(len(rows)), **{key: str(n) for key, n in counts.items()}}
 
 
 def census_report(p, family, rows, bound=50, out=None):
     """The stdout of a census over GF(p) whose rows are rows, with --out path out if given."""
-    counts = Counter(tuple(row[f] for f in ("verdict", "case", "koszul", "asreg")) for row in rows)
+    counts = Counter(row[1:5] for row in rows)
     human = [f"census of family {family} over GF({p}): {len(rows)} tuples", "  verdict | case | koszul | asreg | count"]
     human += ["  " + " | ".join(key) + f" | {counts[key]}" for key in sorted(counts)]
     if out:
         human.append(f"rows written to {out}")
-    bounded = sum(row["verdict"] != "unknown" and row["certified_to"] != "exact" for row in rows)
+    bounded = sum(row[1] != "unknown" and row[5] != "exact" for row in rows)
     if bounded:
         human.append(f"note: {bounded} tuples certified only to the scan bound N={bound}")
-    unknowns = sum(row["verdict"] == "unknown" for row in rows)
+    unknowns = sum(row[1] == "unknown" for row in rows)
     if unknowns:
         human.append(f"note: {unknowns} tuples undecided at the scan bound")
     return render(human, {"family": family, "field": PrimeField(p), "bound": bound, **census_counts(rows)})

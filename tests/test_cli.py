@@ -493,7 +493,7 @@ def test_scan_single_tuple_matches_classify():
     from ttpkit.families import ParamTuple2D
 
     v = classify_2d_ttp(ParamTuple2D.make(PrimeField(3), 1, 2, 1), 50)
-    assert row["verdict"] == v.kind
+    assert row[0] == v.kind
 
 
 def test_scan_worker_determinism(tmp_path):
@@ -504,12 +504,16 @@ def test_scan_worker_determinism(tmp_path):
         ["--field", "GF(3)", "--family", "T", "--ranges", "c=0,C=0|1"],
         ["--field", "GF(7)", "--family", "Tgh"],  # 49 classes of one (g, h) each
     ):
-        outs = []
+        outs, reports = [], []
         for workers in ("1", "2"):
             path = tmp_path / f"rows{workers}.tsv"
             status, out = invoke(["scan", *argv, "--workers", workers, "--out", str(path)])
             outs.append((status, parse_machine_block(out), path.read_bytes()))
+            status, out = invoke(["scan", *argv, "--workers", workers])
+            reports.append((status, parse_machine_block(out)))
         assert outs[0] == outs[1], argv
+        # the report is counted from the classes, so it is the same without --out
+        assert reports == [outs[0][:2]] * 2, argv
 
 
 def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):

@@ -183,7 +183,7 @@ def census_space(p, family, ranges):
     Every class gets one placeholder row, so nothing is decided.
     """
     size, classes, _, walk = CENSUSES[family](PrimeField(p), 50, ranges)
-    text = "".join(text for _, _, text in walk(dict.fromkeys((key for key, _, _ in classes), NOT_TTP_ROW)))
+    text = "".join(walk(dict.fromkeys((key for key, _, _ in classes), NOT_TTP_ROW)))
     return size, [{k: int(v) for k, v in (kv.split(":") for kv in line.split("\t")[0].split(","))}
                   for line in text.splitlines()]
 
