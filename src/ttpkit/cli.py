@@ -18,14 +18,14 @@ yields, and every other T tuple is counted as not_ttp and built and
 formatted only when --out lists it; each (g, h) of a Tgh census is its own
 class.  A listing of more than LISTING_LIMIT rows is refused before --out
 is opened.  The process pool of scan --workers N is imported only when
-N > 1 workers will run, so no other run pays for loading it.
+N > 1 workers will run, and json only when a --job document is read, so
+no other run pays for loading them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import stat
@@ -129,6 +129,8 @@ class JobDocument:
     @staticmethod
     def load(args):
         if getattr(args, "job", None):
+            import json
+
             try:
                 with open(args.job) as fh:
                     doc = json.load(fh)

@@ -18,15 +18,19 @@ it works on, so the rank of d_i in degree j is the kernel dimension of
 d_{i-1} there, and the kernel dimension K of d_i is plain arithmetic on
 module dimensions.  The image of the partial (i+1)-st differential, built
 from the generators of lower degree, lies in that kernel; its rows are
-echelonized only until the rank reaches K.  Only where it stays below K
-is a generator born, and only there is the kernel of d_i computed: its
-basis is the identity on its free columns, so the image is echelonized
-again in kernel coordinates (an image column's entries at the free rows),
-the basis vectors at the coordinates where no image vector ends are the
-new generators, and no kernel vector is eliminated.  At the last position
-only the count is taken.  Each degree-j component matrix is built at most
-once: the partial (i+1)-st one, extended by the new generators' columns,
-is carried in row form to the next position.
+echelonized only until the rank reaches K.  At position 1 that is done
+only in the degrees of the relations: Tor_2 is the space of minimal
+relations I/(T_+ I + I T_+) (Polishchuk-Positselski, Quadratic Algebras,
+ch. 1; Anick, Trans. AMS 296, 1986), so position 2 gets generators only
+there, and in every other degree the image reaches K.  Only where it
+stays below K is a generator born, and only there is the kernel of d_i
+computed: its basis is the identity on its free columns, so the image is
+echelonized again in kernel coordinates (an image column's entries at the
+free rows), the basis vectors at the coordinates where no image vector
+ends are the new generators, and no kernel vector is eliminated.  At the
+last position only the count is taken.  Each degree-j component matrix
+is built at most once: the partial (i+1)-st one, extended by the new
+generators' columns, is carried in row form to the next position.
 """
 
 from __future__ import annotations
@@ -207,31 +211,38 @@ def minimal_resolution(pres, max_i, maxdeg):
     Where K is 0 nothing is built or eliminated.  Otherwise the image of the
     partial next differential, the span of A_+ times the kernel in lower
     degrees, is echelonized row by row until its rank reaches K
-    (_image_rank).  Only where it stays below K is a generator born, and
-    only there is the kernel of d_i taken: its basis vectors are taken in
-    order, each becoming a new generator when it lies outside the image and
-    the generators taken before it.  That is decided in kernel coordinates
-    (_outside_image): an image column's coordinates are its entries at the
-    kernel's free rows, so the elimination is as wide as the kernel, and the
-    kernel vectors themselves are never eliminated.  At position max_i only
-    the count is taken: a nonzero K there marks the resolution truncated.
-    Every differential entry lands in the radical.  That needs every
-    relation term to be a word of length at least 2 (the letters minimal
-    generators, the algebra nonzero); NotMinimal otherwise.  Generators of
-    internal degree > maxdeg are invisible at this bound, and the Betti
-    table does not count them.
+    (_image_rank).  At position 1 this is skipped outside the degrees of
+    the nonzero relations: Tor_2 is the space of minimal relations
+    I/(T_+ I + I T_+) (Polishchuk-Positselski, Quadratic Algebras, ch. 1;
+    Anick, Trans. AMS 296, 1986), so position 2 gets generators only in
+    relation degrees.  Only where the rank stays below K is a generator
+    born, and only there is the kernel of d_i taken: its basis vectors are
+    taken in order, each becoming a new generator when it lies outside the
+    image and the generators taken before it.  That is decided in kernel
+    coordinates (_outside_image): an image column's coordinates are its
+    entries at the kernel's free rows, so the elimination is as wide as the
+    kernel, and the kernel vectors themselves are never eliminated.  At
+    position max_i only the count is taken: a nonzero K there marks the
+    resolution truncated.  Every differential entry lands in the radical.
+    That needs every relation term to be a word of length at least 2 (the
+    letters minimal generators, the algebra nonzero); NotMinimal otherwise.
+    Generators of internal degree > maxdeg are invisible at this bound, and
+    the Betti table does not count them.
 
     Each degree-j matrix is built at most once.  The partial d_{i+1} built
     for the image count is kept in row form and extended by one column per
     new generator: such a generator has only the empty word in degree j, so
     its column is its kernel vector, and it comes last in basis order.  The
     result is the full degree-j matrix of d_{i+1}, carried to position i+1
-    for its kernel; a matrix not carried (those of d_1, and any d_{i+1} in a
-    degree where K was 0) is built only when a kernel is taken from it.
+    for its kernel; a matrix not carried (those of d_1, any d_{i+1} in a
+    degree where K was 0, and d_2 outside the relation degrees) is built
+    only when a kernel is taken from it.
     """
     for rel in pres.relations:
         if any(len(word) < 2 for word in rel.terms):
             raise NotMinimal(f"relation {rel} has a term of length below 2, so the presentation is not minimal")
+    # Tor_2 is the space of minimal relations: position 2 gets generators only here
+    relation_degrees = {rel.degree() for rel in pres.relations if not rel.is_zero()}
     rs = pres.completed(maxdeg)
     field, alphabet = pres.field, pres.alphabet
     letters = [(k,) for k in range(len(alphabet))]
@@ -253,7 +264,7 @@ def minimal_resolution(pres, max_i, maxdeg):
         cx.diffs.append(rows)
         nxt = {}
         for j, K in enumerate(dims):
-            if not K:
+            if not K or (i == 1 and j not in relation_degrees):
                 continue
             # the partial next differential in row form; new generators' columns join below
             partial = cx.component_matrix(i + 1, j)

@@ -551,7 +551,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import ttpkit.cli
 ttpkit.cli.build_parser()
-heavy = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures.process")
+heavy = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures.process", "json")
 at_start = [m for m in heavy if m in sys.modules]
 import io, json, os
 os.cpu_count = lambda: 2

@@ -516,3 +516,83 @@ def test_minimal_resolution_betti_ignores_generators_above_maxdeg():
     # y has weight 2, beyond maxdeg 1: the Betti table counts x alone
     res = minimal_resolution(raw_presentation(["x", "y"], ["xy - yx", "x^4 - y^2"], (1, 2)), 3, 1)
     assert res.betti == BettiTable({(0, 0): 1, (1, 1): 1})
+
+
+def minimal_relation_count(pres, j):
+    """dim Tor_2 in degree j: the rank of the degree-j relations modulo the ideal of the lower-degree ones."""
+    field = pres.field
+    relations = [r for r in pres.relations if not r.is_zero()]
+    lower = Presentation(pres.alphabet, field, [r for r in relations if r.degree() < j]).completed(j)
+    rows = [lower.reduce(r).terms for r in relations if r.degree() == j]
+    columns = {w: c for c, w in enumerate(dict.fromkeys(w for row in rows for w in row))}
+    return ScalarMatrix.from_sparse(field, [{columns[w]: a for w, a in row.items()} for row in rows], len(columns)).rank()
+
+
+def random_mixed_degree_presentation(rng):
+    """A random quadratic relation r on x, y and a cubic one: random, or a u r + b r v for letters u, v."""
+    alphabet = Alphabet(["x", "y"])
+    coeffs = [0] * 4
+    while not any(coeffs):
+        coeffs = [rng.randint(-2, 2) for _ in range(4)]
+    quadratic = NCPoly(alphabet, QQ, dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], coeffs)))
+    if rng.random() < 0.5:
+        u, v = (NCPoly.letter(alphabet, QQ, rng.choice("xy")) for _ in range(2))
+        cubic = rng.choice([1, -1, 2]) * u * quadratic + rng.choice([1, -1, 3]) * quadratic * v
+    else:
+        words = rng.sample([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], 2)
+        cubic = NCPoly(alphabet, QQ, {w: rng.randint(1, 3) for w in words})
+    return Presentation(alphabet, QQ, [quadratic, cubic])
+
+
+# relations of mixed degree: a redundant cubic x(xy - yx) + (xy - yx)x, an
+# independent x^3, a relation given twice (up to a scalar), a zero relation,
+# and a weighted alphabet (y of weight 2) with a redundant and an
+# independent relation in degree 4
+MIXED_DEGREE_RELATIONS = [
+    (["x", "y"], ["xy - yx", "x^2y - yx^2"], None),
+    (["x", "y"], ["xy - yx", "x^3"], None),
+    (["x", "y"], ["xy - yx", "2yx - 2xy", "xyx - yxy"], None),
+    (["x", "y"], ["xy - yx", "0"], None),
+    (["x", "y", "z"], ["xy - yx", "xz - zx", "yz^2 - z^2y"], None),
+    (["x", "y"], ["xy - yx", "x^2y - yx^2", "x^4 - y^2"], (1, 2)),
+]
+
+
+def test_minimal_resolution_second_position_counts_the_minimal_relations():
+    # Tor_2 is the space of minimal relations I/(T_+ I + I T_+), so position
+    # 2 gets generators only in the degrees of relations, and b[2, j] is the
+    # rank of the degree-j relations modulo the ideal of the lower-degree
+    # ones; the resolution must stay exact below its last position
+    rng = random.Random(233)
+    cases = [raw_presentation(*case) for case in MIXED_DEGREE_RELATIONS]
+    cases += [random_mixed_degree_presentation(rng) for _ in range(8)]
+    maxdeg = 7
+    for pres in cases:
+        res = minimal_resolution(pres, 4, maxdeg)
+        for j in range(maxdeg + 1):
+            assert res.betti.b(2, j) == minimal_relation_count(pres, j), (pres, j)
+        cx = res.complex
+        profile = exactness_profile(cx, maxdeg)
+        assert {key: h for key, h in profile.items() if key[0] < len(cx) - 1} == {(0, 0): 1}, (pres, profile)
+
+
+def test_minimal_resolution_builds_d2_only_in_relation_degrees(monkeypatch):
+    # Tgh has three quadratic relations: at position 1 the partial d_2 is
+    # built for degree 2 only, and no other degree can get a generator at
+    # position 2
+    count, build = homology._kernel_dims, GradedComplex.component_matrix
+    position, built = [None], []
+
+    def spy_count(cx, i, below, maxdeg):
+        position[0] = i
+        return count(cx, i, below, maxdeg)
+
+    def spy_build(self, i, j):
+        built.append((position[0], i, j))
+        return build(self, i, j)
+
+    monkeypatch.setattr(homology, "_kernel_dims", spy_count)
+    monkeypatch.setattr(GradedComplex, "component_matrix", spy_build)
+    res = minimal_resolution(tgh(1, 2), 6, 8)
+    assert res.betti == BettiTable({(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1})
+    assert [j for at, i, j in built if at == 1 and i == 2] == [2]
