@@ -2,7 +2,8 @@
 
 Two-generator side: the twisted-tensor-product predicate driven by the
 f_n scan, and the graded isomorphism type (skew plane / Jordan plane),
-each verdict shipping an explicit congruence or substitution witness.
+each verdict shipping an explicit congruence or substitution witness;
+iso_branch_2d picks the type's branch from the payloads alone.
 
 Three-generator side: normalization of the twelve coefficients (kill the
 z^2 coefficient of the second image, Jordan form of the degree-1 matrix,
@@ -202,6 +203,35 @@ def _canonical_root(roots):
     return min(roots, key=lambda r: r.sort_key())
 
 
+def iso_branch_2d(field, a, b, c):
+    """(branch, kind): the branch of graded_iso_type_2d for the canonical payloads (a, b, c), and its type.
+
+    A head with c = 0 takes the identity (a = 0), the Jordan (b = 1) or the
+    shear branch, whose kind is zx_zero exactly when b = 0.  A head with
+    c = 1 is the Jordan plane when the discriminant 4a - (b - 1)^2 vanishes,
+    else a skew plane with q = -1 when b = -1, else q solves
+    (a + b) q^2 + (2a - b^2 - 1) q + (a + b) = 0, and q = 0 (zx_zero)
+    exactly when the outer coefficient a + b vanishes.  The kind depends
+    on nothing else, so a census keys its TTP classes by it.
+    """
+    add, mul, neg, is0 = field._add, field._mul, field._neg, field._is_zero
+    one = field._coerce(1)
+    if is0(c):
+        if is0(a):
+            branch = "identity"
+        elif b == one:
+            return "one_sided_jordan", "jordan"
+        else:
+            branch = "shear"
+        return branch, "zx_zero" if is0(b) else "skew"
+    b1 = add(b, neg(one))
+    if is0(add(mul(field._coerce(4), a), neg(mul(b1, b1)))):
+        return "jordan", "jordan"
+    if b == field._coerce(-1):
+        return "q_minus_one", "skew"
+    return "quadratic", "zx_zero" if is0(add(a, b)) else "skew"
+
+
 def graded_iso_type_2d(v):
     """Graded isomorphism type of C(a,b,c), from its classify_2d_ttp verdict v.
 
@@ -210,8 +240,9 @@ def graded_iso_type_2d(v):
     substitution witnessing it.  The square-zero type (relation a perfect
     square) never occurs here: its coefficient matrix would be symmetric
     of rank one, which forces the excluded degenerate parameters.  The
-    decision and the witness entries are computed on payloads (see
-    scalars); only q, the roots and the witness matrices are boxed.
+    branch and the kind come from iso_branch_2d; the witness entries are
+    computed on payloads (see scalars); only q, the roots and the witness
+    matrices are boxed.
     """
     if not v.is_ttp:
         raise ValueError(f"not a twisted tensor product: {v}")
@@ -221,31 +252,29 @@ def graded_iso_type_2d(v):
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     a, b = cp.a.payload, cp.b.payload
     one = field._coerce(1)
+    branch, kind = iso_branch_2d(field, a, b, cp.c.payload)
 
-    if cp.c.is_zero():
-        if cp.a.is_zero():
-            kind = "zx_zero" if cp.b.is_zero() else "skew"
-            return IsoType2D(kind, cp.b, cp, {"x": "x", "z": "z"}, (cp.b,))
-        if b == one:
-            # x -> -z, z -> x carries the relation onto the Jordan one
-            return IsoType2D("jordan", None, cp, {"x": "-z", "z": "x"})
-        kind = "zx_zero" if cp.b.is_zero() else "skew"
+    if branch == "identity":
+        return IsoType2D(kind, cp.b, cp, {"x": "x", "z": "z"}, (cp.b,))
+    if branch == "one_sided_jordan":
+        # x -> -z, z -> x carries the relation onto the Jordan one
+        return IsoType2D(kind, None, cp, {"x": "-z", "z": "x"})
+    if branch == "shear":
         witness = {"x": f"({field._str(add(one, neg(b)))})x", "z": "x + z"}
         return IsoType2D(kind, cp.b, cp, witness, (cp.b,))
 
-    b1 = add(b, neg(one))
-    if field._is_zero(add(mul(field._coerce(4), a), neg(mul(b1, b1)))):
+    if branch == "jordan":
         # the Jordan discriminant 4a - (b - 1)^2 vanishes
         if field.characteristic() == 2:
             s = field.sqrt(cp.a).payload
         else:
-            s = mul(b1, inv(field._coerce(2)))  # the square root of a with 2s = b - 1
+            s = mul(add(b, neg(one)), inv(field._coerce(2)))  # the square root of a with 2s = b - 1
         n = _matrix2(field, ((add(one, s), field._coerce(0)), (s, one)))
         cd = CongruenceData(jordan_matrix(field), n, _phi_matrix(field, a, b, one))
         assert congruence_verify(cd)
-        return IsoType2D("jordan", None, cp, cd)
+        return IsoType2D(kind, None, cp, cd)
 
-    if b == field._coerce(-1):
+    if branch == "q_minus_one":
         if field.characteristic() == 2:
             raise CharTwo("the q = -1 branch requires characteristic != 2")
         ext, w = adjoin_sqrt(Scalar(field, add(one, neg(a))))
@@ -259,7 +288,7 @@ def graded_iso_type_2d(v):
         q = Scalar(ext, neg(e1))
         cd = CongruenceData(skew_matrix(q), n, _phi_matrix(ext, a, b, e1))
         assert congruence_verify(cd)
-        return IsoType2D("skew", q, cp, cd, (q,))
+        return IsoType2D(kind, q, cp, cd, (q,))
 
     # q is a root of (a + b) q^2 + (2a - b^2 - 1) q + (a + b)
     ab = Scalar(field, add(a, b))
@@ -281,7 +310,7 @@ def graded_iso_type_2d(v):
     )
     cd = CongruenceData(skew_matrix(q), n, _phi_matrix(F2, a, b, e1))
     assert congruence_verify(cd)
-    kind = "zx_zero" if q.is_zero() else "skew"
+    assert q.is_zero() == (kind == "zx_zero"), "q = 0 exactly when its outer coefficient a + b vanishes"
     return IsoType2D(kind, q, cp, cd, roots)
 
 

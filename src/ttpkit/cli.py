@@ -12,14 +12,15 @@ profile is invariant under graded isomorphism, so it needs no normal form.
 Every census goes through one decide-and-fold, census_rows: it decides
 one representative per class through scan_row and counts each class with
 its size, whether or not --out lists the census; the walk that lists it
-only writes text.  The classes of a C census are the canonical classes of
-C(a,b,c); those of a T census hold the candidates that classify.ttp_locus
-yields, and every other T tuple is counted as not_ttp and built and
-formatted only when --out lists it; each (g, h) of a Tgh census is its own
-class.  A listing of more than LISTING_LIMIT rows is refused before --out
-is opened.  The process pool of scan --workers N is imported only when
-N > 1 workers will run, and json only when a --job document is read, so
-no other run pays for loading them.
+only writes text.  The classes of a C census are those that c_class_key
+puts the canonical classes of C(a,b,c) in, at most seven; those of a T
+census are those that t_class_key puts the candidates of classify.ttp_locus
+in, and every other T tuple is counted as not_ttp and built and formatted
+only when --out lists it; each (g, h) of a Tgh census is its own class.
+A listing of more than LISTING_LIMIT rows is refused before --out is
+opened.  The process pool of scan --workers N is imported only when N > 1
+workers will run, and json only when a --job document is read, so no
+other run pays for loading them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .classify import (
     classify_2d_ttp,
     classify_3d,
     graded_iso_type_2d,
+    iso_branch_2d,
     reducible_case_id,
     ttp_locus,
 )
@@ -596,6 +598,24 @@ def _t_outer_values(outer):
     return dict(d=d, e=e, f=1, A=A, B=B, C=C, D=0, E=E, F=0)
 
 
+def _fn_scans(field, bound):
+    """scan(a, b): the outcome of the f_n(a, b) scan to bound, in ints mod p; fn_nonvanishing runs once per (a, b).
+
+    The outcome is "zero" when some f_n vanishes, else "exact" when the
+    scan closes its cycle (always at a = 0) and "bounded" when it does not.
+    """
+    scans = {}
+
+    def scan(a, b):
+        outcome = scans.get((a, b))
+        if outcome is None:
+            report = fn_nonvanishing(field.scalar(a), field.scalar(b), bound)
+            outcome = scans[a, b] = "zero" if not report.all_nonzero else "exact" if report.cycle_closed else "bounded"
+        return outcome
+
+    return scan
+
+
 def t_class_key(field, bound):
     """key(a, b, c, outer): the class of a T locus candidate, in ints mod p; its census row depends on nothing else.
 
@@ -609,7 +629,7 @@ def t_class_key(field, bound):
     """
     p = field.p
     inv4 = pow(4, -1, p) if p != 2 else None
-    scans, cases = {}, {}
+    fn_scan, cases = _fn_scans(field, bound), {}
 
     def key(a, b, c, outer):
         e, d, A, B, C, E = outer
@@ -617,16 +637,33 @@ def t_class_key(field, bound):
             if inv4 is None:
                 return ("elliptic",)
             return "elliptic", (C + 2 * (a - 1) - (2 - B) ** 2 * inv4) % p, (c - (a - 1) * (C + a - 1)) % p
-        scan = scans.get((a, d))
-        if scan is None:
-            report = fn_nonvanishing(field.scalar(a), field.scalar(d), bound)
-            scan = scans[a, d] = "zero" if not report.all_nonzero else "exact" if report.cycle_closed else "bounded"
+        scan = fn_scan(a, d)
         if scan == "zero":
             return ("fn_zero",)
         case = cases.get(outer)
         if case is None:
             case = cases[outer] = reducible_case_id(ParamTuple3D.make(field, **_t_outer_values(outer)))
         return "reducible", case, E == 0, (a + d) % p == 0, scan
+
+    return key
+
+
+def c_class_key(field, bound):
+    """key(a, b, c): the class of a canonical C head (t, b, 1), (1, b, 0) or (0, b, 0), in ints mod p.
+
+    The head's census row depends on nothing else.  A zero of f_n(t, b)
+    makes it not_ttp; otherwise it is a twisted tensor product, exact when
+    c = 0 or t = 0 or when the f_n scan closes its cycle and bounded
+    otherwise, whose graded type is the kind of classify.iso_branch_2d.
+    fn_nonvanishing runs once per distinct (t, b).
+    """
+    fn_scan = _fn_scans(field, bound)
+
+    def key(a, b, c):
+        scan = fn_scan(a, b) if a and c else "exact"
+        if scan == "zero":
+            return ("fn_zero",)
+        return scan, iso_branch_2d(field, a, b, c)[1]
 
     return key
 
@@ -765,22 +802,26 @@ def _c_census(field, bound, ranges):
     """(size, classes, values, walk) of the C census of ranges; see census_rows.
 
     A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
-    C(0,b,0) of its tuple.  One pass over the a and c residues gives the
-    class head of each (a, c) pair, through canonical_head on ints mod p,
-    and the number of pairs that map to each head; crossed with the b
-    residues these are the classes, each its own representative.  The walk
-    writes each tuple's line from its class's row.
+    C(0,b,0) of its tuple, and that class's row only on its c_class_key.
+    One pass over the a and c residues gives the class head of each (a, c)
+    pair, through canonical_head on ints mod p, and the number of pairs
+    that map to each head; crossed with the b residues these are the
+    canonical classes, each its own representative, and c_class_key puts
+    them in at most seven classes.  The walk writes each tuple's line from
+    the row of its head's key.
     """
     axes = list(map(_scan_allowed(field.p, "C", ranges), "abc"))
     heads = {(a, c): canonical_head(field, a, c) for a in axes[0] for c in axes[2]}
+    key = c_class_key(field, bound)
 
     def walk(rows):
-        tails = {cls: _row_tail(row) for cls, row in rows.items()}
+        by_key = {k: _row_tail(row) for k, row in rows.items()}
+        tails = {(a, b, c): by_key[key(a, b, c)] for a, c in set(heads.values()) for b in axes[1]}
         for a, b, c in product(*axes):
             ha, hc = heads[a, c]
             yield f"a:{a},b:{b},c:{c}{tails[ha, b, hc]}"
 
-    classes = (((a, b, c), (a, b, c), n) for (a, c), n in Counter(heads.values()).items() for b in axes[1])
+    classes = ((key(a, b, c), (a, b, c), n) for (a, c), n in Counter(heads.values()).items() for b in axes[1])
     return math.prod(map(len, axes)), classes, lambda cls: dict(zip("abc", cls)), walk
 
 
@@ -829,7 +870,8 @@ def census_rows(field, bound, family, ranges, workers, listing):
             sizes[key] += n
             reps.setdefault(key, rep)
         tasks = ((field, family, bound, values(rep)) for rep in reps.values())
-        rows = dict(zip(reps, scan_rows(tasks, len(reps), workers)))
+        shared = {}  # one tuple per distinct row, however many classes share it
+        rows = {key: shared.setdefault(row, row) for key, row in zip(reps, scan_rows(tasks, len(reps), workers))}
         if out:
             for text in walk(rows):
                 out.write(text)

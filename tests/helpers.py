@@ -10,7 +10,8 @@ and the multiplication maps must agree with on systems complete through
 the degree, and ``random_reduce`` rewrites random redexes for confluence
 spot checks.
 ``reference_c_row`` decides a C census row from the tuple itself, where the
-census decides it once per canonical class.  ``reference_t_blocks`` lists
+census decides it once per class key, and ``c_census_keys`` lists the keys
+of the canonical classes that a C census decides.  ``reference_t_blocks`` lists
 every outer tuple of the normalized T space and ``reference_t_locus``
 solves each one with ``reference_ttp_locus``, the former per-outer
 solver, where the census has ``ttp_locus`` solve a whole block and yield
@@ -63,6 +64,7 @@ from ttpkit.classify import (
     CongruenceData,
     IsoType2D,
     Step,
+    canonical_2d,
     classify_2d_ttp,
     congruence_verify,
     classify_3d,
@@ -71,7 +73,7 @@ from ttpkit.classify import (
     reducible_case_id,
     ttp_locus,
 )
-from ttpkit.cli import ROW_FIELDS, SCAN_PARAMS, ParseError, _scan_allowed, _t_size, render, scan_row
+from ttpkit.cli import ROW_FIELDS, SCAN_PARAMS, ParseError, _scan_allowed, _t_size, c_class_key, render, scan_row
 from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
@@ -391,6 +393,18 @@ def product_space(p, family, ranges):
     allowed = _scan_allowed(p, family, ranges)
     names = SCAN_PARAMS[family]
     return [dict(zip(names, t)) for t in product(*map(allowed, names))]
+
+
+def c_census_keys(p, ranges, bound=50):
+    """The distinct cli.c_class_key of the canonical classes of the C tuples that ranges select over GF(p).
+
+    The classes come from classify.canonical_2d on each tuple, not from the
+    census's canonical_head on ints.
+    """
+    field = PrimeField(p)
+    key = c_class_key(field, bound)
+    heads = (canonical_2d(ParamTuple2D.make(field, **values)) for values in product_space(p, "C", ranges))
+    return {key(t.a.payload, t.b.payload, t.c.payload) for t in heads}
 
 
 def census_oracle(p, family, ranges=None, bound=50):

@@ -1,15 +1,20 @@
 """The C and Tgh censuses decide each class once and count its tuples.
 
 A C row depends only on the canonical class C(ac,b,1), C(1,b,0) or
-C(0,b,0) of its tuple, so the C census finds the class heads in ints
-mod p, and ``cli.census_rows`` decides each class through ``scan_row``
-and folds it with the number of tuples it stands for; each (g, h) of a
-Tgh census is its own class.  These tests hold the report, the --out
-rows and the notes to the per-tuple fold of ``helpers.census_oracle``,
-and count the decisions: one ``classify_2d_ttp`` call per C class and
-one ``scan_row`` call per (g, h).  The --out rows of the full GF(11) and
-GF(13) cubes are pinned by SHA-256, so a change to the class decision
-cannot move the oracle and the census together.
+C(0,b,0) of its tuple, and that class's row only on its
+``cli.c_class_key``: whether f_n(ac, b) vanishes, whether the scan is
+exact or bounded, and the graded type of ``classify.iso_branch_2d``.
+The C census finds the class heads in ints mod p, and
+``cli.census_rows`` decides one canonical class per key through
+``scan_row`` and folds it with the number of tuples its key stands for;
+each (g, h) of a Tgh census is its own class.  These tests hold the
+report, the --out rows and the notes to the per-tuple fold of
+``helpers.census_oracle``, hold ``scan_row`` of every canonical class up
+to GF(13), and of seeded ones at GF(53) and GF(101), to that of its key's
+first class, and count the decisions: one ``classify_2d_ttp`` call per C
+key and one ``scan_row`` call per (g, h).  The --out rows of the full
+GF(11) and GF(13) cubes are pinned by SHA-256, so a change to the class
+decision cannot move the oracle and the census together.
 """
 
 import hashlib
@@ -18,10 +23,10 @@ import random
 from functools import cache
 
 import pytest
-from helpers import census_oracle, census_report, census_text, product_space
+from helpers import c_census_keys, census_oracle, census_report, census_text, product_space
 
 from ttpkit.classify import canonical_2d, classify_2d_ttp
-from ttpkit.cli import parse_ranges, run, scan_row
+from ttpkit.cli import c_class_key, parse_ranges, run, scan_row
 from ttpkit.families import ParamTuple2D
 from ttpkit.scalars import PrimeField
 
@@ -63,6 +68,12 @@ def classes(p, ranges):
         cp = canonical_2d(ParamTuple2D.make(field, **values))
         found.add((cp.a.payload, cp.b.payload, cp.c.payload))
     return found
+
+
+def decided_keys(p, decided, bound=50):
+    """The c_class_key of each decided canonical tuple over GF(p)."""
+    key = c_class_key(PrimeField(p), bound)
+    return {key(*t) for t in decided}
 
 
 @pytest.fixture
@@ -114,8 +125,46 @@ def test_full_cube_decides_each_class_once(p, decided):
     decided.clear()
     status, out = invoke(["scan", "--field", f"GF({p})", "--family", "C"])
     assert status == 0 and f"total={p**3}" in out
-    assert len(decided) == p**2 + 2 * p
-    assert set(decided) == classes(p, "")
+    # one decision per class key, at most seven, each on a canonical class
+    keys = c_census_keys(p, {})
+    assert len(decided) == len(keys) <= 7
+    assert decided_keys(p, decided) == keys and set(decided) <= classes(p, "")
+
+
+def check_key_decides_the_row(p, heads, bound):
+    """scan_row of each canonical head (a, b, c) over GF(p) equals that of the first head with its c_class_key."""
+    field = PrimeField(p)
+    key, rows = c_class_key(field, bound), {}
+
+    def row(head):
+        return scan_row((field, "C", bound, dict(zip("abc", head))))
+
+    for head in heads:
+        k = key(*head)
+        if k not in rows:
+            rows[k] = row(head)
+        else:
+            assert row(head) == rows[k], (p, head, k)
+    return rows
+
+
+def canonical_heads(p):
+    """Every canonical C head over GF(p): (t, b, 1), then (1, b, 0) and (0, b, 0)."""
+    return [(t, b, 1) for t in range(p) for b in range(p)] + [(a, b, 0) for a in (1, 0) for b in range(p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_class_key_determines_the_row_of_every_class(p):
+    rows = check_key_decides_the_row(p, canonical_heads(p), 50)
+    assert len(rows) == len(c_census_keys(p, {})) <= 7
+
+
+@pytest.mark.parametrize("p, bound", [(53, 50), (53, 5), (101, 50), (101, 5)])
+def test_class_key_determines_the_row_of_seeded_classes(p, bound):
+    heads = random.Random(3200 + p + bound).sample(canonical_heads(p), 500)
+    rows = check_key_decides_the_row(p, heads, bound)
+    # a small bound leaves some f_n scans open, so both scan outcomes are keyed
+    assert {k[0] for k in rows} == {"fn_zero", "exact", "bounded"}
 
 
 def _draw(rng, p, names="abc"):
@@ -145,9 +194,10 @@ def test_shaped_ranges_equal_the_oracle(ranges, tmp_path, decided):
     oracle(7, ranges, 50)
     decided.clear()
     check_census(tmp_path, 7, ranges)
-    # two runs, with and without --out: each decides every class once
-    assert len(decided) == 2 * len(classes(7, ranges))
-    assert set(decided) == classes(7, ranges)
+    # two runs, with and without --out: each decides one class per key
+    keys = c_census_keys(7, parse_ranges(ranges))
+    assert len(decided) == 2 * len(keys)
+    assert decided_keys(7, decided) == keys and set(decided) <= classes(7, ranges)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -158,7 +208,7 @@ def test_seeded_ranges_equal_the_oracle(p, tmp_path, decided):
         oracle(p, ranges, 50)
         decided.clear()
         check_census(tmp_path, p, ranges)
-        assert len(decided) == 2 * len(classes(p, ranges)), ranges
+        assert len(decided) == 2 * len(c_census_keys(p, parse_ranges(ranges))), ranges
 
 
 @pytest.mark.parametrize("p, ranges", [(7, ""), (11, "c=0|1|2,b=*"), (5, SHAPED[0])])

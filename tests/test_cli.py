@@ -10,7 +10,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from helpers import parse_machine_block, product_space, reference_c_row
+from helpers import c_census_keys, parse_machine_block, product_space, reference_c_row
 
 from ttpkit.cli import (
     JobDocument,
@@ -536,9 +536,10 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     base = ["scan", "--field", "GF(3)", "--family", "C"]
     _, serial = invoke(base)
-    _, many = invoke(base + ["--workers", "64"])  # 27 tuples in 15 classes, 4 cpus
-    # the pool receives classes: the 3 tuples of a=0,b=0 are the classes (0,0,0) and (0,0,1)
-    invoke(base + ["--ranges", "a=0,b=0", "--workers", "64"])
+    _, many = invoke(base + ["--workers", "64"])  # 27 tuples in 15 classes under 4 keys, 4 cpus
+    # the pool receives one class per key: the 3 tuples of a=0,b=1 are in the
+    # classes (0,1,0), a skew plane, and (0,1,1), the Jordan plane
+    invoke(base + ["--ranges", "a=0,b=1", "--workers", "64"])
     assert sizes == [4, 2]
     assert many == serial
 
@@ -599,8 +600,8 @@ def test_scan_decides_each_c_class_before_it_writes_a_row(monkeypatch, tmp_path)
     monkeypatch.setattr("ttpkit.cli.open_out", checking_out)
     status, out = invoke(["scan", "--field", "GF(3)", "--family", "C", "--out", "rows.tsv"])
     assert status == 0 and "total=27" in out
-    # one task per canonical class (ac, b, 1), (1, b, 0) or (0, b, 0), none twice
-    assert len(classified) == 3**2 + 2 * 3
+    # one task per class key, each a canonical class (ac, b, 1), (1, b, 0) or (0, b, 0), none twice
+    assert len(classified) == len(c_census_keys(3, {}))
     assert len({tuple(v.items()) for v in classified}) == len(classified)
     assert all(v["c"] == 1 or v["c"] == 0 and v["a"] in (0, 1) for v in classified)
     # the header, then every one of the 27 tuple lines after all classes are decided
@@ -629,7 +630,7 @@ def test_scan_classifies_each_c_class_once_per_scan(monkeypatch):
         calls.clear()
         status, out = invoke(["scan", "--field", "GF(7)", "--family", "C", "--workers", "1"])
         assert status == 0 and "total=343" in out
-        assert len(calls) == 7**2 + 2 * 7
+        assert len(calls) == len(c_census_keys(7, {}))  # one per class key
 
 
 @pytest.mark.parametrize("argv, notes", [
