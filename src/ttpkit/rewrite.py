@@ -23,9 +23,12 @@ On any rule set the result is irreducible and congruent to the input.
 On a system complete through a word's degree it is the unique normal
 form, whatever the rewriting strategy.  Entries are sparse payload rows
 keyed by word, the format of NCPoly.terms.  A RewriteSystem keeps its
-map for its whole life, since its rules never change; completion, whose
-rule list grows, keeps one map per rule set, replaced when a rule is
-born.
+map for its whole life, since its rules never change.  Completion keeps
+one map for its whole run: rules are born in nondecreasing degree, so a
+rule of degree D changes no entry of (v, x) with deg(v x) < D, and a
+birth indexes the rule and drops only the entries of degree D and up.
+The completed system starts from the entries of the completion's map
+through its degree bound, each already the unique normal form.
 
 The two degree-3 obstructions of the normalized three-generator family
 are evaluated from closed-form coefficient tables, with no rewriting.
@@ -34,6 +37,7 @@ are evaluated from closed-form coefficient tables, with no rewriting.
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from .freealg import Alphabet, NCPoly
 
@@ -78,12 +82,14 @@ class RewriteSystem:
 
     __slots__ = ("alphabet", "field", "rules", "completed_to", "_right", "_words")
 
-    def __init__(self, alphabet, field, rules, completed_to=None):
+    def __init__(self, alphabet, field, rules, completed_to=None, letter_map=None):
+        """letter_map, if given, is a _LetterMap indexed on rules, taken as the system's own."""
         self.alphabet = alphabet
         self.field = field
         self.rules = tuple(rules)
         self.completed_to = completed_to
-        self._right = _LetterMap(self.rules, field)  # (v, x) -> NF(v x)
+        # (v, x) -> NF(v x); completion hands over its own map
+        self._right = _LetterMap(self.rules, field) if letter_map is None else letter_map
         self._words = []  # normal-word buckets by degree, up to the largest d asked
         highs = [r.high for r in self.rules]
         for i, h in enumerate(highs):
@@ -174,12 +180,36 @@ class _LetterMap:
     def __init__(self, rules, field):
         self.field, self.entries = field, {}
         self.one = field._coerce(1)
+        self.unit = {(): self.one}
+        self.reindex(rules)
+
+    def reindex(self, rules):
+        """Index rules in place of the indexed ones; entries are left as they are."""
         self.index = {}
         for r in rules:
-            if r.high:
-                self.index.setdefault(r.high[-1], []).append(r)
-        # NF of the empty word: zero under a rule 1 -> 0, which makes every word zero
-        self.unit = {} if any(not r.high for r in rules) else {(): self.one}
+            self._add(r)
+
+    def birth(self, rule, since):
+        """Index rule, of degree D at least every indexed rule's, and drop the entries of (v, x) with deg(v x) >= D.
+
+        A rule of degree D rewrites no word below D, so no other entry
+        changes.  Only the entries from position since of the dict on are
+        checked: the caller passes the size the map had when it began
+        the words of degree D, so every entry before it is below D.
+        """
+        self._add(rule)
+        alphabet, entries = rule.tail.alphabet, self.entries
+        degree, weights, top = alphabet.degree, alphabet.weights, alphabet.degree(rule.high)
+        for v, x in list(itertools.islice(entries, since, None)):
+            if degree(v) + weights[x] >= top:
+                del entries[v, x]
+
+    def _add(self, rule):
+        if rule.high:
+            self.index.setdefault(rule.high[-1], []).append(rule)
+        else:
+            # NF of the empty word: zero under a rule 1 -> 0, which makes every word zero
+            self.unit = {}
 
     def entry(self, v, x):
         """The entry of (v, x), filled if missing; callers must not change it."""
@@ -187,16 +217,16 @@ class _LetterMap:
         return self._run(self._entry((v, x))) if nf is None else nf
 
     def fold(self, row, word):
-        """Sum of a * NF(u word) over the terms a*u of row.
+        """Sum of a * NF(u word) over the terms a*u of row; the words u must be normal.
 
         The result may be row itself, when word is empty; callers must not
         change it.
         """
-        # _fold below is this loop as a suspended computation, for _entry:
-        # an entry that needs other missing entries suspends instead of
-        # recursing, so a long rewrite chain cannot exhaust the stack.
-        # This loop is the common case, every entry present, and drives no
-        # generator unless one is missing.
+        # _entry runs this loop as a suspended computation: an entry that
+        # needs other missing entries suspends instead of recursing, so a
+        # long rewrite chain cannot exhaust the stack.  Here, the common
+        # case, every entry is present and no generator is driven unless
+        # one is missing.
         entries, add = self.entries, self.field._add_multiple
         for x in word:
             out = {}
@@ -208,12 +238,16 @@ class _LetterMap:
             row = out
         return row
 
-    def reduce(self, p):
-        """Sum of c * NF(w) over the terms c*w of p, each NF(w) folded from the empty word."""
+    def normal_form(self, row):
+        """Sum of c * NF(w) over the terms c*w of a payload row, each NF(w) folded from the empty word."""
         add, out = self.field._add_multiple, {}
-        for w, c in p.terms.items():
+        for w, c in row.items():
             add(out, c, self.fold(self.unit, w))
-        return NCPoly.from_payloads(p.alphabet, p.field, out)
+        return out
+
+    def reduce(self, p):
+        """normal_form of p's terms, as a polynomial."""
+        return NCPoly.from_payloads(p.alphabet, p.field, self.normal_form(p.terms))
 
     def _run(self, steps):
         """Drive a suspended computation, filling each missing entry it yields on an explicit stack."""
@@ -230,19 +264,6 @@ class _LetterMap:
                 stack.append(self._entry(key))
                 value = None
 
-    def _fold(self, row, word):
-        """fold as a suspended computation: it yields each missing key and is sent that key's entry."""
-        entries, add = self.entries, self.field._add_multiple
-        for x in word:
-            out = {}
-            for u, a in row.items():
-                nf = entries.get((u, x))
-                if nf is None:
-                    nf = yield (u, x)
-                add(out, a, nf)
-            row = out
-        return row
-
     def redex(self, v, x):
         """The first rule whose high term ends v x, or None."""
         w = v + (x,)
@@ -253,18 +274,46 @@ class _LetterMap:
         return None
 
     def _entry(self, key):
-        """Compute and store the entry of key, suspended like _fold."""
+        """Compute and store the entry of key as a suspended computation.
+
+        Each tail term c t of the rewriting rule is folded onto the letters
+        before the high term as fold does, but a missing entry is yielded
+        as its key and sent back filled.
+        """
         v, x = key
         rule = self.redex(v, x)
         if rule is None:
             nf = self.entries[key] = {v + (x,): self.one}
             return nf
-        start = {v[: len(v) + 1 - len(rule.high)]: self.one}  # the letters of v x before the high term
-        nf, add = {}, self.field._add_multiple
+        start = v[: len(v) + 1 - len(rule.high)]  # the letters of v x before the high term
+        entries, add, one, nf = self.entries, self.field._add_multiple, self.one, {}
         for t, c in rule.tail.terms.items():
-            add(nf, c, (yield from self._fold(start, t)))
-        self.entries[key] = nf
+            row = {start: one}
+            for y in t:
+                out = {}
+                for u, a in row.items():
+                    e = entries.get((u, y))
+                    if e is None:
+                        e = yield (u, y)
+                    add(out, a, e)
+                row = out
+            add(nf, c, row)
+        entries[key] = nf
         return nf
+
+
+def _s_difference(maps, left, mpp, m, tail):
+    """NF(tail_i mpp) - NF(m tail_j) as a payload row, the S-difference of an overlap hi mpp = m hj.
+
+    left is NF(tail_i), tail the payload row of tail_j; m is a proper
+    prefix of a high term, so it is normal.  By linearity of fold this is
+    the normal form of tail_i mpp - m tail_j, term for term.
+    """
+    field = maps.field
+    row, add, neg, start = maps.fold(left, mpp), field._add_multiple, field._neg, {m: maps.one}
+    for t, c in tail.items():
+        add(row, neg(c), maps.fold(start, t))
+    return row
 
 
 def _complete(alphabet, field, elements, d):
@@ -272,13 +321,27 @@ def _complete(alphabet, field, elements, d):
 
     Elements and the S-differences of overlaps of degree <= d share one
     heap, by degree, elements first, then in element order or by overlap
-    word.  Each popped item is reduced through one multiplication map per
-    rule set, and a nonzero result becomes a monic rule.  A rule is thus
-    born of degree at least every earlier one's, with a high term none of
-    them rewrites, so no high term contains another.  With d None the
-    elements are only oriented, with no certificate.  Rules from elements
-    come first, in term order, then the added ones as born; tails are
-    interreduced once, at the end.
+    word.  A popped element is reduced through the letter map; an overlap
+    hi mpp = m hj gives the row NF(tail_i) mpp - m tail_j folded through
+    it (_s_difference), with NF(tail_i) kept per rule until a rule of its
+    degree is born.  A nonzero result becomes a monic rule: its lead
+    word is the high term and the rest, scaled by minus the inverse of
+    the lead coefficient, the tail.  A rule is thus born of degree at
+    least every earlier one's, with a high term none of them rewrites, so
+    no high term contains another.
+
+    One letter map serves the whole loop and then the completed system.
+    A rule born of degree D joins its index, and the map drops only the
+    entries of (v, x) with deg(v x) >= D (_LetterMap.birth): no rule of
+    degree D or more rewrites a word below D.
+
+    With d None the elements are only oriented, with no certificate.
+    Rules from elements come first, in term order, then the added ones as
+    born; tails are interreduced once, at the end.  The map is then
+    re-indexed on the interreduced rules and becomes the completed
+    system's, keeping its entries through degree d, the unique normal
+    forms there (all of them unless an element above d filled some past
+    it; none with d None).
     """
     heap = []
     for n, p in enumerate(elements):
@@ -287,40 +350,59 @@ def _complete(alphabet, field, elements, d):
         if not p.is_zero():
             heap.append((p.degree(), 0, n, p))
     heapq.heapify(heap)
-    rules, oriented, added, maps = [], [], [], None
+    rules, degrees, oriented, added = [], [], [], []
+    maps = _LetterMap((), field)
+    tails = {}  # rule index -> NF of its tail under the rules born so far
+    inv, neg, mul = field._inv, field._neg, field._mul
+    key, degree, weights = alphabet.sort_key, alphabet.degree, alphabet.weights
+    top, mark = None, 0  # degree of the last popped item; len(maps.entries) when its degree began
+
+    def normal_tail(i):
+        nf = tails.get(i)
+        if nf is None:
+            nf = tails[i] = maps.normal_form(rules[i].tail.terms)
+        return nf
 
     def push_overlaps(i, j):
         hi = rules[i].high
         for m, _, mpp in _overlaps(hi, rules[j].high):
             word = hi + mpp
-            deg = alphabet.degree(word)
+            deg = degree(word)
             if deg <= d:
                 heapq.heappush(heap, (deg, 1, word, i, j, m, mpp))
 
     while heap:
         item = heapq.heappop(heap)
+        if item[0] != top:
+            top, mark = item[0], len(maps.entries)
         if item[1] == 0:
-            p = item[3]
+            row = maps.normal_form(item[3].terms)
         else:
             _, _, _, i, j, m, mpp = item
-            p = rules[i].tail * NCPoly(alphabet, field, {mpp: field.one()})
-            p -= NCPoly(alphabet, field, {m: field.one()}) * rules[j].tail
-        maps = maps or _LetterMap(rules, field)
-        p = maps.reduce(p)
-        if p.is_zero():
+            row = _s_difference(maps, normal_tail(i), mpp, m, rules[j].tail.terms)
+        if not row:
             continue
-        rules.append(_monic_rule(p))
-        (added if item[1] else oriented).append(rules[-1])
-        maps = None  # its index holds the old rules only
+        lead = max(row, key=key)
+        scale = neg(inv(row[lead]))
+        tail = {w: mul(a, scale) for w, a in row.items() if w != lead}
+        rules.append(Rule(lead, NCPoly.from_payloads(alphabet, field, tail)))
+        degrees.append(top)
+        (added if item[1] else oriented).append(len(rules) - 1)
+        maps.birth(rules[-1], mark)
+        tails = {i: nf for i, nf in tails.items() if degrees[i] < top}
         k = len(rules) - 1
         for i in range(k + 1 if d is not None else 0):
             push_overlaps(i, k)
             if i != k:
                 push_overlaps(k, i)
-    oriented.sort(key=lambda r: alphabet.sort_key(r.high))
-    maps = maps or _LetterMap(rules, field)
-    rules = [Rule(r.high, maps.reduce(r.tail)) for r in oriented + added]
-    return RewriteSystem(alphabet, field, rules, completed_to=d), added
+    oriented.sort(key=lambda i: key(rules[i].high))
+    done = [Rule(rules[i].high, NCPoly.from_payloads(alphabet, field, normal_tail(i))) for i in oriented + added]
+    maps.reindex(done)
+    if d is None:
+        maps.entries = {}
+    elif top is not None and top > d:
+        maps.entries = {(v, x): nf for (v, x), nf in maps.entries.items() if degree(v) + weights[x] <= d}
+    return RewriteSystem(alphabet, field, done, completed_to=d, letter_map=maps), [rules[i] for i in added]
 
 
 def _contains(word, sub):
@@ -336,13 +418,6 @@ def _overlaps(hi, hj):
     for ell in range(1, min(len(hi), len(hj))):
         if hi[len(hi) - ell :] == hj[:ell]:
             yield hi[: len(hi) - ell], hj[:ell], hj[ell:]
-
-
-def _monic_rule(p):
-    """The rule lead(p) -> lead(p) - p / lc(p) for a nonzero polynomial p."""
-    w, c = p.leading_term()
-    tail = (NCPoly(p.alphabet, p.field, {w: c}) - p).scale(c.inv())
-    return Rule(w, tail)
 
 
 # The f = 1 normalized three-generator system over the alphabet y < x < z:

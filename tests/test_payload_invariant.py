@@ -8,9 +8,10 @@ reach: the component matrices, their kernels (as rows and as columns),
 the image rows that the minimal resolution inserts (for the rank count,
 and in kernel coordinates where a generator is born),
 every EchelonSpan row after every insertion, the rule tails of the
-completed system, its letter multiplication map, every product,
-every reduced polynomial and every word-times-entry row folded through
-the maps, and the differentials of the minimal resolution.
+completed system, its letter multiplication map, every S-difference row
+of the completion with its two operands, every reduced polynomial and
+every word-times-entry row folded through the maps, and the
+differentials of the minimal resolution.
 """
 
 from collections import defaultdict
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import is_payload
+from ttpkit import rewrite
 from ttpkit.classify import classify_2d_ttp, graded_iso_type_2d
 from ttpkit.families import ParamTuple2D, ParamTuple3D, build_T, build_Tgh
 from ttpkit.freealg import NCPoly
@@ -53,12 +55,12 @@ def _check_poly(poly, where, seen):
 
 @pytest.fixture
 def seen(monkeypatch):
-    """Check the payloads of every EchelonSpan, matrix, product, reduced polynomial and folded row as they are made."""
+    """Check the payloads of every EchelonSpan, matrix, S-difference, reduced polynomial and folded row as they are made."""
     types = defaultdict(set)  # where -> payload types met there
     insert, rank_kernel = EchelonSpan._insert, ScalarMatrix.rank_kernel
     insert_image, kernel_rows = EchelonSpan.insert, ScalarMatrix.kernel_rows
     component_matrix = GradedComplex.component_matrix
-    mul, reduce, multiply = NCPoly.__mul__, RewriteSystem.reduce, RewriteSystem.multiply
+    s_difference, reduce, multiply = rewrite._s_difference, RewriteSystem.reduce, RewriteSystem.multiply
 
     def checked_insert(self, vec):
         grew = insert(self, vec)
@@ -85,10 +87,11 @@ def seen(monkeypatch):
         _check_rows(mat.field, mat.rows, "component matrix", types)
         return mat
 
-    def checked_mul(self, other):
-        prod = mul(self, other)
-        _check_poly(prod, "product", types)
-        return prod
+    def checked_s_difference(maps, left, mpp, m, tail):
+        # its operands NF(tail_i) and tail_j too: an S-difference often reduces to zero
+        row = s_difference(maps, left, mpp, m, tail)
+        _check_rows(maps.field, [left, tail, row], "S-difference", types)
+        return row
 
     def checked_reduce(self, p):
         nf = reduce(self, p)
@@ -105,7 +108,7 @@ def seen(monkeypatch):
     monkeypatch.setattr(EchelonSpan, "insert", checked_insert_image)
     monkeypatch.setattr(ScalarMatrix, "kernel_rows", checked_kernel_rows)
     monkeypatch.setattr(GradedComplex, "component_matrix", checked_component_matrix)
-    monkeypatch.setattr(NCPoly, "__mul__", checked_mul)
+    monkeypatch.setattr(rewrite, "_s_difference", checked_s_difference)
     monkeypatch.setattr(RewriteSystem, "reduce", checked_reduce)
     monkeypatch.setattr(RewriteSystem, "multiply", checked_multiply)
     return types
@@ -123,7 +126,7 @@ def _run(pres, maxdeg, seen):
         for row in mat:
             for entry in row:
                 _check_poly(entry, "differential", seen)
-    for where in ("rule tail", "product", "reduced", "differential", "kernel", "image row"):
+    for where in ("rule tail", "S-difference", "reduced", "differential", "kernel", "image row"):
         assert seen[where], f"the run reached no {where}"
     resolved = {where: set(types) for where, types in seen.items()}
     return res, resolved, gorenstein_check(pres, maxdeg)
@@ -133,12 +136,12 @@ def test_elliptic_q_run_keeps_integral_data_int(seen):
     res, resolved, profile = _run(build_Tgh(QQ.scalar(1), QQ.scalar(2)), 6, seen)
     assert res.betti.entries[(3, 3)] == 1 and profile.clean
     # integer coefficients and monic rules: the normal forms, the matrices,
-    # the products, the spans and the resolution are integral at this size.
+    # the S-differences, the spans and the resolution are integral at this size.
     # The Gorenstein evidence runs on the quadratic dual, whose relation
     # w'^2 - 1/2 y'^2 - 1/2 y'w' (from w^2 + 2y^2) is not
     for where in (
         "rule tail", "multiplication map", "component matrix", "image row",
-        "kernel", "product", "reduced", "differential", "EchelonSpan row",
+        "kernel", "S-difference", "reduced", "differential", "EchelonSpan row",
     ):
         assert resolved[where] == {int}, where
     assert set().union(*seen.values()) == {int, Fraction}

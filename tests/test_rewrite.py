@@ -22,9 +22,11 @@ from helpers import (
     reference_t_space,
     rewrite_degree3_overlap_elements,
 )
+from ttpkit import rewrite
 from ttpkit.families import ParamTuple3D, Presentation, build_T, build_Tgh
 from ttpkit.freealg import Alphabet, NCPoly, parse_poly
 from ttpkit.homology import minimal_resolution
+from ttpkit.koszulreg import yoneda_presentation_h0
 from ttpkit.rewrite import (
     NotCompleted,
     RewriteSystem,
@@ -450,27 +452,93 @@ def test_multiply_on_filled_maps_drives_no_suspended_computation(monkeypatch):
     assert filled > 0  # the first product of the last word still filled entries
 
 
-def test_completion_builds_one_map_per_rule_set(monkeypatch):
-    # complete() reduces the system's own rules and each S-difference
-    # through one right map per rule set, replaced only when a rule is born
+def test_completion_keeps_one_map_across_births(monkeypatch):
+    # one letter map serves a whole completion: a rule born of degree D
+    # drops only the entries of degree D and up, and every entry kept below
+    # D is what a fresh map on the rules born so far computes
     A = Alphabet(["x", "y", "z"])
     rs = from_relations(A, QQ, [parse_poly(A, QQ, r) for r in ("xy-2yx+zz", "yz-zy", "xz-3zx+yy")])
-    built, reductions = [], []
-    init, reduce = _LetterMap.__init__, _LetterMap.reduce
+    built, born, differences = [], [], []
+    init, birth, s_difference = _LetterMap.__init__, _LetterMap.birth, rewrite._s_difference
 
     def spy_init(self, rules, field):
-        built.append(tuple(rules))
+        built.append(self)
         init(self, rules, field)
 
+    def spy_birth(self, rule, since):
+        before = dict(self.entries)
+        birth(self, rule, since)
+        born.append(rule)
+        D = A.degree(rule.high)
+        assert self.entries == {(v, x): nf for (v, x), nf in before.items() if A.degree(v + (x,)) < D}
+        fresh = _LetterMap(born, QQ)
+        built.pop()  # the fresh map is the test's own
+        assert all(fresh.entry(v, x) == nf for (v, x), nf in self.entries.items()), rule
+
     monkeypatch.setattr(_LetterMap, "__init__", spy_init)
-    monkeypatch.setattr(_LetterMap, "reduce", lambda self, p: reductions.append(p) or reduce(self, p))
+    monkeypatch.setattr(_LetterMap, "birth", spy_birth)
+    monkeypatch.setattr(rewrite, "_s_difference", lambda *args: differences.append(args) or s_difference(*args))
     done, added = rs.complete(6)
-    # never two maps for one rule set: the loop's, at most the empty set and
-    # one after each rule born, then the completed system's own map
-    assert len(built) == len(set(built)) <= len(done.rules) + 2
-    assert built[-1] == done.rules
-    # the three own rules, the 64 overlaps of degree <= 6, then 16 tails
-    assert len(added) == 13 and len(reductions) == 3 + 64 + 16
+    # the loop's map is the completed system's: one map per completion
+    assert len(built) == 1 and done._right is built[0]
+    # the three own rules are born again, then 13 added from the 64 overlaps of degree <= 6
+    assert len(born) == 3 + 13 and [r.high for r in born[3:]] == [r.high for r in added]
+    assert len(added) == 13 and len(differences) == 64
+
+
+def _inherited_entries_match_fresh(alphabet, field, relations, d):
+    """Complete relations through d; check the completed map's entries against a fresh system's, filled by multiply."""
+    rs = _complete(alphabet, field, relations, d)[0]
+    inherited = dict(rs._right.entries)
+    fresh = RewriteSystem(alphabet, field, rs.rules, d)
+    for v, x in inherited:
+        assert alphabet.degree(v + (x,)) <= d
+        letter = NCPoly.from_payloads(alphabet, field, {(x,): field.one().payload})
+        assert fresh.multiply(v, letter) == inherited[v, x], (v, x)
+        assert rs.multiply(v, letter) == inherited[v, x], (v, x)
+    assert {k: fresh._right.entries[k] for k in inherited} == inherited
+    assert rs._right.entries == inherited  # the lookups filled nothing new
+    return inherited
+
+
+def _random_presentation(rng, alphabet, field, coefficients):
+    """Two or three relations of degree 2 or 3 with two or three words each."""
+    k = rng.choice((2, 3))
+    words = list(itertools.product(range(len(alphabet)), repeat=k))
+    return [
+        NCPoly(alphabet, field, {w: rng.choice(coefficients) for w in rng.sample(words, rng.randint(2, 3))})
+        for _ in range(rng.randint(2, 3))
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), SQRT2], ids=repr)
+def test_completed_system_inherits_fresh_entries(field):
+    rng = random.Random(97)
+    coefficients = [field.scalar(c) for c in (1, -1, 2, -3, Fraction(1, 2))]
+    if field is SQRT2:
+        coefficients += [SQRT2.root(), SQRT2.scalar(1) - SQRT2.root()]
+    filled = 0
+    for _ in range(12):
+        alphabet = Alphabet(["x", "y", "z"][: rng.choice((2, 3))])
+        relations = _random_presentation(rng, alphabet, field, coefficients)
+        filled += len(_inherited_entries_match_fresh(alphabet, field, relations, 5))
+        # orientation alone certifies nothing, so nothing is handed over
+        assert from_relations(alphabet, field, relations)._right.entries == {}
+    assert filled
+
+
+def test_weighted_and_zero_algebra_completions_inherit_fresh_entries():
+    # the degenerate Yoneda presentation has rho of weight 3
+    pres = yoneda_presentation_h0(QQ.scalar(2))
+    assert _inherited_entries_match_fresh(pres.alphabet, QQ, pres.relations, 8)
+    assert any(3 in v for v, _ in pres.completed(8)._right.entries)
+    xy = Alphabet(["x", "y"])
+    # a relation above d fills entries past d while it is reduced; none is handed over
+    relations = [parse_poly(xy, QQ, r) for r in ("xy - yx", "x^5 + 2y^5")]
+    assert _inherited_entries_match_fresh(xy, QQ, relations, 3)
+    # under the rule 1 -> 0 every word is zero: no entry outlives it
+    relations = [parse_poly(xy, QQ, r) for r in ("xy - yx", "2")]
+    assert _inherited_entries_match_fresh(xy, QQ, relations, 4) == {}
 
 
 def test_multiplication_maps_hold_normal_word_times_letter_only():
