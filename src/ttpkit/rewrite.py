@@ -37,7 +37,7 @@ are evaluated from closed-form coefficient tables, with no rewriting.
 from __future__ import annotations
 
 import heapq
-import itertools
+from itertools import islice
 
 from .freealg import Alphabet, NCPoly
 
@@ -109,7 +109,7 @@ class RewriteSystem:
         w, NF(w) is the unique normal form, reached by every rewriting
         strategy; past that it is one irreducible representative.
         """
-        return self._right.reduce(p)
+        return NCPoly.from_payloads(p.alphabet, p.field, self._right.normal_form(p.terms))
 
     def multiply(self, word, p):
         """NF(word * p) as a payload row; word must be normal.
@@ -200,7 +200,7 @@ class _LetterMap:
         self._add(rule)
         alphabet, entries = rule.tail.alphabet, self.entries
         degree, weights, top = alphabet.degree, alphabet.weights, alphabet.degree(rule.high)
-        for v, x in list(itertools.islice(entries, since, None)):
+        for v, x in list(islice(entries, since, None)):
             if degree(v) + weights[x] >= top:
                 del entries[v, x]
 
@@ -244,10 +244,6 @@ class _LetterMap:
         for w, c in row.items():
             add(out, c, self.fold(self.unit, w))
         return out
-
-    def reduce(self, p):
-        """normal_form of p's terms, as a polynomial."""
-        return NCPoly.from_payloads(p.alphabet, p.field, self.normal_form(p.terms))
 
     def _run(self, steps):
         """Drive a suspended computation, filling each missing entry it yields on an explicit stack."""
@@ -350,7 +346,7 @@ def _complete(alphabet, field, elements, d):
         if not p.is_zero():
             heap.append((p.degree(), 0, n, p))
     heapq.heapify(heap)
-    rules, degrees, oriented, added = [], [], [], []
+    rules, oriented, added = [], [], []
     maps = _LetterMap((), field)
     tails = {}  # rule index -> NF of its tail under the rules born so far
     inv, neg, mul = field._inv, field._neg, field._mul
@@ -385,12 +381,11 @@ def _complete(alphabet, field, elements, d):
         lead = max(row, key=key)
         scale = neg(inv(row[lead]))
         tail = {w: mul(a, scale) for w, a in row.items() if w != lead}
+        k = len(rules)
         rules.append(Rule(lead, NCPoly.from_payloads(alphabet, field, tail)))
-        degrees.append(top)
-        (added if item[1] else oriented).append(len(rules) - 1)
-        maps.birth(rules[-1], mark)
-        tails = {i: nf for i, nf in tails.items() if degrees[i] < top}
-        k = len(rules) - 1
+        (added if item[1] else oriented).append(k)
+        maps.birth(rules[k], mark)
+        tails = {i: nf for i, nf in tails.items() if rules[i].degree() < top}
         for i in range(k + 1 if d is not None else 0):
             push_overlaps(i, k)
             if i != k:
