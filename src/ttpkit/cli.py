@@ -9,18 +9,20 @@ malformed input, 2 for constraint violations (wrong family, bad
 characteristic, a radicand over Q past the trial-division bound).
 asreg --evidence certifies the job's own presentation: the Gorenstein
 profile is invariant under graded isomorphism, so it needs no normal form.
-Every census goes through one decide-and-fold, census_rows: it decides
-one representative per class through scan_row and counts each class with
-its size, whether or not --out lists the census; the walk that lists it
-only writes text.  The classes of a C census are those that c_class_key
-puts the canonical classes of C(a,b,c) in, at most seven; those of a T
-census are those that t_class_key puts the candidates of classify.ttp_locus
-in, and every other T tuple is counted as not_ttp and built and formatted
-only when --out lists it; each (g, h) of a Tgh census is its own class.
-A listing of more than LISTING_LIMIT rows is refused before --out is
-opened.  The process pool of scan --workers N is imported only when N > 1
-workers will run, and json only when a --job document is read, so no
-other run pays for loading them.
+Every census goes through one in-process decide-and-fold, census_rows:
+it decides one representative per class through scan_row and counts each
+class with its size, whether or not --out lists the census; the walk that
+lists it only writes text.  A class key holds exactly what its row reads,
+so no census decides more than a fixed handful of classes at any p.  The
+classes of a C census are those that c_class_key puts the canonical
+classes of C(a,b,c) in, at most seven; those of a T census are those that
+t_class_key puts the candidates of classify.ttp_locus in, at most 31 (two
+elliptic ones, by whether h = 0), and every other T tuple is counted as
+not_ttp and built and formatted only when --out lists it; a Tgh census has
+two classes, h = 0 and h != 0.  A listing of more than LISTING_LIMIT rows
+is refused before --out is opened.  scan --workers is accepted and
+ignored.  json is imported only when a --job document is read, so no other
+run pays for loading it.
 """
 
 from __future__ import annotations
@@ -619,24 +621,22 @@ def _fn_scans(field, bound):
 def t_class_key(field, bound):
     """key(a, b, c, outer): the class of a T locus candidate, in ints mod p; its census row depends on nothing else.
 
-    An elliptic candidate (A != 0) is in the class of its normal form
-    Tgh(g, h), g = C + 2(a-1) - (2-B)^2/4 and h = c - (a-1)(C+a-1); in
-    characteristic 2, where the elliptic rule is a constraint error, all
-    are one class.  A reducible one is in the class of its outer tuple's
-    case, whether E = 0, whether a + d = 0 and whether the f_n(a, d) scan
-    closes its cycle; a zero of f_n makes it not_ttp whatever its case.
-    fn_nonvanishing runs once per distinct (a, d).
+    An elliptic candidate (A != 0) is in one of two classes, by whether
+    h = c - (a-1)(C+a-1) of its normal form Tgh(g, h) is 0: the elliptic
+    rule reads nothing else (in characteristic 2 it is a constraint error).
+    A reducible one is in the class of its outer tuple's case, whether
+    E = 0, whether a + d = 0 and whether the f_n(a, d) scan closes its
+    cycle; a zero of f_n makes it not_ttp whatever its case.  The case
+    fixes E = 0, so there are at most 7*2*2 + 3 keys.  fn_nonvanishing runs
+    once per distinct (a, d).
     """
     p = field.p
-    inv4 = pow(4, -1, p) if p != 2 else None
     fn_scan, cases = _fn_scans(field, bound), {}
 
     def key(a, b, c, outer):
         e, d, A, B, C, E = outer
         if A:
-            if inv4 is None:
-                return ("elliptic",)
-            return "elliptic", (C + 2 * (a - 1) - (2 - B) ** 2 * inv4) % p, (c - (a - 1) * (C + a - 1)) % p
+            return "elliptic", (c - (a - 1) * (C + a - 1)) % p == 0
         scan = fn_scan(a, d)
         if scan == "zero":
             return ("fn_zero",)
@@ -700,19 +700,6 @@ ROW_FIELDS = ("tuple", "verdict", "case", "koszul", "asreg", "certified_to")
 def _row_tail(row):
     """The --out line of row after its tuple column, newline included."""
     return "\t" + "\t".join(row) + "\n"
-
-
-def scan_rows(tasks, n, workers):
-    """scan_row of each of the n tasks, in task order; tasks is read lazily, never listed."""
-    # the pool forks every worker up front, so never ask for more than can run
-    workers = min(workers, os.cpu_count() or 1, n)
-    if workers <= 1:
-        return map(scan_row, tasks)
-    # its module is loaded only here, which keeps it out of every other run's start
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(scan_row, tasks, chunksize=max(1, n // (4 * workers))))
 
 
 @contextlib.contextmanager
@@ -828,16 +815,17 @@ def _c_census(field, bound, ranges):
 def _tgh_census(field, bound, ranges):
     """(size, classes, values, walk) of the Tgh census of ranges; see census_rows.
 
-    Each (g, h) is its own class of multiplicity 1, decided by scan_row.
+    The elliptic rule reads only whether h = 0, so each h is one class of
+    len(gs) pairs, keyed by h == 0, with representative (gs[0], h).
     """
     allowed = _scan_allowed(field.p, "Tgh", ranges)
-    pairs = list(product(allowed("g"), allowed("h")))
+    gs, hs = allowed("g"), allowed("h")
 
     def walk(rows):
-        for g, h in pairs:
-            yield f"g:{g},h:{h}{_row_tail(rows[g, h])}"
+        for g, h in product(gs, hs):
+            yield f"g:{g},h:{h}{_row_tail(rows[h == 0])}"
 
-    return len(pairs), ((gh, gh, 1) for gh in pairs), lambda gh: dict(zip("gh", gh)), walk
+    return len(gs) * len(hs), ((h == 0, (gs[0], h), len(gs)) for h in hs), lambda gh: dict(zip("gh", gh)), walk
 
 
 CENSUSES = {"C": _c_census, "T": _t_census, "Tgh": _tgh_census}
@@ -846,14 +834,15 @@ CENSUSES = {"C": _c_census, "T": _t_census, "Tgh": _tgh_census}
 LISTING_LIMIT = 2 * 10**8
 
 
-def census_rows(field, bound, family, ranges, workers, listing):
+def census_rows(field, bound, family, ranges, listing):
     """census(out): the census of ranges, a mapping from each decided row to its number of tuples.
 
     The family gives the number of its tuples, its classes as (key,
     representative, multiplicity) and a walk that yields the --out text of
     its tuples in scan order.  census decides the first representative of
-    each class through scan_row, in one scan_rows pass fed lazily; that row
-    is the row of its whole class, and counts the class's size.  The tuples
+    each class through scan_row, in process; a key holds exactly what its
+    row reads, so no census has more than 31 keys at any p.  That row is
+    the row of its whole class, and counts the class's size.  The tuples
     outside every class count for NOT_TTP_ROW.  When out is given, the walk
     then writes to it; the counts never depend on it.  The family, the
     ranges and the size of a listing are checked before census is returned.
@@ -869,9 +858,7 @@ def census_rows(field, bound, family, ranges, workers, listing):
         for key, rep, n in classes:
             sizes[key] += n
             reps.setdefault(key, rep)
-        tasks = ((field, family, bound, values(rep)) for rep in reps.values())
-        shared = {}  # one tuple per distinct row, however many classes share it
-        rows = {key: shared.setdefault(row, row) for key, row in zip(reps, scan_rows(tasks, len(reps), workers))}
+        rows = {key: scan_row((field, family, bound, values(rep))) for key, rep in reps.items()}
         if out:
             for text in walk(rows):
                 out.write(text)
@@ -895,7 +882,7 @@ def cmd_scan(args):
     ranges = parse_ranges(args.ranges)
     listing = bool(args.out)
     # the ranges are checked here, before --out is opened
-    census = census_rows(field, args.bound, args.family, ranges, args.workers, listing)
+    census = census_rows(field, args.bound, args.family, ranges, listing)
     with open_out(args.out) if listing else contextlib.nullcontext() as out:
         if out:
             out.write("\t".join(ROW_FIELDS) + "\n")
@@ -999,7 +986,7 @@ def build_parser():
     sp.add_argument("--family", required=True, help="C | T | Tgh")
     sp.add_argument("--ranges", help="range overrides, e.g. a=0..2,b=*")
     sp.add_argument("--bound", type=int, default=50)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help="accepted and ignored: every census runs in process")
     sp.add_argument("--max-prime", type=int, default=13)
     sp.add_argument("--out", help="write census rows (tab separated) to this path")
     sp.set_defaults(fn=cmd_scan)

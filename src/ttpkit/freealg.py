@@ -25,6 +25,11 @@ class ZeroPolynomial(Exception):
     pass
 
 
+# The most letters one power x^n may repeat: x^30000 is a relation someone
+# may mean, x^99999999999 only a way to run out of memory.
+MAX_POWER = 100_000
+
+
 class Alphabet:
     """Ordered letters, e.g. Alphabet(["y", "x", "z"]) means y < x < z."""
 
@@ -60,21 +65,36 @@ class Alphabet:
         i = 0
         names = sorted(self.names, key=len, reverse=True)
         while i < len(text):
-            for n in names:
-                if text.startswith(n, i):
-                    i += len(n)
-                    power = 1
-                    if i < len(text) and text[i] == "^":
-                        j = i + 1
-                        while j < len(text) and text[j].isdigit():
-                            j += 1
-                        power = int(text[i + 1 : j])
-                        i = j
-                    out.extend([self._index[n]] * power)
-                    break
-            else:
+            found = self._letter_power(names, text, i)
+            if found is None:
                 raise ValueError(f"no letter of {self.names} matches {text[i:]!r}")
+            letter, power, i = found
+            out.extend([letter] * power)
         return tuple(out)
+
+    def _letter_power(self, names, text, i):
+        """(letter index, power, end) of the letter at text[i] and its ^power, or None if no letter starts there.
+
+        names are the letter names longest first, so that no name is read as
+        a prefix of a longer one.  A ^ without digits, or a power of more
+        than MAX_POWER letters, is a ValueError raised before any word is
+        built.
+        """
+        for name in names:
+            if text.startswith(name, i):
+                i += len(name)
+                if not text.startswith("^", i):
+                    return self._index[name], 1, i
+                j = i + 1
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                if j == i + 1:
+                    raise ValueError(f"missing exponent after {name}^ in {text!r}")
+                power = int(text[i + 1 : j])
+                if power > MAX_POWER:
+                    raise ValueError(f"power {name}^{power} in {text!r} is more than {MAX_POWER} letters")
+                return self._index[name], power, j
+        return None
 
     def word_str(self, word):
         if not word:
@@ -330,21 +350,12 @@ def parse_poly(alphabet, field, text):
                 i = j
                 saw_factor = True
                 continue
-            for name in names:
-                if s.startswith(name, i):
-                    i += len(name)
-                    power = 1
-                    if i < n and s[i] == "^":
-                        j = i + 1
-                        while j < n and s[j].isdigit():
-                            j += 1
-                        power = int(s[i + 1 : j])
-                        i = j
-                    word.extend([alphabet.index(name)] * power)
-                    saw_factor = True
-                    break
-            else:
+            found = alphabet._letter_power(names, s, i)
+            if found is None:
                 raise ValueError(f"cannot parse {s[i:]!r} at position {i} of {text!r}")
+            letter, power, i = found
+            word.extend([letter] * power)
+            saw_factor = True
         if not saw_factor:
             raise ValueError(f"empty term in {text!r}")
         term = NCPoly(alphabet, field, {tuple(word): coeff if sign == 1 else -coeff})

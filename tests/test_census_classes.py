@@ -7,12 +7,13 @@ exact or bounded, and the graded type of ``classify.iso_branch_2d``.
 The C census finds the class heads in ints mod p, and
 ``cli.census_rows`` decides one canonical class per key through
 ``scan_row`` and folds it with the number of tuples its key stands for;
-each (g, h) of a Tgh census is its own class.  These tests hold the
+a Tgh census has two classes, h = 0 and h != 0.  These tests hold the
 report, the --out rows and the notes to the per-tuple fold of
 ``helpers.census_oracle``, hold ``scan_row`` of every canonical class up
 to GF(13), and of seeded ones at GF(53) and GF(101), to that of its key's
 first class, and count the decisions: one ``classify_2d_ttp`` call per C
-key and one ``scan_row`` call per (g, h).  The --out rows of the full
+key, one ``scan_row`` call per Tgh key, and a bounded handful of
+``scan_row`` calls for a full census at any p.  The --out rows of the full
 GF(11) and GF(13) cubes are pinned by SHA-256, so a change to the class
 decision cannot move the oracle and the census together.
 """
@@ -213,6 +214,7 @@ def test_seeded_ranges_equal_the_oracle(p, tmp_path, decided):
 
 @pytest.mark.parametrize("p, ranges", [(7, ""), (11, "c=0|1|2,b=*"), (5, SHAPED[0])])
 def test_two_workers_equal_serial(p, ranges, tmp_path):
+    # --workers is accepted and ignored until the option goes: 2 must give the report of 1
     reports = []
     for workers in (1, 2):
         reports.append(check_census(tmp_path, p, ranges, workers=workers))
@@ -236,8 +238,8 @@ def scanned(monkeypatch):
 def test_tgh_census_equals_the_per_tuple_oracle(p, tmp_path, scanned):
     out = check_census(tmp_path, p, family="Tgh")
     assert f"total={p**2}" in out
-    # two runs, with and without --out: each decides every (g, h) once
-    assert scanned == 2 * product_space(p, "Tgh", {})
+    # two runs, with and without --out: each decides the classes h = 0 and h != 0 once
+    assert scanned == 2 * tgh_representatives(p, {}) and len(scanned) == 4
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -246,5 +248,23 @@ def test_tgh_seeded_ranges_equal_the_oracle(p, tmp_path, scanned):
     for _ in range(4):
         ranges = _draw(rng, p, "gh")
         check_census(tmp_path, p, ranges, family="Tgh")
-        assert scanned == 2 * product_space(p, "Tgh", parse_ranges(ranges)), ranges
+        assert scanned == 2 * tgh_representatives(p, parse_ranges(ranges)), ranges
         scanned.clear()
+
+
+def tgh_representatives(p, ranges):
+    """The first Tgh tuple in scan order with h = 0 and the first with h != 0, those that ranges select."""
+    first = {}
+    for values in product_space(p, "Tgh", ranges):
+        first.setdefault(values["h"] == 0, values)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("argv, decisions", [
+    (["--field", "GF(13)", "--family", "T"], 15),  # 2 elliptic and 13 reducible or fn_zero keys
+    (["--field", "GF(101)", "--family", "C", "--max-prime", "101"], 7),
+    (["--field", "GF(401)", "--family", "Tgh", "--max-prime", "401"], 2),  # 160,801 tuples
+])
+def test_a_full_census_decides_a_bounded_handful_of_classes(argv, decisions, scanned):
+    status, out = invoke(["scan", *argv])
+    assert status == 0 and len(scanned) == decisions

@@ -89,12 +89,13 @@ def test_solved_locus_equals_the_per_outer_walk(p, ranges):
 
 
 @pytest.mark.parametrize("p, out, calls", [
-    (3, [], 21),
-    (3, ["--out", os.devnull], 21),  # listing every row classifies no more tuples
-    (5, [], 37),
+    (3, [], 14),
+    (3, ["--out", os.devnull], 14),  # listing every row classifies no more tuples
+    (5, [], 14),
 ])
 def test_t_census_classifies_the_locus_only(p, out, calls, monkeypatch):
-    # one representative per class of the 270 and 1,702 candidates: p^2 elliptic classes and 12 reducible ones
+    # one representative per class of the 270 and 1,702 candidates: 2 elliptic classes (h = 0 and h != 0)
+    # and 12 reducible ones
     seen = []
 
     def counting(t, bound=50):

@@ -339,6 +339,10 @@ def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
                  "quadratic extension", id="raw-root-outside-field"),
     pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "1/0xy"], 1, "1/0",
                  id="raw-division-by-zero"),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "x^99999999999", "--maxdeg", "2"],
+                 1, "more than 100000 letters", id="raw-huge-power"),
+    pytest.param(["hilbert", "--family", "raw", "--alphabet", "x,y", "--relations", "x^", "--maxdeg", "2"], 1,
+                 "missing exponent after x^", id="raw-missing-exponent"),
     pytest.param(["koszul", "--family", "raw", "--alphabet", "x,y", "--relations", "x", "--homdeg", "2"], 2,
                  "not minimal", id="koszul-linear-relation"),
     pytest.param(["resolve", "--family", "raw", "--alphabet", "x,y", "--relations", "2"], 2,
@@ -498,13 +502,14 @@ def test_scan_single_tuple_matches_classify():
 
 def test_scan_worker_determinism(tmp_path):
     for argv in (
-        ["--field", "GF(7)", "--family", "C"],  # 343 tuples in 63 classes: several pool chunks
+        ["--field", "GF(7)", "--family", "C"],  # 343 tuples under at most seven class keys
         ["--field", "GF(3)", "--family", "T", "--ranges", "e=0,A=1,B=0"],
-        # 1,458 tuples, of which the pool classifies the 84 on the locus: reducible and elliptic rows
+        # 1,458 tuples, of which the 84 on the locus carry reducible and elliptic rows
         ["--field", "GF(3)", "--family", "T", "--ranges", "c=0,C=0|1"],
-        ["--field", "GF(7)", "--family", "Tgh"],  # 49 classes of one (g, h) each
+        ["--field", "GF(7)", "--family", "Tgh"],  # 49 tuples in the classes h = 0 and h != 0
     ):
         outs, reports = [], []
+        # two runs each way; --workers is accepted and ignored, so 2 gives the bytes of 1
         for workers in ("1", "2"):
             path = tmp_path / f"rows{workers}.tsv"
             status, out = invoke(["scan", *argv, "--workers", workers, "--out", str(path)])
@@ -516,37 +521,8 @@ def test_scan_worker_determinism(tmp_path):
         assert reports == [outs[0][:2]] * 2, argv
 
 
-def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
-    base = ["scan", "--field", "GF(3)", "--family", "C"]
-    _, serial = invoke(base)
-    _, many = invoke(base + ["--workers", "64"])  # 27 tuples in 15 classes under 4 keys, 3 cpus
-    # the pool receives one class per key: the 3 tuples of a=0,b=1 are in the
-    # classes (0,1,0), a skew plane, and (0,1,1), the Jordan plane
-    invoke(base + ["--ranges", "a=0,b=1", "--workers", "64"])
-    assert sizes == [3, 2]
-    assert many == serial
-
-
 # A fresh interpreter imports the CLI and builds its parser, then runs a GF(3)
-# C census on two workers and on one; cpu_count is raised so that the pool
-# path runs on any host.
+# C census with --workers 2 and with --workers 1.
 START_PROBE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -554,8 +530,7 @@ import ttpkit.cli
 ttpkit.cli.build_parser()
 heavy = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures.process", "json")
 at_start = [m for m in heavy if m in sys.modules]
-import io, json, os
-os.cpu_count = lambda: 2
+import io, json
 outs, pool_loaded = [], []
 for workers in ("2", "1"):
     buf = io.StringIO()
@@ -572,7 +547,8 @@ def test_cli_start_loads_neither_the_pool_nor_dataclasses():
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     assert probe["at_start"] == []
-    assert probe["pool_loaded"] == [True, True]
+    # every census runs in process, whatever --workers says
+    assert probe["pool_loaded"] == [False, False]
     (pooled_status, pooled), (serial_status, serial) = probe["outs"]
     assert pooled_status == serial_status == 0
     assert parse_machine_block(pooled) == parse_machine_block(serial)
@@ -871,7 +847,7 @@ def test_t_census_reads_g1_on_elliptic_rows_only(monkeypatch):
     machine = parse_machine_block(out)
     elliptic = sum(int(n) for key, n in machine.items() if key.startswith("count_elliptic:"))
     assert status == 0 and machine["total"] == "5832" and elliptic == 81
-    assert len(overlaps) == 9  # one per elliptic class Tgh(g, h)
+    assert len(overlaps) == 2  # one per elliptic class: h = 0 and h != 0
     assert fields == [3]
 
 
