@@ -2,8 +2,9 @@
 
 ``cli.t_class_key`` puts each candidate of the solved locus in a class in
 ints mod p: an elliptic one by whether h = 0 in its normal form Tgh(g, h),
-a reducible one by its case, E = 0, a + d = 0 and the f_n(a, d) scan.  One representative per
-class goes through ``scan_row``, and every candidate's row is its class's.
+a reducible one by its case, E = 0, a + d = 0 and the f_n(a, d) scan.  One
+representative per class goes through ``scan_row``, and every candidate's
+row is its class's.
 These tests hold each candidate's class row to its own ``scan_row``, count
 the decisions and the f_n scans, and keep the characteristic-2 behaviour.
 """
