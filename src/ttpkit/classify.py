@@ -108,8 +108,9 @@ def classify_2d_ttp(p, bound=50):
     """Decide whether C(a,b,c) is a twisted tensor product of k[x] and k[z].
 
     One-sided cases (a = 0 or c = 0) are unconditional.  Otherwise the
-    f_n(ac, b) scan runs to the bound; over a finite field a closed orbit
-    upgrades a clean scan to an unconditional certificate.
+    f_n(ac, b) scan runs to the bound; over a finite field the state
+    orbit is periodic through (1, 1) (see sequences), so a clean scan that
+    returns to (1, 1) within the bound is an unconditional certificate.
     """
     field = p.field
     if p.a.is_zero() or p.c.is_zero():

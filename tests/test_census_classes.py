@@ -15,7 +15,9 @@ first class, and count the decisions: one ``classify_2d_ttp`` call per C
 key, one ``scan_row`` call per Tgh key, and a bounded handful of
 ``scan_row`` calls for a full census at any p.  The --out rows of the full
 GF(11) and GF(13) cubes are pinned by SHA-256, so a change to the class
-decision cannot move the oracle and the census together.
+decision cannot move the oracle and the census together; so are the
+[machine] blocks and bounded-row notes of full GF(53) C and of full
+GF(101) C at bounds 50 and 5, where many orbits outlast the bound.
 """
 
 import hashlib
@@ -103,6 +105,26 @@ def test_c_census_rows_are_pinned(p, tmp_path):
     path = tmp_path / "rows.tsv"
     status, _ = invoke(["scan", "--field", f"GF({p})", "--family", "C", "--out", str(path)])
     assert status == 0 and hashlib.sha256(path.read_bytes()).hexdigest() == C_CENSUS_SHA256[p]
+
+
+# SHA-256 of the [machine] block, and the bounded-row note, of full C
+# censuses at primes where many orbits outlast the scan bound, as the census
+# reported them when the f_n scan kept a set of every state it had seen
+C_MACHINE_SHA256 = {
+    (53, 50): ("33c114158454aab267eb18d14714ff803b6956cb97d61c93fad00500040121d6", 45604),
+    (101, 50): ("adc048d89c94e60230f111a0c6da813a570f91450d431fbfd2f21246e1f71682", 524100),
+    (101, 5): ("cc5810a0d780991c0718b91b327a5786be83dfe716cc900497e12faf11297aa0", 959400),
+}
+
+
+@pytest.mark.parametrize("p, bound", sorted(C_MACHINE_SHA256))
+def test_c_census_machine_blocks_are_pinned(p, bound):
+    argv = ["scan", "--field", f"GF({p})", "--family", "C", "--max-prime", str(p), "--bound", str(bound)]
+    status, out = invoke(argv)
+    block = out[out.index("[machine]") : out.index("[/machine]") + len("[/machine]")]
+    digest, bounded = C_MACHINE_SHA256[p, bound]
+    assert status == 0 and hashlib.sha256(block.encode()).hexdigest() == digest
+    assert f"note: {bounded} tuples certified only to the scan bound N={bound}" in out.splitlines()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

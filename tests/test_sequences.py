@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,77 @@ def test_payload_orbit_matches_the_scalar_orbit(name):
             else:
                 e = reference_orbit(a, b, report.zero_index)[-1][0]
                 assert report.zero_e == e and is_payload(field, report.zero_e.payload), (a, b, bound)
+
+
+PERIODIC_FIELDS = {f"GF{p}": PrimeField(p) for p in (2, 3, 5, 7, 11, 13)}
+PERIODIC_FIELDS.update({"GF3sqrt2": QuadExtField(PrimeField(3), 2), "GF5sqrt2": QuadExtField(PrimeField(5), 2)})
+
+
+def _elements(field):
+    if isinstance(field, QuadExtField):
+        base = field.base.elements()
+        return [field.embed(u) + field.root() * field.embed(v) for u in base for v in base]
+    return field.elements()
+
+
+@pytest.mark.parametrize("name", PERIODIC_FIELDS)
+def test_scan_closes_on_the_return_to_one_one(name):
+    # over a finite field the first repeated state of the (e, f) orbit is
+    # (1, 1) itself, so the scan that stops on the return to (1, 1) must give
+    # the set-based reference's verdict for every (a, b) and every bound
+    # around q, q^2 and the census bound 50
+    field = PERIODIC_FIELDS[name]
+    elements = _elements(field)
+    q = len(elements)
+    bounds = sorted({1, 2, q - 1, q, q + 1, q * q - 1, q * q, q * q + 1, 50})
+    for a in elements:
+        for b in elements:
+            event = None
+            for bound in bounds:
+                # the reference scans a prefix of the orbit, so once it has
+                # seen a zero or a repeat every larger bound gives the same
+                if event is None:
+                    expected = reference_nonvanishing(a, b, bound)
+                    event = None if expected == (None, False) else expected
+                else:
+                    expected = event
+                report = fn_nonvanishing(a, b, bound)
+                assert (report.zero_index, report.cycle_closed) == expected, (a, b, bound)
+
+
+@pytest.mark.parametrize("name", PERIODIC_FIELDS)
+def test_a_plus_b_zero_makes_one_one_an_eigenvector(name):
+    # det = a + b = 0: (e_1, f_1) = (b + 1)(1, 1), so the orbit is the powers
+    # of b + 1 times (1, 1); b = -1 vanishes at n = 1, any other b closes the
+    # cycle at the multiplicative order of b + 1
+    field = PERIODIC_FIELDS[name]
+    elements = _elements(field)
+    one = field.one()
+    for b in elements:
+        a = -b
+        if a.is_zero():
+            continue
+        s = b + 1
+        if s.is_zero():
+            assert fn_nonvanishing(a, b, 1).zero_index == 1
+            assert reference_nonvanishing(a, b, 1) == (1, False)
+            continue
+        order = next(k for k in range(2, len(elements)) if s**k == one)  # s != 1, since a != 0
+        assert not fn_nonvanishing(a, b, order - 1).cycle_closed, (a, b, order)
+        assert fn_nonvanishing(a, b, order).cycle_closed, (a, b, order)
+        assert reference_nonvanishing(a, b, order) == (None, True)
+
+
+def test_scan_keeps_one_state():
+    # (4403, 18651) over GF(32003) has no zero and no return to (1, 1) within
+    # 200,000 steps; a record of visited states would hold all of them
+    field = PrimeField(32003)
+    a, b = field.scalar(4403), field.scalar(18651)
+    tracemalloc.start()
+    try:
+        report = fn_nonvanishing(a, b, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_nonzero and not report.cycle_closed
+    assert peak < 64 * 1024, peak
