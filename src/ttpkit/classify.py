@@ -3,7 +3,9 @@
 Two-generator side: the twisted-tensor-product predicate driven by the
 f_n scan, and the graded isomorphism type (skew plane / Jordan plane),
 each verdict shipping an explicit congruence or substitution witness;
-iso_branch_2d picks the type's branch from the payloads alone.
+iso_branch_2d picks the type's branch from the payloads alone, and
+canonical_head the canonical class; each binds its field once and is
+then cheap on ints mod p.
 
 Three-generator side: normalization of the twelve coefficients (kill the
 z^2 coefficient of the second image, Jordan form of the degree-1 matrix,
@@ -70,17 +72,26 @@ class TwoDTTPVerdict(NamedTuple):
         return f"NotTTP({self.witness})"
 
 
-def canonical_head(field, a, c):
-    """The (a, c) payloads of the canonical class of C(a, b, c): (ac, 1), (1, 0) or (0, 0); ints mod p over GF(p)."""
-    if not field._is_zero(c):
-        return field._mul(a, c), field._coerce(1)
-    return (a if field._is_zero(a) else field._coerce(1)), c
+def canonical_head(field):
+    """head(a, c): the (a, c) payloads of the canonical class of C(a, b, c), (ac, 1), (1, 0) or (0, 0); ints mod p over GF(p).
+
+    The field's hooks and its one are bound once, so a census maps every
+    (a, c) pair through one head.
+    """
+    mul, is0, one = field._mul, field._is_zero, field._coerce(1)
+
+    def head(a, c):
+        if not is0(c):
+            return mul(a, c), one
+        return (a if is0(a) else one), c
+
+    return head
 
 
 def canonical_2d(p):
     """Canonical representative (ac,b,1), (1,b,0) or (0,b,0) of C(a,b,c); a canonical tuple is returned as it is."""
     field = p.field
-    a, c = canonical_head(field, p.a.payload, p.c.payload)
+    a, c = canonical_head(field)(p.a.payload, p.c.payload)
     if a == p.a.payload and c == p.c.payload:
         return p
     return ParamTuple2D(Scalar(field, a), p.b, Scalar(field, c))
@@ -204,8 +215,8 @@ def _canonical_root(roots):
     return min(roots, key=lambda r: r.sort_key())
 
 
-def iso_branch_2d(field, a, b, c):
-    """(branch, kind): the branch of graded_iso_type_2d for the canonical payloads (a, b, c), and its type.
+def iso_branch_2d(field):
+    """branch(a, b, c) -> (branch, kind): the branch of graded_iso_type_2d for the canonical payloads (a, b, c), and its type.
 
     A head with c = 0 takes the identity (a = 0), the Jordan (b = 1) or the
     shear branch, whose kind is zx_zero exactly when b = 0.  A head with
@@ -213,24 +224,30 @@ def iso_branch_2d(field, a, b, c):
     else a skew plane with q = -1 when b = -1, else q solves
     (a + b) q^2 + (2a - b^2 - 1) q + (a + b) = 0, and q = 0 (zx_zero)
     exactly when the outer coefficient a + b vanishes.  The kind depends
-    on nothing else, so a census keys its TTP classes by it.
+    on nothing else, so a census keys its TTP classes by it.  The field's
+    hooks and the constants 1, 4 and -1 are bound once, so a census keys
+    every class through one branch.
     """
     add, mul, neg, is0 = field._add, field._mul, field._neg, field._is_zero
-    one = field._coerce(1)
-    if is0(c):
-        if is0(a):
-            branch = "identity"
-        elif b == one:
-            return "one_sided_jordan", "jordan"
-        else:
-            branch = "shear"
-        return branch, "zx_zero" if is0(b) else "skew"
-    b1 = add(b, neg(one))
-    if is0(add(mul(field._coerce(4), a), neg(mul(b1, b1)))):
-        return "jordan", "jordan"
-    if b == field._coerce(-1):
-        return "q_minus_one", "skew"
-    return "quadratic", "zx_zero" if is0(add(a, b)) else "skew"
+    one, four, minus_one = field._coerce(1), field._coerce(4), field._coerce(-1)
+
+    def branch(a, b, c):
+        if is0(c):
+            if is0(a):
+                name = "identity"
+            elif b == one:
+                return "one_sided_jordan", "jordan"
+            else:
+                name = "shear"
+            return name, "zx_zero" if is0(b) else "skew"
+        b1 = add(b, minus_one)
+        if is0(add(mul(four, a), neg(mul(b1, b1)))):
+            return "jordan", "jordan"
+        if b == minus_one:
+            return "q_minus_one", "skew"
+        return "quadratic", "zx_zero" if is0(add(a, b)) else "skew"
+
+    return branch
 
 
 def graded_iso_type_2d(v):
@@ -253,7 +270,7 @@ def graded_iso_type_2d(v):
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     a, b = cp.a.payload, cp.b.payload
     one = field._coerce(1)
-    branch, kind = iso_branch_2d(field, a, b, cp.c.payload)
+    branch, kind = iso_branch_2d(field)(a, b, cp.c.payload)
 
     if branch == "identity":
         return IsoType2D(kind, cp.b, cp, {"x": "x", "z": "z"}, (cp.b,))

@@ -20,7 +20,8 @@ t_class_key puts the candidates of classify.ttp_locus in, at most 31 (two
 elliptic ones, by whether h = 0), and every other T tuple is counted as
 not_ttp and built and formatted only when --out lists it; a Tgh census has
 two classes, h = 0 and h != 0.  A listing of more than LISTING_LIMIT rows
-is refused before --out is opened.  scan --workers is accepted and
+is refused before --out is opened, and a sequences --bound above
+SEQUENCES_LIMIT before its table is built.  scan --workers is accepted and
 ignored.  json is imported only when a --job document is read, so no other
 run pays for loading it.
 """
@@ -62,7 +63,7 @@ from .homology import NotMinimal, minimal_resolution
 from .koszulreg import asreg_decide, asreg_decide_2d, elliptic_decide, gorenstein_check, koszul_check, yoneda_verify
 from .rewrite import NotCompleted
 from .scalars import QQ, CharTwo, FieldError, NestedExtension, PrimeField, QuadExtField, RadicandTooLarge
-from .sequences import efgh_table, fn_nonvanishing
+from .sequences import efgh_table, fn_nonvanishing, fn_scan_mod_p
 
 
 class ParseError(Exception):
@@ -433,12 +434,19 @@ def cmd_asreg(args):
     return render(human, machine), status
 
 
+# The largest sequences --bound: the table and its printed rows are held
+# whole, about 650 bytes a row over GF(32003), so 10^5 rows peak near 80 MB.
+SEQUENCES_LIMIT = 10**5
+
+
 def cmd_sequences(args):
     field = parse_field(args.field or "Q")
     params = parse_inline_params(args.params or "")
     if set(params) != {"a", "b"}:
         raise ParseError("sequences needs exactly a=..., b=...")
     a, b = _scalar_param(field, "a", params["a"]), _scalar_param(field, "b", params["b"])
+    if args.bound > SEQUENCES_LIMIT:
+        raise ConstraintError(f"--bound {args.bound} is more than the sequences limit of {SEQUENCES_LIMIT}")
     rows = efgh_table(a, b, args.bound)
     report = fn_nonvanishing(a, b, args.bound)
     human = [f"recurrence table at (a, b) = ({a}, {b}) over {field}:"]
@@ -601,18 +609,19 @@ def _t_outer_values(outer):
 
 
 def _fn_scans(field, bound):
-    """scan(a, b): the outcome of the f_n(a, b) scan to bound, in ints mod p; fn_nonvanishing runs once per (a, b).
+    """scan(a, b): the outcome of the f_n(a, b) scan to bound, in ints mod p; sequences.fn_scan_mod_p runs once per (a, b).
 
     The outcome is "zero" when some f_n vanishes, else "exact" when the
     scan closes its cycle (always at a = 0) and "bounded" when it does not.
+    The kernel is the one that fn_nonvanishing boxes over GF(p), so keying
+    a class builds no Scalar and no NonvanishingReport.
     """
-    scans = {}
+    p, scans = field.p, {}
 
     def scan(a, b):
         outcome = scans.get((a, b))
         if outcome is None:
-            report = fn_nonvanishing(field.scalar(a), field.scalar(b), bound)
-            outcome = scans[a, b] = "zero" if not report.all_nonzero else "exact" if report.cycle_closed else "bounded"
+            outcome = scans[a, b] = fn_scan_mod_p(p, a, b, bound)[0]
         return outcome
 
     return scan
@@ -627,8 +636,8 @@ def t_class_key(field, bound):
     A reducible one is in the class of its outer tuple's case, whether
     E = 0, whether a + d = 0 and whether the f_n(a, d) scan closes its
     cycle; a zero of f_n makes it not_ttp whatever its case.  The case
-    fixes E = 0, so there are at most 7*2*2 + 3 keys.  fn_nonvanishing runs
-    once per distinct (a, d).
+    fixes E = 0, so there are at most 7*2*2 + 3 keys.  The f_n scan runs
+    once per distinct (a, d), through _fn_scans.
     """
     p = field.p
     fn_scan, cases = _fn_scans(field, bound), {}
@@ -655,15 +664,17 @@ def c_class_key(field, bound):
     makes it not_ttp; otherwise it is a twisted tensor product, exact when
     c = 0 or t = 0 or when the f_n scan closes its cycle and bounded
     otherwise, whose graded type is the kind of classify.iso_branch_2d.
-    fn_nonvanishing runs once per distinct (t, b).
+    The f_n scan runs once per distinct (t, b) on the GF(p) kernel of
+    sequences, through _fn_scans, and one iso_branch_2d branch serves
+    every key, so keying builds no Scalar.
     """
-    fn_scan = _fn_scans(field, bound)
+    fn_scan, branch = _fn_scans(field, bound), iso_branch_2d(field)
 
     def key(a, b, c):
         scan = fn_scan(a, b) if a and c else "exact"
         if scan == "zero":
             return ("fn_zero",)
-        return scan, iso_branch_2d(field, a, b, c)[1]
+        return scan, branch(a, b, c)[1]
 
     return key
 
@@ -798,7 +809,8 @@ def _c_census(field, bound, ranges):
     the row of its head's key.
     """
     axes = list(map(_scan_allowed(field.p, "C", ranges), "abc"))
-    heads = {(a, c): canonical_head(field, a, c) for a in axes[0] for c in axes[2]}
+    head = canonical_head(field)
+    heads = {(a, c): head(a, c) for a in axes[0] for c in axes[2]}
     key = c_class_key(field, bound)
 
     def walk(rows):

@@ -12,11 +12,13 @@ bijection of a finite set, so the orbit is purely periodic (Lidl and
 Niederreiter, Finite Fields, ch. 8); if a + b = 0 then
 (e_1, f_1) = (b + 1)(1, 1), so (1, 1) is an eigenvector (and b = -1
 gives f_1 = 0).  A scan that sees (1, 1) again has seen every f_n, and
-certifies its verdict for all n with no record of past states.
-The orbit steps raw field payloads (see scalars), and fn_nonvanishing
-steps GF(p) in plain ints; only the rows that efgh and efgh_table
-return, and the e_n at a zero that fn_nonvanishing reports, are boxed as
-Scalars.
+certifies its verdict for all n with no record of past states; this holds
+over any field, since an orbit that revisits (1, 1) is periodic from n = 0.
+The orbit steps raw field payloads (see scalars).  Over GF(p) one kernel,
+fn_scan_mod_p, steps the scan in plain ints mod p: fn_nonvanishing boxes
+its outcome into a NonvanishingReport, and the census keys (see cli) read
+it as it is.  Only the rows that efgh and efgh_table return, and the e_n
+at a zero that fn_nonvanishing reports, are boxed as Scalars.
 """
 
 from __future__ import annotations
@@ -78,10 +80,9 @@ class NonvanishingReport(NamedTuple):
     verdict: str  # "all_nonzero" or "zero_at"
     zero_index: int | None = None
     cycle_closed: bool = False  # the scan became unconditional: the (e, f)
-    # orbit returned to (1, 1) (finite field: the map is a bijection when
-    # a + b != 0, and (1, 1) an eigenvector when a + b = 0) or the
-    # recursion degenerated (a = 0), so the verdict holds for every n,
-    # not just n <= bound
+    # orbit returned to (1, 1), so it is periodic (over a finite field it
+    # always returns), or the recursion degenerated (a = 0); the verdict
+    # holds for every n, not just n <= bound
     zero_e: Scalar | None = None  # e_n at the zero index n, where g_n = (1 - b) e_n
 
     @property
@@ -95,6 +96,29 @@ class NonvanishingReport(NamedTuple):
         return f"AllNonzero({tag})"
 
 
+_EXACT, _BOUNDED = ("exact", None, None), ("bounded", None, None)
+
+
+def fn_scan_mod_p(p, a, b, bound):
+    """The f_n(a, b) scan over GF(p) for n = 1..bound, on ints mod p: (outcome, n, e_n).
+
+    The outcome is "zero" at the first n with f_n = 0, with that n and its
+    e_n; else "exact" when the orbit returns to (1, 1) within the bound
+    (at once when a = 0, where f_n = 1 for all n) and "bounded" when it
+    does not, both with n = e_n = None.  bound >= 1.
+    """
+    if not a:
+        return _EXACT
+    e = f = 1
+    for n in range(1, bound + 1):
+        e, f = (b * e + f) % p, (f - a * e) % p
+        if not f:
+            return "zero", n, e
+        if e == 1 and f == 1:
+            return _EXACT
+    return _BOUNDED
+
+
 def fn_nonvanishing(a, b, bound):
     """Scan f_n(a, b) for n = 1..bound; report the first zero if any.
 
@@ -103,34 +127,29 @@ def fn_nonvanishing(a, b, bound):
     back to (1, 1) before it repeats any other state: the map is a
     bijection when a + b != 0, and (1, 1) is an eigenvector when
     a + b = 0.  The first return closes the cycle and upgrades the verdict
-    to a certificate for all n; the scan keeps only the current state.
+    to a certificate for all n, over any field; the scan keeps only the
+    current state.  Over GF(p) this boxes the outcome of fn_scan_mod_p.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if a.is_zero():
-        # f_n = f_{n-1} when the first argument vanishes, so f_n = 1 for all n
-        return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
     field, a, b = _payloads(a, b)
     if isinstance(field, PrimeField):
-        p = field.p
-        e = f = 1
-        for n in range(1, bound + 1):
-            e, f = (b * e + f) % p, (f - a * e) % p
-            if not f:
-                return NonvanishingReport(bound, "zero_at", n, zero_e=Scalar(field, e))
-            if e == 1 and f == 1:
-                return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
-        return NonvanishingReport(bound, "all_nonzero")
+        outcome, n, e = fn_scan_mod_p(field.p, a, b, bound)
+        if outcome == "zero":
+            return NonvanishingReport(bound, "zero_at", n, zero_e=Scalar(field, e))
+        return NonvanishingReport(bound, "all_nonzero", cycle_closed=outcome == "exact")
     # Q, Q(sqrt m) and GF(p)(sqrt m) step through the payload hooks; over Q
-    # the orbit need not return to (1, 1), and its verdict stays bounded
+    # the orbit need not return to (1, 1), and then its verdict stays bounded
     add, mul, is_zero = field._add, field._mul, field._is_zero
+    if is_zero(a):
+        # f_n = f_{n-1} when the first argument vanishes, so f_n = 1 for all n
+        return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
     na = field._neg(a)
     one = e = f = field.one().payload
-    finite = field.characteristic() != 0
     for n in range(1, bound + 1):
         e, f = add(mul(b, e), f), add(mul(na, e), f)
         if is_zero(f):
             return NonvanishingReport(bound, "zero_at", n, zero_e=Scalar(field, e))
-        if finite and e == one and f == one:
+        if e == one and f == one:
             return NonvanishingReport(bound, "all_nonzero", cycle_closed=True)
     return NonvanishingReport(bound, "all_nonzero")

@@ -460,17 +460,20 @@ def reference_orbit(a, b, n):
 
 
 def reference_nonvanishing(a, b, bound):
-    """(zero_index, cycle_closed) of the scan of f_1..f_bound over reference_orbit."""
+    """(zero_index, cycle_closed) of the scan of f_1..f_bound over reference_orbit.
+
+    A repeated state closes the cycle over any field: the orbit is then
+    periodic from that state on, and so is every f_n.
+    """
     if a.is_zero():
         return None, True
     seen = set()
     for n, (e, f, _, _) in enumerate(reference_orbit(a, b, bound)):
         if f.is_zero():
             return n, False
-        if a.field.characteristic() != 0:
-            if (e, f) in seen:
-                return None, True
-            seen.add((e, f))
+        if (e, f) in seen:
+            return None, True
+        seen.add((e, f))
     return None, False
 
 

@@ -154,6 +154,44 @@ def test_full_cube_decides_each_class_once(p, decided):
     assert decided_keys(p, decided) == keys and set(decided) <= classes(p, "")
 
 
+def test_keying_a_census_boxes_nothing(monkeypatch):
+    # the class keys are made on ints mod p: outside the representatives'
+    # scan_row no Scalar is built, and fn_nonvanishing runs only there
+    import ttpkit.classify
+    import ttpkit.cli
+    from ttpkit.scalars import Scalar
+    from ttpkit.sequences import fn_nonvanishing
+
+    inside, scalars, reports, decided = [False], [], [], []
+    init = Scalar.__init__
+
+    def spy_init(self, field, payload):
+        if not inside[0]:
+            scalars.append(payload)
+        init(self, field, payload)
+
+    def spy_row(task):
+        decided.append(task[3])
+        inside[0] = True
+        try:
+            return scan_row(task)
+        finally:
+            inside[0] = False
+
+    def spy_report(a, b, bound):
+        reports.append((a.payload, b.payload))
+        return fn_nonvanishing(a, b, bound)
+
+    monkeypatch.setattr(Scalar, "__init__", spy_init)
+    monkeypatch.setattr(ttpkit.cli, "scan_row", spy_row)
+    monkeypatch.setattr(ttpkit.cli, "fn_nonvanishing", spy_report)
+    monkeypatch.setattr(ttpkit.classify, "fn_nonvanishing", spy_report)
+    status, out = invoke(["scan", "--field", "GF(13)", "--family", "C"])
+    assert status == 0 and "total=2197" in out
+    assert scalars == []
+    assert len(reports) <= len(decided) <= 7
+
+
 def check_key_decides_the_row(p, heads, bound):
     """scan_row of each canonical head (a, b, c) over GF(p) equals that of the first head with its c_class_key."""
     field = PrimeField(p)

@@ -17,7 +17,7 @@ from helpers import census_oracle, census_text, parse_machine_block, solved_t_lo
 from ttpkit.classify import classify_3d
 from ttpkit.cli import _t_values, parse_ranges, run, scan_row, t_blocks, t_class_key
 from ttpkit.scalars import PrimeField
-from ttpkit.sequences import fn_nonvanishing
+from ttpkit.sequences import fn_nonvanishing, fn_scan_mod_p
 
 
 def invoke(argv):
@@ -45,20 +45,22 @@ def test_each_candidate_has_the_row_of_its_class(p):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The (a, d) of each f_n scan, by the module that ran it."""
+    """The (a, d) of each f_n scan, by the module that ran it: the census keys through the GF(p) kernel."""
     import ttpkit.classify
     import ttpkit.cli
 
     calls = {"cli": [], "classify": []}
 
-    def spy(module):
-        def counting(a, b, bound):
-            calls[module].append((a.payload, b.payload))
-            return fn_nonvanishing(a, b, bound)
-        return counting
+    def kernel(p, a, b, bound):
+        calls["cli"].append((a, b))
+        return fn_scan_mod_p(p, a, b, bound)
 
-    monkeypatch.setattr(ttpkit.cli, "fn_nonvanishing", spy("cli"))
-    monkeypatch.setattr(ttpkit.classify, "fn_nonvanishing", spy("classify"))
+    def report(a, b, bound):
+        calls["classify"].append((a.payload, b.payload))
+        return fn_nonvanishing(a, b, bound)
+
+    monkeypatch.setattr(ttpkit.cli, "fn_scan_mod_p", kernel)
+    monkeypatch.setattr(ttpkit.classify, "fn_nonvanishing", report)
     return calls
 
 

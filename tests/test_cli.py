@@ -101,6 +101,23 @@ def test_classify_is_ttp_with_iso_type():
         assert status == 0
 
 
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt(-1))"])
+def test_classify_certifies_a_periodic_orbit_over_a_field_of_characteristic_zero(field):
+    # f_n(2, -1): the orbit of (1, 1) is back at (1, 1) at n = 4 with no zero on the way
+    status, out = invoke(["classify", "--field", field, "--family", "C", "--params", "a=2,b=-1,c=1"])
+    assert status == 0 and {"certified_to=exact", "iso_q=-1"} <= set(out.splitlines())
+    assert "IsTTP(unconditional)" in out
+
+
+def test_sequences_certifies_a_periodic_orbit_over_q_sqrt_2():
+    # trace b + 1 = sqrt(2) and determinant a + b = 1: the orbit returns to (1, 1) at n = 8
+    argv = ["sequences", "--field", "Q(sqrt(2))", "--params", "a=2-sqrt(2),b=sqrt(2)-1"]
+    for bound, closed in (("7", "False"), ("8", "True"), ("50", "True")):
+        status, out = invoke(argv + ["--bound", bound])
+        machine = parse_machine_block(out)
+        assert status == 0 and (machine["verdict"], machine["cycle_closed"]) == ("all_nonzero", closed), bound
+
+
 def test_classify_elliptic_T():
     status, out = invoke([
         "classify", "--family", "T",
@@ -359,6 +376,8 @@ def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
                  id="scan-T-e0-A-outside"),
     pytest.param(["scan", "--family", "T", "--ranges", "e=0,A=0,C=2"], 1, "C in {0, 1} when e = A = 0",
                  id="scan-T-e0-A0-C-outside"),
+    pytest.param(["sequences", "--field", "GF(32003)", "--params", "a=4403,b=18651", "--bound", "100001"], 2,
+                 "sequences limit of 100000", id="sequences-bound-past-the-row-limit"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)

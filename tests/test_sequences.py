@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from helpers import is_payload, reference_nonvanishing, reference_orbit
 
+from ttpkit.cli import _fn_scans
 from ttpkit.scalars import QQ, PrimeField, QuadExtField
-from ttpkit.sequences import efgh, efgh_table, fn_nonvanishing
+from ttpkit.sequences import efgh, efgh_table, fn_nonvanishing, fn_scan_mod_p
 
 
 def test_base_cases():
@@ -201,6 +202,43 @@ def test_a_plus_b_zero_makes_one_one_an_eigenvector(name):
         assert not fn_nonvanishing(a, b, order - 1).cycle_closed, (a, b, order)
         assert fn_nonvanishing(a, b, order).cycle_closed, (a, b, order)
         assert reference_nonvanishing(a, b, order) == (None, True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gf_kernel_matches_the_reference(p):
+    # the census keys read the int kernel as it is and fn_nonvanishing boxes
+    # it; both must give the set-based reference's outcome for every (a, b)
+    field = PrimeField(p)
+    for bound in sorted({1, p, p + 1, p * p, 50}):
+        census_scan = _fn_scans(field, bound)
+        for a in range(p):
+            for b in range(p):
+                zero_index, closed = reference_nonvanishing(field.scalar(a), field.scalar(b), bound)
+                outcome = "zero" if zero_index is not None else "exact" if closed else "bounded"
+                assert census_scan(a, b) == outcome, (a, b, bound)
+                report = fn_nonvanishing(field.scalar(a), field.scalar(b), bound)
+                assert (report.zero_index, report.cycle_closed) == (zero_index, closed), (a, b, bound)
+                if zero_index is not None:
+                    e = reference_orbit(field.scalar(a), field.scalar(b), zero_index)[-1][0]
+                    assert fn_scan_mod_p(p, a, b, bound) == ("zero", zero_index, e.payload)
+                    assert report.zero_e == e
+
+
+@pytest.mark.parametrize("field, a, b, period", [
+    (QQ, "2", "-1", 4),  # the state map has trace b + 1 = 0 and determinant a + b = 1
+    (QQ, "3", "-2", 3),  # trace -1, determinant 1
+    (QuadExtField(QQ, 2), "2-sqrt(2)", "sqrt(2)-1", 8),  # trace sqrt(2), determinant 1
+], ids=["Q-order-4", "Q-order-3", "Qsqrt2-order-8"])
+def test_return_to_one_one_certifies_over_every_field(field, a, b, period):
+    # an orbit that revisits (1, 1) is periodic from n = 0, whatever the field
+    a, b = field.scalar(a), field.scalar(b)
+    assert reference_orbit(a, b, period)[-1][:2] == (field.one(), field.one())
+    assert reference_nonvanishing(a, b, period) == (None, True)
+    before = fn_nonvanishing(a, b, period - 1)
+    assert before.all_nonzero and not before.cycle_closed
+    report = fn_nonvanishing(a, b, period)
+    assert report.all_nonzero and report.cycle_closed
+    assert repr(report) == "AllNonzero(certified for all n)"
 
 
 def test_scan_keeps_one_state():
