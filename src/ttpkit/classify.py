@@ -10,7 +10,10 @@ then cheap on ints mod p.
 Three-generator side: normalization of the twelve coefficients (kill the
 z^2 coefficient of the second image, Jordan form of the degree-1 matrix,
 then A and C rescales), followed by the Ore / reducible / elliptic
-trichotomy with concrete counterexample witnesses on failure.  The same
+trichotomy with concrete counterexample witnesses on failure.  Both run on
+the twelve coefficient payloads (ParamPayloads3D) with the field's hooks
+bound once per call; only the trace's matrices and z-scales, the returned
+normal form and a witness's value are boxed.  The same
 trichotomy, solved in ints mod p, gives ttp_locus: it solves a whole block
 of the normalized f = 1 space and yields the only tuples of it that a
 census needs to classify; the census writes none of its equations.
@@ -23,17 +26,27 @@ from typing import NamedTuple
 
 from .families import (
     EllipticForm,
+    ParamPayloads3D,
     ParamTuple2D,
     ParamTuple3D,
-    apply_basis_change,
+    _basis_change,
+    _derivation_residuals,
     build_C,
-    derivation_residuals,
     mat2_inv,
     twisting_axiom_mismatch,
 )
 from .freealg import Alphabet, NCPoly
 from .rewrite import degree3_overlap_elements, second_obstruction_vanishes
-from .scalars import CharTwo, NestedExtension, Scalar, ScalarMatrix, Unsupported, adjoin_sqrt, solve_quadratic
+from .scalars import (
+    CharTwo,
+    NestedExtension,
+    Scalar,
+    ScalarMatrix,
+    Unsupported,
+    _quadratic_roots,
+    adjoin_sqrt,
+    solve_quadratic,
+)
 from .sequences import fn_nonvanishing
 
 
@@ -364,99 +377,107 @@ def jordan_normal_form_3d(p):
     the orthogonal direction of the z^2 vector is one of its left
     eigendirections; otherwise the tuple is returned partially normalized
     with the obstruction named (such a tuple is never a twisted tensor
-    product).
+    product).  The coefficients are carried as payloads; each step's
+    matrix and z-scale, and the tuple returned, are boxed.
     """
     field = p.field
+    add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
+    zero, one = field._coerce(0), field._coerce(1)
+    identity = ScalarMatrix.identity(field, 2)
+    v = p.payloads()
     steps = []
-    cur = p
 
-    def push(kind, pm=None, lam=1, note=""):
+    def push(kind, pm, lam, note):
         # x, y -> rows of pm and z -> lam z, recorded unless it is the identity
-        nonlocal cur
-        fld = cur.field
-        identity = ScalarMatrix.identity(fld, 2)
-        pm = identity if pm is None else pm
-        if lam == 1 and pm == identity:
+        nonlocal v
+        if lam == one and pm == identity:
             return
-        lam = fld.scalar(lam)
-        cur = apply_basis_change(cur, pm, lam)
-        steps.append(Step(kind, pm, lam, note))
+        v = _basis_change(field, v, pm, lam)
+        steps.append(Step(kind, pm, Scalar(field, lam), note))
+
+    def result(normalized, obstruction=None):
+        return JNF3DResult(ParamTuple3D.from_payloads(field, v), tuple(steps), normalized, obstruction)
 
     # stage 1: kill F and normalize f to {0, 1}
-    if not cur.F.is_zero():
-        push("swap_xy", ScalarMatrix(field, [[0, 1], [1, 0]]), 1, "exchange f and F")
-    if not cur.f.is_zero() and cur.f != 1:
-        push("rescale_z", None, cur.f.inv(), "make f = 1")
-    if not cur.F.is_zero():
+    if not is0(v.F):
+        push("swap_xy", _matrix2(field, ((zero, one), (one, zero))), one, "exchange f and F")
+    if not is0(v.f) and v.f != one:
+        push("rescale_z", identity, inv(v.f), "make f = 1")
+    if not is0(v.F):
         # now f = 1: the shear y -> y + F x removes the remaining z^2 term
-        push("shear_y_add_x", ScalarMatrix(field, [[1, 0], [cur.F, 1]]), 1, "kill F")
-    assert cur.F.is_zero() and (cur.f.is_zero() or cur.f == 1)
+        push("shear_y_add_x", _matrix2(field, ((one, zero), (v.F, one))), one, "kill F")
+    assert is0(v.F) and (is0(v.f) or v.f == one)
 
     # stage 2: Jordan form of the degree-1 matrix
-    d, e, D, E = cur.d, cur.e, cur.D, cur.E
-    if not cur.f.is_zero():
-        if not D.is_zero():
-            return JNF3DResult(
-                cur,
-                tuple(steps),
+    d, e, D, E = v.d, v.e, v.D, v.E
+    if not is0(v.f):
+        if not is0(D):
+            return result(
                 False,
                 "z^2 direction is not aligned with a left eigendirection "
                 "of the degree-1 matrix (D cannot be removed while f = 1)",
             )
-        if not e.is_zero() and d != E:
-            push("gl2", ScalarMatrix(field, [[1, -e / (d - E)], [0, 1]]), 1, "diagonalize keeping f = 1")
-        elif not e.is_zero() and e != 1:
-            push("rescale_y", ScalarMatrix(field, [[1, 0], [0, e.inv()]]), 1, "make e = 1")
-    elif not (e.is_zero() and D.is_zero() and d == E):  # a scalar matrix is already diagonal
+        if not is0(e) and d != E:
+            pm = _matrix2(field, ((one, neg(mul(e, inv(add(d, neg(E)))))), (zero, one)))
+            push("gl2", pm, one, "diagonalize keeping f = 1")
+        elif not is0(e) and e != one:
+            push("rescale_y", _matrix2(field, ((one, zero), (zero, inv(e)))), one, "make e = 1")
+    elif not (is0(e) and is0(D) and d == E):  # a scalar matrix is already diagonal
         try:
-            res = solve_quadratic(field.one(), -(d + E), d * E - e * D)
+            F2, roots, _ = _quadratic_roots(field, one, neg(add(d, E)), add(mul(d, E), neg(mul(e, D))))
         except NestedExtension:
-            return JNF3DResult(cur, tuple(steps), False, "nested field extension needed")
+            return result(False, "nested field extension needed")
         except Unsupported:
-            return JNF3DResult(
-                cur,
-                tuple(steps),
+            return result(
                 False,
                 "the eigenvalues of the degree-1 matrix lie in GF(p^2), which adjoining "
                 "a square root does not reach in characteristic 2",
             )
-        F2 = res.field
-        if res.extended:
-            cur = cur.coerced(F2)
-            steps.append(Step("extend_field", None, None, f"adjoin eigenvalue field {F2}", F2))
-            d, e, D, E = cur.d, cur.e, cur.D, cur.E
-        if len(res.roots) == 2:
-            rows = [_left_eigvec(F2, d, e, D, E, lam) for lam in sorted(res.roots, key=lambda r: r.sort_key())]
+        if F2 != field:
+            # every later step, push and result included, runs in F2
+            field, v = F2, ParamPayloads3D(*map(F2._embed, v))
+            add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
+            zero, one, identity = field._coerce(0), field._coerce(1), ScalarMatrix.identity(field, 2)
+            steps.append(Step("extend_field", None, None, f"adjoin eigenvalue field {field}", field))
+            d, e, D, E = v.d, v.e, v.D, v.E
+        if len(roots) == 2:
+            # in Scalar.sort_key order: by the printed form's length, then the form
+            roots = sorted(roots, key=lambda r: (len(field._str(r)), field._str(r)))
+            rows = [_left_eigvec(field, d, e, D, E, lam) for lam in roots]
         else:
-            u = _left_eigvec(F2, d, e, D, E, res.roots[0])
-            rows = [_left_generalized(F2, d, e, D, E, res.roots[0], u), u]
-        push("gl2", mat2_inv(ScalarMatrix(F2, rows)), 1, "Jordan form of the degree-1 matrix")
-    assert cur.D.is_zero() and (cur.e.is_zero() or cur.e == 1)
+            u = _left_eigvec(field, d, e, D, E, roots[0])
+            rows = [_left_generalized(field, d, e, D, E, roots[0], u), u]
+        push("gl2", mat2_inv(_matrix2(field, rows)), one, "Jordan form of the degree-1 matrix")
+    assert is0(v.D) and (is0(v.e) or v.e == one)
 
     # stage 3: rescale y to pin A, then C
-    if cur.e.is_zero():
-        if not cur.A.is_zero() and cur.A != 1:
-            push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.A]]), 1, "make A = 1")
-        if cur.A.is_zero() and not cur.C.is_zero() and cur.C != 1:
-            push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.C.inv()]]), 1, "make C = 1")
-    return JNF3DResult(cur, tuple(steps), True)
+    if is0(v.e):
+        if not is0(v.A) and v.A != one:
+            push("rescale_y", _matrix2(field, ((one, zero), (zero, v.A))), one, "make A = 1")
+        if is0(v.A) and not is0(v.C) and v.C != one:
+            push("rescale_y", _matrix2(field, ((one, zero), (zero, inv(v.C)))), one, "make C = 1")
+    return result(True)
 
 
 def _left_eigvec(field, d, e, D, E, lam):
-    """Nonzero row u with u (M - lam I) = 0 for M = [[d, e], [D, E]]."""
+    """Nonzero row u with u (M - lam I) = 0 for M = [[d, e], [D, E]], on payloads."""
     # u (M - lam) = (u0 (d-lam) + u1 D, u0 e + u1 (E-lam))
-    if not D.is_zero():
-        return [field.one(), -(d - lam) / D]
-    if not (E - lam).is_zero():
-        return [field.one(), -e / (E - lam)]
+    add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
+    one = field._coerce(1)
+    if not is0(D):
+        return [one, neg(mul(add(d, neg(lam)), inv(D)))]
+    E_lam = add(E, neg(lam))
+    if not is0(E_lam):
+        return [one, neg(mul(e, inv(E_lam)))]
     # D = 0 and E = lam: the second row already is an eigenvector
-    return [field.zero(), field.one()]
+    return [field._coerce(0), one]
 
 
 def _left_generalized(field, d, e, D, E, lam, u):
-    """Row r with r (M - lam I) = u (single 2x2 Jordan block case)."""
-    m = ScalarMatrix(field, [[d - lam, D], [e, E - lam]])  # transpose of M - lam I
-    sol = m.solve(u)
+    """Row r with r (M - lam I) = u (single 2x2 Jordan block case), on payloads."""
+    add, neg = field._add, field._neg
+    m = _matrix2(field, ((add(d, neg(lam)), D), (e, add(E, neg(lam)))))  # transpose of M - lam I
+    sol = m._solve(u)
     assert sol is not None, "generalized eigenvector must exist for a Jordan block"
     return sol
 
@@ -498,58 +519,76 @@ class TTPType3D(NamedTuple):
 
 def ore_case_id(p):
     """Mutually exclusive Ore case label from the normalized coefficients."""
-    one = p.field.one()
-    if p.e.is_zero():
-        if p.d == one and p.E == one:
+    return _ore_case(p.field, p.payloads())
+
+
+def _ore_case(field, v):
+    """ore_case_id at the payloads v, a ParamPayloads3D."""
+    one = field._coerce(1)
+    if field._is_zero(v.e):
+        if v.d == one and v.E == one:
             return "1.i"
-        if p.E == one:
+        if v.E == one:
             return "1.ii"
-        if p.d == one:
+        if v.d == one:
             return "1.iii"
         return "1.iv"
-    if p.d == one:
+    if v.d == one:
         return "2.i"
     return "2.ii"
 
 
 def reducible_case_id(p):
     """Case label (i)-(vii) for a normalized tuple with vanishing second obstruction."""
-    fld = p.field
-    one = fld.one()
-    if p.e.is_zero():
-        if p.C.is_zero():
-            if p.E.is_zero():
+    return _reducible_case(p.field, p.payloads())
+
+
+def _reducible_case(field, v):
+    """reducible_case_id at the payloads v, a ParamPayloads3D; AssertionError when no case matches."""
+    is0 = field._is_zero
+    one, minus_one = field._coerce(1), field._coerce(-1)
+    if is0(v.e):
+        if is0(v.C):
+            if is0(v.E):
                 return "i"
-            if p.E == one:
+            if v.E == one:
                 return "ii"
-            if p.E == -one and p.d == -one and p.B == fld.scalar(2):
+            if v.E == minus_one and v.d == minus_one and v.B == field._coerce(2):
                 return "iii"
-            raise AssertionError(f"no reducible case matches {p}")
-        if p.E.is_zero():
+        elif is0(v.E):
             return "iv"
-        if p.E == -one and p.d == -one and p.B == fld.scalar(2):
+        elif v.E == minus_one and v.d == minus_one and v.B == field._coerce(2):
             return "v"
-        raise AssertionError(f"no reducible case matches {p}")
-    if p.d.is_zero():
+    elif is0(v.d):
         return "vi"
-    if p.d == one:
+    elif v.d == one:
         return "vii"
-    raise AssertionError(f"no reducible case matches {p}")
+    raise AssertionError(f"no reducible case matches {ParamTuple3D.from_payloads(field, v)}")
 
 
 def reducible_system_residuals(p):
     """The six vanishing conditions equivalent to the second obstruction being 0."""
-    a, b, c, d, e = p.a, p.b, p.c, p.d, p.e
-    B, C, E = p.B, p.C, p.E
-    one = p.field.one()
-    two = p.field.scalar(2)
+    field = p.field
+    return [(name, Scalar(field, x)) for name, x in _reducible_residuals(field, p.payloads())]
+
+
+def _reducible_residuals(field, v):
+    """reducible_system_residuals at the payloads v, a ParamPayloads3D: [(equation, payload)]."""
+    add, mul, neg = field._add, field._mul, field._neg
+    a, b, c, d, e, _, _, B, C, _, E, _ = v
+    one, two = field._coerce(1), field._coerce(2)
+
+    def sub(x, y):
+        return add(x, neg(y))
+
+    one_E2 = sub(one, mul(E, E))
     return [
-        ("1", E * (one - B - E)),
-        ("2", E * (-d - B + d * E)),
-        ("3", B * (one - d - B) - a * (one - E * E)),
-        ("4", E * (C + C * E + e - e * E)),
-        ("5", C * (one - d - two * B - B * E) - b * (one - E * E) - e * B),
-        ("6", (one + E) * (-c * (one - E) - C * C) - e * C),
+        ("1", mul(E, sub(sub(one, B), E))),
+        ("2", mul(E, add(neg(add(d, B)), mul(d, E)))),
+        ("3", sub(mul(B, sub(sub(one, d), B)), mul(a, one_E2))),
+        ("4", mul(E, sub(add(add(C, mul(C, E)), e), mul(e, E)))),
+        ("5", sub(sub(mul(C, sub(sub(sub(one, d), mul(two, B)), mul(B, E))), mul(b, one_E2)), mul(e, B))),
+        ("6", sub(mul(add(one, E), sub(neg(mul(c, sub(one, E))), mul(C, C))), mul(e, C))),
     ]
 
 
@@ -614,15 +653,16 @@ def ttp_locus(p, e, axes, abc):
                 yield (e, d, A, B, C, E), candidates
 
 
-# What a nonzero second obstruction forces, in the order they are tested; a
-# tuple that fails one is not a twisted tensor product, and the later ones
-# are not evaluated.
+# What a nonzero second obstruction forces, in the order they are tested,
+# each read off a field and a ParamPayloads3D; a tuple that fails one is not
+# a twisted tensor product, and the later ones are not evaluated.
 _ELLIPTIC_CONSTRAINTS = (
-    ("e = 0", lambda q: q.e.is_zero()),
-    ("d = -1", lambda q: q.d == -1),
-    ("A = 1", lambda q: q.A == 1),
-    ("E = -1", lambda q: q.E == -1),
-    ("b = (1-a)(2-B)", lambda q: q.b == (1 - q.a) * (2 - q.B)),
+    ("e = 0", lambda F, v: F._is_zero(v.e)),
+    ("d = -1", lambda F, v: v.d == F._coerce(-1)),
+    ("A = 1", lambda F, v: v.A == F._coerce(1)),
+    ("E = -1", lambda F, v: v.E == F._coerce(-1)),
+    ("b = (1-a)(2-B)",
+     lambda F, v: v.b == F._mul(F._add(F._coerce(1), F._neg(v.a)), F._add(F._coerce(2), F._neg(v.B)))),
 )
 
 
@@ -635,7 +675,8 @@ def classify_3d(p, bound=50):
     constraints.  A vanishing second obstruction G2 gives the reducible
     case; otherwise the elliptic constraints decide, and the first
     obstruction G1 is evaluated only once they hold, to check that it is
-    (1 - a) G2.
+    (1 - a) G2.  The checks read the normal form's payloads; only a
+    witness's value is boxed beside it.
     """
     jnf = jordan_normal_form_3d(p)
     if not jnf.normalized:
@@ -664,9 +705,10 @@ def classify_3d(p, bound=50):
         )
 
     q = jnf.params
-    if q.f.is_zero():
-        residuals = derivation_residuals(q)
-        bad = next(((name, v) for name, v in residuals if not v.is_zero()), None)
+    field, v = q.field, q.payloads()
+    is0 = field._is_zero
+    if is0(v.f):
+        bad = next(((name, x) for name, x in _derivation_residuals(field, v) if not is0(x)), None)
         if bad is not None:
             return TTPType3D(
                 "not_ttp",
@@ -677,10 +719,10 @@ def classify_3d(p, bound=50):
                 Witness(
                     "constraint_violated",
                     f"derivation condition fails at the {bad[0]} coefficient",
-                    {"monomial": bad[0], "value": bad[1]},
+                    {"monomial": bad[0], "value": Scalar(field, bad[1])},
                 ),
             )
-        return TTPType3D("ore", ore_case_id(q), q, jnf.trace, None)
+        return TTPType3D("ore", _ore_case(field, v), q, jnf.trace, None)
 
     # G2 = 0 is the reducible case, decided with an early exit; G1 is read
     # only where the elliptic constraints hold, to check it against G2
@@ -701,12 +743,12 @@ def classify_3d(p, bound=50):
                     {"n": n, "a": q.a, "d": q.d},
                 ),
             )
-        for name, v in reducible_system_residuals(q):
-            assert v.is_zero(), f"vanishing obstruction but equation {name} fails"
+        for name, x in _reducible_residuals(field, v):
+            assert is0(x), f"vanishing obstruction but equation {name} fails"
         certified = None if report.cycle_closed else bound
-        return TTPType3D("reducible", reducible_case_id(q), q, jnf.trace, certified)
+        return TTPType3D("reducible", _reducible_case(field, v), q, jnf.trace, certified)
 
-    bad = next((name for name, holds in _ELLIPTIC_CONSTRAINTS if not holds(q)), None)
+    bad = next((name for name, holds in _ELLIPTIC_CONSTRAINTS if not holds(field, v)), None)
     if bad is not None:
         return TTPType3D(
             "not_ttp",
@@ -723,6 +765,6 @@ def classify_3d(p, bound=50):
     g1, g2 = degree3_overlap_elements(q)
     assert not g2.is_zero() and g1 == g2.scale(1 - q.a)
     ef = None
-    if q.field.characteristic() != 2:
+    if field.characteristic() != 2:
         ef = EllipticForm.from_params(q.a, q.B, q.c, q.C)
     return TTPType3D("elliptic", None, q, jnf.trace, None, elliptic_form=ef)

@@ -20,8 +20,9 @@ t_class_key puts the candidates of classify.ttp_locus in, at most 31 (two
 elliptic ones, by whether h = 0), and every other T tuple is counted as
 not_ttp and built and formatted only when --out lists it; a Tgh census has
 two classes, h = 0 and h != 0.  A listing of more than LISTING_LIMIT rows
-is refused before --out is opened, and a sequences --bound above
-SEQUENCES_LIMIT before its table is built.  scan --workers is accepted and
+is refused before --out is opened, a sequences --bound above
+SEQUENCES_LIMIT before its table is built, and a sequences table whose
+printed rows pass SEQUENCES_TEXT_LIMIT characters as soon as they do.  scan --workers is accepted and
 ignored.  json is imported only when a --job document is read, so no other
 run pays for loading it.
 """
@@ -40,16 +41,17 @@ from itertools import product
 from typing import NamedTuple
 
 from .classify import (
+    _reducible_case,
     canonical_2d,
     canonical_head,
     classify_2d_ttp,
     classify_3d,
     graded_iso_type_2d,
     iso_branch_2d,
-    reducible_case_id,
     ttp_locus,
 )
 from .families import (
+    ParamPayloads3D,
     ParamTuple2D,
     ParamTuple3D,
     PARAM_NAMES_3D,
@@ -63,7 +65,7 @@ from .homology import NotMinimal, minimal_resolution
 from .koszulreg import asreg_decide, asreg_decide_2d, elliptic_decide, gorenstein_check, koszul_check, yoneda_verify
 from .rewrite import NotCompleted
 from .scalars import QQ, CharTwo, FieldError, NestedExtension, PrimeField, QuadExtField, RadicandTooLarge
-from .sequences import efgh_table, fn_nonvanishing, fn_scan_mod_p
+from .sequences import efgh_rows, fn_nonvanishing, fn_scan_mod_p
 
 
 class ParseError(Exception):
@@ -434,9 +436,13 @@ def cmd_asreg(args):
     return render(human, machine), status
 
 
-# The largest sequences --bound: the table and its printed rows are held
-# whole, about 650 bytes a row over GF(32003), so 10^5 rows peak near 80 MB.
+# The largest sequences --bound: the printed rows are held whole, and 10^5
+# rows over GF(32003) peak near 45 MB.
 SEQUENCES_LIMIT = 10**5
+# The most characters the printed rows and their f values may take.  Over Q
+# and Q(sqrt m) the numbers grow with n, so a bound within SEQUENCES_LIMIT
+# can still need gigabytes; a table just under this size peaks near 70 MB.
+SEQUENCES_TEXT_LIMIT = 16 * 10**6
 
 
 def cmd_sequences(args):
@@ -447,19 +453,27 @@ def cmd_sequences(args):
     a, b = _scalar_param(field, "a", params["a"]), _scalar_param(field, "b", params["b"])
     if args.bound > SEQUENCES_LIMIT:
         raise ConstraintError(f"--bound {args.bound} is more than the sequences limit of {SEQUENCES_LIMIT}")
-    rows = efgh_table(a, b, args.bound)
-    report = fn_nonvanishing(a, b, args.bound)
     human = [f"recurrence table at (a, b) = ({a}, {b}) over {field}:"]
     human.append("  n | e | f | g | h")
-    for row in rows:
-        human.append(f"  {row.n} | {row.e} | {row.f} | {row.g} | {row.h}")
+    f_values, size = [], 0
+    for row in efgh_rows(a, b, args.bound):
+        line, f = f"  {row.n} | {row.e} | {row.f} | {row.g} | {row.h}", str(row.f)
+        size += len(line) + len(f)
+        if size > SEQUENCES_TEXT_LIMIT:
+            raise ConstraintError(
+                f"the rows to n = {row.n} take more than the sequences limit of "
+                f"{SEQUENCES_TEXT_LIMIT} characters; lower --bound {args.bound}"
+            )
+        human.append(line)
+        f_values.append(f)
+    report = fn_nonvanishing(a, b, args.bound)
     human.append(f"nonvanishing scan: {report}")
     machine = {
         "field": field,
         "a": a,
         "b": b,
         "bound": args.bound,
-        "f_values": ",".join(str(r.f) for r in rows),
+        "f_values": ",".join(f_values),
         "verdict": report.verdict,
         "zero_index": report.zero_index if report.zero_index is not None else "-",
         "cycle_closed": report.cycle_closed,
@@ -651,7 +665,7 @@ def t_class_key(field, bound):
             return ("fn_zero",)
         case = cases.get(outer)
         if case is None:
-            case = cases[outer] = reducible_case_id(ParamTuple3D.make(field, **_t_outer_values(outer)))
+            case = cases[outer] = _reducible_case(field, ParamPayloads3D(0, 0, 0, d, e, 1, A, B, C, 0, E, 0))
         return "reducible", case, E == 0, (a + d) % p == 0, scan
 
     return key

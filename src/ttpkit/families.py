@@ -6,19 +6,27 @@ three-generator family T on x,y,z, and its elliptic renormalization
 T(g,h) on x,y,w.  This module also houses the coefficient-level action
 of the basic isomorphisms (GL2 on x,y and rescaling of z), the Ore-data
 derivation residuals, and the degreewise twisted-tensor-product dimension
-test.
+test.  The basis-change action and the residuals compute on the twelve
+coefficient payloads (ParamPayloads3D; see scalars), with the field's
+hooks bound once per call; apply_basis_change and derivation_residuals
+box their results, and build_T writes its relations' payloads straight
+onto module-level words.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple
 
 from .freealg import Alphabet, NCPoly
 from .rewrite import _complete
-from .scalars import CharTwo, DivisionByZero, Scalar, ScalarMatrix
+from .scalars import CharTwo, DivisionByZero, FieldMismatch, Scalar, ScalarMatrix
 
 PARAM_NAMES_3D = ("a", "b", "c", "d", "e", "f", "A", "B", "C", "D", "E", "F")
 _PARAM_SET_3D = frozenset(PARAM_NAMES_3D)
+
+# The twelve coefficient payloads of a ParamTuple3D, under the same names.
+ParamPayloads3D = namedtuple("ParamPayloads3D", PARAM_NAMES_3D)
 
 
 class ParamTuple2D(NamedTuple):
@@ -62,9 +70,18 @@ class ParamTuple3D(NamedTuple):
             raise ValueError(f"unknown parameters {sorted(kw.keys() - _PARAM_SET_3D)}")
         return ParamTuple3D(*(field.scalar(kw.get(k, 0)) for k in PARAM_NAMES_3D))
 
+    @staticmethod
+    def from_payloads(field, v):
+        """The tuple of the twelve payloads v of field, in PARAM_NAMES_3D order."""
+        return ParamTuple3D(*(Scalar(field, x) for x in v))
+
     @property
     def field(self):
         return self.a.field
+
+    def payloads(self):
+        """The ParamPayloads3D of the twelve coefficients."""
+        return ParamPayloads3D(*(x.payload for x in self))
 
     def as_dict(self):
         return {k: getattr(self, k) for k in PARAM_NAMES_3D}
@@ -118,26 +135,32 @@ def build_C(p):
     return Presentation(alphabet, field, [rel])
 
 
+# build_T's alphabet y < x < z, and the words of its relations: the leads
+# zx, zy, xy and yx, and the tail words that zx and zy take six
+# coefficients each on, in PARAM_NAMES_3D order
+_T_ALPHABET = Alphabet(["y", "x", "z"])
+_T_ZX, _T_ZY, _T_XY, _T_YX = map(_T_ALPHABET.word, ("zx", "zy", "xy", "yx"))
+_T_TAIL = tuple(map(_T_ALPHABET.word, ("x^2", "xy", "y^2", "xz", "yz", "z^2")))
+
+
 def build_T(p):
     """k<x,y,z> modulo zx - tau(zx), zy - tau(zy), xy - yx, with y < x < z."""
     field = p.field
-    alphabet = Alphabet(["y", "x", "z"])
+    neg, is0 = field._neg, field._is_zero
+    one = field._coerce(1)
+    v = p.payloads()
 
-    def tau_relation(lead, qx, qxy, qy, lx, ly, qz):
-        return NCPoly(alphabet, field, {
-            alphabet.word(lead): field.one(),
-            alphabet.word("x^2"): -qx,
-            alphabet.word("xy"): -qxy,
-            alphabet.word("y^2"): -qy,
-            alphabet.word("xz"): -lx,
-            alphabet.word("yz"): -ly,
-            alphabet.word("z^2"): -qz,
-        })
+    def tau_relation(lead, coeffs):
+        terms = {lead: one}
+        for word, c in zip(_T_TAIL, coeffs):
+            if not is0(c):
+                terms[word] = neg(c)
+        return NCPoly.from_payloads(_T_ALPHABET, field, terms)
 
-    rel_zx = tau_relation("zx", p.a, p.b, p.c, p.d, p.e, p.f)
-    rel_zy = tau_relation("zy", p.A, p.B, p.C, p.D, p.E, p.F)
-    comm = NCPoly(alphabet, field, {alphabet.word("xy"): field.one(), alphabet.word("yx"): -field.one()})
-    return Presentation(alphabet, field, [rel_zx, rel_zy, comm])
+    rel_zx = tau_relation(_T_ZX, v[:6])
+    rel_zy = tau_relation(_T_ZY, v[6:])
+    comm = NCPoly.from_payloads(_T_ALPHABET, field, {_T_XY: one, _T_YX: neg(one)})
+    return Presentation(_T_ALPHABET, field, [rel_zx, rel_zy, comm])
 
 
 def build_Tgh(g, h):
@@ -188,14 +211,21 @@ def derivation_residuals(p):
     [(monomial, lhs - rhs coefficient)] for x^3, x^2y, xy^2, y^3; the data
     defines a derivation exactly when all four vanish.
     """
-    a, b, c, d, e = p.a, p.b, p.c, p.d, p.e
-    A, B, C, D, E = p.A, p.B, p.C, p.D, p.E
-    one = p.field.one()
+    field = p.field
+    return [(name, Scalar(field, x)) for name, x in _derivation_residuals(field, p.payloads())]
+
+
+def _derivation_residuals(field, v):
+    """derivation_residuals at the payloads v, a ParamPayloads3D: [(monomial, payload)]."""
+    add, mul, neg = field._add, field._mul, field._neg
+    a, b, c, d, e, _, A, B, C, D, E, _ = v
+    one = field._coerce(1)
+    d1, E1 = add(d, neg(one)), add(one, neg(E))  # d - 1 and 1 - E
     return [
-        ("x^3", A * (d - one) - a * D),
-        ("x^2y", B * (d - one) + a * (one - E) + e * A - b * D),
-        ("xy^2", C * (d - one) + b * (one - E) + e * B - c * D),
-        ("y^3", c * (one - E) + e * C),
+        ("x^3", add(mul(A, d1), neg(mul(a, D)))),
+        ("x^2y", add(add(add(mul(B, d1), mul(a, E1)), mul(e, A)), neg(mul(b, D)))),
+        ("xy^2", add(add(add(mul(C, d1), mul(b, E1)), mul(e, B)), neg(mul(c, D)))),
+        ("y^3", add(mul(c, E1), mul(e, C))),
     ]
 
 
@@ -219,15 +249,28 @@ def mat2_inv(m):
         raise ValueError("change of basis must be invertible") from None
 
 
-def _quad_transform(q, pm):
-    """Push a quadratic (qa, qb, qc) = qa x^2 + qb xy + qc y^2 through x,y -> rows of pm."""
+def _quad_transform(field, q, pm):
+    """Push a quadratic (qa, qb, qc) = qa x^2 + qb xy + qc y^2 through x,y -> rows of pm.
+
+    Every value is a payload, and pm is ((p00, p01), (p10, p11)).
+    """
+    add, mul = field._add, field._mul
+    two = field._coerce(2)
     qa, qb, qc = q
-    p00, p01 = pm[0, 0], pm[0, 1]
-    p10, p11 = pm[1, 0], pm[1, 1]
-    na = qa * p00 * p00 + qb * p00 * p10 + qc * p10 * p10
-    nb = 2 * qa * p00 * p01 + qb * (p00 * p11 + p01 * p10) + 2 * qc * p10 * p11
-    nc = qa * p01 * p01 + qb * p01 * p11 + qc * p11 * p11
-    return (na, nb, nc)
+    (p00, p01), (p10, p11) = pm
+    na = add(add(mul(qa, mul(p00, p00)), mul(qb, mul(p00, p10))), mul(qc, mul(p10, p10)))
+    nb = add(
+        add(mul(two, mul(qa, mul(p00, p01))), mul(qb, add(mul(p00, p11), mul(p01, p10)))),
+        mul(two, mul(qc, mul(p10, p11))),
+    )
+    nc = add(add(mul(qa, mul(p01, p01)), mul(qb, mul(p01, p11))), mul(qc, mul(p11, p11)))
+    return na, nb, nc
+
+
+def _entries2(m):
+    """((m00, m01), (m10, m11)): the payloads of the 2x2 ScalarMatrix m."""
+    zero = m.field._coerce(0)
+    return tuple((row.get(0, zero), row.get(1, zero)) for row in m.rows)
 
 
 def apply_basis_change(p, pm, lam):
@@ -239,26 +282,39 @@ def apply_basis_change(p, pm, lam):
     z -> lam z carries the old relation ideal onto the new one.
     """
     field = p.field
-    lam = field.scalar(lam)
+    lam = field.scalar(lam).payload
+    if pm.field != field:
+        raise FieldMismatch(f"mixed fields {pm.field} and {field}")
+    return ParamTuple3D.from_payloads(field, _basis_change(field, p.payloads(), pm, lam))
+
+
+def _basis_change(field, v, pm, lam):
+    """apply_basis_change on payloads: the ParamPayloads3D of the image of the payloads v.
+
+    pm is a 2x2 ScalarMatrix of field and lam a payload; the field's hooks
+    are bound once.
+    """
+    add, mul = field._add, field._mul
     pinv = mat2_inv(pm)
-    lam_inv = lam.inv()
+    lam_inv = field._inv(lam)
+    P = _entries2(pm)
+    (i00, i01), (i10, i11) = _entries2(pinv)
+    a, b, c, d, e, f, A, B, C, D, E, F = v
 
-    qx, qy = (p.a, p.b, p.c), (p.A, p.B, p.C)
-    new_q = []
-    for row in range(2):
-        pr, qr = pinv[row, 0], pinv[row, 1]
-        mix = tuple(pr * u + qr * v for u, v in zip(qx, qy))
-        out = _quad_transform(mix, pm)
-        new_q.append(tuple(lam_inv * t for t in out))
+    def quad(pr, qr):
+        # the quadratic pr (a, b, c) + qr (A, B, C), pushed through pm and divided by lam
+        mix = (add(mul(pr, a), mul(qr, A)), add(mul(pr, b), mul(qr, B)), add(mul(pr, c), mul(qr, C)))
+        return [mul(lam_inv, t) for t in _quad_transform(field, mix, P)]
 
-    sigma = ScalarMatrix(field, [[p.d, p.e], [p.D, p.E]])
-    sigma2 = pinv * sigma * pm
-
-    fF = [lam * (pinv[0, 0] * p.f + pinv[0, 1] * p.F), lam * (pinv[1, 0] * p.f + pinv[1, 1] * p.F)]
-
-    return ParamTuple3D(
-        a=new_q[0][0], b=new_q[0][1], c=new_q[0][2],
-        d=sigma2[0, 0], e=sigma2[0, 1], f=fF[0],
-        A=new_q[1][0], B=new_q[1][1], C=new_q[1][2],
-        D=sigma2[1, 0], E=sigma2[1, 1], F=fF[1],
+    # the degree-1 matrix pinv [[d, e], [D, E]] pm, through its rows t0 and t1 of pinv [[d, e], [D, E]]
+    (p00, p01), (p10, p11) = P
+    t00, t01 = add(mul(i00, d), mul(i01, D)), add(mul(i00, e), mul(i01, E))
+    t10, t11 = add(mul(i10, d), mul(i11, D)), add(mul(i10, e), mul(i11, E))
+    na, nb, nc = quad(i00, i01)
+    nA, nB, nC = quad(i10, i11)
+    return ParamPayloads3D(
+        na, nb, nc,
+        add(mul(t00, p00), mul(t01, p10)), add(mul(t00, p01), mul(t01, p11)), mul(lam, add(mul(i00, f), mul(i01, F))),
+        nA, nB, nC,
+        add(mul(t10, p00), mul(t11, p10)), add(mul(t10, p01), mul(t11, p11)), mul(lam, add(mul(i10, f), mul(i11, F))),
     )

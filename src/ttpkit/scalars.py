@@ -168,6 +168,10 @@ class Field:
     def _is_zero(self, a):
         raise NotImplementedError
 
+    def _sqrt(self, a):
+        """The payload of a square root of the payload a in this field, or None."""
+        raise NotImplementedError
+
     def _add_multiple(self, out, c, row):
         """out += c * row in place, for sparse payload rows and a nonzero c; zero entries are dropped."""
         add, mul, is0 = self._add, self._mul, self._is_zero
@@ -190,7 +194,8 @@ class Field:
 
     def sqrt(self, s):
         """A square root of s in this field, or None."""
-        raise NotImplementedError
+        r = self._sqrt(s.payload)
+        return None if r is None else Scalar(self, r)
 
 
 class RationalField(Field):
@@ -251,14 +256,13 @@ class RationalField(Field):
     def characteristic(self):
         return 0
 
-    def sqrt(self, s):
-        a = s.payload
+    def _sqrt(self, a):
         if a < 0:
             return None
         rn = math.isqrt(a.numerator)
         rd = math.isqrt(a.denominator)
         if rn * rn == a.numerator and rd * rd == a.denominator:
-            return Scalar(self, self._coerce(Fraction(rn, rd)))
+            return self._coerce(Fraction(rn, rd))
         return None
 
     def __eq__(self, other):
@@ -321,9 +325,8 @@ class PrimeField(Field):
     def characteristic(self):
         return self.p
 
-    def sqrt(self, s):
-        r = _sqrt_mod(s.payload, self.p)
-        return None if r is None else Scalar(self, r)
+    def _sqrt(self, a):
+        return _sqrt_mod(a, self.p)
 
     def elements(self):
         return [Scalar(self, i) for i in range(self.p)]
@@ -425,6 +428,10 @@ class QuadExtField(Field):
 
     def characteristic(self):
         return self.base.characteristic()
+
+    def _sqrt(self, a):
+        r = self.sqrt(Scalar(self, a))
+        return None if r is None else r.payload
 
     def sqrt(self, s):
         # solve (a + b*sqrt(m))^2 = u + v*sqrt(m) over the base field
@@ -653,73 +660,85 @@ def _squarefree_split(n):
     return (sq * r, m) if r * r == c else (sq, m * c)
 
 
-def adjoin_sqrt(s):
-    """(field2, root) with root * root == s viewed in field2.
+def _adjoin_sqrt(field, a):
+    """(field2, root) for a payload a of field: root is a payload of field2 with root * root == a there.
 
-    field2 is s.field when s is already a square there; otherwise a fresh
+    field2 is field when a is already a square there; otherwise a fresh
     quadratic extension (with squarefree radicand over the rationals).
     """
-    field = s.field
-    r = field.sqrt(s)
+    r = field._sqrt(a)
     if r is not None:
         return field, r
+    zero = field._coerce(0)
     if isinstance(field, RationalField):
-        d = s.payload
-        n = d.numerator * d.denominator  # sqrt(n/den) = sqrt(n*den)/den
+        n = a.numerator * a.denominator  # sqrt(n/den) = sqrt(n*den)/den
         sq, m = _squarefree_split(abs(n))
-        ext = QuadExtField(field, m if n > 0 else -m)
-        return ext, ext.embed(field.scalar(Fraction(sq, d.denominator))) * ext.root()
+        # (sq/den) sqrt(m)
+        return QuadExtField(field, m if n > 0 else -m), (zero, field._coerce(Fraction(sq, a.denominator)))
     if isinstance(field, PrimeField):
-        ext = QuadExtField(field, s.payload)
-        return ext, ext.root()
+        return QuadExtField(field, a), (zero, field._coerce(1))
     raise NestedExtension("square root needs a second extension level")
+
+
+def adjoin_sqrt(s):
+    """(field2, root) with root * root == s viewed in field2; see _adjoin_sqrt."""
+    ext, r = _adjoin_sqrt(s.field, s.payload)
+    return ext, Scalar(ext, r)
+
+
+def _quadratic_roots(field, a2, a1, a0):
+    """(field2, roots, multiplicities) of a2*q^2 + a1*q + a0 for payloads of field; the roots are payloads of field2.
+
+    field2 is field or a fresh quadratic extension by the square root of
+    the discriminant; the field's hooks are bound once.
+    """
+    add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
+    if is0(a2):
+        if is0(a1):
+            if is0(a0):
+                raise ValueError("identically zero quadratic")
+            raise NoRoot("constant nonzero polynomial has no roots")
+        return field, [mul(neg(a0), inv(a1))], [1]
+
+    if field.characteristic() == 2:
+        # no radical extensions exist in characteristic 2 (squaring is bijective)
+        if is0(a1):
+            r = field._sqrt(mul(a0, inv(a2)))
+            if r is None:
+                raise Unsupported("inseparable quadratic with no root in the field")
+            return field, [r], [2]
+        roots = [x for x in range(field.p) if is0(add(mul(add(mul(a2, x), a1), x), a0))]
+        if len(roots) == 2:
+            return field, roots, [1, 1]
+        raise Unsupported(
+            "separable quadratic splits only in GF(p^2), which is not an "
+            "adjoin-a-square-root extension in characteristic 2"
+        )
+
+    # (-a1 +/- sqrt(disc)) / (2 a2)
+    disc = add(mul(a1, a1), neg(mul(field._coerce(4), mul(a2, a0))))
+    if is0(disc):
+        return field, [mul(neg(a1), inv(add(a2, a2)))], [2]
+    ext, w = _adjoin_sqrt(field, disc)
+    if ext != field:
+        a2, a1 = ext._embed(a2), ext._embed(a1)
+        add, mul, neg, inv = ext._add, ext._mul, ext._neg, ext._inv
+    d = inv(add(a2, a2))
+    return ext, [mul(add(neg(a1), w), d), mul(add(neg(a1), neg(w)), d)], [1, 1]
 
 
 def solve_quadratic(p2, p1, p0):
     """Exact roots of p2*q^2 + p1*q + p0 = 0, extending the field if needed.
 
     Returns a QuadraticRoots record whose field is either the input field
-    or a fresh quadratic extension by sqrt(discriminant).
+    or a fresh quadratic extension by sqrt(discriminant); the roots are
+    computed on payloads (_quadratic_roots) and boxed.
     """
     field = p2.field
     if p1.field != field or p0.field != field:
         raise FieldMismatch("coefficients live in different fields")
-    if p2.is_zero() and p1.is_zero() and p0.is_zero():
-        raise ValueError("identically zero quadratic")
-    if p2.is_zero():
-        if p1.is_zero():
-            raise NoRoot("constant nonzero polynomial has no roots")
-        return QuadraticRoots(field, [-p0 / p1], [1], False)
-
-    if field.characteristic() == 2:
-        # no radical extensions exist in characteristic 2 (squaring is bijective)
-        if p1.is_zero():
-            r = field.sqrt(p0 / p2)
-            if r is None:
-                raise Unsupported("inseparable quadratic with no root in the field")
-            return QuadraticRoots(field, [r], [2], False)
-        roots = [x for x in field.elements() if (p2 * x * x + p1 * x + p0).is_zero()]
-        if len(roots) == 2:
-            return QuadraticRoots(field, roots, [1, 1], False)
-        raise Unsupported(
-            "separable quadratic splits only in GF(p^2), which is not an "
-            "adjoin-a-square-root extension in characteristic 2"
-        )
-
-    # (-p1 +/- sqrt(disc)) / (2 p2), on payloads; only the roots are boxed
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-    a2, a1, a0 = p2.payload, p1.payload, p0.payload
-    disc = add(mul(a1, a1), neg(mul(field._coerce(4), mul(a2, a0))))
-    if field._is_zero(disc):
-        return QuadraticRoots(field, [Scalar(field, mul(neg(a1), inv(add(a2, a2))))], [2], False)
-    ext, w = adjoin_sqrt(Scalar(field, disc))
-    extended = ext != field
-    if extended:
-        a2, a1 = ext._embed(a2), ext._embed(a1)
-        add, mul, neg, inv = ext._add, ext._mul, ext._neg, ext._inv
-    w, d = w.payload, inv(add(a2, a2))
-    roots = [Scalar(ext, mul(add(neg(a1), w), d)), Scalar(ext, mul(add(neg(a1), neg(w)), d))]
-    return QuadraticRoots(ext, roots, [1, 1], extended)
+    ext, roots, mults = _quadratic_roots(field, p2.payload, p1.payload, p0.payload)
+    return QuadraticRoots(ext, [Scalar(ext, r) for r in roots], mults, ext != field)
 
 
 class ScalarMatrix:
@@ -858,18 +877,23 @@ class ScalarMatrix:
     def rank(self):
         return self._echelon().rank
 
-    def solve(self, rhs):
-        """One solution x of self * x = rhs (rhs a list of Scalars), or None."""
+    def _solve(self, rhs):
+        """One solution of self * x = rhs for the payload list rhs, as a list of payloads, or None."""
         field = self.field
         n = self.ncols
         span = EchelonSpan(field)
-        for row, v in zip(self.rows, rhs):
-            b = field.scalar(v).payload
+        for row, b in zip(self.rows, rhs):
             span._insert(row if field._is_zero(b) else {**row, n: b})
         if n in span.rows:
             return None
         # pivot p solves for x_p; every free unknown is set to zero
-        return [self._box(span.rows[p].get(n) if p in span.rows else None) for p in range(n)]
+        zero = field._coerce(0)
+        return [span.rows[p].get(n, zero) if p in span.rows else zero for p in range(n)]
+
+    def solve(self, rhs):
+        """One solution x of self * x = rhs (rhs a list of Scalars), or None."""
+        x = self._solve([self.field.scalar(v).payload for v in rhs])
+        return None if x is None else [Scalar(self.field, a) for a in x]
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.nrows))

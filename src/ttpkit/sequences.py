@@ -17,7 +17,7 @@ over any field, since an orbit that revisits (1, 1) is periodic from n = 0.
 The orbit steps raw field payloads (see scalars).  Over GF(p) one kernel,
 fn_scan_mod_p, steps the scan in plain ints mod p: fn_nonvanishing boxes
 its outcome into a NonvanishingReport, and the census keys (see cli) read
-it as it is.  Only the rows that efgh and efgh_table return, and the e_n
+it as it is.  Only the rows that efgh, efgh_rows and efgh_table return, and the e_n
 at a zero that fn_nonvanishing reports, are boxed as Scalars.
 """
 
@@ -69,10 +69,15 @@ def efgh(a, b, n):
     return _quad(field, a, b, *next(islice(_orbit(field, a, b), n, None)))
 
 
-def efgh_table(a, b, n):
-    """SequenceQuad rows for indices 0..n (single pass)."""
+def efgh_rows(a, b, n):
+    """The SequenceQuad rows for indices 0..n, one at a time (single pass)."""
     field, a, b = _payloads(a, b)
-    return [_quad(field, a, b, *state) for state in islice(_orbit(field, a, b), n + 1)]
+    return (_quad(field, a, b, *state) for state in islice(_orbit(field, a, b), n + 1))
+
+
+def efgh_table(a, b, n):
+    """The list of SequenceQuad rows for indices 0..n."""
+    return list(efgh_rows(a, b, n))
 
 
 class NonvanishingReport(NamedTuple):

@@ -61,9 +61,13 @@ from itertools import product
 from types import SimpleNamespace
 
 from ttpkit.classify import (
+    HILBERT_DEGREE,
     CongruenceData,
     IsoType2D,
+    JNF3DResult,
     Step,
+    TTPType3D,
+    Witness,
     canonical_2d,
     classify_2d_ttp,
     congruence_verify,
@@ -74,14 +78,22 @@ from ttpkit.classify import (
     ttp_locus,
 )
 from ttpkit.cli import ROW_FIELDS, SCAN_PARAMS, ParseError, _scan_allowed, _t_size, c_class_key, render, scan_row
-from ttpkit.families import ParamTuple2D, derivation_residuals, mat2_inv
+from ttpkit.families import EllipticForm, ParamTuple2D, ParamTuple3D, mat2_inv, twisting_axiom_mismatch
 from ttpkit.freealg import Alphabet, NCPoly
 from ttpkit.homology import GradedComplex, exactness_profile
 from ttpkit.koszulreg import asreg_decide_2d
-from ttpkit.rewrite import NotCompleted, RewriteSystem, Rule, _complete, degree3_overlap_elements
+from ttpkit.rewrite import (
+    NotCompleted,
+    RewriteSystem,
+    Rule,
+    _complete,
+    degree3_overlap_elements,
+    second_obstruction_vanishes,
+)
 from ttpkit.scalars import (
     CharTwo,
     EchelonSpan,
+    NestedExtension,
     NoRoot,
     PrimeField,
     QuadExtField,
@@ -593,7 +605,7 @@ def decision_3d(t):
     return t.kind, t.case, t.certified_to, None if w is None else (w.kind, w.data)
 
 
-def reference_classify_3d(p, bound=50):
+def obstruction_decision_3d(p, bound=50):
     """decision_3d of p's verdict, an f = 1 tuple decided from G1 and G2 in full.
 
     Both obstructions are evaluated by degree3_overlap_elements for every
@@ -624,6 +636,259 @@ def reference_classify_3d(p, bound=50):
         return "not_ttp", None, None, ("constraint_violated", {"constraint": bad})
     assert g1 == g2.scale(one - q.a)
     return "elliptic", None, None, None
+
+
+def _reference_quad_transform(q, pm):
+    """Push a quadratic (qa, qb, qc) of Scalars through x,y -> rows of pm."""
+    qa, qb, qc = q
+    p00, p01 = pm[0, 0], pm[0, 1]
+    p10, p11 = pm[1, 0], pm[1, 1]
+    na = qa * p00 * p00 + qb * p00 * p10 + qc * p10 * p10
+    nb = 2 * qa * p00 * p01 + qb * (p00 * p11 + p01 * p10) + 2 * qc * p10 * p11
+    nc = qa * p01 * p01 + qb * p01 * p11 + qc * p11 * p11
+    return (na, nb, nc)
+
+
+def reference_apply_basis_change(p, pm, lam):
+    """apply_basis_change computed with Scalar operators and matrix products."""
+    field = p.field
+    lam = field.scalar(lam)
+    pinv = mat2_inv(pm)
+    lam_inv = lam.inv()
+    qx, qy = (p.a, p.b, p.c), (p.A, p.B, p.C)
+    new_q = []
+    for row in range(2):
+        pr, qr = pinv[row, 0], pinv[row, 1]
+        mix = tuple(pr * u + qr * v for u, v in zip(qx, qy))
+        new_q.append(tuple(lam_inv * t for t in _reference_quad_transform(mix, pm)))
+    sigma2 = pinv * ScalarMatrix(field, [[p.d, p.e], [p.D, p.E]]) * pm
+    fF = [lam * (pinv[0, 0] * p.f + pinv[0, 1] * p.F), lam * (pinv[1, 0] * p.f + pinv[1, 1] * p.F)]
+    return ParamTuple3D(
+        a=new_q[0][0], b=new_q[0][1], c=new_q[0][2],
+        d=sigma2[0, 0], e=sigma2[0, 1], f=fF[0],
+        A=new_q[1][0], B=new_q[1][1], C=new_q[1][2],
+        D=sigma2[1, 0], E=sigma2[1, 1], F=fF[1],
+    )
+
+
+def _reference_left_eigvec(field, d, e, D, E, lam):
+    if not D.is_zero():
+        return [field.one(), -(d - lam) / D]
+    if not (E - lam).is_zero():
+        return [field.one(), -e / (E - lam)]
+    return [field.zero(), field.one()]
+
+
+def _reference_left_generalized(field, d, e, D, E, lam, u):
+    sol = ScalarMatrix(field, [[d - lam, D], [e, E - lam]]).solve(u)
+    assert sol is not None, "generalized eigenvector must exist for a Jordan block"
+    return sol
+
+
+def reference_jordan_normal_form_3d(p):
+    """jordan_normal_form_3d computed with Scalar operators, reference_apply_basis_change and reference_solve_quadratic."""
+    field = p.field
+    steps = []
+    cur = p
+
+    def push(kind, pm=None, lam=1, note=""):
+        nonlocal cur
+        fld = cur.field
+        identity = ScalarMatrix.identity(fld, 2)
+        pm = identity if pm is None else pm
+        if lam == 1 and pm == identity:
+            return
+        lam = fld.scalar(lam)
+        cur = reference_apply_basis_change(cur, pm, lam)
+        steps.append(Step(kind, pm, lam, note))
+
+    if not cur.F.is_zero():
+        push("swap_xy", ScalarMatrix(field, [[0, 1], [1, 0]]), 1, "exchange f and F")
+    if not cur.f.is_zero() and cur.f != 1:
+        push("rescale_z", None, cur.f.inv(), "make f = 1")
+    if not cur.F.is_zero():
+        push("shear_y_add_x", ScalarMatrix(field, [[1, 0], [cur.F, 1]]), 1, "kill F")
+
+    d, e, D, E = cur.d, cur.e, cur.D, cur.E
+    if not cur.f.is_zero():
+        if not D.is_zero():
+            return JNF3DResult(
+                cur,
+                tuple(steps),
+                False,
+                "z^2 direction is not aligned with a left eigendirection "
+                "of the degree-1 matrix (D cannot be removed while f = 1)",
+            )
+        if not e.is_zero() and d != E:
+            push("gl2", ScalarMatrix(field, [[1, -e / (d - E)], [0, 1]]), 1, "diagonalize keeping f = 1")
+        elif not e.is_zero() and e != 1:
+            push("rescale_y", ScalarMatrix(field, [[1, 0], [0, e.inv()]]), 1, "make e = 1")
+    elif not (e.is_zero() and D.is_zero() and d == E):
+        try:
+            res = reference_solve_quadratic(field.one(), -(d + E), d * E - e * D)
+        except NestedExtension:
+            return JNF3DResult(cur, tuple(steps), False, "nested field extension needed")
+        except Unsupported:
+            return JNF3DResult(
+                cur,
+                tuple(steps),
+                False,
+                "the eigenvalues of the degree-1 matrix lie in GF(p^2), which adjoining "
+                "a square root does not reach in characteristic 2",
+            )
+        F2 = res.field
+        if res.extended:
+            cur = cur.coerced(F2)
+            steps.append(Step("extend_field", None, None, f"adjoin eigenvalue field {F2}", F2))
+            d, e, D, E = cur.d, cur.e, cur.D, cur.E
+        if len(res.roots) == 2:
+            rows = [_reference_left_eigvec(F2, d, e, D, E, lam) for lam in sorted(res.roots, key=lambda r: r.sort_key())]
+        else:
+            u = _reference_left_eigvec(F2, d, e, D, E, res.roots[0])
+            rows = [_reference_left_generalized(F2, d, e, D, E, res.roots[0], u), u]
+        push("gl2", mat2_inv(ScalarMatrix(F2, rows)), 1, "Jordan form of the degree-1 matrix")
+
+    if cur.e.is_zero():
+        if not cur.A.is_zero() and cur.A != 1:
+            push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.A]]), 1, "make A = 1")
+        if cur.A.is_zero() and not cur.C.is_zero() and cur.C != 1:
+            push("rescale_y", ScalarMatrix(cur.field, [[1, 0], [0, cur.C.inv()]]), 1, "make C = 1")
+    return JNF3DResult(cur, tuple(steps), True)
+
+
+def reference_derivation_residuals(p):
+    """derivation_residuals computed with Scalar operators."""
+    a, b, c, d, e = p.a, p.b, p.c, p.d, p.e
+    A, B, C, D, E = p.A, p.B, p.C, p.D, p.E
+    one = p.field.one()
+    return [
+        ("x^3", A * (d - one) - a * D),
+        ("x^2y", B * (d - one) + a * (one - E) + e * A - b * D),
+        ("xy^2", C * (d - one) + b * (one - E) + e * B - c * D),
+        ("y^3", c * (one - E) + e * C),
+    ]
+
+
+def _reference_ore_case(p):
+    one = p.field.one()
+    if p.e.is_zero():
+        if p.d == one and p.E == one:
+            return "1.i"
+        if p.E == one:
+            return "1.ii"
+        if p.d == one:
+            return "1.iii"
+        return "1.iv"
+    return "2.i" if p.d == one else "2.ii"
+
+
+def _reference_reducible_case(p):
+    one, two = p.field.one(), p.field.scalar(2)
+    if p.e.is_zero():
+        if p.C.is_zero():
+            if p.E.is_zero():
+                return "i"
+            if p.E == one:
+                return "ii"
+            if p.E == -one and p.d == -one and p.B == two:
+                return "iii"
+            raise AssertionError(f"no reducible case matches {p}")
+        if p.E.is_zero():
+            return "iv"
+        if p.E == -one and p.d == -one and p.B == two:
+            return "v"
+        raise AssertionError(f"no reducible case matches {p}")
+    if p.d.is_zero():
+        return "vi"
+    if p.d == one:
+        return "vii"
+    raise AssertionError(f"no reducible case matches {p}")
+
+
+def reference_reducible_residuals(p):
+    """reducible_system_residuals computed with Scalar operators."""
+    a, b, c, d, e = p.a, p.b, p.c, p.d, p.e
+    B, C, E = p.B, p.C, p.E
+    one, two = p.field.one(), p.field.scalar(2)
+    return [
+        ("1", E * (one - B - E)),
+        ("2", E * (-d - B + d * E)),
+        ("3", B * (one - d - B) - a * (one - E * E)),
+        ("4", E * (C + C * E + e - e * E)),
+        ("5", C * (one - d - two * B - B * E) - b * (one - E * E) - e * B),
+        ("6", (one + E) * (-c * (one - E) - C * C) - e * C),
+    ]
+
+
+# the elliptic constraints of classify_3d, tested in this order on a ParamTuple3D
+REFERENCE_ELLIPTIC_CONSTRAINTS = (
+    ("e = 0", lambda q: q.e.is_zero()),
+    ("d = -1", lambda q: q.d == -1),
+    ("A = 1", lambda q: q.A == 1),
+    ("E = -1", lambda q: q.E == -1),
+    ("b = (1-a)(2-B)", lambda q: q.b == (1 - q.a) * (2 - q.B)),
+)
+
+
+def reference_classify_3d(p, bound=50):
+    """classify_3d computed with Scalar operators, on reference_jordan_normal_form_3d."""
+    jnf = reference_jordan_normal_form_3d(p)
+    if not jnf.normalized:
+        mismatch = twisting_axiom_mismatch(p, HILBERT_DEGREE)
+        if mismatch is not None:
+            m, want, got = mismatch
+            return TTPType3D(
+                "not_ttp", None, jnf.params, jnf.trace, None,
+                Witness(
+                    "hilbert_mismatch",
+                    f"dim in degree {m} is {got}, a twisted tensor product needs {want}",
+                    {"degree": m, "expected": want, "got": got, "obstruction": jnf.obstruction},
+                ),
+            )
+        return TTPType3D(
+            "unknown", None, jnf.params, jnf.trace, HILBERT_DEGREE,
+            Witness("alignment_obstruction", jnf.obstruction or "", {}),
+        )
+    q = jnf.params
+    if q.f.is_zero():
+        bad = next(((name, v) for name, v in reference_derivation_residuals(q) if not v.is_zero()), None)
+        if bad is not None:
+            return TTPType3D(
+                "not_ttp", None, q, jnf.trace, None,
+                Witness(
+                    "constraint_violated",
+                    f"derivation condition fails at the {bad[0]} coefficient",
+                    {"monomial": bad[0], "value": bad[1]},
+                ),
+            )
+        return TTPType3D("ore", _reference_ore_case(q), q, jnf.trace, None)
+    if second_obstruction_vanishes(q):
+        report = fn_nonvanishing(q.a, q.d, bound)
+        if not report.all_nonzero:
+            n = report.zero_index
+            return TTPType3D(
+                "not_ttp", None, q, jnf.trace, None,
+                Witness(
+                    "fn_zero",
+                    f"f_{n}(a, d) = 0: the quotient by the normal generator y "
+                    "is not a twisted tensor product",
+                    {"n": n, "a": q.a, "d": q.d},
+                ),
+            )
+        for name, v in reference_reducible_residuals(q):
+            assert v.is_zero(), f"vanishing obstruction but equation {name} fails"
+        certified = None if report.cycle_closed else bound
+        return TTPType3D("reducible", _reference_reducible_case(q), q, jnf.trace, certified)
+    bad = next((name for name, holds in REFERENCE_ELLIPTIC_CONSTRAINTS if not holds(q)), None)
+    if bad is not None:
+        return TTPType3D(
+            "not_ttp", None, q, jnf.trace, None,
+            Witness("constraint_violated", f"nonzero second obstruction forces {bad}", {"constraint": bad}),
+        )
+    g1, g2 = degree3_overlap_elements(q)
+    assert not g2.is_zero() and g1 == g2.scale(1 - q.a)
+    ef = None if q.field.characteristic() == 2 else EllipticForm.from_params(q.a, q.B, q.c, q.C)
+    return TTPType3D("elliptic", None, q, jnf.trace, None, elliptic_form=ef)
 
 
 def enumerate_words(alphabet, d):
@@ -781,7 +1046,7 @@ def ideal_membership(poly, pres, d):
 
 def derivation_check(p):
     """Whether the quadratic data of p extends to a well-defined derivation."""
-    return all(v.is_zero() for _, v in derivation_residuals(p))
+    return all(v.is_zero() for _, v in reference_derivation_residuals(p))
 
 
 def substitute(p, images):

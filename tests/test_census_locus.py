@@ -154,7 +154,7 @@ def test_locus_at_A_nonzero_is_the_elliptic_plane():
         plane = []
         for a, b, c in product(range(3), repeat=3):
             q = ParamTuple3D.make(field, a=a, b=b, c=c, d=d, e=e, f=1, A=A, B=B, C=C, E=E)
-            if all(holds(q) for _, holds in _ELLIPTIC_CONSTRAINTS):
+            if all(holds(field, q.payloads()) for _, holds in _ELLIPTIC_CONSTRAINTS):
                 plane.append((a, b, c))
         assert list(ttp_locus(3, e, ([d], [A], [B], [C], [E]), abc)) == ([((e, d, A, B, C, E), plane)] if plane else [])
 

@@ -82,6 +82,36 @@ def test_fn_scans_once_per_distinct_a_d_and_once_per_representative(p, ranges, s
     assert scans["classify"] == [(t.a.payload, t.d.payload) for t in representatives]
 
 
+def test_keying_a_t_census_builds_no_tuple(monkeypatch):
+    # the class keys, the reducible case included, are made on ints mod p:
+    # outside the representatives' scan_row no ParamTuple3D is built
+    import ttpkit.cli
+    from ttpkit.families import ParamTuple3D
+
+    inside, built, decided = [False], [], []
+    new = ParamTuple3D.__new__
+
+    def spy_new(cls, *args, **kw):
+        if not inside[0]:
+            built.append(args)
+        return new(cls, *args, **kw)
+
+    def spy_row(task):
+        decided.append(task[3])
+        inside[0] = True
+        try:
+            return scan_row(task)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ParamTuple3D, "__new__", spy_new)
+    monkeypatch.setattr(ttpkit.cli, "scan_row", spy_row)
+    status, out = invoke(["scan", "--field", "GF(7)", "--family", "T"])
+    assert status == 0 and "total=1882384" in out
+    assert built == []
+    assert 0 < len(decided) <= 31
+
+
 def test_every_elliptic_class_checks_g1_against_g2(monkeypatch):
     import ttpkit.classify
 

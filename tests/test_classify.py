@@ -12,7 +12,7 @@ from helpers import (
     inverse_steps,
     make_params3d,
     map_coeffs,
-    reference_classify_3d,
+    obstruction_decision_3d,
     reference_dependence_relation,
     reference_iso_type_2d,
     reference_t_space,
@@ -606,7 +606,7 @@ def test_classify_3d_matches_the_full_obstruction_reference():
     outcomes = set()
     for values in reference_t_space(3, {}):
         p = T3(F3, **values)
-        want = reference_classify_3d(p)
+        want = obstruction_decision_3d(p)
         assert decision_3d(classify_3d(p)) == want, values
         outcomes.add(_outcome(want))
     every = {"reducible", "elliptic", "fn_zero", "e = 0", "d = -1", "A = 1", "E = -1", "b = (1-a)(2-B)"}
@@ -622,7 +622,7 @@ def test_classify_3d_matches_the_full_obstruction_reference():
         outcomes = set()
         for _ in range(500):
             p = _random_decision_tuple(rng, field, draw)
-            want = reference_classify_3d(p)
+            want = obstruction_decision_3d(p)
             assert decision_3d(classify_3d(p)) == want, p
             outcomes.add(_outcome(want))
         assert outcomes == every, field

@@ -378,6 +378,8 @@ def test_classify_gf2_tuple_with_eigenvalues_in_gf4_is_unknown():
                  id="scan-T-e0-A0-C-outside"),
     pytest.param(["sequences", "--field", "GF(32003)", "--params", "a=4403,b=18651", "--bound", "100001"], 2,
                  "sequences limit of 100000", id="sequences-bound-past-the-row-limit"),
+    pytest.param(["sequences", "--field", "Q", "--params", "a=1/2,b=1/3", "--bound", "100000"], 2,
+                 "sequences limit of 16000000 characters", id="sequences-q-rows-past-the-text-limit"),
 ])
 def test_bad_input_fails_with_one_line(argv, status, names, capsys):
     got, out = invoke(argv)
