@@ -378,7 +378,7 @@ def jordan_normal_form_3d(p):
     eigendirections; otherwise the tuple is returned partially normalized
     with the obstruction named (such a tuple is never a twisted tensor
     product).  The coefficients are carried as payloads; each step's
-    matrix and z-scale, and the tuple returned, are boxed.
+    matrix and z-scale, and the tuple returned after a step, are boxed.
     """
     field = p.field
     add, mul, neg, inv, is0 = field._add, field._mul, field._neg, field._inv, field._is_zero
@@ -396,7 +396,9 @@ def jordan_normal_form_3d(p):
         steps.append(Step(kind, pm, Scalar(field, lam), note))
 
     def result(normalized, obstruction=None):
-        return JNF3DResult(ParamTuple3D.from_payloads(field, v), tuple(steps), normalized, obstruction)
+        # with no step taken, v still holds p's payloads and p is its own normal form
+        params = ParamTuple3D.from_payloads(field, v) if steps else p
+        return JNF3DResult(params, tuple(steps), normalized, obstruction)
 
     # stage 1: kill F and normalize f to {0, 1}
     if not is0(v.F):

@@ -306,7 +306,7 @@ def _basis_change(field, v, pm, lam):
         mix = (add(mul(pr, a), mul(qr, A)), add(mul(pr, b), mul(qr, B)), add(mul(pr, c), mul(qr, C)))
         return [mul(lam_inv, t) for t in _quad_transform(field, mix, P)]
 
-    # the degree-1 matrix pinv [[d, e], [D, E]] pm, through its rows t0 and t1 of pinv [[d, e], [D, E]]
+    # the new degree-1 matrix is t pm, for t = pinv [[d, e], [D, E]]
     (p00, p01), (p10, p11) = P
     t00, t01 = add(mul(i00, d), mul(i01, D)), add(mul(i00, e), mul(i01, E))
     t10, t11 = add(mul(i10, d), mul(i11, D)), add(mul(i10, e), mul(i11, E))

@@ -28,10 +28,15 @@ payloads.  ``reference_iso_type_2d`` (with ``reference_solve_quadratic``)
 is the Scalar form of the two-generator isomorphism type and its
 congruence witnesses, and ``reference_dependence_relation`` builds the
 not_ttp relation from ``efgh`` and ``Alphabet.word`` strings, where
-``classify`` computes both on payloads.  ``reference_classify_3d`` decides a three-generator tuple
+``classify`` computes both on payloads.  ``obstruction_decision_3d`` decides a three-generator tuple
 from both obstructions in full, where
 ``classify_3d`` reads G2 only to its first nonzero coefficient and G1 only
-on elliptic tuples.  ``hilbert_oracle`` recomputes quotient dimensions by
+on elliptic tuples.  ``reference_apply_basis_change``,
+``reference_jordan_normal_form_3d`` and ``reference_classify_3d`` are the
+Scalar forms of the basis-change action, the normalization and the
+trichotomy, with the Scalar residuals, case ids and elliptic constraints
+beside them, where ``families`` and ``classify`` compute all of them on
+the twelve coefficient payloads.  ``hilbert_oracle`` recomputes quotient dimensions by
 linear algebra on the whole word space, with no rewriting involved.
 ``euler_check`` tests a resolution's Betti numbers against the Hilbert
 function, and ``compose_check`` that consecutive differentials of a

@@ -5,8 +5,8 @@
 ``reference_jordan_normal_form_3d``, ``reference_apply_basis_change`` and
 ``reference_classify_3d`` in helpers compute the same with Scalar
 operators.  Seeded tuples over seven fields must give equal results, field
-by field and step by step, and a normalized GF(p) tuple's decision must box
-no more than the tuple and the witness it returns.
+by field and step by step, and deciding a GF(p) tuple must box no more
+than the normal form, the trace and the witness it returns.
 """
 
 import random
@@ -69,11 +69,12 @@ def _invertible(rng, field):
 def _draw_tuple(rng, field):
     """A seeded tuple, weighted towards the branches of the normalization.
 
-    Shapes: a rotation [[x, 1], [-1, x]] of z-free degree-1 part, whose
-    eigenvalues need sqrt(-1); [[x, 1], [1, x + 1]], whose eigenvalues need
-    sqrt(5) and lie in GF(4) over GF(2); a Jordan block [[x, y], [0, x]] with
-    y != 0; f = 1 with D != 0, which cannot be aligned; and random tuples.
-    Half are then carried by a random change of basis.
+    Shapes, by the degree-1 matrix [[d, e], [D, E]]: with f = F = 0, the
+    rotation [[x, 1], [-1, x]], whose eigenvalues need sqrt(-1);
+    [[x, 1], [1, x + 1]], whose eigenvalues need sqrt(5) and lie in GF(4)
+    over GF(2); a Jordan block [[x, y], [0, x]] with y != 0; then f = 1 with
+    D != 0, which cannot be aligned; and random tuples.  Half are then
+    carried by a random change of basis.
     """
     kw = {k: _draw(rng, field) for k in PARAM_NAMES_3D}
     zero, one = field.zero(), field.one()
@@ -96,12 +97,20 @@ def _draw_tuple(rng, field):
     return p
 
 
+# the obstructions of jordan_normal_form_3d, by the start of their text
+OBSTRUCTIONS = {
+    "z^2 direction": "alignment",  # f != 0 and D != 0
+    "nested field": "nested_extension",
+    "the eigenvalues": "char2_unsupported",  # eigenvalues in GF(4) over GF(2)
+}
+
+
 def _branch(jnf):
     """The normalization branch the result shows, or None for one of no interest here."""
     if any(step.kind == "extend_field" for step in jnf.trace):
         return "extension"
     if not jnf.normalized:
-        return jnf.obstruction.split(" ")[0]
+        return next(name for start, name in OBSTRUCTIONS.items() if jnf.obstruction.startswith(start))
     q = jnf.params
     if q.f.is_zero() and q.e == 1:
         return "jordan_block"
@@ -136,13 +145,14 @@ def test_payload_classification_matches_the_scalar_reference():
             unnormalized += not got.normalized
             if got.normalized or unnormalized <= UNNORMALIZED_DECIDED:
                 _assert_same(classify_3d(p), reference_classify_3d(p), TTPType3D._fields, p)
-    # the extension branch over each field that has one; in Q(sqrt(2)) the
-    # eigenvalues need a second extension, and over GF(2) they lie in GF(4)
+    # the rotation's extension over each field that has one; in Q(sqrt(2))
+    # the eigenvalues need a second extension, and over GF(2) they lie in GF(4)
+    every = {str(field) for field in FIELDS}
     assert branches["extension"] == {"GF(3)", "GF(7)", "GF(32003)", "Q"}
-    assert branches["nested"] == {"Q(sqrt(2))"}
-    assert branches["the"] == {"GF(2)"}  # "the eigenvalues ... in characteristic 2"
-    assert branches["jordan_block"] == {str(field) for field in FIELDS}
-    assert branches["z^2"] == {str(field) for field in FIELDS}  # the f != 0 alignment obstruction
+    assert branches["nested_extension"] == {"Q(sqrt(2))"}
+    assert branches["char2_unsupported"] == {"GF(2)"}
+    assert branches["jordan_block"] == every
+    assert branches["alignment"] == every
 
 
 def _count_scalars(monkeypatch, fn, *args):
@@ -162,20 +172,23 @@ def _count_scalars(monkeypatch, fn, *args):
     return out, built
 
 
-def test_deciding_a_normalized_tuple_boxes_only_its_result(monkeypatch):
-    # over GF(32003): an Ore tuple with distinct eigenvalues (the eigenvalue
-    # solve runs and changes nothing), one that fails the derivation check
-    # at y^3 and a reducible one; each builds the twelve Scalars of the
-    # returned normal form and at most one more, the witness's value
+def test_deciding_a_tuple_boxes_only_what_it_returns(monkeypatch):
+    # over GF(32003): an already-normalized tuple is its own normal form, so
+    # deciding it boxes at most its witness's value: an Ore tuple with
+    # distinct eigenvalues (the eigenvalue solve runs and changes nothing),
+    # one that fails the derivation check at y^3, and a reducible one.  With
+    # x and y exchanged, one gl2 step takes the Ore tuple back, and the
+    # decision boxes the twelve coefficients of the normal form and the
+    # step's z-scale
     field = PrimeField(32003)
+    ore = ParamTuple3D.make(field, d=2, E=3, B=4, C=1, a=2, b=Fraction(1, 2))
     cases = [
-        (dict(d=2, E=3, B=4, C=1, a=2, b=Fraction(1, 2)), "ore", 12),
-        (dict(d=2, E=3, B=4, C=1, a=2, b=Fraction(1, 2), c=1), "not_ttp", 13),
-        (dict(f=1, a=2, d=3, E=1, b=1, c=1), "reducible", 12),
+        (ore, "ore", 0, 0),
+        (ore._replace(c=field.one()), "not_ttp", 0, 1),
+        (ParamTuple3D.make(field, f=1, a=2, d=3, E=1, b=1, c=1), "reducible", 0, 0),
+        (apply_basis_change(ore, ScalarMatrix(field, [[0, 1], [1, 0]]), 1), "ore", 1, 13),
     ]
-    for values, kind, most in cases:
-        p = ParamTuple3D.make(field, **values)
-        assert jordan_normal_form_3d(p).trace == ()
+    for p, kind, steps, most in cases:
         t, built = _count_scalars(monkeypatch, classify_3d, p)
-        assert t.kind == kind and t.normal_form == p
-        assert len(built) <= most, (values, built)
+        assert t.kind == kind and len(t.trace) == steps
+        assert len(built) <= most, (p, built)
