@@ -22,9 +22,9 @@ not_ttp and built and formatted only when --out lists it; a Tgh census has
 two classes, h = 0 and h != 0.  A listing of more than LISTING_LIMIT rows
 is refused before --out is opened, a sequences --bound above
 SEQUENCES_LIMIT before its table is built, and a sequences table whose
-printed rows pass SEQUENCES_TEXT_LIMIT characters as soon as they do.  scan --workers is accepted and
-ignored.  json is imported only when a --job document is read, so no other
-run pays for loading it.
+printed rows pass SEQUENCES_TEXT_LIMIT characters as soon as they do.
+scan --workers is accepted and ignored.  json is imported only when a
+--job document is read, so no other run pays for loading it.
 """
 
 from __future__ import annotations
@@ -665,7 +665,7 @@ def t_class_key(field, bound):
             return ("fn_zero",)
         case = cases.get(outer)
         if case is None:
-            case = cases[outer] = _reducible_case(field, ParamPayloads3D(0, 0, 0, d, e, 1, A, B, C, 0, E, 0))
+            case = cases[outer] = _reducible_case(field, ParamPayloads3D(**_t_values(0, 0, 0, outer)))
         return "reducible", case, E == 0, (a + d) % p == 0, scan
 
     return key
